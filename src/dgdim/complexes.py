@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core.freemod import GradedFreeModule, GradedMatrix
-from .core.module import GradedModule, MinimalPresentation, minimal_presentation
+from .core.module import GradedModule, minimal_presentation
 from .core.poly import Poly
 from .core.ring import GradedRing
-from .core.syz import SyzygyEngine, syzygy_engine, syzygy_matrix
+from .core.syz import syzygy_engine, syzygy_matrix
 
 NEG_INF = "-infinity"
 
@@ -51,7 +51,7 @@ class FreeComplex:
         }
         self.known_lo = known_lo
         self.known_hi = known_hi
-        self._cohomology_cache: Dict[int, "CohomologyData"] = {}
+        self._presented: Optional["PresentedComplex"] = None
         if check:
             self.validate()
 
@@ -131,27 +131,18 @@ class FreeComplex:
         )
 
     def direct_sum(self, other: "FreeComplex") -> "FreeComplex":
-        comps = {}
-        diffs = {}
-        degrees = set(self.components) | set(other.components)
-        for i in degrees:
-            a, b = self.component(i), other.component(i)
-            comps[i] = GradedFreeModule(self.ring, a.degrees + b.degrees)
-        for i in set(self.differentials) | set(other.differentials):
-            da, db = self.differential(i), other.differential(i)
-            tgt = GradedFreeModule(
-                self.ring, da.target.degrees + db.target.degrees
+        comps = {
+            i: GradedFreeModule(
+                self.ring, self.component(i).degrees + other.component(i).degrees
             )
-            src = GradedFreeModule(
-                self.ring, da.source.degrees + db.source.degrees
+            for i in set(self.components) | set(other.components)
+        }
+        diffs = {
+            i: GradedMatrix.block_diagonal(
+                comps[i + 1], [self.differential(i), other.differential(i)]
             )
-            z = self.ring.zero()
-            rows = []
-            for r in range(da.target.rank):
-                rows.append(list(da.entries[r]) + [z] * db.source.rank)
-            for r in range(db.target.rank):
-                rows.append([z] * da.source.rank + list(db.entries[r]))
-            diffs[i] = GradedMatrix(tgt, src, rows, normalize=False)
+            for i in set(self.differentials) | set(other.differentials)
+        }
         return FreeComplex(
             self.ring,
             comps,
@@ -514,7 +505,6 @@ def prune_complex(C: FreeComplex) -> FreeComplex:
 class CohomologyData:
     degree: int
     module: GradedModule
-    kernel_matrix: Optional[GradedMatrix]
     representatives: List[List[Poly]]
     generator_degrees: Tuple[int, ...]
 
@@ -523,50 +513,12 @@ class CohomologyData:
 
 
 def cohomology_data(C: FreeComplex, i: int) -> CohomologyData:
-    cached = C._cohomology_cache.get(i)
-    if cached is not None:
-        return cached
-    ring = C.ring
-    comp = C.component(i)
-    if comp.rank == 0 or ring.is_zero_ring:
-        data = CohomologyData(i, GradedModule.free(ring, ()), None, [], ())
-        C._cohomology_cache[i] = data
-        return data
-    d_out = C.differential(i)
-    d_in = C.differential(i - 1)
-    if d_out.source.rank and d_out.target.rank and not d_out.is_zero():
-        Z = syzygy_matrix(d_out)
-    else:
-        Z = GradedMatrix.identity(comp)
-    if Z.source.rank == 0:
-        data = CohomologyData(i, GradedModule.free(ring, ()), Z, [], ())
-        C._cohomology_cache[i] = data
-        return data
-    zeng = syzygy_engine(Z)
-    rel_cols: List[List[Poly]] = []
-    rel_degs: List[int] = []
-    for j in range(d_in.source.rank):
-        col = d_in.column(j)
-        if all(p.is_zero() for p in col):
-            continue
-        q = zeng.divide(col)
-        if q is None:
-            raise AssertionError("boundary not contained in cycles")
-        rel_cols.append(q)
-        rel_degs.append(d_in.source.degrees[j])
-    S = syzygy_matrix(Z)
-    for j in range(S.source.rank):
-        rel_cols.append(S.column(j))
-        rel_degs.append(S.source.degrees[j])
-    pres = GradedMatrix.from_columns(Z.source, rel_degs, rel_cols)
-    module = GradedModule(pres)
-    mp = module.minimal()
-    reps = [Z.column(t) for t in mp.survivors]
-    data = CohomologyData(
-        i, module, Z, reps, mp.generator_degrees
-    )
-    C._cohomology_cache[i] = data
-    return data
+    """H^i of a free complex: a presented complex without relations."""
+    if C._presented is None:
+        C._presented = PresentedComplex(
+            C.ring, C.components, C.differentials, {}, C.known_lo, C.known_hi
+        )
+    return _cohomology(C._presented, i)
 
 
 class CohomologyProfile:
@@ -722,7 +674,7 @@ def _hstack(target: GradedFreeModule, mats: Sequence[Optional[GradedMatrix]]) ->
     return GradedMatrix.from_columns(target, degs, cols)
 
 
-def _first_block(S: GradedMatrix, nrows: int, col_filter=None) -> Tuple[List[List[Poly]], List[int]]:
+def _first_block(S: GradedMatrix, nrows: int) -> Tuple[List[List[Poly]], List[int]]:
     cols = []
     degs = []
     seen = set()
@@ -818,50 +770,70 @@ class PresentedComplex:
         return True
 
     def cohomology(self, i: int) -> CohomologyData:
-        cached = self._cohomology_cache.get(i)
-        if cached is not None:
-            return cached
-        ring = self.ring
-        cov = self.cover(i)
-        if cov.rank == 0 or ring.is_zero_ring:
-            data = CohomologyData(i, GradedModule.free(ring, ()), None, [], ())
-            self._cohomology_cache[i] = data
-            return data
-        block_out = _hstack(self.cover(i + 1), [self.diff(i), self.rel(i + 1)])
-        if block_out.target.rank == 0 or block_out.source.rank == 0:
-            K = GradedMatrix.identity(cov)
-        else:
-            S = syzygy_matrix(block_out)
-            # cycle = first-block projection of a syzygy of [D_i | Q_{i+1}]
-            cols, degs = _first_block(S, cov.rank)
-            K = GradedMatrix.from_columns(cov, degs, cols)
-        if K.source.rank == 0:
-            data = CohomologyData(i, GradedModule.free(ring, ()), K, [], ())
-            self._cohomology_cache[i] = data
-            return data
-        killers = _hstack(cov, [K, self.diffs.get(i - 1), self.rels.get(i)])
-        rel_cols: List[List[Poly]] = []
-        rel_degs: List[int] = []
-        if killers.source.rank > K.source.rank:
-            S2 = syzygy_matrix(killers)
-            for j in range(S2.source.rank):
-                head = [S2.entries[r][j] for r in range(K.source.rank)]
-                if all(p.is_zero() for p in head):
-                    continue
-                rel_cols.append(head)
-                rel_degs.append(S2.source.degrees[j])
-        else:
-            S2 = syzygy_matrix(K)
-            for j in range(S2.source.rank):
-                rel_cols.append(S2.column(j))
-                rel_degs.append(S2.source.degrees[j])
-        pres = GradedMatrix.from_columns(K.source, rel_degs, rel_cols)
-        module = GradedModule(pres)
-        mp = module.minimal()
-        reps = [K.column(t) for t in mp.survivors]
-        data = CohomologyData(i, module, K, reps, mp.generator_degrees)
-        self._cohomology_cache[i] = data
+        return _cohomology(self, i)
+
+
+def _cohomology(P: PresentedComplex, i: int) -> CohomologyData:
+    """H^i(P), cached on P; the one routine behind both complex kinds."""
+    cached = P._cohomology_cache.get(i)
+    if cached is not None:
+        return cached
+    ring = P.ring
+    cov = P.cover(i)
+    if cov.rank == 0 or ring.is_zero_ring:
+        data = CohomologyData(i, GradedModule.free(ring, ()), [], ())
+        P._cohomology_cache[i] = data
         return data
+    block_out = _hstack(P.cover(i + 1), [P.diff(i), P.rel(i + 1)])
+    if block_out.is_zero():
+        K = GradedMatrix.identity(cov)
+    else:
+        S = syzygy_matrix(block_out)
+        # cycle = first-block projection of a syzygy of [D_i | Q_{i+1}]
+        cols, degs = _first_block(S, cov.rank)
+        K = GradedMatrix.from_columns(cov, degs, cols)
+    if K.source.rank == 0:
+        data = CohomologyData(i, GradedModule.free(ring, ()), [], ())
+        P._cohomology_cache[i] = data
+        return data
+    killers = _hstack(cov, [K, P.diffs.get(i - 1), P.rels.get(i)])
+    rel_cols: List[List[Poly]] = []
+    rel_degs: List[int] = []
+    if killers.source.rank > K.source.rank:
+        S2 = syzygy_matrix(killers)
+        for j in range(S2.source.rank):
+            head = [S2.entries[r][j] for r in range(K.source.rank)]
+            if all(p.is_zero() for p in head):
+                continue
+            rel_cols.append(head)
+            rel_degs.append(S2.source.degrees[j])
+    else:
+        S2 = syzygy_matrix(K)
+        for j in range(S2.source.rank):
+            rel_cols.append(S2.column(j))
+            rel_degs.append(S2.source.degrees[j])
+    pres = GradedMatrix.from_columns(K.source, rel_degs, rel_cols)
+    module = GradedModule(pres)
+    mp = module.minimal()
+    reps = [K.column(t) for t in mp.survivors]
+    data = CohomologyData(i, module, reps, mp.generator_degrees)
+    P._cohomology_cache[i] = data
+    return data
+
+
+def _times_identity(
+    target: GradedFreeModule, source: GradedFreeModule, E, ng: int
+) -> GradedMatrix:
+    """E tensor the identity of rank ng: entry E[a][b] on the diagonal of
+    the ng x ng block in row block a and column block b."""
+    z = target.ring.zero()
+    rows = [[z] * source.rank for _ in range(target.rank)]
+    for a, row in enumerate(E):
+        for b, e in enumerate(row):
+            if e:
+                for s in range(ng):
+                    rows[a * ng + s][b * ng + s] = e
+    return GradedMatrix(target, source, rows, normalize=False)
 
 
 def hom_free_into_module(F: FreeComplex, N: GradedModule) -> PresentedComplex:
@@ -878,48 +850,18 @@ def hom_free_into_module(F: FreeComplex, N: GradedModule) -> PresentedComplex:
         f_deg = F.component(j).degrees
         degs = [g - d for d in f_deg for g in g_deg]
         covers[n] = GradedFreeModule(ring, degs)
-        if Q.source.rank:
-            rels[n] = _hstack(
-                covers[n],
-                [
-                    GradedMatrix(
-                        covers[n],
-                        Q.source.twist(d),
-                        [
-                            [
-                                Q.entries[r - t * len(g_deg)][c]
-                                if t * len(g_deg) <= r < (t + 1) * len(g_deg)
-                                else ring.zero()
-                                for c in range(Q.source.rank)
-                            ]
-                            for r in range(len(degs))
-                        ],
-                        normalize=False,
-                    )
-                    for t, d in enumerate(f_deg)
-                ],
-            )
+        rels[n] = GradedMatrix.block_diagonal(
+            covers[n], [Q.twist(d) for d in f_deg]
+        )
     diffs: Dict[int, GradedMatrix] = {}
-    ng = len(g_deg)
     for n in sorted(covers):
         if (n + 1) not in covers:
             continue
         dF = F.differential(-n - 1)  # F^{-n-1} -> F^{-n}
-        if dF.is_zero():
-            continue
-        sign = 1 if n % 2 else -1  # -(-1)^n
-        src = covers[n]
-        tgt = covers[n + 1]
-        rows = [[ring.zero()] * src.rank for _ in range(tgt.rank)]
-        for t in range(dF.target.rank):  # gen of F^{-n}
-            for t2 in range(dF.source.rank):  # gen of F^{-n-1}
-                e = dF.entries[t][t2]
-                if not e:
-                    continue
-                val = e if sign > 0 else -e
-                for s in range(ng):
-                    rows[t2 * ng + s][t * ng + s] = val
-        diffs[n] = GradedMatrix(tgt, src, rows, normalize=False)
+        if not dF.is_zero():
+            # -(-1)^n times the transpose of dF
+            E = [[e if n % 2 else -e for e in col] for col in dF.columns()]
+            diffs[n] = _times_identity(covers[n + 1], covers[n], E, len(g_deg))
     hi = None if F.known_lo is None else -F.known_lo
     return PresentedComplex(ring, covers, diffs, rels, known_lo=None, known_hi=hi)
 
@@ -936,46 +878,16 @@ def tensor_free_with_module(F: FreeComplex, N: GradedModule) -> PresentedComplex
         f_deg = F.component(n).degrees
         degs = [g + d for d in f_deg for g in g_deg]
         covers[n] = GradedFreeModule(ring, degs)
-        if Q.source.rank:
-            rels[n] = _hstack(
-                covers[n],
-                [
-                    GradedMatrix(
-                        covers[n],
-                        Q.source.twist(-d),
-                        [
-                            [
-                                Q.entries[r - t * len(g_deg)][c]
-                                if t * len(g_deg) <= r < (t + 1) * len(g_deg)
-                                else ring.zero()
-                                for c in range(Q.source.rank)
-                            ]
-                            for r in range(len(degs))
-                        ],
-                        normalize=False,
-                    )
-                    for t, d in enumerate(f_deg)
-                ],
-            )
+        rels[n] = GradedMatrix.block_diagonal(
+            covers[n], [Q.twist(-d) for d in f_deg]
+        )
     diffs: Dict[int, GradedMatrix] = {}
-    ng = len(g_deg)
     for n in sorted(covers):
         if (n + 1) not in covers:
             continue
         dF = F.differential(n)
-        if dF.is_zero():
-            continue
-        src = covers[n]
-        tgt = covers[n + 1]
-        rows = [[ring.zero()] * src.rank for _ in range(tgt.rank)]
-        for t2 in range(dF.target.rank):
-            for t in range(dF.source.rank):
-                e = dF.entries[t2][t]
-                if not e:
-                    continue
-                for s in range(ng):
-                    rows[t2 * ng + s][t * ng + s] = e
-        diffs[n] = GradedMatrix(tgt, src, rows, normalize=False)
+        if not dF.is_zero():
+            diffs[n] = _times_identity(covers[n + 1], covers[n], dF.entries, len(g_deg))
     return PresentedComplex(
         ring, covers, diffs, rels, known_lo=F.known_lo, known_hi=None
     )

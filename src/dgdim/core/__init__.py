@@ -11,10 +11,8 @@ from .ring import (
 from .freemod import (
     GradedFreeModule,
     GradedMatrix,
-    field_kernel_basis,
     field_rank,
     field_rref,
-    field_solve,
 )
 from .syz import SyzygyEngine, syzygy_engine, syzygy_matrix
 from .module import GradedModule, MinimalPresentation, minimal_presentation
@@ -34,10 +32,8 @@ __all__ = [
     "reduce_poly",
     "GradedFreeModule",
     "GradedMatrix",
-    "field_kernel_basis",
     "field_rank",
     "field_rref",
-    "field_solve",
     "SyzygyEngine",
     "syzygy_engine",
     "syzygy_matrix",

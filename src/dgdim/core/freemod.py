@@ -12,7 +12,7 @@ Groebner-based module computations.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .poly import Poly
 from .ring import GradedRing
@@ -122,6 +122,26 @@ class GradedMatrix:
             [cols[j][i] for j in range(len(cols))] for i in range(target.rank)
         ]
         return GradedMatrix(target, source, rows)
+
+    @staticmethod
+    def block_diagonal(
+        target: GradedFreeModule, blocks: Sequence["GradedMatrix"]
+    ) -> "GradedMatrix":
+        """The blocks placed corner to corner: block k takes the rows and
+        columns that follow those of blocks 0..k-1, and target must have as
+        many rows as the blocks together."""
+        z = target.ring.zero()
+        width = sum(b.source.rank for b in blocks)
+        rows: List[List[Poly]] = []
+        left = 0
+        for b in blocks:
+            right = width - left - b.source.rank
+            rows.extend([z] * left + list(row) + [z] * right for row in b.entries)
+            left += b.source.rank
+        source = GradedFreeModule(
+            target.ring, [d for b in blocks for d in b.source.degrees]
+        )
+        return GradedMatrix(target, source, rows, normalize=False)
 
     def column(self, j: int) -> List[Poly]:
         return [self.entries[i][j] for i in range(self.target.rank)]
@@ -280,49 +300,3 @@ def field_rank(field, M: List[List]) -> int:
     if not M or not M[0]:
         return 0
     return len(field_rref(field, M)[1])
-
-
-def field_kernel_basis(field, M: List[List], ncols: Optional[int] = None) -> List[List]:
-    """Basis of the right kernel of M as a list of column vectors."""
-    if ncols is None:
-        ncols = len(M[0]) if M else 0
-    if ncols == 0:
-        return []
-    if not M:
-        return [
-            [field.one() if i == j else field.zero() for i in range(ncols)]
-            for j in range(ncols)
-        ]
-    A, pivots = field_rref(field, M)
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [field.zero()] * ncols
-        vec[fc] = field.one()
-        for r, pc in enumerate(pivots):
-            vec[pc] = field.neg(A[r][fc])
-        basis.append(vec)
-    return basis
-
-
-def field_solve(field, M: List[List], b: List) -> Optional[List]:
-    """One solution x of Mx = b, or None when inconsistent."""
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    aug = [M[r][:] + [b[r]] for r in range(nrows)]
-    A, pivots = field_rref(field, aug)
-    for r in range(len(pivots)):
-        if pivots[r] == ncols:
-            return None  # pivot in the augmented column
-    x = [field.zero()] * ncols
-    for r, pc in enumerate(pivots):
-        if pc < ncols:
-            x[pc] = A[r][ncols]
-    # verify (cheap, keeps the oracle honest)
-    for r in range(nrows):
-        acc = field.zero()
-        for c in range(ncols):
-            acc = field.add(acc, field.mul(M[r][c], x[c]))
-        if not field.is_zero(field.sub(acc, b[r])):
-            return None
-    return x

@@ -17,8 +17,7 @@ import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Poly, PolyRing
-from .freemod import GradedFreeModule, GradedMatrix
-from .ring import GradedRing
+from .freemod import GradedMatrix
 
 VecTerm = Tuple[tuple, int]  # (monomial, position)
 Vec = Dict[VecTerm, object]
@@ -244,10 +243,6 @@ class ModuleGB:
         return cols, expressed
 
 
-def _matrix_lift_columns(M: GradedMatrix) -> List[List[Poly]]:
-    return [M.column(j) for j in range(M.source.rank)]
-
-
 class SyzygyEngine:
     """Syzygies and division for a matrix over a graded quotient ring R.
 
@@ -261,7 +256,7 @@ class SyzygyEngine:
         ambient = self.ring.ambient
         self.ambient = ambient
         r = M.target.rank
-        cols = _matrix_lift_columns(M)
+        cols = M.columns()
         twists = list(M.target.degrees)
         aug_cols: List[List[Poly]] = list(cols)
         self.n_original = len(cols)

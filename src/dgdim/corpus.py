@@ -16,7 +16,6 @@ from .core import GradedFreeModule, GradedMatrix, GradedModule, GradedRing, Poly
 from .dg import (
     DGModule,
     DGRing,
-    ProductDGModule,
     ProductDGRing,
     build_koszul_dg,
     build_ring_dg,

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..complexes import CohomologyData, FreeComplex, PresentedComplex
+from ..complexes import CohomologyData, PresentedComplex
 from ..core.freemod import GradedFreeModule, GradedMatrix
 from ..core.module import GradedModule
 from ..core.poly import Poly
-from ..core.ring import GradedRing
 from ..core.syz import syzygy_engine
 from .dgring import AElem, DGRing
 
@@ -116,6 +115,19 @@ class DGModule:
         if g.kind == "free":
             return self.A.slot_extra.get(sym, ())
         return tuple(self.A.h0_extra) + g.rels
+
+    def _slot_relation_block(self, j: int, sym: str) -> GradedMatrix:
+        """The nonzero relations of one slot, as a one-row matrix."""
+        R = self.A.base
+        rels = [R.normal_form(r) for r in self.slot_relations(j, sym)]
+        rels = [r for r in rels if not r.is_zero()]
+        tw = self.slot_twist(j, sym)
+        return GradedMatrix(
+            GradedFreeModule(R, [tw]),
+            GradedFreeModule(R, [tw + r.degree() for r in rels]),
+            [rels],
+            normalize=False,
+        )
 
     def slots_by_degree(self) -> Dict[int, List[Slot]]:
         if self._slots_by_deg is None:
@@ -249,20 +261,9 @@ class DGModule:
             covers[c] = GradedFreeModule(
                 R, [self.slot_twist(j, sym) for (j, sym) in lst]
             )
-            rel_cols: List[List[Poly]] = []
-            rel_degs: List[int] = []
-            for idx, (j, sym) in enumerate(lst):
-                tw = self.slot_twist(j, sym)
-                for r in self.slot_relations(j, sym):
-                    rr = R.normal_form(r)
-                    if rr.is_zero():
-                        continue
-                    col = [R.zero()] * len(lst)
-                    col[idx] = rr
-                    rel_cols.append(col)
-                    rel_degs.append(tw + rr.degree())
-            if rel_cols:
-                rels[c] = GradedMatrix.from_columns(covers[c], rel_degs, rel_cols)
+            rels[c] = GradedMatrix.block_diagonal(
+                covers[c], [self._slot_relation_block(j, sym) for (j, sym) in lst]
+            )
         diffs: Dict[int, GradedMatrix] = {}
         for c, lst in sorted(table.items()):
             tgt_list = table.get(c + 1)
@@ -577,20 +578,10 @@ def hom_semifree_into_dg(SF: DGModule, M: DGModule) -> PresentedComplex:
                 for (j, s) in lst
             ],
         )
-        rel_cols: List[List[Poly]] = []
-        rel_degs: List[int] = []
-        for idx, (j, s) in enumerate(lst):
-            tw = M.slot_twist(s[0], s[1]) - SF.gens[j].twist
-            for r in M.slot_relations(s[0], s[1]):
-                rr = R.normal_form(r)
-                if rr.is_zero():
-                    continue
-                col = [R.zero()] * len(lst)
-                col[idx] = rr
-                rel_cols.append(col)
-                rel_degs.append(tw + rr.degree())
-        if rel_cols:
-            rels[n] = GradedMatrix.from_columns(covers[n], rel_degs, rel_cols)
+        rels[n] = GradedMatrix.block_diagonal(
+            covers[n],
+            [M._slot_relation_block(*s).twist(SF.gens[j].twist) for (j, s) in lst],
+        )
     pos: Dict[int, Dict[Tuple[int, Slot], int]] = {
         n: {e: t for t, e in enumerate(lst)} for n, lst in table.items()
     }
@@ -649,20 +640,6 @@ def hom_semifree_into_dg(SF: DGModule, M: DGModule) -> PresentedComplex:
 
 
 # ---------- stock constructions ----------
-
-
-def dg_module_from_presentation(
-    A: DGRing,
-    generators: Sequence[DGGen],
-    differential: Dict[int, Dict[int, AElem]],
-    known_lo: Optional[int] = None,
-    check: bool = True,
-    label: str = "",
-) -> DGModule:
-    """Validated DG-module from explicit generator and differential data."""
-    return DGModule(
-        A, generators, differential, known_lo=known_lo, check=check, label=label
-    )
 
 
 def direct_sum_dg(M: DGModule, N: DGModule) -> DGModule:

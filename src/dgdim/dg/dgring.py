@@ -18,7 +18,7 @@ slot's ring.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.poly import Poly
 from ..core.ring import GradedRing

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..core.poly import Poly
 from ..core.ring import GradedRing
 from .dgmodule import (
     DGModule,

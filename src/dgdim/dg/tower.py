@@ -12,22 +12,21 @@ and matches the input from s-k+2 up.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..complexes import FreeComplex
 from ..core.freemod import GradedFreeModule, GradedMatrix
 from ..core.poly import Poly
 from ..core.ring import GradedRing
-from .dgring import AElem, DGRing
+from .dgring import AElem
 from .dgmodule import (
-    DGGen,
     DGMap,
     DGModule,
-    cocone_dg,
     cone_dg,
     free_dg_module,
     h0_cyclic_dg_module,
     hom_semifree_into_dg,
+    shift_dg,
 )
 
 
@@ -67,30 +66,6 @@ class SemifreeResolution:
         }
 
 
-def _top_certified_cohomology(
-    N: DGModule, floor: Optional[int]
-) -> Tuple[Optional[int], Optional[object]]:
-    """Largest degree >= floor with nonzero certified H(N), with its data.
-
-    Returns (None, None) when nothing nonzero was found at or above the
-    effective floor (certification cut, slot support and the given floor
-    combined)."""
-    hi = N.max_slot_cohdeg()
-    if hi is None:
-        return None, None
-    lo = N.min_slot_cohdeg()
-    eff = lo
-    if N.known_lo is not None:
-        eff = max(eff, N.known_lo + 1)
-    if floor is not None:
-        eff = max(eff, floor)
-    for s in range(hi, eff - 1, -1):
-        data = N.cohomology(s)
-        if not data.is_zero():
-            return s, data
-    return None, None
-
-
 def _no_cohomology_below(N: DGModule, floor: int) -> bool:
     """True when H(N) vanishes at every slot degree strictly below floor.
 
@@ -103,28 +78,6 @@ def _no_cohomology_below(N: DGModule, floor: int) -> bool:
         if not N.cohomology(s).is_zero():
             return False
     return True
-
-
-def _cover_of_top(N: DGModule, s: int, data) -> Tuple[DGModule, DGMap]:
-    """Free cover of the minimal generators of H^s(N)."""
-    A = N.A
-    twists = data.generator_degrees
-    P = free_dg_module(A, [(s, tw) for tw in twists])
-    entries: Dict[int, Dict[int, AElem]] = {}
-    slots = N.slots_by_degree()[s]
-    for t, rep in enumerate(data.representatives):
-        row: Dict[int, AElem] = {}
-        for idx, (i, sym) in enumerate(slots):
-            p = rep[idx]
-            if p.is_zero():
-                continue
-            if i in row:
-                row[i] = row[i].add(AElem(A, {sym: p}))
-            else:
-                row[i] = AElem(A, {sym: p})
-        if row:
-            entries[t] = row
-    return P, DGMap(P, N, entries, check=False)
 
 
 class SppjStage:
@@ -150,18 +103,53 @@ class SppjStage:
         }
 
 
+def _stage(M: DGModule, floor: Optional[int]) -> Optional[SppjStage]:
+    """The stage covering the top nonzero certified H^s(M) with s >= floor,
+    one free generator per minimal generator of H^s(M); None when there is
+    no such s (certification cut, slot support and floor combined)."""
+    hi = M.max_slot_cohdeg()
+    if hi is None:
+        return None
+    eff = M.min_slot_cohdeg()
+    if M.known_lo is not None:
+        eff = max(eff, M.known_lo + 1)
+    if floor is not None:
+        eff = max(eff, floor)
+    for s in range(hi, eff - 1, -1):
+        data = M.cohomology(s)
+        if not data.is_zero():
+            break
+    else:
+        return None
+    A = M.A
+    P = free_dg_module(A, [(s, tw) for tw in data.generator_degrees])
+    entries: Dict[int, Dict[int, AElem]] = {}
+    slots = M.slots_by_degree()[s]
+    for t, rep in enumerate(data.representatives):
+        row: Dict[int, AElem] = {}
+        for idx, (i, sym) in enumerate(slots):
+            p = rep[idx]
+            if p.is_zero():
+                continue
+            if i in row:
+                row[i] = row[i].add(AElem(A, {sym: p}))
+            else:
+                row[i] = AElem(A, {sym: p})
+        if row:
+            entries[t] = row
+    f = DGMap(P, M, entries, check=False)
+    return SppjStage(s, P, f, cone_dg(f, check=False), tuple(data.generator_degrees))
+
+
 def sppj_step(M: DGModule, floor: Optional[int] = None) -> SppjStage:
     """Cover the top certified cohomology of M by a finite free module.
 
     Raises ValueError when no certified cohomology remains at or above
     floor (nothing to cover)."""
-    s, data = _top_certified_cohomology(M, floor)
-    if s is None:
+    stage = _stage(M, floor)
+    if stage is None:
         raise ValueError("no certified cohomology at or above the floor")
-    P, f = _cover_of_top(M, s, data)
-    return SppjStage(
-        s, P, f, cone_dg(f, check=False), tuple(data.generator_degrees)
-    )
+    return stage
 
 
 def semifree_resolution(
@@ -197,22 +185,20 @@ def semifree_resolution(
         if window_lo is not None:
             # only cohomology at s with s - k > window_lo - 2 forces a stage
             floor_now = window_lo + k - 1
-        s, data = _top_certified_cohomology(N, floor_now)
-        if s is None:
+        stage = _stage(N, floor_now)
+        if stage is None:
             break
         if k >= max_stages:
             raise RuntimeError(
                 "semifree tower did not stabilize after %d stages" % k
             )
-        twists = data.generator_degrees
-        P, f = _cover_of_top(N, s, data)
-        N = cocone_dg(f, check=False)
+        N = shift_dg(stage.cone, -1)  # the cocone of the covering map
         k += 1
-        pos = s - (k - 1)
+        pos = stage.position - (k - 1)
         if prev_pos is not None and pos >= prev_pos:
             raise AssertionError("stage positions failed to decrease")
         prev_pos = pos
-        stages.append({"position": pos, "twists": tuple(twists)})
+        stages.append({"position": pos, "twists": stage.twists})
     # extract the free block and shift it back to the source's frame
     total = len(N.gens)
     sf_gens = [N.gens[t].shifted(k - 1) for t in range(m, total)]

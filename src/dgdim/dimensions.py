@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .complexes import (
     FreeComplex,
-    PresentedComplex,
     cohomology_data,
     hom_free_into_module,
     prune_complex,

@@ -16,7 +16,6 @@ from .dg import (
     build_split_trivial_extension,
     build_trivial_extension,
     cone_dg,
-    dg_module_from_presentation,
     direct_sum_dg,
     factor_residue_module,
     free_dg_module,
@@ -31,6 +30,7 @@ from .dg import (
     twist_dg,
     twist_product,
     DGGen,
+    DGModule,
     ProductDGModule,
     ProductDGRing,
 )
@@ -219,7 +219,7 @@ def _build_presented(A, decl: dict, what: str):
             int(i): A.from_base(A.base.parse(str(expr)))
             for i, expr in row.items()
         }
-    return dg_module_from_presentation(A, gens, diff, check=True)
+    return DGModule(A, gens, diff, check=True)
 
 
 def _build_modules(scn: Scenario, decls: dict) -> None:
