@@ -117,11 +117,13 @@ class GradedMatrix:
     def from_columns(
         target: GradedFreeModule, col_degrees: Sequence[int], cols: Sequence[Sequence[Poly]]
     ) -> "GradedMatrix":
+        """The matrix with these columns; every entry must already be a
+        normal form, since it is taken as given."""
         source = GradedFreeModule(target.ring, col_degrees)
         rows = [
             [cols[j][i] for j in range(len(cols))] for i in range(target.rank)
         ]
-        return GradedMatrix(target, source, rows)
+        return GradedMatrix(target, source, rows, normalize=False)
 
     @staticmethod
     def block_diagonal(
@@ -212,23 +214,18 @@ class GradedMatrix:
 
         Returns (rows_basis, cols_basis, M) where M[r][c] is a field scalar.
         """
-        ring = self.ring
-        f = ring.field
+        f = self.ring.field
         rows_basis = self.target.basis_in_degree(t)
         cols_basis = self.source.basis_in_degree(t)
         row_index = {key: r for r, key in enumerate(rows_basis)}
         M = [[f.zero()] * len(cols_basis) for _ in rows_basis]
+        columns = self.columns()
         for c, (mono, j) in enumerate(cols_basis):
-            for i in range(self.target.rank):
-                e = self.entries[i][j]
-                if not e:
-                    continue
-                prod = ring.normal_form(e.mul_term(mono, f.one()))
-                for m2, c2 in prod.terms.items():
-                    r = row_index.get((m2, i))
-                    if r is None:
-                        raise AssertionError("non-standard monomial in product")
-                    M[r][c] = f.add(M[r][c], c2)
+            for key, coeff in monomial_multiple(self.ring, columns[j], mono).items():
+                r = row_index.get(key)
+                if r is None:
+                    raise AssertionError("non-standard monomial in product")
+                M[r][c] = coeff
         return rows_basis, cols_basis, M
 
     def rank_in_degree(self, t: int) -> int:
@@ -260,6 +257,18 @@ class GradedMatrix:
             list(self.source.degrees),
             body,
         )
+
+
+def monomial_multiple(ring: GradedRing, col: Sequence[Poly], mono: tuple) -> dict:
+    """mono * col as a k-vector: {(standard monomial, row): coefficient},
+    each product entry taken to its normal form."""
+    one = ring.field.one()
+    out = {}
+    for i, e in enumerate(col):
+        if e:
+            prod = ring.normal_form(e.mul_term(mono, one))
+            out.update(((m, i), c) for m, c in prod.terms.items())
+    return out
 
 
 # ---------- exact field linear algebra ----------

@@ -3,15 +3,31 @@
 minimal_presentation prunes a presentation until every relation entry lies in
 the irrelevant maximal ideal and the relation columns are irredundant; by
 graded Nakayama the surviving generators are a minimal generating set.
+
+Irredundancy is linear algebra over k, one internal degree at a time.  A
+homogeneous column of degree d lies in the submodule generated by others
+exactly when its k-vector lies in the span of the degree-d multiples of the
+others of degree <= d: standard monomials times the lower columns, scalars
+times the columns of degree d.  So the columns are taken in ascending degree;
+in degree d the span of the multiples of the columns kept so far is built,
+and the degree-d columns are visited from the highest index down, each kept
+exactly when it is independent of the span, which it then joins.
+
+This keeps the same columns as the rule "in ascending (degree, index) order,
+drop a column when the still-live others of degree <= its own generate it".
+A dropped lower column lies in the span of the kept ones, so both rules see
+the same span from below.  Within one degree that rule is reverse-delete on
+the quotient by that span, and on a matroid reverse-delete keeps the basis
+that greedy insertion keeps when it visits the elements in reverse order.
 """
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
 from .poly import Poly
-from .freemod import GradedFreeModule, GradedMatrix
+from .freemod import GradedFreeModule, GradedMatrix, monomial_multiple
 from .ring import GradedRing
-from .syz import SyzygyEngine, syzygy_engine
+from .syz import syzygy_engine
 
 
 class MinimalPresentation:
@@ -54,9 +70,6 @@ def minimal_presentation(M: GradedMatrix) -> MinimalPresentation:
     expr: Dict[int, Dict[int, Poly]] = {
         o: {o: ring.one()} for o in range(len(tgt))
     }
-
-    def entry(i, j):
-        return rows[i][j]
 
     while True:
         pivot = None
@@ -120,24 +133,7 @@ def minimal_presentation(M: GradedMatrix) -> MinimalPresentation:
             continue
         cols.append(col)
         col_deg.append(src[j])
-    # irredundant relation columns: ascending degree, drop a column only when
-    # it lies in the span of the still-live others of degree <= its own
-    # (a column that was already dropped must not help drop another one)
-    order = sorted(range(len(cols)), key=lambda t: (col_deg[t], t))
-    dropped: set = set()
-    for t in order:
-        cands = [
-            u
-            for u in order
-            if u != t and u not in dropped and col_deg[u] <= col_deg[t]
-        ]
-        if cands:
-            probe = GradedMatrix.from_columns(
-                target, [col_deg[u] for u in cands], [cols[u] for u in cands]
-            )
-            if SyzygyEngine(probe).contains(cols[t]):
-                dropped.add(t)
-    kept = [t for t in order if t not in dropped]
+    kept = _irredundant_columns(target, cols, col_deg)
     matrix = GradedMatrix.from_columns(
         target, [col_deg[t] for t in kept], [cols[t] for t in kept]
     )
@@ -147,6 +143,68 @@ def minimal_presentation(M: GradedMatrix) -> MinimalPresentation:
         o: {pos[t]: p for t, p in d.items()} for o, d in expr.items()
     }
     return MinimalPresentation(matrix, alive_rows, expressions)
+
+
+def _irredundant_columns(
+    target: GradedFreeModule, cols: List[List[Poly]], col_deg: List[int]
+) -> List[int]:
+    """Indices of the columns kept as minimal relations, ascending (degree, index).
+
+    Degree d sees the k-span of the degree-d multiples of the columns kept
+    in lower degrees; its own columns are visited from the highest index
+    down, and one is kept exactly when its vector lies outside the span,
+    which it then joins.
+    """
+    ring = target.ring
+    by_degree: Dict[int, List[int]] = {}
+    for t, d in enumerate(col_deg):
+        by_degree.setdefault(d, []).append(t)
+    one = ring.ambient.mono_one()
+    kept: List[int] = []
+    for d in sorted(by_degree):
+        span = _Span(ring.field)
+        for u in kept:
+            for mono in ring.standard_monomials(d - col_deg[u]):
+                span.insert(monomial_multiple(ring, cols[u], mono))
+        new = [
+            t for t in reversed(by_degree[d])
+            if span.insert(monomial_multiple(ring, cols[t], one))
+        ]
+        kept.extend(reversed(new))
+    return kept
+
+
+class _Span:
+    """Echelon basis of a subspace of k-vectors held as sparse dicts.
+
+    Each stored row has coefficient 1 at its pivot and 0 at the pivots of
+    the rows stored before it, so one pass in storage order reduces a vector.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.rows: List[Tuple[object, dict]] = []
+
+    def insert(self, vec: dict) -> bool:
+        """Add vec to the span; False when it already lay in it."""
+        f = self.field
+        vec = dict(vec)
+        for pivot, row in self.rows:
+            c = vec.get(pivot)
+            if c is None:
+                continue
+            for key, v in row.items():
+                s = f.sub(vec[key], f.mul(c, v)) if key in vec else f.neg(f.mul(c, v))
+                if f.is_zero(s):
+                    del vec[key]
+                else:
+                    vec[key] = s
+        if not vec:
+            return False
+        pivot = next(iter(vec))
+        inv = f.inv(vec[pivot])
+        self.rows.append((pivot, {key: f.mul(inv, v) for key, v in vec.items()}))
+        return True
 
 
 class GradedModule:

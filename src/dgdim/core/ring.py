@@ -16,11 +16,15 @@ from .scalars import field_from_tag
 
 def reduce_poly(p: Poly, basis: Sequence[Poly]) -> Poly:
     """Full normal form of p modulo basis (every term reduced)."""
-    if not basis:
+    if not basis or not p.terms:
         return p
+    return _reduce(p, [(g.leading(), g) for g in basis if g])
+
+
+def _reduce(p: Poly, lead: Sequence[tuple]) -> Poly:
+    """Normal form of p modulo the g of lead, a list of ((lm, lc), g) pairs."""
     ring = p.ring
     f = ring.field
-    lead = [(g.leading(), g) for g in basis if g]
     remainder: dict = {}
     work = dict(p.terms)
     while work:
@@ -140,7 +144,9 @@ class GradedRing:
         self.gb = tuple(groebner_basis(list(self.relations)))
         one = ambient.mono_one()
         self.is_zero_ring = any(g.leading()[0] == one for g in self.gb)
-        self._lt = tuple(g.leading()[0] for g in self.gb)
+        # (leading term, g) of every basis element, shared by all normal forms
+        self._leads = tuple((g.leading(), g) for g in self.gb)
+        self._lt = tuple(lm for (lm, _), _ in self._leads)
         self._mono_basis_cache: dict = {}
         self._dimension: Optional[int] = None
 
@@ -151,7 +157,9 @@ class GradedRing:
         return self.ambient.field
 
     def normal_form(self, p: Poly) -> Poly:
-        return reduce_poly(p, self.gb)
+        if not self._leads or not p.terms:
+            return p
+        return _reduce(p, self._leads)
 
     def is_polynomial_ring(self) -> bool:
         return not self.gb

@@ -173,10 +173,12 @@ def direct_ext_projdim(M: DGModule) -> Optional[int]:
 
 
 def _random_monomial(ring: GradedRing, rng: Random, degree: int) -> Poly:
-    p = ring.one()
+    """A product of `degree` random variables, taken in the ambient ring so
+    that its degree is defined even when it vanishes in ring."""
+    p = ring.ambient.one()
     vars_ = ring.variables()
     for _ in range(degree):
-        p = ring.mul(p, rng.choice(vars_))
+        p = p * rng.choice(vars_)
     return p
 
 
@@ -198,8 +200,9 @@ def redundant_presentation(M: GradedModule, rng: Random) -> GradedModule:
 
     # redundant generator: e_new = m * e_i, recorded by the column m*e_i - e_new
     i = rng.randrange(len(tgt_degs))
-    m = _random_monomial(ring, rng, rng.choice([1, 2]))
-    new_deg = tgt_degs[i] + m.degree()
+    mono = _random_monomial(ring, rng, rng.choice([1, 2]))
+    m = ring.normal_form(mono)
+    new_deg = tgt_degs[i] + mono.degree()
     for col in cols:
         col.append(ring.zero())
     tgt_degs.append(new_deg)
@@ -213,7 +216,7 @@ def redundant_presentation(M: GradedModule, rng: Random) -> GradedModule:
     if cols:
         j = rng.randrange(len(cols))
         m2 = _random_monomial(ring, rng, rng.choice([1, 2]))
-        cols.append([ring.normal_form(ring.mul(m2, entry)) for entry in cols[j]])
+        cols.append([ring.mul(m2, entry) for entry in cols[j]])
         col_degs.append(col_degs[j] + m2.degree())
 
     order = list(range(len(cols)))

@@ -342,3 +342,27 @@ def test_cli_field_flag_overrides_scenario(capsys):
     assert main(["run", SHIPPED, "--field", "Fp:7", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["options"]["field"] == "Fp:7"
+
+
+def test_verify_builds_matrices_from_normal_forms_only(monkeypatch, capsys):
+    # GradedMatrix.from_columns takes its entries as given, so every caller
+    # must hand it normal forms; a cold syzygy cache makes every caller run
+    import dgdim.core.syz as syz_module
+    from dgdim.core import GradedMatrix
+
+    inner = GradedMatrix.from_columns
+    calls = [0]
+
+    def checked(target, col_degrees, cols):
+        ring = target.ring
+        for col in cols:
+            for e in col:
+                assert ring.normal_form(e) == e, "entry %s is not a normal form" % e
+        calls[0] += 1
+        return inner(target, col_degrees, cols)
+
+    monkeypatch.setattr(syz_module, "_syz_cache", {})
+    monkeypatch.setattr(GradedMatrix, "from_columns", staticmethod(checked))
+    assert main(["verify", "--seed", "0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
+    assert calls[0] > 0

@@ -1,15 +1,22 @@
-"""Syzygy generators checked against brute-force degreewise kernels."""
+"""Syzygy generators checked against brute-force degreewise kernels, and
+minimal presentations against a Groebner-basis rule and degreewise ranks."""
 import random
 
+import pytest
+
+import dgdim.core.module as module_mod
+import dgdim.core.syz as syz_mod
 from dgdim.core import (
     GradedFreeModule,
     GradedMatrix,
+    GradedModule,
     SyzygyEngine,
     field_rank,
     make_graded_ring,
     minimal_presentation,
     syzygy_matrix,
 )
+from dgdim.corpus import redundant_presentation, standard_families
 
 
 def _kernel_dim(M, t):
@@ -167,3 +174,132 @@ def test_mutually_redundant_columns_are_not_both_dropped():
     # the second minimal generator is (0, y) up to adding multiples of the first
     others = [c for c in cols if c != ["x^2", "0"]]
     assert others and others[0][1] in ("y", "-y")
+
+
+# ---------- minimal_presentation against independent oracles ----------
+
+FIELDS = ["Q", "Fp:32003"]
+
+
+def _corpus_rings(field):
+    rings = []
+    for A in standard_families(field):
+        rings += [F.base for F in getattr(A, "factors", [A])]
+    rings.append(make_graded_ring(field, ["x", "y"], ["x^2", "x*y"]))
+    rings.append(make_graded_ring(field, ["x", "y"], ["x^2*y"]))
+    rings.append(make_graded_ring(field, ["x", "y", "z"], ["x*y", "z^2"]))
+    return rings
+
+
+def _presentations(field):
+    """Seeded inputs over corpus rings: padded presentations of cyclic
+    modules, and the first syzygy matrices of a padded presentation and of
+    the successive minimal presentations of the module."""
+    rng = random.Random(7)
+    out = []
+    for R in _corpus_rings(field):
+        if not R.variables():
+            continue
+        pool = [R.normal_form(p) for p in R.variables()]
+        pool += [R.mul(u, v) for u in pool for v in pool]
+        pool = [p for p in pool if p]
+        for _ in range(2):
+            base = GradedModule.cyclic(R, rng.sample(pool, min(3, len(pool))))
+            padded = base
+            for _ in range(3):
+                padded = redundant_presentation(padded, rng)
+            out.append(padded.presentation)
+            out.append(SyzygyEngine(padded.presentation).syzygy_matrix())
+            M = base.presentation
+            for _ in range(3):
+                S = SyzygyEngine(M).syzygy_matrix()
+                if S.source.rank == 0:
+                    break
+                out.append(S)
+                M = minimal_presentation(S).matrix
+    return out
+
+
+def _probe_rule(target, cols, col_deg):
+    """Columns kept by the rule: in ascending (degree, index) order, drop a
+    column when the still-live others of degree <= its own generate it;
+    each membership question is a module Groebner basis division."""
+    order = sorted(range(len(cols)), key=lambda t: (col_deg[t], t))
+    dropped = set()
+    for t in order:
+        cands = [
+            u for u in order
+            if u != t and u not in dropped and col_deg[u] <= col_deg[t]
+        ]
+        if cands:
+            probe = GradedMatrix.from_columns(
+                target, [col_deg[u] for u in cands], [cols[u] for u in cands]
+            )
+            if SyzygyEngine(probe).contains(cols[t]):
+                dropped.add(t)
+    return [t for t in order if t not in dropped]
+
+
+def _recorded_pass(monkeypatch, M):
+    """minimal_presentation(M), and the (target, columns, degrees, kept)
+    that its irredundancy pass saw and returned."""
+    seen = []
+    inner = module_mod._irredundant_columns
+
+    def record(target, cols, col_deg):
+        kept = inner(target, cols, col_deg)
+        seen.append((target, [list(c) for c in cols], list(col_deg), kept))
+        return kept
+
+    monkeypatch.setattr(module_mod, "_irredundant_columns", record)
+    mp = minimal_presentation(M)
+    monkeypatch.setattr(module_mod, "_irredundant_columns", inner)
+    assert len(seen) == 1
+    return mp, seen[0]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_minimal_presentation_keeps_the_probe_rule_columns(monkeypatch, field):
+    for M in _presentations(field):
+        mp, (target, cols, col_deg, kept) = _recorded_pass(monkeypatch, M)
+        assert kept == _probe_rule(target, cols, col_deg)
+        assert mp.matrix.columns() == [cols[t] for t in kept]
+        assert list(mp.matrix.source.degrees) == [col_deg[t] for t in kept]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_minimal_presentation_is_degreewise_irredundant(monkeypatch, field):
+    for M in _presentations(field):
+        mp, (target, cols, col_deg, kept) = _recorded_pass(monkeypatch, M)
+        K = mp.matrix
+        full = GradedMatrix.from_columns(target, col_deg, cols)
+        top = max(col_deg, default=0) + 2
+        for t in range(top + 1):
+            assert K.rank_in_degree(t) == full.rank_in_degree(t), "degree %d" % t
+            assert K.coker_dim_in_degree(t) == M.coker_dim_in_degree(t), "degree %d" % t
+        for j, d in enumerate(K.source.degrees):
+            others = [c for i, c in enumerate(K.columns()) if i != j]
+            degs = [e for i, e in enumerate(K.source.degrees) if i != j]
+            less = GradedMatrix.from_columns(K.target, degs, others)
+            assert less.rank_in_degree(d) < K.rank_in_degree(d), "column %d" % j
+        assert K.min_entry_degree_is_positive()
+
+
+def test_minimal_presentation_builds_no_module_groebner_basis(monkeypatch):
+    A = make_graded_ring("Q", {"x": 1, "y": 1}, ["x^2*y"])
+    tgt = GradedFreeModule(A, (0,))
+    M = GradedMatrix.from_columns(tgt, [1, 3], [[A.parse("y")], [A.parse("x^3")]])
+    S = SyzygyEngine(M).syzygy_matrix()
+    base = GradedModule.cyclic(A, [A.parse("x^2"), A.parse("x*y")])
+    padded = redundant_presentation(base, random.Random(3)).presentation
+    builds = [0]
+    inner = syz_mod.ModuleGB.__init__
+
+    def counted(self, *args, **kwargs):
+        builds[0] += 1
+        inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(syz_mod.ModuleGB, "__init__", counted)
+    assert minimal_presentation(S).matrix.source.rank == 2
+    assert minimal_presentation(padded).rank == 1
+    assert builds[0] == 0
