@@ -12,7 +12,6 @@ from .freemod import (
     GradedFreeModule,
     GradedMatrix,
     field_rank,
-    field_rref,
 )
 from .syz import SyzygyEngine, syzygy_engine, syzygy_matrix
 from .module import GradedModule, MinimalPresentation, minimal_presentation
@@ -33,7 +32,6 @@ __all__ = [
     "GradedFreeModule",
     "GradedMatrix",
     "field_rank",
-    "field_rref",
     "SyzygyEngine",
     "syzygy_engine",
     "syzygy_matrix",

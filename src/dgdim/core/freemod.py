@@ -6,9 +6,12 @@ a degree-zero map source -> target, column j giving the image of the j-th
 source generator; entry (i, j) is homogeneous of degree src_deg(j) -
 tgt_deg(i) (or zero).
 
-Degree-by-degree exact Gaussian elimination over the field provides ranks,
-kernels and graded piece dimensions; it is the brute-force oracle backing the
-Groebner-based module computations.
+Degreewise ranks, kernels and cokernel dimensions come from one exact
+elimination routine, _Span: a sparse echelon basis into which the degree-t
+multiples of the columns are inserted.  A rank does not depend on the basis
+or the order of insertion, so no dense field matrix is built for it.  This
+linear algebra is the brute-force oracle backing the Groebner-based module
+computations, and minimal_presentation uses the same _Span for irredundancy.
 """
 from __future__ import annotations
 
@@ -229,12 +232,17 @@ class GradedMatrix:
         return rows_basis, cols_basis, M
 
     def rank_in_degree(self, t: int) -> int:
-        _, _, M = self.matrix_in_degree(t)
-        return field_rank(self.ring.field, M)
+        """Rank of the degree-t piece: the degree-t multiples of the columns
+        inserted into one sparse echelon basis."""
+        span = _Span(self.ring.field)
+        columns = self.columns()
+        return sum(
+            span.insert(monomial_multiple(self.ring, columns[j], mono))
+            for mono, j in self.source.basis_in_degree(t)
+        )
 
     def kernel_dim_in_degree(self, t: int) -> int:
-        _, cols, M = self.matrix_in_degree(t)
-        return len(cols) - field_rank(self.ring.field, M)
+        return self.source.dim_in_degree(t) - self.rank_in_degree(t)
 
     def coker_dim_in_degree(self, t: int) -> int:
         return self.target.dim_in_degree(t) - self.rank_in_degree(t)
@@ -274,38 +282,43 @@ def monomial_multiple(ring: GradedRing, col: Sequence[Poly], mono: tuple) -> dic
 # ---------- exact field linear algebra ----------
 
 
-def field_rref(field, M: List[List]) -> Tuple[List[List], List[int]]:
-    """Row-reduce a copy of M; returns (rref, pivot column list)."""
-    A = [row[:] for row in M]
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for rr in range(r, nrows):
-            if not field.is_zero(A[rr][c]):
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        A[r], A[pivot] = A[pivot], A[r]
-        inv = field.inv(A[r][c])
-        A[r] = [field.mul(inv, v) for v in A[r]]
-        for rr in range(nrows):
-            if rr != r and not field.is_zero(A[rr][c]):
-                factor = A[rr][c]
-                A[rr] = [
-                    field.sub(v, field.mul(factor, w)) for v, w in zip(A[rr], A[r])
-                ]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return A, pivots
+class _Span:
+    """Echelon basis of a subspace of k-vectors held as sparse dicts.
+
+    Each stored row has coefficient 1 at its pivot and 0 at the pivots of
+    the rows stored before it, so one pass in storage order reduces a vector.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.rows: List[Tuple[object, dict]] = []
+
+    def insert(self, vec: dict) -> bool:
+        """Add vec to the span; False when it already lay in it."""
+        f = self.field
+        vec = dict(vec)
+        for pivot, row in self.rows:
+            c = vec.get(pivot)
+            if c is None:
+                continue
+            for key, v in row.items():
+                s = f.sub(vec[key], f.mul(c, v)) if key in vec else f.neg(f.mul(c, v))
+                if f.is_zero(s):
+                    del vec[key]
+                else:
+                    vec[key] = s
+        if not vec:
+            return False
+        pivot = next(iter(vec))
+        inv = f.inv(vec[pivot])
+        self.rows.append((pivot, {key: f.mul(inv, v) for key, v in vec.items()}))
+        return True
 
 
 def field_rank(field, M: List[List]) -> int:
-    if not M or not M[0]:
-        return 0
-    return len(field_rref(field, M)[1])
+    """Rank of the field matrix M, given as a list of rows."""
+    span = _Span(field)
+    return sum(
+        span.insert({c: v for c, v in enumerate(row) if not field.is_zero(v)})
+        for row in M
+    )

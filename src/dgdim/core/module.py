@@ -11,7 +11,9 @@ others of degree <= d: standard monomials times the lower columns, scalars
 times the columns of degree d.  So the columns are taken in ascending degree;
 in degree d the span of the multiples of the columns kept so far is built,
 and the degree-d columns are visited from the highest index down, each kept
-exactly when it is independent of the span, which it then joins.
+exactly when it is independent of the span, which it then joins.  The span
+is freemod's _Span, the one k-linear elimination routine of the program; it
+also computes every degreewise rank.
 
 This keeps the same columns as the rule "in ascending (degree, index) order,
 drop a column when the still-live others of degree <= its own generate it".
@@ -25,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from .poly import Poly
-from .freemod import GradedFreeModule, GradedMatrix, monomial_multiple
+from .freemod import GradedFreeModule, GradedMatrix, _Span, monomial_multiple
 from .ring import GradedRing
 from .syz import syzygy_engine
 
@@ -71,27 +73,30 @@ def minimal_presentation(M: GradedMatrix) -> MinimalPresentation:
         o: {o: ring.one()} for o in range(len(tgt))
     }
 
+    start = 0
     while True:
+        # A column left of the pivot has no unit entry, and clearing row pi
+        # gives it none: a new degree-0 entry needs a unit factor there.
         pivot = None
-        for j in alive_cols:
+        for k in range(start, len(alive_cols)):
+            j = alive_cols[k]
             for i in alive_rows:
                 e = rows[i][j]
                 if e and e.degree() == 0:
                     pivot = (i, j)
                     break
             if pivot:
+                start = k
                 break
         if pivot is None:
             break
         pi, pj = pivot
         c = rows[pi][pj].terms[ring.ambient.mono_one()]
         cinv = field.inv(c)
+        # row pi is dropped below, so only the other rows of column pj matter
+        support = [t for t in alive_rows if t != pi and rows[t][pj]]
         # generator pi = -1/c * sum_{t != pi} rows[t][pj] * g_t
-        combo = {
-            t: rows[t][pj].scale(field.neg(cinv))
-            for t in alive_rows
-            if t != pi and rows[t][pj]
-        }
+        combo = {t: rows[t][pj].scale(field.neg(cinv)) for t in support}
         # clear row pi from the other columns: col_j' -= (e[pi][j']/c) col_pj
         for j2 in alive_cols:
             if j2 == pj:
@@ -100,11 +105,8 @@ def minimal_presentation(M: GradedMatrix) -> MinimalPresentation:
             if not f:
                 continue
             factor = f.scale(cinv)
-            for t in alive_rows:
-                if rows[t][pj]:
-                    rows[t][j2] = ring.normal_form(
-                        rows[t][j2] - factor * rows[t][pj]
-                    )
+            for t in support:
+                rows[t][j2] = ring.normal_form(rows[t][j2] - factor * rows[t][pj])
         # rewrite stored expressions of the original generators
         for o, d in expr.items():
             p = d.pop(pi, None)
@@ -120,7 +122,7 @@ def minimal_presentation(M: GradedMatrix) -> MinimalPresentation:
                     elif add:
                         d[t] = add
         alive_rows.remove(pi)
-        alive_cols.remove(pj)
+        del alive_cols[start]
 
     # assemble the pruned matrix and drop zero columns
     tgt_deg = [tgt[i] for i in alive_rows]
@@ -172,39 +174,6 @@ def _irredundant_columns(
         ]
         kept.extend(reversed(new))
     return kept
-
-
-class _Span:
-    """Echelon basis of a subspace of k-vectors held as sparse dicts.
-
-    Each stored row has coefficient 1 at its pivot and 0 at the pivots of
-    the rows stored before it, so one pass in storage order reduces a vector.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self.rows: List[Tuple[object, dict]] = []
-
-    def insert(self, vec: dict) -> bool:
-        """Add vec to the span; False when it already lay in it."""
-        f = self.field
-        vec = dict(vec)
-        for pivot, row in self.rows:
-            c = vec.get(pivot)
-            if c is None:
-                continue
-            for key, v in row.items():
-                s = f.sub(vec[key], f.mul(c, v)) if key in vec else f.neg(f.mul(c, v))
-                if f.is_zero(s):
-                    del vec[key]
-                else:
-                    vec[key] = s
-        if not vec:
-            return False
-        pivot = next(iter(vec))
-        inv = f.inv(vec[pivot])
-        self.rows.append((pivot, {key: f.mul(inv, v) for key, v in vec.items()}))
-        return True
 
 
 class GradedModule:

@@ -267,42 +267,31 @@ class SyzygyEngine:
                 aug_cols.append(col)
         self.gbm = ModuleGB(ambient, twists, aug_cols)
 
-    def syzygy_columns(self) -> List[List[Poly]]:
-        """Homogeneous generators of ker(M) over R (first-block projections)."""
+    def syzygy_matrix(self) -> GradedMatrix:
+        """Homogeneous generators of ker(M) over R: the first-block
+        projections of the recorded syzygies, without zero or repeated
+        columns, sorted by (degree, printed entries)."""
         R = self.ring
-        out: List[List[Poly]] = []
-        seen = set()
+        zero = R.zero()
+        src = self.M.source.degrees
+        found = {}
         for syz in self.gbm.syzygies:
-            col = []
-            for j in range(self.n_original):
-                p = syz.get(j)
-                col.append(R.normal_form(p) if p is not None else R.zero())
-            if all(p.is_zero() for p in col):
+            col = [zero] * self.n_original
+            for j, p in syz.items():
+                if j < self.n_original:
+                    col[j] = R.normal_form(p)
+            lead = next((j for j, p in enumerate(col) if p), None)
+            if lead is None:
                 continue
             key = tuple(str(p) for p in col)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(col)
-        return out
-
-    def syzygy_matrix(self) -> GradedMatrix:
-        cols = self.syzygy_columns()
-        degrees = []
-        for col in cols:
-            d = None
-            for j, p in enumerate(col):
-                if p:
-                    d = p.degree() + self.M.source.degrees[j]
-                    break
-            degrees.append(d)
-        order = sorted(
-            range(len(cols)),
-            key=lambda t: (degrees[t], tuple(str(p) for p in cols[t])),
+            if key not in found:
+                found[key] = (col[lead].degree() + src[lead], col)
+        order = sorted(found, key=lambda key: (found[key][0], key))
+        return GradedMatrix.from_columns(
+            self.M.source,
+            [found[key][0] for key in order],
+            [found[key][1] for key in order],
         )
-        cols = [cols[t] for t in order]
-        degrees = [degrees[t] for t in order]
-        return GradedMatrix.from_columns(self.M.source, degrees, cols)
 
     def divide(self, col: Sequence[Poly]) -> Optional[List[Poly]]:
         """Express col = M*q over R; returns q or None when not in the image."""

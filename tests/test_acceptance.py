@@ -14,6 +14,7 @@ from dgdim.checks import run_check
 SHIPPED = os.path.join(
     os.path.dirname(__file__), "..", "scenarios", "koszul-desk.json"
 )
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def _passes(check_id, budget):
@@ -125,8 +126,11 @@ def test_criterion_10_determinism_and_presentation_independence():
     t0 = time.time()
     cmd = [sys.executable, "-m", "dgdim.cli", "run", SHIPPED,
            "--seed", "0", "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    # the child does not inherit pytest's pythonpath, so pass the source tree
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     doc = json.loads(first.stdout)
     assert doc["summary"]["fail"] == 0

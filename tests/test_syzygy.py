@@ -1,5 +1,6 @@
-"""Syzygy generators checked against brute-force degreewise kernels, and
-minimal presentations against a Groebner-basis rule and degreewise ranks."""
+"""Syzygy generators checked against brute-force degreewise kernels,
+minimal presentations against a Groebner-basis rule and degreewise ranks,
+and the degreewise ranks themselves against dense Gaussian elimination."""
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from dgdim.core import (
     GradedMatrix,
     GradedModule,
     SyzygyEngine,
+    field_from_tag,
     field_rank,
     make_graded_ring,
     minimal_presentation,
@@ -283,6 +285,80 @@ def test_minimal_presentation_is_degreewise_irredundant(monkeypatch, field):
             less = GradedMatrix.from_columns(K.target, degs, others)
             assert less.rank_in_degree(d) < K.rank_in_degree(d), "column %d" % j
         assert K.min_entry_degree_is_positive()
+
+
+# ---------- field_rank and rank_in_degree against dense elimination ----------
+
+
+def _dense_rank(F, M):
+    """Rank by textbook Gaussian elimination on a dense copy of M."""
+    A = [list(row) for row in M]
+    rank = 0
+    for c in range(len(A[0]) if A else 0):
+        pivot = next((r for r in range(rank, len(A)) if not F.is_zero(A[r][c])), None)
+        if pivot is None:
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        inv = F.inv(A[rank][c])
+        for r in range(rank + 1, len(A)):
+            factor = F.mul(A[r][c], inv)
+            if not F.is_zero(factor):
+                A[r] = [F.sub(v, F.mul(factor, w)) for v, w in zip(A[r], A[rank])]
+        rank += 1
+    return rank
+
+
+def _random_matrices(F, rng):
+    """Seeded field matrices: empty shapes, a zero matrix, sparse and dense
+    ones, products of thin factors (rank-deficient), and copies with a
+    duplicated row or with a zero row and a zero column inserted."""
+
+    def rand(n, m, density):
+        return [
+            [F.from_int(rng.randint(-3, 3)) if rng.random() < density else F.zero()
+             for _ in range(m)]
+            for _ in range(n)
+        ]
+
+    def dot(u, v):
+        acc = F.zero()
+        for a, b in zip(u, v):
+            acc = F.add(acc, F.mul(a, b))
+        return acc
+
+    out = [[], [[]], [[], []], rand(3, 4, 0.0)]
+    for _ in range(40):
+        n, m = rng.randint(1, 9), rng.randint(1, 9)
+        A = rand(n, m, rng.choice([0.15, 0.5, 1.0]))
+        r = rng.randint(1, min(n, m))
+        B, C = rand(n, r, 0.7), rand(r, m, 0.7)
+        dup = A + [list(A[rng.randrange(n)])]
+        rng.shuffle(dup)
+        k = rng.randint(0, m)
+        padded = [row[:k] + [F.zero()] + row[k:] for row in A]
+        padded.insert(rng.randint(0, n), [F.zero()] * (m + 1))
+        out += [A, [[dot(row, col) for col in zip(*C)] for row in B], dup, padded]
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_field_rank_matches_dense_elimination(field):
+    F = field_from_tag(field)
+    for M in _random_matrices(F, random.Random(11)):
+        assert field_rank(F, M) == _dense_rank(F, M), M
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_degreewise_ranks_match_dense_elimination(field):
+    for M in _presentations(field):
+        F = M.ring.field
+        for t in range(max(M.source.degrees, default=0) + 3):
+            rows, cols, dense = M.matrix_in_degree(t)
+            rank = _dense_rank(F, dense)
+            assert M.rank_in_degree(t) == rank, "degree %d" % t
+            assert field_rank(F, dense) == rank, "degree %d" % t
+            assert M.kernel_dim_in_degree(t) == len(cols) - rank, "degree %d" % t
+            assert M.coker_dim_in_degree(t) == len(rows) - rank, "degree %d" % t
 
 
 def test_minimal_presentation_builds_no_module_groebner_basis(monkeypatch):
