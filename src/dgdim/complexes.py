@@ -29,7 +29,20 @@ def _combine_lo(*vals):
     return max(vals) if vals else None
 
 
-class FreeComplex:
+class _Windowed:
+    """A complex with a certified component window [known_lo, known_hi]."""
+
+    known_lo: Optional[int]
+    known_hi: Optional[int]
+
+    def _trust(self, i: int) -> bool:
+        """Cohomology at i is trusted strictly inside the window."""
+        return (self.known_lo is None or i > self.known_lo) and (
+            self.known_hi is None or i < self.known_hi
+        )
+
+
+class FreeComplex(_Windowed):
     """components: cohomological degree -> GradedFreeModule (sparse);
     differentials: degree i -> matrix for d^i (missing = zero)."""
 
@@ -99,14 +112,6 @@ class FreeComplex:
         lo = None if self.known_lo is None else self.known_lo + 1
         hi = None if self.known_hi is None else self.known_hi - 1
         return lo, hi
-
-    def _trust(self, i: int) -> bool:
-        lo, hi = self.certified_cohomology_range()
-        if lo is not None and i < lo:
-            return False
-        if hi is not None and i > hi:
-            return False
-        return True
 
     # -- constructions ------------------------------------------------------
 
@@ -512,13 +517,21 @@ class CohomologyData:
         return len(self.generator_degrees) == 0
 
 
-def cohomology_data(C: FreeComplex, i: int) -> CohomologyData:
-    """H^i of a free complex: a presented complex without relations."""
+def _as_presented(C) -> "PresentedComplex":
+    """A presented complex as is; a free complex as the presented complex
+    without relations, built once and cached on it."""
+    if isinstance(C, PresentedComplex):
+        return C
     if C._presented is None:
         C._presented = PresentedComplex(
             C.ring, C.components, C.differentials, {}, C.known_lo, C.known_hi
         )
-    return _cohomology(C._presented, i)
+    return C._presented
+
+
+def cohomology_data(C: FreeComplex, i: int) -> CohomologyData:
+    """H^i of a free complex: a presented complex without relations."""
+    return _cohomology(_as_presented(C), i)
 
 
 class CohomologyProfile:
@@ -682,7 +695,7 @@ def _first_block(S: GradedMatrix, nrows: int) -> Tuple[List[List[Poly]], List[in
         col = [S.entries[r][j] for r in range(nrows)]
         if all(p.is_zero() for p in col):
             continue
-        key = tuple(str(p) for p in col)
+        key = tuple(p.terms_key() for p in col)
         if key in seen:
             continue
         seen.add(key)
@@ -691,7 +704,7 @@ def _first_block(S: GradedMatrix, nrows: int) -> Tuple[List[List[Poly]], List[in
     return cols, degs
 
 
-class PresentedComplex:
+class PresentedComplex(_Windowed):
     """Complex whose degree-i component is coker(rels_i) on a free cover.
 
     Differentials act on the covers and must carry relations into relations.
@@ -761,13 +774,6 @@ class PresentedComplex:
                             raise ValueError("d^2 nonzero modulo relations at %d" % i)
         for i, q in self.rels.items():
             q.check_homogeneous()
-
-    def _trust(self, i: int) -> bool:
-        if self.known_lo is not None and i <= self.known_lo:
-            return False
-        if self.known_hi is not None and i >= self.known_hi:
-            return False
-        return True
 
     def cohomology(self, i: int) -> CohomologyData:
         return _cohomology(self, i)
@@ -904,6 +910,21 @@ def _resolve_first_argument(M, depth: int) -> FreeComplex:
     raise TypeError("expected GradedModule or FreeComplex, got %r" % type(M))
 
 
+def _window_table(C, what: str, degree_range: Tuple[int, int], sign: int):
+    """{n: H^{sign*n}(C)} for n in the inclusive range, each degree checked
+    against the certified window of C."""
+    P = _as_presented(C)
+    lo, hi = degree_range
+    out: Dict[int, CohomologyData] = {}
+    for n in range(lo, hi + 1):
+        if not P._trust(sign * n):
+            raise ValueError(
+                "%s degree %d outside certified window: cutoff insufficient" % (what, n)
+            )
+        out[n] = P.cohomology(sign * n)
+    return out
+
+
 def ext_table(M, N, degree_range: Tuple[int, int]) -> Dict[int, CohomologyData]:
     """Ext^n(M, N) for n in the inclusive range, as minimally presented modules.
 
@@ -911,51 +932,23 @@ def ext_table(M, N, degree_range: Tuple[int, int]) -> Dict[int, CohomologyData]:
     argument is used directly (Hom into the presented module), a complex
     second argument goes through the Hom totalization with window tracking.
     """
-    lo, hi = degree_range
-    FM = _resolve_first_argument(M, hi)
-    out: Dict[int, CohomologyData] = {}
+    FM = _resolve_first_argument(M, degree_range[1])
     if isinstance(N, GradedModule):
         H = hom_free_into_module(FM, N)
-        for n in range(lo, hi + 1):
-            if not H._trust(n):
-                raise ValueError(
-                    "Ext degree %d outside certified window: cutoff insufficient" % n
-                )
-            out[n] = H.cohomology(n)
-        return out
-    if isinstance(N, FreeComplex):
+    elif isinstance(N, FreeComplex):
         H = hom_complex(FM, N)
-        for n in range(lo, hi + 1):
-            if not H._trust(n):
-                raise ValueError(
-                    "Ext degree %d outside certified window: cutoff insufficient" % n
-                )
-            out[n] = cohomology_data(H, n)
-        return out
-    raise TypeError("second argument must be GradedModule or FreeComplex")
+    else:
+        raise TypeError("second argument must be GradedModule or FreeComplex")
+    return _window_table(H, "Ext", degree_range, 1)
 
 
 def tor_table(M, N, degree_range: Tuple[int, int]) -> Dict[int, CohomologyData]:
     """Tor_n(M, N) = H^{-n} of the derived tensor, for n in the range."""
-    lo, hi = degree_range
-    FM = _resolve_first_argument(M, hi)
-    out: Dict[int, CohomologyData] = {}
+    FM = _resolve_first_argument(M, degree_range[1])
     if isinstance(N, GradedModule):
         T = tensor_free_with_module(FM, N)
-        for n in range(lo, hi + 1):
-            if not T._trust(-n):
-                raise ValueError(
-                    "Tor degree %d outside certified window: cutoff insufficient" % n
-                )
-            out[n] = T.cohomology(-n)
-        return out
-    if isinstance(N, FreeComplex):
+    elif isinstance(N, FreeComplex):
         T = tensor_complex(FM, N)
-        for n in range(lo, hi + 1):
-            if not T._trust(-n):
-                raise ValueError(
-                    "Tor degree %d outside certified window: cutoff insufficient" % n
-                )
-            out[n] = cohomology_data(T, -n)
-        return out
-    raise TypeError("second argument must be GradedModule or FreeComplex")
+    else:
+        raise TypeError("second argument must be GradedModule or FreeComplex")
+    return _window_table(T, "Tor", degree_range, -1)

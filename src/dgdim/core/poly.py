@@ -235,8 +235,13 @@ class Poly:
             and self.terms == other.terms
         )
 
+    def terms_key(self) -> tuple:
+        """The terms as a hashable tuple, independent of insertion order:
+        equal polynomials over one ring have equal keys."""
+        return tuple(sorted(self.terms.items()))
+
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        return hash((self.ring, self.terms_key()))
 
     def __str__(self):
         if not self.terms:

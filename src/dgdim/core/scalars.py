@@ -1,11 +1,15 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p (p <= 2**31).
 
-Field elements are plain Python objects (Fraction for Q, int in [0, p) for
-F_p); the Field object carries the operations so polynomial code stays
-field-agnostic.
+Field elements are plain Python objects; the Field object carries the
+operations so polynomial code stays field-agnostic.  An element of Q is an
+int when it is integral and a Fraction in lowest terms otherwise, never a
+float: every operation returns an integral result as an int, so equal
+values have one representation (and 3 == Fraction(3) prints, hashes and
+compares the same anyway).  An element of F_p is an int in [0, p).
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 _P_MAX = 2 ** 31
@@ -74,27 +78,36 @@ class Rationals(Field):
     tag = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return operator.index(n)
 
     def add(self, a, b):
-        return a + b
+        s = a + b
+        if type(s) is int or s.denominator != 1:
+            return s
+        return s.numerator
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        return a * b
+        s = a * b
+        if type(s) is int or s.denominator != 1:
+            return s
+        return s.numerator
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        num, den = a.numerator, a.denominator
+        if num == 1 or num == -1:
+            return num * den
+        return Fraction(den, num)
 
     def is_zero(self, a):
         return a == 0

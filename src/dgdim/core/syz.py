@@ -266,11 +266,14 @@ class SyzygyEngine:
                 col[i] = g
                 aug_cols.append(col)
         self.gbm = ModuleGB(ambient, twists, aug_cols)
+        self._syz: Optional[GradedMatrix] = None
 
     def syzygy_matrix(self) -> GradedMatrix:
         """Homogeneous generators of ker(M) over R: the first-block
         projections of the recorded syzygies, without zero or repeated
-        columns, sorted by (degree, printed entries)."""
+        columns, sorted by (degree, printed entries).  Computed once."""
+        if self._syz is not None:
+            return self._syz
         R = self.ring
         zero = R.zero()
         src = self.M.source.degrees
@@ -287,11 +290,12 @@ class SyzygyEngine:
             if key not in found:
                 found[key] = (col[lead].degree() + src[lead], col)
         order = sorted(found, key=lambda key: (found[key][0], key))
-        return GradedMatrix.from_columns(
+        self._syz = GradedMatrix.from_columns(
             self.M.source,
             [found[key][0] for key in order],
             [found[key][1] for key in order],
         )
+        return self._syz
 
     def divide(self, col: Sequence[Poly]) -> Optional[List[Poly]]:
         """Express col = M*q over R; returns q or None when not in the image."""
@@ -319,7 +323,7 @@ def _matrix_key(M: GradedMatrix):
         M.ring.key(),
         M.target.degrees,
         M.source.degrees,
-        tuple(tuple(str(e) for e in row) for row in M.entries),
+        tuple(tuple(e.terms_key() for e in row) for row in M.entries),
     )
 
 

@@ -413,6 +413,42 @@ def test_ext_degree_zero_is_hom():
         assert table[0].module.hilbert_function(t) == 1
 
 
+def test_tables_agree_on_a_module_and_its_resolution():
+    A = make_graded_ring("Q", ["x", "y"], [])
+    k = GradedModule.cyclic(A, [A.parse("x"), A.parse("y")])
+    N = GradedModule.cyclic(A, [A.parse("x^2")])
+    FN = minimal_free_resolution(N).complex
+    for table in (ext_table, tor_table):
+        by_module = table(k, N, (0, 3))
+        by_complex = table(k, FN, (0, 3))
+        for n in range(0, 4):
+            assert by_module[n].generator_degrees == by_complex[n].generator_degrees
+            for t in range(-4, 4):
+                assert by_module[n].module.hilbert_function(t) == (
+                    by_complex[n].module.hilbert_function(t)
+                ), (table.__name__, n, t)
+
+
+def test_tables_refuse_degrees_past_a_truncated_resolution():
+    R = make_graded_ring("Q", ["x"], ["x^2"])
+    k = GradedModule.cyclic(R, [R.parse("x")])
+    F = minimal_free_resolution(k, cutoff=2).complex
+    reach = -F.known_lo
+    assert ext_table(F, k, (0, reach - 1))[reach - 1].generator_degrees
+    assert tor_table(F, k, (0, reach - 1))[reach - 1].generator_degrees
+    with pytest.raises(ValueError, match="Ext degree %d outside" % reach):
+        ext_table(F, k, (0, reach))
+    with pytest.raises(ValueError, match="Tor degree %d outside" % reach):
+        tor_table(F, k, (0, reach))
+    unit = make_complex(R, {0: [0]}, {})
+    assert len(ext_table(F, unit, (0, reach - 1))) == reach
+    assert len(tor_table(F, unit, (0, reach - 1))) == reach
+    with pytest.raises(ValueError, match="Ext degree %d outside" % reach):
+        ext_table(F, unit, (0, reach))
+    with pytest.raises(ValueError, match="Tor degree %d outside" % reach):
+        tor_table(F, unit, (0, reach))
+
+
 # ---------- windows and serialization ----------
 
 

@@ -1,5 +1,6 @@
 """Exact core: scalars, polynomials, Groebner bases, ring invariants."""
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,73 @@ def test_prime_field_arith():
     assert f.inv(3) == 5
     assert f.parse("-1") == 6
     assert f.parse("1/3") == 5
+
+
+def _rational_samples(seed):
+    """Seeded elements of Q in the field's representation: 0, +-1, small and
+    about 100-digit integers, proper fractions, and integral values reached
+    only through fraction operations."""
+    Q = Rationals()
+    rng = random.Random(seed)
+    big = [rng.randrange(10 ** 99, 10 ** 100) for _ in range(3)]
+    out = [Q.zero(), Q.one(), Q.neg(Q.one()), Q.from_int(7), Q.from_int(-12)]
+    out += [Q.from_int(b) for b in big] + [Q.from_int(-big[0])]
+    for _ in range(12):
+        num = rng.choice([1, -1, 2, -3, 5, big[1], -big[2]])
+        den = rng.choice([2, 3, 7, 10, big[0]])
+        out.append(Q.parse("%d/%d" % (num, den)))
+    half = Q.parse("1/2")
+    out.append(Q.mul(half, Q.from_int(2)))  # (1/2)*2 = 1
+    out.append(Q.add(half, half))  # 1/2 + 1/2 = 1
+    out.append(Q.mul(Q.parse("2/3"), Q.parse("-3/2")))  # -1
+    out.append(Q.add(Q.parse("7/3"), Q.parse("-1/3")))  # 2
+    out.append(Q.inv(Q.parse("1/%d" % big[1])))  # 1/(1/b) = b
+    out.append(Q.mul(Q.from_int(big[2]), Q.parse("1/%d" % big[2])))  # 1
+    return out
+
+
+def _canonical(value, expected):
+    """value equals the Fraction expected and is an int exactly when the
+    value is integral (never a float or an integral Fraction)."""
+    assert value == expected
+    assert not isinstance(value, float)
+    if expected.denominator == 1:
+        assert type(value) is int, (value, expected)
+    else:
+        assert type(value) is Fraction, (value, expected)
+    return True
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rationals_match_fraction_oracle(seed):
+    Q = Rationals()
+    samples = _rational_samples(seed)
+    for a in samples:
+        fa = Fraction(a)
+        assert _canonical(a, fa)
+        assert _canonical(Q.neg(a), -fa)
+        assert Q.format(a) == str(fa)
+        assert Q.is_zero(a) == (fa == 0)
+        if fa == 0:
+            with pytest.raises(ZeroDivisionError):
+                Q.inv(a)
+        else:
+            assert _canonical(Q.inv(a), 1 / fa)
+        for b in samples:
+            fb = Fraction(b)
+            assert _canonical(Q.add(a, b), fa + fb)
+            assert _canonical(Q.sub(a, b), fa - fb)
+            assert _canonical(Q.mul(a, b), fa * fb)
+            if fb != 0:
+                assert _canonical(Q.div(a, b), fa / fb)
+    rng = random.Random(seed)
+    for _ in range(50):
+        num = rng.randrange(-10 ** 30, 10 ** 30)
+        den = rng.choice([1, 2, 6, rng.randrange(1, 10 ** 30)])
+        assert _canonical(Q.parse("%d/%d" % (num, den)), Fraction(num, den))
+        assert _canonical(Q.parse(" %d " % num), Fraction(num))
+    with pytest.raises(ValueError):
+        Q.parse("1/0")
 
 
 def test_poly_parse_format_roundtrip():

@@ -18,6 +18,7 @@ from dgdim.core import (
     minimal_presentation,
     syzygy_matrix,
 )
+from dgdim.core.poly import Poly
 from dgdim.corpus import redundant_presentation, standard_families
 
 
@@ -379,3 +380,48 @@ def test_minimal_presentation_builds_no_module_groebner_basis(monkeypatch):
     assert minimal_presentation(S).matrix.source.rank == 2
     assert minimal_presentation(padded).rank == 1
     assert builds[0] == 0
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+def test_syzygy_cache_keys_on_terms_in_any_order(monkeypatch, field):
+    A = make_graded_ring(field, {"x": 1, "y": 1, "z": 1}, ["x^2*y"])
+    tgt = GradedFreeModule(A, (0,))
+    src = GradedFreeModule(A, (1, 1, 2))
+    M = GradedMatrix(tgt, src, [[
+        A.parse("x + 2*y - z"),
+        A.parse("3*x - y + 1/2*z"),
+        A.parse("x*z + y^2 - 7/3*z^2"),
+    ]])
+    reversed_rows = [
+        [Poly(e.ring, dict(reversed(list(e.terms.items())))) for e in row]
+        for row in M.entries
+    ]
+    M2 = GradedMatrix(tgt, src, reversed_rows, normalize=False)
+    pairs = [(e, e2) for row, row2 in zip(M.entries, M2.entries) for e, e2 in zip(row, row2)]
+    assert all(e == e2 for e, e2 in pairs)
+    assert any(list(e.terms) != list(e2.terms) for e, e2 in pairs)
+    builds = [0]
+    inner = syz_mod.SyzygyEngine.__init__
+
+    def counted(self, *args, **kwargs):
+        builds[0] += 1
+        inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(syz_mod, "_syz_cache", {})
+    monkeypatch.setattr(syz_mod.SyzygyEngine, "__init__", counted)
+    S = syzygy_matrix(M)
+    S2 = syzygy_matrix(M2)
+    assert builds[0] == 1
+    assert S2 is S  # the engine computes its syzygy matrix once
+    assert S2.source.degrees == S.source.degrees
+    assert [S2.column(j) for j in range(S2.source.rank)] == [
+        S.column(j) for j in range(S.source.rank)
+    ]
+    assert M.compose(S).is_zero() and S.source.rank > 0
+    # a fresh cache builds a fresh engine with the same answer
+    monkeypatch.setattr(syz_mod, "_syz_cache", {})
+    S3 = syzygy_matrix(M2)
+    assert builds[0] == 2 and S3 is not S
+    assert [S3.column(j) for j in range(S3.source.rank)] == [
+        S.column(j) for j in range(S.source.rank)
+    ]
