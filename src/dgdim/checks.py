@@ -302,7 +302,7 @@ def _check_dualizing(opts) -> Tuple[bool, dict]:
             inf_hom = None
             for i in range(min(H.support(), default=0),
                            max(H.support(), default=0) + 1):
-                if not H.cohomology(i).is_zero():
+                if not H.cohomology_vanishes(i):
                     inf_hom = i
                     break
             tensor_ok = inf_tensor is None or inf_tensor >= infR + infM

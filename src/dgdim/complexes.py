@@ -13,9 +13,9 @@ from resolutions that were cut off, never from constructors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .core.freemod import GradedFreeModule, GradedMatrix
+from .core.freemod import GradedFreeModule, GradedMatrix, _Span, monomial_multiple
 from .core.module import GradedModule, minimal_presentation
 from .core.poly import Poly
 from .core.ring import GradedRing
@@ -289,10 +289,6 @@ def mapping_cone(f: ChainMap) -> FreeComplex:
     return FreeComplex(ring, comps, diffs, known_lo=lo, check=False)
 
 
-def shift_complex(C: FreeComplex, n: int) -> FreeComplex:
-    return C.shift(n)
-
-
 def tensor_complex(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
     """Totalization of X tensor Y with Koszul signs on the second factor."""
     ring = X.ring
@@ -424,9 +420,6 @@ def prune_complex(C: FreeComplex) -> FreeComplex:
     diffs: Dict[int, List[List[Poly]]] = {
         i: [list(r) for r in d.entries] for i, d in C.differentials.items()
     }
-
-    def get_rows(i):
-        return diffs.get(i)
 
     changed = True
     while changed:
@@ -710,7 +703,10 @@ class PresentedComplex(_Windowed):
     Differentials act on the covers and must carry relations into relations.
     Cohomology at i is computed from stacked syzygies: cycles are the first
     block of syz([D_i | Q_{i+1}]), and a cycle dies when it lies in the image
-    of D_{i-1} together with Q_i.
+    of D_{i-1} together with Q_i.  Whether every cycle dies is decided first,
+    by linear algebra over k one internal degree at a time
+    (cohomology_vanishes); only a nonzero H^i gets the second syzygy module
+    and a minimal presentation.
     """
 
     def __init__(
@@ -732,6 +728,8 @@ class PresentedComplex(_Windowed):
         self.known_lo = known_lo
         self.known_hi = known_hi
         self._cohomology_cache: Dict[int, CohomologyData] = {}
+        self._cycle_cache: Dict[int, Optional[GradedMatrix]] = {}
+        self._nonzero: Set[int] = set()
         if check:
             self.validate()
 
@@ -778,31 +776,82 @@ class PresentedComplex(_Windowed):
     def cohomology(self, i: int) -> CohomologyData:
         return _cohomology(self, i)
 
+    def cohomology_vanishes(self, i: int) -> bool:
+        return _vanishes(self, i)
+
+
+def _cycles(P: PresentedComplex, i: int) -> Optional[GradedMatrix]:
+    """Generators of the cycles at i as the columns of a matrix into
+    cover(i), cached on P; None when there are none."""
+    if i in P._cycle_cache:
+        return P._cycle_cache[i]
+    ring = P.ring
+    cov = P.cover(i)
+    K = None
+    if cov.rank and not ring.is_zero_ring:
+        block_out = _hstack(P.cover(i + 1), [P.diff(i), P.rel(i + 1)])
+        if block_out.is_zero():
+            K = GradedMatrix.identity(cov)
+        else:
+            # cycle = first-block projection of a syzygy of [D_i | Q_{i+1}]
+            cols, degs = _first_block(syzygy_matrix(block_out), cov.rank)
+            if cols:
+                K = GradedMatrix.from_columns(cov, degs, cols)
+    P._cycle_cache[i] = K
+    return K
+
+
+def _columns_in_image(K: GradedMatrix, B: GradedMatrix) -> bool:
+    """True when every column of K lies in the submodule generated by the
+    columns of B.  A homogeneous vector of degree d lies in a graded
+    submodule exactly when it lies in its degree-d piece, which the
+    standard-monomial multiples of B's columns of degree <= d span over k."""
+    ring = K.ring
+    by_degree: Dict[int, List[int]] = {}
+    for j, d in enumerate(K.source.degrees):
+        by_degree.setdefault(d, []).append(j)
+    one = ring.ambient.mono_one()
+    b_cols = B.columns()
+    for d in sorted(by_degree):
+        span = _Span(ring.field)
+        for mono, c in B.source.basis_in_degree(d):
+            span.insert(monomial_multiple(ring, b_cols[c], mono))
+        for j in by_degree[d]:
+            if span.insert(monomial_multiple(ring, K.column(j), one)):
+                return False
+    return True
+
+
+def _vanishes(P: PresentedComplex, i: int) -> bool:
+    """H^i(P) = 0, decided by degreewise linear algebra: every cycle lies in
+    the image of [D_{i-1} | Q_i].  No Groebner basis, syzygy or minimal
+    presentation beyond the cycles' own; a zero answer is cached as H^i."""
+    cached = P._cohomology_cache.get(i)
+    if cached is not None:
+        return cached.is_zero()
+    if i in P._nonzero:
+        return False
+    K = _cycles(P, i)
+    if K is None or _columns_in_image(
+        K, _hstack(K.target, [P.diffs.get(i - 1), P.rels.get(i)])
+    ):
+        P._cohomology_cache[i] = CohomologyData(
+            i, GradedModule.free(P.ring, ()), [], ()
+        )
+        return True
+    P._nonzero.add(i)
+    return False
+
 
 def _cohomology(P: PresentedComplex, i: int) -> CohomologyData:
     """H^i(P), cached on P; the one routine behind both complex kinds."""
     cached = P._cohomology_cache.get(i)
     if cached is not None:
         return cached
-    ring = P.ring
-    cov = P.cover(i)
-    if cov.rank == 0 or ring.is_zero_ring:
-        data = CohomologyData(i, GradedModule.free(ring, ()), [], ())
-        P._cohomology_cache[i] = data
-        return data
-    block_out = _hstack(P.cover(i + 1), [P.diff(i), P.rel(i + 1)])
-    if block_out.is_zero():
-        K = GradedMatrix.identity(cov)
-    else:
-        S = syzygy_matrix(block_out)
-        # cycle = first-block projection of a syzygy of [D_i | Q_{i+1}]
-        cols, degs = _first_block(S, cov.rank)
-        K = GradedMatrix.from_columns(cov, degs, cols)
-    if K.source.rank == 0:
-        data = CohomologyData(i, GradedModule.free(ring, ()), [], ())
-        P._cohomology_cache[i] = data
-        return data
-    killers = _hstack(cov, [K, P.diffs.get(i - 1), P.rels.get(i)])
+    if _vanishes(P, i):
+        return P._cohomology_cache[i]
+    K = _cycles(P, i)
+    killers = _hstack(K.target, [K, P.diffs.get(i - 1), P.rels.get(i)])
     rel_cols: List[List[Poly]] = []
     rel_degs: List[int] = []
     if killers.source.rank > K.source.rank:

@@ -7,6 +7,7 @@ variable weights.
 """
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Optional
 
@@ -45,24 +46,27 @@ class PolyRing:
     def mono_one(self) -> Monomial:
         return (0,) * self.nvars
 
+    # map over operator functions: these sit on every hot path, and a
+    # generator expression costs a frame per call
+
     def mono_mul(self, a: Monomial, b: Monomial) -> Monomial:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def mono_divides(self, a: Monomial, b: Monomial) -> bool:
-        return all(x <= y for x, y in zip(a, b))
+        return all(map(operator.le, a, b))
 
     def mono_div(self, a: Monomial, b: Monomial) -> Monomial:
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(map(operator.sub, a, b))
 
     def mono_lcm(self, a: Monomial, b: Monomial) -> Monomial:
-        return tuple(max(x, y) for x, y in zip(a, b))
+        return tuple(map(max, a, b))
 
     def mono_degree(self, m: Monomial) -> int:
-        return sum(e * d for e, d in zip(m, self.degrees))
+        return sum(map(operator.mul, m, self.degrees))
 
     def mono_key(self, m: Monomial):
         # graded reverse lex: larger key = larger monomial
-        return (self.mono_degree(m), tuple(-e for e in reversed(m)))
+        return (self.mono_degree(m), tuple(map(operator.neg, reversed(m))))
 
     def mono_str(self, m: Monomial) -> str:
         parts = []
@@ -214,13 +218,6 @@ class Poly:
         if not self.terms:
             return True
         return len({self.ring.mono_degree(m) for m in self.terms}) == 1
-
-    def homogeneous_parts(self) -> dict:
-        parts: dict = {}
-        for m, c in self.terms.items():
-            d = self.ring.mono_degree(m)
-            parts.setdefault(d, {})[m] = c
-        return {d: Poly(self.ring, t) for d, t in sorted(parts.items())}
 
     def sorted_terms(self):
         """Terms in descending monomial order (deterministic)."""

@@ -161,9 +161,6 @@ class GradedRing:
             return p
         return _reduce(p, self._leads)
 
-    def is_polynomial_ring(self) -> bool:
-        return not self.gb
-
     def zero(self) -> Poly:
         return self.ambient.zero()
 

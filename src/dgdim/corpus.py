@@ -163,7 +163,7 @@ def direct_ext_projdim(M: DGModule) -> Optional[int]:
     for _, T in amplitude_zero_test_family(A):
         H = hom_semifree_into_dg(res.sf, T)
         for i in range(min(H.support(), default=0), max(H.support(), default=0) + 1):
-            if not H.cohomology(i).is_zero():
+            if not H.cohomology_vanishes(i):
                 if best is None or i > best:
                     best = i
     return best

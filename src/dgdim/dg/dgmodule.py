@@ -293,6 +293,9 @@ class DGModule:
     def cohomology(self, i: int) -> CohomologyData:
         return self.underlying().cohomology(i)
 
+    def cohomology_vanishes(self, i: int) -> bool:
+        return self.underlying().cohomology_vanishes(i)
+
     def cohomology_support(
         self, lo: Optional[int] = None, hi: Optional[int] = None
     ) -> List[int]:
@@ -306,7 +309,7 @@ class DGModule:
             a = max(a, self.known_lo + 1)
         out = []
         for i in range(a, b + 1):
-            if not self.cohomology(i).is_zero():
+            if not self.cohomology_vanishes(i):
                 out.append(i)
         return out
 

@@ -84,20 +84,8 @@ class DGRing:
     def zero_elem(self) -> "AElem":
         return AElem(self, {})
 
-    def unit_elem(self) -> "AElem":
-        return AElem(self, {self.unit: self.base.one()})
-
     def from_base(self, p: Poly) -> "AElem":
         return AElem(self, {self.unit: p})
-
-    def elem(self, coeffs: Dict[str, Poly]) -> "AElem":
-        return AElem(self, coeffs)
-
-    def basis_cohdeg(self, sym: str) -> int:
-        return self.cohdeg[sym]
-
-    def basis_twist(self, sym: str) -> int:
-        return self.twist[sym]
 
     def mul_basis(self, a: str, b: str) -> Optional[Tuple[str, int]]:
         return self.mul_table.get((a, b))
@@ -241,9 +229,6 @@ class AElem:
         c = self.ring.base.field.from_int(n)
         return AElem(self.ring, {s: p.scale(c) for s, p in self.coeffs.items()})
 
-    def scale_poly(self, q: Poly) -> "AElem":
-        return AElem(self.ring, {s: p * q for s, p in self.coeffs.items()})
-
     def mul(self, other: "AElem") -> "AElem":
         A = self.ring
         acc: Dict[str, Poly] = {}
@@ -274,12 +259,6 @@ class AElem:
                 else:
                     acc[tgt] = term
         return AElem(A, acc)
-
-    def homogeneous_cohdeg(self) -> Optional[int]:
-        degs = {self.ring.cohdeg[s] for s in self.coeffs}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
 
     def key(self):
         return tuple(sorted((s, str(p)) for s, p in self.coeffs.items()))

@@ -49,12 +49,6 @@ class SemifreeResolution:
         self.stages = stages
         self.terminated = terminated
 
-    def length_below(self) -> Optional[int]:
-        """Lowest stage position, None for the zero resolution."""
-        if not self.stages:
-            return None
-        return self.stages[-1]["position"]
-
     def to_json(self) -> dict:
         return {
             "terminated": self.terminated,
@@ -70,12 +64,14 @@ def _no_cohomology_below(N: DGModule, floor: int) -> bool:
     """True when H(N) vanishes at every slot degree strictly below floor.
 
     Scans downward from the floor; a leftover class usually sits just
-    underneath it, so the negative answer is cheap."""
+    underneath it, so the negative answer is cheap.  Each degree is the
+    degreewise linear-algebra vanishing test, so a degree found nonzero
+    builds no minimal presentation here."""
     mn = N.min_slot_cohdeg()
     if mn is None:
         return True
     for s in range(floor - 1, mn - 1, -1):
-        if not N.cohomology(s).is_zero():
+        if not N.cohomology_vanishes(s):
             return False
     return True
 

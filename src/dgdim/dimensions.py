@@ -34,6 +34,7 @@ from .dg import (
     DGRing,
     ProductDGModule,
     ProductDGRing,
+    SemifreeResolution,
     build_ring_dg,
     cone_dg,
     free_dg_module,
@@ -303,7 +304,7 @@ def flat_dim(M: AnyModule) -> DimensionReport:
 
 def bass_numbers(
     M: DGModule, scan_lo: int, scan_hi: int
-) -> Tuple[Dict[int, int], SemifreeLike]:
+) -> Tuple[Dict[int, int], Optional[SemifreeResolution]]:
     """mu^i = rank of Ext^i(k, M) for scan_lo <= i <= scan_hi."""
     A = M.A
     mslot = M.min_slot_cohdeg()
@@ -318,9 +319,6 @@ def bass_numbers(
             raise RuntimeError("Bass window fell short at degree %d" % i)
         mus[i] = len(H.cohomology(i).generator_degrees)
     return mus, res
-
-
-SemifreeLike = object  # resolution handle kept only for stage counts
 
 
 def inj_dim(M: AnyModule) -> DimensionReport:
@@ -647,7 +645,7 @@ def local_cohomology_amplitude(
     if F.support():
         lo, hi = -max(F.support()), -min(F.support())
         for j in range(lo, hi + 1):
-            if not H.cohomology(j).is_zero():
+            if not H.cohomology_vanishes(j):
                 degs.append(j)
     if not degs:
         raise ValueError("acyclic input has no local cohomology")

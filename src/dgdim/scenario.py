@@ -470,10 +470,13 @@ def _run_query(scn: Scenario, idx: int, q: dict) -> CheckResult:
             check_id, claim, INDETERMINATE,
             {"reason": str(exc)}, reproduce=_sub_scenario(scn, q),
         )
-    except ValueError as exc:
+    except (ValueError, AssertionError) as exc:
+        # an AssertionError is an internal invariant that broke: a failure
+        # to report with its reproducer, not a traceback
         return CheckResult(
             check_id, claim, FAIL,
-            {"reason": str(exc)}, reproduce=_sub_scenario(scn, q),
+            {"reason": str(exc) or type(exc).__name__},
+            reproduce=_sub_scenario(scn, q),
         )
     if "expect" in q and q["expect"] != details.get("value"):
         details["expected"] = q["expect"]

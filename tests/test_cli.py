@@ -1,6 +1,8 @@
 """Report emission, scenario ingestion, and the command line front end."""
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +24,7 @@ from dgdim.scenario import (
 SHIPPED = os.path.join(
     os.path.dirname(__file__), "..", "scenarios", "koszul-desk.json"
 )
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def small_doc(**extra):
@@ -186,6 +189,28 @@ def test_cutoff_exhaustion_reported_as_indeterminate(monkeypatch):
     assert rep.results[0].reproduce is not None
 
 
+def test_internal_assertion_reported_as_failure(monkeypatch, tmp_path, capsys):
+    import dgdim.scenario as scenario_module
+
+    def broken(M):
+        raise AssertionError("stage positions failed to decrease")
+
+    monkeypatch.setattr(scenario_module, "proj_dim", broken)
+    rep = run_scenario(parse_scenario(small_doc()))
+    assert rep.exit_code() == 1
+    failed = rep.results[0]
+    assert failed.outcome == "fail"
+    assert "stage positions failed to decrease" in failed.details["reason"]
+    assert failed.reproduce["queries"] == small_doc()["queries"]
+    # through the command line: a FAIL line and exit code 1, no traceback
+    p = tmp_path / "broken.json"
+    p.write_text(json.dumps(small_doc()))
+    assert main(["run", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_scenario_query_values_match_library():
     doc = small_doc(queries=[
         {"op": "proj-dim", "module": "M"},
@@ -326,6 +351,18 @@ def test_cli_explain_runs_one_check(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"][0]["outcome"] == "pass"
     assert doc["results"][0]["details"]["presentations"] == 10
+
+
+def test_python_dash_m_runs_the_command_line():
+    # the child does not inherit pytest's pythonpath, so pass the source tree
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "dgdim", "explain"],
+        capture_output=True, env=env, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert check_ids()[0] in done.stdout
 
 
 def test_cli_explain_unknown_check(capsys):
