@@ -1,14 +1,17 @@
 """Bounded complexes of graded free modules, cohomological (upper) indexing.
 
 The differential d^i: C^i -> C^{i+1} raises degree by one and d o d = 0.
-Shifts satisfy (C[n])^i = C^{i+n} with differential scaled by (-1)^n; the
-tensor totalization puts the sign (-1)^i on the second differential in
-component (i, j), and Hom uses (d phi) = d o phi - (-1)^n phi o d.
+Free complexes come from minimal resolutions of modules and from reducing
+semifree DG-modules to H^0; pruning makes them minimal.  Cohomology is
+computed on complexes of presented modules, a free complex being one
+without relations.
 
-A complex may carry a certified component window [known_lo, known_hi]
-(None = unbounded): components outside the window were truncated away and
-cohomology is only trusted strictly inside it.  Truncated complexes arise
-from resolutions that were cut off, never from constructors.
+A complex may carry a certified lower end known_lo (None = unbounded):
+components at or below it were truncated away.  Truncated complexes arise
+from resolutions that were cut off, never from constructors.  Only
+presented complexes also carry an upper end known_hi, since Hom out of a
+truncated free complex is truncated from above; their cohomology is
+trusted strictly between the two.
 """
 from __future__ import annotations
 
@@ -21,28 +24,8 @@ from .core.poly import Poly
 from .core.ring import GradedRing
 from .core.syz import syzygy_engine, syzygy_matrix
 
-NEG_INF = "-infinity"
 
-
-def _combine_lo(*vals):
-    vals = [v for v in vals if v is not None]
-    return max(vals) if vals else None
-
-
-class _Windowed:
-    """A complex with a certified component window [known_lo, known_hi]."""
-
-    known_lo: Optional[int]
-    known_hi: Optional[int]
-
-    def _trust(self, i: int) -> bool:
-        """Cohomology at i is trusted strictly inside the window."""
-        return (self.known_lo is None or i > self.known_lo) and (
-            self.known_hi is None or i < self.known_hi
-        )
-
-
-class FreeComplex(_Windowed):
+class FreeComplex:
     """components: cohomological degree -> GradedFreeModule (sparse);
     differentials: degree i -> matrix for d^i (missing = zero)."""
 
@@ -52,7 +35,6 @@ class FreeComplex(_Windowed):
         components: Dict[int, GradedFreeModule],
         differentials: Dict[int, GradedMatrix],
         known_lo: Optional[int] = None,
-        known_hi: Optional[int] = None,
         check: bool = True,
     ):
         self.ring = ring
@@ -63,12 +45,9 @@ class FreeComplex(_Windowed):
             i: d for i, d in differentials.items() if not d.is_zero()
         }
         self.known_lo = known_lo
-        self.known_hi = known_hi
         self._presented: Optional["PresentedComplex"] = None
         if check:
             self.validate()
-
-    # -- structure ---------------------------------------------------------
 
     def component(self, i: int) -> GradedFreeModule:
         m = self.components.get(i)
@@ -85,17 +64,6 @@ class FreeComplex(_Windowed):
     def support(self) -> List[int]:
         return sorted(self.components)
 
-    def is_zero_complex(self) -> bool:
-        return not self.components
-
-    def min_degree(self) -> Optional[int]:
-        s = self.support()
-        return s[0] if s else None
-
-    def max_degree(self) -> Optional[int]:
-        s = self.support()
-        return s[-1] if s else None
-
     def validate(self) -> None:
         for i, d in self.differentials.items():
             if d.target.degrees != self.component(i + 1).degrees:
@@ -108,304 +76,11 @@ class FreeComplex(_Windowed):
                 if not self.differentials[i + 1].compose(self.differentials[i]).is_zero():
                     raise ValueError("d^2 != 0 between degrees %d and %d" % (i, i + 2))
 
-    def certified_cohomology_range(self) -> Tuple[Optional[int], Optional[int]]:
-        lo = None if self.known_lo is None else self.known_lo + 1
-        hi = None if self.known_hi is None else self.known_hi - 1
-        return lo, hi
-
-    # -- constructions ------------------------------------------------------
-
-    def shift(self, n: int) -> "FreeComplex":
-        comps = {i - n: m for i, m in self.components.items()}
-        sign = -1 if n % 2 else 1
-        diffs = {i - n: d.scale_sign(sign) for i, d in self.differentials.items()}
-        return FreeComplex(
-            self.ring,
-            comps,
-            diffs,
-            known_lo=None if self.known_lo is None else self.known_lo - n,
-            known_hi=None if self.known_hi is None else self.known_hi - n,
-            check=False,
-        )
-
-    def twist(self, t: int) -> "FreeComplex":
-        comps = {i: m.twist(t) for i, m in self.components.items()}
-        diffs = {i: d.twist(t) for i, d in self.differentials.items()}
-        return FreeComplex(
-            self.ring, comps, diffs, self.known_lo, self.known_hi, check=False
-        )
-
-    def direct_sum(self, other: "FreeComplex") -> "FreeComplex":
-        comps = {
-            i: GradedFreeModule(
-                self.ring, self.component(i).degrees + other.component(i).degrees
-            )
-            for i in set(self.components) | set(other.components)
-        }
-        diffs = {
-            i: GradedMatrix.block_diagonal(
-                comps[i + 1], [self.differential(i), other.differential(i)]
-            )
-            for i in set(self.differentials) | set(other.differentials)
-        }
-        return FreeComplex(
-            self.ring,
-            comps,
-            diffs,
-            known_lo=_combine_lo(self.known_lo, other.known_lo),
-            known_hi=None
-            if (self.known_hi is None and other.known_hi is None)
-            else min(
-                x for x in (self.known_hi, other.known_hi) if x is not None
-            ),
-            check=False,
-        )
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "ring": self.ring.to_json(),
-            "components": [
-                {"degree": i, "twists": list(self.component(i).degrees)}
-                for i in self.support()
-            ],
-            "differentials": [
-                {
-                    "degree": i,
-                    "matrix": [
-                        [str(e) for e in row] for row in self.differentials[i].entries
-                    ],
-                }
-                for i in sorted(self.differentials)
-            ],
-        }
-
     def __repr__(self):
         parts = ", ".join(
             "%d:%s" % (i, list(self.component(i).degrees)) for i in self.support()
         )
         return "FreeComplex(%s)" % parts
-
-
-def make_complex(
-    ring: GradedRing,
-    components: Dict[int, Sequence[int]],
-    differentials: Dict[int, Sequence[Sequence[Poly]]],
-) -> FreeComplex:
-    comps = {i: GradedFreeModule(ring, tw) for i, tw in components.items()}
-    diffs = {}
-    for i, rows in differentials.items():
-        tgt = comps.get(i + 1, GradedFreeModule(ring, ()))
-        src = comps.get(i, GradedFreeModule(ring, ()))
-        diffs[i] = GradedMatrix(tgt, src, rows)
-    return FreeComplex(ring, comps, diffs)
-
-
-def complex_from_json(data: dict, ring: Optional[GradedRing] = None) -> FreeComplex:
-    from .core.ring import graded_ring_from_json
-
-    if ring is None:
-        ring = graded_ring_from_json(data["ring"])
-    comps = {
-        int(c["degree"]): GradedFreeModule(ring, c["twists"])
-        for c in data["components"]
-    }
-    diffs = {}
-    for d in data.get("differentials", []):
-        i = int(d["degree"])
-        tgt = comps.get(i + 1, GradedFreeModule(ring, ()))
-        src = comps.get(i, GradedFreeModule(ring, ()))
-        rows = [[ring.parse(s) for s in row] for row in d["matrix"]]
-        diffs[i] = GradedMatrix(tgt, src, rows)
-    return FreeComplex(ring, comps, diffs)
-
-
-class ChainMap:
-    """Degree-zero chain map between complexes over the same ring."""
-
-    def __init__(self, source: FreeComplex, target: FreeComplex, comps: Dict[int, GradedMatrix], check: bool = True):
-        self.source = source
-        self.target = target
-        self.comps = {i: m for i, m in comps.items() if not m.is_zero()}
-        if check:
-            self.validate()
-
-    def component(self, i: int) -> GradedMatrix:
-        m = self.comps.get(i)
-        if m is None:
-            return GradedMatrix.zero(self.target.component(i), self.source.component(i))
-        return m
-
-    def validate(self) -> None:
-        for i, m in self.comps.items():
-            if m.source.degrees != self.source.component(i).degrees:
-                raise ValueError("chain map source mismatch at %d" % i)
-            if m.target.degrees != self.target.component(i).degrees:
-                raise ValueError("chain map target mismatch at %d" % i)
-        degrees = set(self.comps) | set(self.source.differentials)
-        for i in degrees:
-            left = self.target.differential(i).compose(self.component(i))
-            right = self.component(i + 1).compose(self.source.differential(i))
-            if not left.add(right.negate()).is_zero():
-                raise ValueError("does not commute with differentials at %d" % i)
-
-
-def mapping_cone(f: ChainMap) -> FreeComplex:
-    """cone(f: X -> Y): component Y^i + X^{i+1}, d = [[d_Y, f],[0, -d_X]]."""
-    X, Y = f.source, f.target
-    ring = Y.ring
-    comps: Dict[int, GradedFreeModule] = {}
-    degrees = set(Y.components) | {i - 1 for i in X.components}
-    for i in degrees:
-        comps[i] = GradedFreeModule(
-            ring, Y.component(i).degrees + X.component(i + 1).degrees
-        )
-    diffs: Dict[int, GradedMatrix] = {}
-    for i in degrees:
-        tgt = comps.get(i + 1)
-        if tgt is None:
-            continue
-        src = comps[i]
-        dY = Y.differential(i)
-        dX = X.differential(i + 1)
-        fm = f.component(i + 1)
-        z = ring.zero()
-        rows = []
-        ny, nx = Y.component(i).rank, X.component(i + 1).rank
-        for r in range(Y.component(i + 1).rank):
-            rows.append(
-                [dY.entries[r][c] for c in range(ny)]
-                + [fm.entries[r][c] for c in range(nx)]
-            )
-        for r in range(X.component(i + 2).rank):
-            rows.append(
-                [z] * ny + [-dX.entries[r][c] for c in range(nx)]
-            )
-        diffs[i] = GradedMatrix(tgt, src, rows, normalize=False)
-    lo = _combine_lo(
-        Y.known_lo, None if X.known_lo is None else X.known_lo - 1
-    )
-    return FreeComplex(ring, comps, diffs, known_lo=lo, check=False)
-
-
-def tensor_complex(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
-    """Totalization of X tensor Y with Koszul signs on the second factor."""
-    ring = X.ring
-    # collect generators per total degree as (i, a_idx, j, b_idx)
-    gens: Dict[int, List[Tuple[int, int, int, int]]] = {}
-    for i in X.support():
-        for j in Y.support():
-            n = i + j
-            for a in range(X.component(i).rank):
-                for b in range(Y.component(j).rank):
-                    gens.setdefault(n, []).append((i, a, j, b))
-    comps = {}
-    for n, lst in gens.items():
-        lst.sort()
-        degs = [
-            X.component(i).degrees[a] + Y.component(j).degrees[b]
-            for (i, a, j, b) in lst
-        ]
-        comps[n] = GradedFreeModule(ring, degs)
-    index = {
-        n: {key: t for t, key in enumerate(lst)} for n, lst in gens.items()
-    }
-    diffs = {}
-    z = ring.zero()
-    for n in sorted(gens):
-        if n + 1 not in gens:
-            continue
-        src_list = gens[n]
-        tgt_list = gens[n + 1]
-        rows = [[z] * len(src_list) for _ in tgt_list]
-        for c, (i, a, j, b) in enumerate(src_list):
-            dX = X.differentials.get(i)
-            if dX is not None:
-                for a2 in range(dX.target.rank):
-                    e = dX.entries[a2][a]
-                    if e:
-                        r = index[n + 1][(i + 1, a2, j, b)]
-                        rows[r][c] = rows[r][c] + e
-            dY = Y.differentials.get(j)
-            if dY is not None:
-                sign = -1 if i % 2 else 1
-                for b2 in range(dY.target.rank):
-                    e = dY.entries[b2][b]
-                    if e:
-                        r = index[n + 1][(i, a, j + 1, b2)]
-                        rows[r][c] = rows[r][c] + (e if sign > 0 else -e)
-        diffs[n] = GradedMatrix(comps[n + 1], comps[n], rows)
-    # window bookkeeping: a truncated factor poisons low total degrees
-    lo = None
-    if X.known_lo is not None and not Y.is_zero_complex():
-        lo = X.known_lo + Y.max_degree()
-    if Y.known_lo is not None and not X.is_zero_complex():
-        cand = Y.known_lo + X.max_degree()
-        lo = cand if lo is None else max(lo, cand)
-    return FreeComplex(ring, comps, diffs, known_lo=lo, check=False)
-
-
-def hom_complex(X: FreeComplex, Y: FreeComplex) -> FreeComplex:
-    """Hom(X, Y): component n holds maps X^i -> Y^{i+n}."""
-    ring = X.ring
-    gens: Dict[int, List[Tuple[int, int, int]]] = {}
-    for i in X.support():
-        for j in Y.support():
-            n = j - i
-            for a in range(X.component(i).rank):
-                for b in range(Y.component(j).rank):
-                    gens.setdefault(n, []).append((i, a, b))
-    comps = {}
-    for n, lst in gens.items():
-        lst.sort()
-        degs = [
-            Y.component(i + n).degrees[b] - X.component(i).degrees[a]
-            for (i, a, b) in lst
-        ]
-        comps[n] = GradedFreeModule(ring, degs)
-    index = {
-        n: {key: t for t, key in enumerate(lst)} for n, lst in gens.items()
-    }
-    diffs = {}
-    z = ring.zero()
-    for n in sorted(gens):
-        if n + 1 not in gens:
-            continue
-        src_list = gens[n]
-        tgt_list = gens[n + 1]
-        rows = [[z] * len(src_list) for _ in tgt_list]
-        sign = -1 if n % 2 else 1
-        for c, (i, a, b) in enumerate(src_list):
-            # post-compose with d_Y: lands in maps X^i -> Y^{i+n+1}
-            dY = Y.differentials.get(i + n)
-            if dY is not None:
-                for b2 in range(dY.target.rank):
-                    e = dY.entries[b2][b]
-                    if e:
-                        r = index[n + 1].get((i, a, b2))
-                        if r is not None:
-                            rows[r][c] = rows[r][c] + e
-            # pre-compose with d_X: maps X^{i-1} -> Y^{i+n}, sign -(-1)^n
-            dX = X.differentials.get(i - 1)
-            if dX is not None:
-                for a2 in range(dX.source.rank):
-                    e = dX.entries[a][a2]
-                    if e:
-                        r = index[n + 1].get((i - 1, a2, b))
-                        if r is not None:
-                            term = e if sign < 0 else -e
-                            rows[r][c] = rows[r][c] + term
-        diffs[n] = GradedMatrix(comps[n + 1], comps[n], rows)
-    # a truncated X (missing low components) corrupts high Hom degrees,
-    # a truncated Y corrupts low ones
-    hi = None
-    if X.known_lo is not None and not Y.is_zero_complex():
-        hi = Y.min_degree() - X.known_lo
-    lo = None
-    if Y.known_lo is not None and not X.is_zero_complex():
-        lo = Y.known_lo - X.min_degree()
-    return FreeComplex(ring, comps, diffs, known_lo=lo, known_hi=hi, check=False)
 
 
 # ---------- pruning (Gaussian cancellation of unit entries) ----------
@@ -491,9 +166,7 @@ def prune_complex(C: FreeComplex) -> FreeComplex:
         tgt = out_comps.get(i + 1, GradedFreeModule(ring, ()))
         src = out_comps.get(i, GradedFreeModule(ring, ()))
         out_diffs[i] = GradedMatrix(tgt, src, rows, normalize=False)
-    return FreeComplex(
-        ring, out_comps, out_diffs, C.known_lo, C.known_hi, check=False
-    )
+    return FreeComplex(ring, out_comps, out_diffs, C.known_lo, check=False)
 
 
 # ---------- cohomology ----------
@@ -510,77 +183,14 @@ class CohomologyData:
         return len(self.generator_degrees) == 0
 
 
-def _as_presented(C) -> "PresentedComplex":
-    """A presented complex as is; a free complex as the presented complex
-    without relations, built once and cached on it."""
-    if isinstance(C, PresentedComplex):
-        return C
+def cohomology_data(C: FreeComplex, i: int) -> CohomologyData:
+    """H^i of a free complex: the presented complex without relations,
+    built once and cached on C."""
     if C._presented is None:
         C._presented = PresentedComplex(
-            C.ring, C.components, C.differentials, {}, C.known_lo, C.known_hi
+            C.ring, C.components, C.differentials, {}, C.known_lo
         )
-    return C._presented
-
-
-def cohomology_data(C: FreeComplex, i: int) -> CohomologyData:
-    """H^i of a free complex: a presented complex without relations."""
-    return _cohomology(_as_presented(C), i)
-
-
-class CohomologyProfile:
-    """Per-degree cohomology of a complex within its certified window."""
-
-    def __init__(self, C: FreeComplex, window: Optional[Tuple[int, int]] = None):
-        self.complex = C
-        lo, hi = C.certified_cohomology_range()
-        degs = C.support()
-        if not degs:
-            self.range = (0, -1)
-        else:
-            w_lo = degs[0] - 1 if lo is None else max(lo, degs[0] - 1)
-            w_hi = degs[-1] + 1 if hi is None else min(hi, degs[-1] + 1)
-            if window is not None:
-                w_lo = max(w_lo, window[0])
-                w_hi = min(w_hi, window[1])
-            self.range = (w_lo, w_hi)
-        self.modules: Dict[int, CohomologyData] = {}
-        for i in range(self.range[0], self.range[1] + 1):
-            data = cohomology_data(C, i)
-            if not data.is_zero():
-                self.modules[i] = data
-
-    def nonzero_degrees(self) -> List[int]:
-        return sorted(self.modules)
-
-    def sup(self) -> Optional[int]:
-        ds = self.nonzero_degrees()
-        return ds[-1] if ds else None
-
-    def inf(self) -> Optional[int]:
-        ds = self.nonzero_degrees()
-        return ds[0] if ds else None
-
-    def amp(self) -> Optional[int]:
-        ds = self.nonzero_degrees()
-        return ds[-1] - ds[0] if ds else None
-
-    def is_acyclic(self) -> bool:
-        return not self.modules
-
-    def module(self, i: int) -> Optional[CohomologyData]:
-        return self.modules.get(i)
-
-    def summary(self) -> dict:
-        return {
-            "range": list(self.range),
-            "cohomology": {
-                str(i): list(d.generator_degrees) for i, d in sorted(self.modules.items())
-            },
-        }
-
-
-def cohomology_profile(C: FreeComplex, window: Optional[Tuple[int, int]] = None) -> CohomologyProfile:
-    return CohomologyProfile(C, window)
+    return _cohomology(C._presented, i)
 
 
 # ---------- minimal free resolutions ----------
@@ -590,21 +200,7 @@ def cohomology_profile(C: FreeComplex, window: Optional[Tuple[int, int]] = None)
 class ResolutionCertificate:
     complex: FreeComplex
     terminated: bool
-    cutoff: Optional[int]
     betti: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-
-    def length(self) -> Optional[int]:
-        if not self.terminated:
-            return None
-        s = self.complex.support()
-        return -s[0] if s else None
-
-    def to_json(self) -> dict:
-        return {
-            "terminated": self.terminated,
-            "cutoff": self.cutoff,
-            "betti": {str(i): list(t) for i, t in sorted(self.betti.items())},
-        }
 
 
 def minimal_free_resolution_module(M: GradedModule, cutoff: int) -> ResolutionCertificate:
@@ -613,7 +209,7 @@ def minimal_free_resolution_module(M: GradedModule, cutoff: int) -> ResolutionCe
     mp = M.minimal()
     if mp.rank == 0:
         empty = FreeComplex(ring, {}, {}, check=False)
-        return ResolutionCertificate(empty, True, cutoff)
+        return ResolutionCertificate(empty, True)
     comps: Dict[int, GradedFreeModule] = {0: GradedFreeModule(ring, mp.generator_degrees)}
     diffs: Dict[int, GradedMatrix] = {}
     current = mp.matrix  # F^{-1} -> F^0, already minimal and irredundant
@@ -639,30 +235,7 @@ def minimal_free_resolution_module(M: GradedModule, cutoff: int) -> ResolutionCe
     lo = None if terminated else -step
     cplx = FreeComplex(ring, comps, diffs, known_lo=lo, check=False)
     betti = {i: tuple(sorted(cplx.component(i).degrees)) for i in cplx.support()}
-    return ResolutionCertificate(cplx, terminated, cutoff, betti)
-
-
-def minimal_free_resolution(obj, cutoff: int = 8) -> ResolutionCertificate:
-    """Minimal complex of frees quasi-isomorphic to the input.
-
-    For a module: iterated syzygies (degrees <= 0), stopping at the cutoff.
-    For a bounded free complex: pruning, which is exact and always terminates;
-    a truncated complex keeps its window and the certificate reflects whether
-    the resolution bottomed out strictly inside it.
-    """
-    if isinstance(obj, GradedModule):
-        return minimal_free_resolution_module(obj, cutoff)
-    if isinstance(obj, FreeComplex):
-        pruned = prune_complex(obj)
-        betti = {
-            i: tuple(sorted(pruned.component(i).degrees)) for i in pruned.support()
-        }
-        if pruned.known_lo is None:
-            return ResolutionCertificate(pruned, True, cutoff, betti)
-        s = pruned.support()
-        terminated = bool(s) and s[0] >= pruned.known_lo + 2 or not s
-        return ResolutionCertificate(pruned, terminated, cutoff, betti)
-    raise TypeError("expected GradedModule or FreeComplex, got %r" % type(obj))
+    return ResolutionCertificate(cplx, terminated, betti)
 
 
 # ---------- complexes of presented modules ----------
@@ -697,7 +270,7 @@ def _first_block(S: GradedMatrix, nrows: int) -> Tuple[List[List[Poly]], List[in
     return cols, degs
 
 
-class PresentedComplex(_Windowed):
+class PresentedComplex:
     """Complex whose degree-i component is coker(rels_i) on a free cover.
 
     Differentials act on the covers and must carry relations into relations.
@@ -732,6 +305,12 @@ class PresentedComplex(_Windowed):
         self._nonzero: Set[int] = set()
         if check:
             self.validate()
+
+    def _trust(self, i: int) -> bool:
+        """Cohomology at i is trusted strictly inside [known_lo, known_hi]."""
+        return (self.known_lo is None or i > self.known_lo) and (
+            self.known_hi is None or i < self.known_hi
+        )
 
     def cover(self, i: int) -> GradedFreeModule:
         m = self.covers.get(i)
@@ -801,21 +380,25 @@ def _cycles(P: PresentedComplex, i: int) -> Optional[GradedMatrix]:
     return K
 
 
-def _columns_in_image(K: GradedMatrix, B: GradedMatrix) -> bool:
+def _columns_in_image(
+    K: GradedMatrix, blocks: Sequence[Optional[GradedMatrix]]
+) -> bool:
     """True when every column of K lies in the submodule generated by the
-    columns of B.  A homogeneous vector of degree d lies in a graded
-    submodule exactly when it lies in its degree-d piece, which the
-    standard-monomial multiples of B's columns of degree <= d span over k."""
+    columns of the blocks (None blocks are skipped).  A homogeneous vector
+    of degree d lies in a graded submodule exactly when it lies in its
+    degree-d piece, which the standard-monomial multiples of the columns of
+    degree <= d span over k."""
     ring = K.ring
     by_degree: Dict[int, List[int]] = {}
     for j, d in enumerate(K.source.degrees):
         by_degree.setdefault(d, []).append(j)
     one = ring.ambient.mono_one()
-    b_cols = B.columns()
+    gens = [(B.source, B.columns()) for B in blocks if B is not None]
     for d in sorted(by_degree):
         span = _Span(ring.field)
-        for mono, c in B.source.basis_in_degree(d):
-            span.insert(monomial_multiple(ring, b_cols[c], mono))
+        for source, cols in gens:
+            for mono, c in source.basis_in_degree(d):
+                span.insert(monomial_multiple(ring, cols[c], mono))
         for j in by_degree[d]:
             if span.insert(monomial_multiple(ring, K.column(j), one)):
                 return False
@@ -832,9 +415,7 @@ def _vanishes(P: PresentedComplex, i: int) -> bool:
     if i in P._nonzero:
         return False
     K = _cycles(P, i)
-    if K is None or _columns_in_image(
-        K, _hstack(K.target, [P.diffs.get(i - 1), P.rels.get(i)])
-    ):
+    if K is None or _columns_in_image(K, [P.diffs.get(i - 1), P.rels.get(i)]):
         P._cohomology_cache[i] = CohomologyData(
             i, GradedModule.free(P.ring, ()), [], ()
         )
@@ -946,58 +527,3 @@ def tensor_free_with_module(F: FreeComplex, N: GradedModule) -> PresentedComplex
     return PresentedComplex(
         ring, covers, diffs, rels, known_lo=F.known_lo, known_hi=None
     )
-
-
-# ---------- Ext and Tor tables ----------
-
-
-def _resolve_first_argument(M, depth: int) -> FreeComplex:
-    if isinstance(M, GradedModule):
-        return minimal_free_resolution_module(M, cutoff=depth + 2).complex
-    if isinstance(M, FreeComplex):
-        return M
-    raise TypeError("expected GradedModule or FreeComplex, got %r" % type(M))
-
-
-def _window_table(C, what: str, degree_range: Tuple[int, int], sign: int):
-    """{n: H^{sign*n}(C)} for n in the inclusive range, each degree checked
-    against the certified window of C."""
-    P = _as_presented(C)
-    lo, hi = degree_range
-    out: Dict[int, CohomologyData] = {}
-    for n in range(lo, hi + 1):
-        if not P._trust(sign * n):
-            raise ValueError(
-                "%s degree %d outside certified window: cutoff insufficient" % (what, n)
-            )
-        out[n] = P.cohomology(sign * n)
-    return out
-
-
-def ext_table(M, N, degree_range: Tuple[int, int]) -> Dict[int, CohomologyData]:
-    """Ext^n(M, N) for n in the inclusive range, as minimally presented modules.
-
-    The first argument is replaced by a free resolution; a module second
-    argument is used directly (Hom into the presented module), a complex
-    second argument goes through the Hom totalization with window tracking.
-    """
-    FM = _resolve_first_argument(M, degree_range[1])
-    if isinstance(N, GradedModule):
-        H = hom_free_into_module(FM, N)
-    elif isinstance(N, FreeComplex):
-        H = hom_complex(FM, N)
-    else:
-        raise TypeError("second argument must be GradedModule or FreeComplex")
-    return _window_table(H, "Ext", degree_range, 1)
-
-
-def tor_table(M, N, degree_range: Tuple[int, int]) -> Dict[int, CohomologyData]:
-    """Tor_n(M, N) = H^{-n} of the derived tensor, for n in the range."""
-    FM = _resolve_first_argument(M, degree_range[1])
-    if isinstance(N, GradedModule):
-        T = tensor_free_with_module(FM, N)
-    elif isinstance(N, FreeComplex):
-        T = tensor_complex(FM, N)
-    else:
-        raise TypeError("second argument must be GradedModule or FreeComplex")
-    return _window_table(T, "Tor", degree_range, -1)

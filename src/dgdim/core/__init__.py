@@ -4,9 +4,7 @@ from .poly import Poly, PolyRing, parse_poly
 from .ring import (
     GradedRing,
     graded_ring_from_json,
-    groebner_basis,
     make_graded_ring,
-    reduce_poly,
 )
 from .freemod import (
     GradedFreeModule,
@@ -26,9 +24,7 @@ __all__ = [
     "parse_poly",
     "GradedRing",
     "graded_ring_from_json",
-    "groebner_basis",
     "make_graded_ring",
-    "reduce_poly",
     "GradedFreeModule",
     "GradedMatrix",
     "field_rank",

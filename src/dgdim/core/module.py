@@ -29,7 +29,6 @@ from typing import Dict, List, Sequence, Tuple
 from .poly import Poly
 from .freemod import GradedFreeModule, GradedMatrix, _Span, monomial_multiple
 from .ring import GradedRing
-from .syz import syzygy_engine
 
 
 class MinimalPresentation:
@@ -214,30 +213,6 @@ class GradedModule:
 
     def hilbert_function(self, t: int) -> int:
         return self.presentation.coker_dim_in_degree(t)
-
-    def annihilated_by_irrelevant_ideal(self) -> bool:
-        """True when every variable kills every minimal generator."""
-        mp = self.minimal()
-        M = mp.matrix
-        if M.target.rank == 0:
-            return True
-        eng = syzygy_engine(M)
-        ring = self.ring
-        for v in ring.variables():
-            for i in range(M.target.rank):
-                col = [
-                    ring.normal_form(v) if t == i else ring.zero()
-                    for t in range(M.target.rank)
-                ]
-                if not eng.contains(col):
-                    return False
-        return True
-
-    def total_dimension(self) -> int:
-        """dim_k of a module annihilated by the irrelevant ideal."""
-        if not self.annihilated_by_irrelevant_ideal():
-            raise ValueError("module is not a finite-length k-vector space")
-        return self.minimal().rank
 
     def __repr__(self):
         return "GradedModule(gens %s)" % (list(self.minimal_generator_degrees()),)
