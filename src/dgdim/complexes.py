@@ -25,6 +25,14 @@ from .core.ring import GradedRing
 from .core.syz import syzygy_engine, syzygy_matrix
 
 
+def trusted_degree(
+    i: int, known_lo: Optional[int], known_hi: Optional[int] = None
+) -> bool:
+    """Cohomology at degree i of a complex with window ends known_lo and
+    known_hi (None = unbounded) is trusted strictly between them."""
+    return (known_lo is None or i > known_lo) and (known_hi is None or i < known_hi)
+
+
 class FreeComplex:
     """components: cohomological degree -> GradedFreeModule (sparse);
     differentials: degree i -> matrix for d^i (missing = zero)."""
@@ -307,10 +315,7 @@ class PresentedComplex:
             self.validate()
 
     def _trust(self, i: int) -> bool:
-        """Cohomology at i is trusted strictly inside [known_lo, known_hi]."""
-        return (self.known_lo is None or i > self.known_lo) and (
-            self.known_hi is None or i < self.known_hi
-        )
+        return trusted_degree(i, self.known_lo, self.known_hi)
 
     def cover(self, i: int) -> GradedFreeModule:
         m = self.covers.get(i)

@@ -6,10 +6,24 @@ monomial, then position.  Buchberger runs over the ambient polynomial ring;
 syzygies of a matrix over R = P/J come from the classical augmentation trick
 (adjoin J-multiples of the target basis and project the ambient syzygies).
 
-Every processed S-pair contributes its standard-representation relation, so
-the collected relations generate the full syzygy module of the final basis;
-translation through the reduction history and the re-expression relations
-e_j - sum(v_k h_k) then generate the syzygies of the original columns.
+Buchberger's algorithm prunes its pairs with the Gebauer-Moeller criteria
+(Gebauer & Moeller, J. Symbolic Comput. 6, 1988).  A pair (i, j) of basis
+elements at one position stands for the leading relation
+tau_ij = (lcm_ij / lm_i) e_i - (lcm_ij / lm_j) e_j.  When g_n joins the
+basis, a queued pair (i, j) is dropped if lm_n divides lcm_ij and lcm_ij
+differs from lcm_in and lcm_jn (criterion B_k), and a new pair (i, n) is
+dropped if another new pair (k, n) has an lcm properly dividing lcm_in
+(criterion M) or the same lcm with k < i (criterion F).  In each case the
+dropped tau is a monomial combination of the tau of pairs that stay, so
+the kept pairs' tau still generate the syzygies of the leading terms.
+
+Every reduced pair contributes its standard-representation relation,
+whose leading term is its tau.  By Schreyer's theorem (Eisenbud,
+Commutative Algebra, Thm 15.10) relations lifting generators of the
+leading-term syzygies generate the full syzygy module of the final basis.
+The original columns are the first basis elements, so translating these
+relations through the reduction histories generates the syzygies of the
+original columns.
 """
 from __future__ import annotations
 
@@ -142,33 +156,47 @@ class ModuleGB:
                 # zero column: elementary syzygy
                 self.syzygies.append({j: ambient.one()})
 
+        # pairs (i, j), i < j, at one position, reduced in ascending lcm
         heap: List[tuple] = []
+        live: Dict[int, Dict[Tuple[int, int], tuple]] = {}
+        at_pos: Dict[int, List[int]] = {}
+        divides = ambient.mono_divides
 
-        def push_pair(i: int, j: int) -> None:
+        def add_element(n: int) -> None:
+            mn, pos = leads[n]
+            mates = at_pos.setdefault(pos, [])
+            queue = live.setdefault(pos, {})
+            lcms = {i: ambient.mono_lcm(leads[i][0], mn) for i in mates}
+            # B_k: lm_n divides lcm_ij, which differs from lcm_in and lcm_jn
+            for (i, j), lcm in list(queue.items()):
+                if divides(mn, lcm) and lcms[i] != lcm and lcms[j] != lcm:
+                    del queue[(i, j)]
+            # M and F: of the new pairs keep one per minimal lcm, the first
+            for i in mates:
+                li = lcms[i]
+                if any(
+                    divides(lcms[k], li) and (lcms[k] != li or k < i)
+                    for k in mates
+                    if k != i
+                ):
+                    continue
+                key = (ambient.mono_degree(li) + self.twists[pos], ambient.mono_key(li), i, n)
+                heapq.heappush(heap, (key, i, n, li))
+                queue[(i, n)] = li
+            mates.append(n)
+
+        for n in range(len(self.gb)):
+            add_element(n)
+        while heap:
+            _, i, j, lcm = heapq.heappop(heap)
             (mi, pos) = leads[i]
             (mj, _) = leads[j]
-            lcm = ambient.mono_lcm(mi, mj)
-            key = (
-                ambient.mono_degree(lcm) + self.twists[pos],
-                ambient.mono_key(lcm),
-                i,
-                j,
-            )
-            heapq.heappush(heap, (key, i, j))
-
-        for j in range(len(self.gb)):
-            for i in range(j):
-                if leads[i][1] == leads[j][1]:
-                    push_pair(i, j)
-        while heap:
-            _, i, j = heapq.heappop(heap)
+            if live[pos].pop((i, j), None) is None:
+                continue
             gi, _ = self.gb[i]
             gj, _ = self.gb[j]
-            (mi, pos) = leads[i]
-            (mj, _) = leads[j]
             ci = gi[(mi, pos)]
             cj = gj[(mj, pos)]
-            lcm = ambient.mono_lcm(mi, mj)
             ui_mono = ambient.mono_div(lcm, mi)
             uj_mono = ambient.mono_div(lcm, mj)
             ui_coeff = field.inv(ci)
@@ -198,9 +226,7 @@ class ModuleGB:
                 self.gb.append((remainder, hist))
                 leads.append(self.order.leading(remainder))
                 rel_add(new_index, -self.ambient.one())
-                for t in range(new_index):
-                    if leads[t][1] == leads[new_index][1]:
-                        push_pair(t, new_index)
+                add_element(new_index)
             self._record_syzygy(rel)
 
     def _history_of(self, rel: Dict[int, Poly]) -> Dict[int, Poly]:
@@ -271,7 +297,8 @@ class SyzygyEngine:
     def syzygy_matrix(self) -> GradedMatrix:
         """Homogeneous generators of ker(M) over R: the first-block
         projections of the recorded syzygies, without zero or repeated
-        columns, sorted by (degree, printed entries).  Computed once."""
+        columns, sorted by degree, then by the terms of the entries
+        (Poly.terms_key).  Computed once."""
         if self._syz is not None:
             return self._syz
         R = self.ring
@@ -286,7 +313,7 @@ class SyzygyEngine:
             lead = next((j for j, p in enumerate(col) if p), None)
             if lead is None:
                 continue
-            key = tuple(str(p) for p in col)
+            key = tuple(p.terms_key() for p in col)
             if key not in found:
                 found[key] = (col[lead].degree() + src[lead], col)
         order = sorted(found, key=lambda key: (found[key][0], key))

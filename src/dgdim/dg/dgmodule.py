@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..complexes import CohomologyData, PresentedComplex
+from ..complexes import CohomologyData, PresentedComplex, trusted_degree
 from ..core.freemod import GradedFreeModule, GradedMatrix
 from ..core.module import GradedModule
 from ..core.poly import Poly
@@ -305,13 +305,11 @@ class DGModule:
             return []
         a = s[0] - 1 if lo is None else lo
         b = s[-1] + 1 if hi is None else hi
-        if self.known_lo is not None:
-            a = max(a, self.known_lo + 1)
-        out = []
-        for i in range(a, b + 1):
-            if not self.cohomology_vanishes(i):
-                out.append(i)
-        return out
+        return [
+            i
+            for i in range(a, b + 1)
+            if trusted_degree(i, self.known_lo) and not self.cohomology_vanishes(i)
+        ]
 
     def sup_h(self) -> Optional[int]:
         degs = self.cohomology_support()

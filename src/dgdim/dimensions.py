@@ -24,6 +24,7 @@ from .complexes import (
     cohomology_data,
     hom_free_into_module,
     prune_complex,
+    trusted_degree,
 )
 from .core.module import GradedModule
 from .core.poly import Poly
@@ -203,7 +204,7 @@ def proj_dim(M: AnyModule) -> DimensionReport:
     trusted = {
         str(c): list(F.component(c).degrees)
         for c in F.support()
-        if F.known_lo is None or c > F.known_lo
+        if trusted_degree(c, F.known_lo)
     }
     rule = (
         "finite projective dimension obeys projdim <= dim H0 - inf = %d; "
@@ -257,12 +258,11 @@ def flat_dim(M: AnyModule) -> DimensionReport:
     deepest: Optional[int] = None
     for label, gens in test_ideal_family(A):
         F = tensor_reduce(res.sf, gens)
-        trust_lo = F.known_lo + 1 if F.known_lo is not None else None
         table: Dict[str, List[int]] = {}
         lo = min(F.support(), default=0)
         hi = max(F.support(), default=0)
         for c in range(lo, hi + 1):
-            if trust_lo is not None and c < trust_lo:
+            if not trusted_degree(c, F.known_lo):
                 continue
             data = cohomology_data(F, c)
             if not data.is_zero():

@@ -590,12 +590,18 @@ def test_vanishing_test_matches_rank_oracle(field):
 def test_golod_query_work_counts(monkeypatch, field):
     """Pinned work of inj_dim on k[x,y]/(x^2, xy).  Before degrees were
     tested for vanishing by linear algebra the pins were 42 minimal
-    presentations and 41 module Groebner bases.  The tower stages are
-    summed over every semifree resolution the query runs."""
-    counts = {"presentations": 0, "module GBs": 0, "tower stages": 0}
+    presentations and 41 module Groebner bases; before the module Groebner
+    engine applied the Gebauer-Moeller criteria they were 26 module
+    Groebner bases and 809 (Q) / 818 (Fp) S-pair reductions.  The tower
+    stages are summed over every semifree resolution the query runs; the
+    S-pair reductions are the _reduce calls made inside ModuleGB._build."""
+    counts = {"presentations": 0, "module GBs": 0, "tower stages": 0, "S-pairs": 0}
     inner_mp = module_module.minimal_presentation
     inner_gb = syz_module.ModuleGB.__init__
+    inner_build = syz_module.ModuleGB._build
+    inner_reduce = syz_module.ModuleGB._reduce
     inner_sf = tower_module.semifree_resolution
+    building = [False]
 
     def counted_mp(M):
         counts["presentations"] += 1
@@ -605,6 +611,17 @@ def test_golod_query_work_counts(monkeypatch, field):
         counts["module GBs"] += 1
         inner_gb(self, *args, **kwargs)
 
+    def flagged_build(self, vectors):
+        building[0] = True
+        try:
+            inner_build(self, vectors)
+        finally:
+            building[0] = False
+
+    def counted_reduce(self, vec):
+        counts["S-pairs"] += building[0]
+        return inner_reduce(self, vec)
+
     def counted_sf(*args, **kwargs):
         result = inner_sf(*args, **kwargs)
         counts["tower stages"] += len(result.stages)
@@ -613,6 +630,8 @@ def test_golod_query_work_counts(monkeypatch, field):
     monkeypatch.setattr(module_module, "minimal_presentation", counted_mp)
     monkeypatch.setattr(complexes_module, "minimal_presentation", counted_mp)
     monkeypatch.setattr(syz_module.ModuleGB, "__init__", counted_gb)
+    monkeypatch.setattr(syz_module.ModuleGB, "_build", flagged_build)
+    monkeypatch.setattr(syz_module.ModuleGB, "_reduce", counted_reduce)
     monkeypatch.setattr(tower_module, "semifree_resolution", counted_sf)
     monkeypatch.setattr(dimensions_module, "semifree_resolution", counted_sf)
     monkeypatch.setattr(syz_module, "_syz_cache", {})
@@ -620,4 +639,9 @@ def test_golod_query_work_counts(monkeypatch, field):
     A = build_ring_dg(golod_ring(field))
     rep = dimensions_module.inj_dim(free_dg_module(A, [(0, 0)]))
     assert rep.infinite
-    assert counts == {"presentations": 11, "module GBs": 26, "tower stages": 7}
+    assert counts == {
+        "presentations": 11,
+        "module GBs": 22,
+        "tower stages": 7,
+        "S-pairs": {"Q": 287, "Fp:32003": 285}[field],
+    }
