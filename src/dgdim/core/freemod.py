@@ -15,10 +15,12 @@ computations, and minimal_presentation uses the same _Span for irredundancy.
 """
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .poly import Poly
-from .ring import GradedRing
+
+if TYPE_CHECKING:
+    from .ring import GradedRing
 
 
 class GradedFreeModule:
@@ -186,9 +188,6 @@ class GradedMatrix:
     def negate(self) -> "GradedMatrix":
         rows = [[-e for e in row] for row in self.entries]
         return GradedMatrix(self.target, self.source, rows, normalize=False)
-
-    def scale_sign(self, sign: int) -> "GradedMatrix":
-        return self if sign >= 0 else self.negate()
 
     def twist(self, n: int) -> "GradedMatrix":
         return GradedMatrix(

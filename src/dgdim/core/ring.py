@@ -2,7 +2,9 @@
 
 J is generated by homogeneous polynomials; the reduced Groebner basis (graded
 reverse lexicographic order) backs normal forms, Krull dimension via the
-leading-term ideal, and monomial bases of graded pieces.  The irrelevant
+leading-term ideal, and monomial bases of graded pieces.  That basis is the
+rank-one case of the module engine: syz.ModuleGB on the generators of J as
+columns of P^1 at twist 0, interreduced.  The irrelevant
 maximal ideal generated by the variables plays the role of the maximal ideal
 of a local ring throughout.
 """
@@ -12,13 +14,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from .poly import Monomial, Poly, PolyRing, poly_ring_from_json
 from .scalars import field_from_tag
-
-
-def reduce_poly(p: Poly, basis: Sequence[Poly]) -> Poly:
-    """Full normal form of p modulo basis (every term reduced)."""
-    if not basis or not p.terms:
-        return p
-    return _reduce(p, [(g.leading(), g) for g in basis if g])
+from .syz import ModuleGB
 
 
 def _reduce(p: Poly, lead: Sequence[tuple]) -> Poly:
@@ -58,47 +54,17 @@ def _reduce(p: Poly, lead: Sequence[tuple]) -> Poly:
     return Poly(ring, remainder)
 
 
-def _s_poly(g1: Poly, g2: Poly) -> Poly:
-    ring = g1.ring
-    f = ring.field
-    (m1, c1) = g1.leading()
-    (m2, c2) = g2.leading()
-    lcm = ring.mono_lcm(m1, m2)
-    t1 = g1.mul_term(ring.mono_div(lcm, m1), f.inv(c1))
-    t2 = g2.mul_term(ring.mono_div(lcm, m2), f.inv(c2))
-    return t1 - t2
-
-
 def groebner_basis(gens: Sequence[Poly]) -> List[Poly]:
-    """Reduced Groebner basis of the ideal generated by gens (Buchberger)."""
+    """Reduced Groebner basis of the ideal generated by gens: the rank-one
+    case of ModuleGB, whose order at twist 0 is PolyRing.mono_key."""
     gens = [g for g in gens if g]
     if not gens:
         return []
-    ring = gens[0].ring
-    basis: List[Poly] = []
-    for g in gens:
-        r = reduce_poly(g, basis)
-        if r:
-            basis.append(r.monic())
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
-    while pairs:
-        # normal strategy: smallest lcm degree first, deterministic tie-break
-        def pair_key(ij):
-            i, j = ij
-            lcm = ring.mono_lcm(basis[i].leading()[0], basis[j].leading()[0])
-            return (ring.mono_degree(lcm), ring.mono_key(lcm), i, j)
-
-        pairs.sort(key=pair_key)
-        i, j = pairs.pop(0)
-        mi, _ = basis[i].leading()
-        mj, _ = basis[j].leading()
-        if ring.mono_lcm(mi, mj) == ring.mono_mul(mi, mj):
-            continue  # coprime leading terms: S-poly reduces to zero
-        s = reduce_poly(_s_poly(basis[i], basis[j]), basis)
-        if s:
-            basis.append(s.monic())
-            pairs.extend((t, len(basis) - 1) for t in range(len(basis) - 1))
-    return interreduce(basis)
+    ambient = gens[0].ring
+    gbm = ModuleGB(ambient, [0], [[g] for g in gens])
+    return interreduce(
+        [Poly(ambient, {m: c for (m, _), c in vec.items()}) for vec, _ in gbm.gb]
+    )
 
 
 def interreduce(basis: Sequence[Poly]) -> List[Poly]:
@@ -125,7 +91,7 @@ def interreduce(basis: Sequence[Poly]) -> List[Poly]:
     out: List[Poly] = []
     for i, g in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
-        r = reduce_poly(g, others)
+        r = _reduce(g, [(h.leading(), h) for h in others])
         if r:
             out.append(r.monic())
     out.sort(key=lambda g: g.ring.mono_key(g.leading()[0]))

@@ -24,6 +24,15 @@ leading-term syzygies generate the full syzygy module of the final basis.
 The original columns are the first basis elements, so translating these
 relations through the reduction histories generates the syzygies of the
 original columns.
+
+GradedRing computes the reduced Groebner basis of its ideal J here too, as
+the rank-one case: one position at twist 0, where the order is exactly
+PolyRing.mono_key.  No product criterion is applied, in rank one either.
+For vectors it is false: the S-vector of x e_1 + y e_2 and y e_1 is
+y^2 e_2, which nothing reduces.  In rank one it is true, but a dropped pair
+would leave its relation, the Koszul syzygy g_j e_i - g_i e_j, unrecorded,
+so applying it would take a second, rank-one code path; the ideals of ring
+relations are small, and their extra pairs cost little.
 """
 from __future__ import annotations
 

@@ -381,6 +381,29 @@ def test_cli_field_flag_overrides_scenario(capsys):
     assert doc["options"]["field"] == "Fp:7"
 
 
+def _without_field_tags(doc):
+    if isinstance(doc, dict):
+        return {k: _without_field_tags(v) for k, v in doc.items() if k != "field"}
+    if isinstance(doc, list):
+        return [_without_field_tags(v) for v in doc]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "args", [["verify", "--seed", "0"], ["run", SHIPPED]], ids=["verify-seed-0", "shipped"]
+)
+def test_reports_agree_over_both_fields(args, capsys):
+    """Every query answer is the same over Q and Fp:32003: the reports
+    differ only in their field tags."""
+    docs = []
+    for field in ("Q", "Fp:32003"):
+        assert main(args + ["--field", field, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["options"]["field"] == field
+        docs.append(_without_field_tags(doc))
+    assert docs[0] == docs[1]
+
+
 def test_verify_builds_matrices_from_normal_forms_only(monkeypatch, capsys):
     # GradedMatrix.from_columns takes its entries as given, so every caller
     # must hand it normal forms; a cold syzygy cache makes every caller run

@@ -586,15 +586,11 @@ def test_vanishing_test_matches_rank_oracle(field):
     assert seen[True] >= 20 and seen[False] >= 20, seen
 
 
-@pytest.mark.parametrize("field", FIELDS)
-def test_golod_query_work_counts(monkeypatch, field):
-    """Pinned work of inj_dim on k[x,y]/(x^2, xy).  Before degrees were
-    tested for vanishing by linear algebra the pins were 42 minimal
-    presentations and 41 module Groebner bases; before the module Groebner
-    engine applied the Gebauer-Moeller criteria they were 26 module
-    Groebner bases and 809 (Q) / 818 (Fp) S-pair reductions.  The tower
-    stages are summed over every semifree resolution the query runs; the
-    S-pair reductions are the _reduce calls made inside ModuleGB._build."""
+def count_work(monkeypatch):
+    """Install counters of minimal presentations, module Groebner bases,
+    tower stages and S-pair reductions (the _reduce calls made inside
+    ModuleGB._build); the tower stages are summed over every semifree
+    resolution run.  Returns the live counts."""
     counts = {"presentations": 0, "module GBs": 0, "tower stages": 0, "S-pairs": 0}
     inner_mp = module_module.minimal_presentation
     inner_gb = syz_module.ModuleGB.__init__
@@ -636,7 +632,19 @@ def test_golod_query_work_counts(monkeypatch, field):
     monkeypatch.setattr(dimensions_module, "semifree_resolution", counted_sf)
     monkeypatch.setattr(syz_module, "_syz_cache", {})
     monkeypatch.setattr(dimensions_module, "_gorenstein_cache", {})
+    return counts
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_golod_query_work_counts(monkeypatch, field):
+    """Pinned work of inj_dim on k[x,y]/(x^2, xy), counted after the ring
+    is built.  Before degrees were tested for vanishing by linear algebra
+    the pins were 42 minimal presentations and 41 module Groebner bases;
+    before the module Groebner engine applied the Gebauer-Moeller criteria
+    they were 26 module Groebner bases and 809 (Q) / 818 (Fp) S-pair
+    reductions."""
     A = build_ring_dg(golod_ring(field))
+    counts = count_work(monkeypatch)
     rep = dimensions_module.inj_dim(free_dg_module(A, [(0, 0)]))
     assert rep.infinite
     assert counts == {
@@ -644,4 +652,18 @@ def test_golod_query_work_counts(monkeypatch, field):
         "module GBs": 22,
         "tower stages": 7,
         "S-pairs": {"Q": 287, "Fp:32003": 285}[field],
+    }
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_golod_ring_build_work_counts(monkeypatch, field):
+    """Building k[x,y]/(x^2, xy) computes the reduced Groebner basis of its
+    ideal as one rank-one module Groebner basis, with one S-pair: x^2, xy."""
+    counts = count_work(monkeypatch)
+    build_ring_dg(golod_ring(field))
+    assert counts == {
+        "presentations": 0,
+        "module GBs": 1,
+        "tower stages": 0,
+        "S-pairs": 1,
     }

@@ -7,11 +7,16 @@ import pytest
 from dgdim.core import (
     GradedFreeModule,
     GradedMatrix,
+    GradedRing,
+    Poly,
+    PolyRing,
     PrimeField,
     Rationals,
     field_from_tag,
     make_graded_ring,
 )
+from dgdim.core.freemod import _Span
+from dgdim.core.ring import _reduce
 
 
 def test_field_tags_roundtrip():
@@ -131,6 +136,83 @@ def test_buchberger_contains_y_cubed():
     printed = {str(g) for g in R.gb}
     assert "y^3" in printed
     assert len(R.gb) == 3
+
+
+FIELDS = ["Q", "Fp:32003"]
+
+
+def _seeded_ideals(field):
+    """(ambient, generators) of homogeneous ideals: fixed monomial, binomial,
+    weighted and unit examples, then seeded random ideals padded with zero
+    generators, scalar multiples and sums of generators."""
+    F = field_from_tag(field)
+    xyz = PolyRing(F, ["x", "y", "z"], [1, 1, 1])
+    fixed = [
+        (PolyRing(F, ["x", "y"], [1, 1]), ["x^2 + y^2", "x*y"]),
+        (xyz, ["x^2", "x*y", "y^3", "x^2*z", "0", "x*y*z"]),
+        (xyz, ["x*y - z^2", "y^2 - x*z", "x^2 - y*z"]),
+        (PolyRing(F, ["u", "v", "w"], [2, 3, 1]), ["u^3 - v^2", "u*w^2 - v*w", "w^6"]),
+        (xyz, ["x*y", "1", "z^2"]),
+    ]
+    for ambient, texts in fixed:
+        yield ambient, [ambient.parse(t) for t in texts]
+    rng = random.Random(17)
+    free = GradedRing(xyz, [])
+    for _ in range(12):
+        gens = []
+        for _ in range(rng.randint(2, 4)):
+            monos = free.standard_monomials(rng.randint(2, 3))
+            terms = {
+                m: F.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+                for m in rng.sample(monos, rng.randint(1, 3))
+            }
+            gens.append(Poly(xyz, terms))
+        gens.append(gens[0].scale(F.from_int(2)))
+        same = [g for g in gens if g.degree() == gens[-1].degree()]
+        gens.append(same[0] + same[-1])
+        gens.append(xyz.zero())
+        rng.shuffle(gens)
+        yield xyz, gens
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_ideal_groebner_basis_is_reduced_and_spans_the_ideal(field):
+    """The reduced basis of every seeded ideal is monic, reduced, sorted and
+    closed under S-polynomials, and it spans the ideal of the generators:
+    the generators reduce to zero, and in every degree up to the top basis
+    degree their monomial multiples span a space of dimension
+    #monomials - hilbert_function."""
+    for ambient, gens in _seeded_ideals(field):
+        R = GradedRing(ambient, gens)
+        gb = R.gb
+        assert gb, gens
+        leads = [g.leading()[0] for g in gb]
+        keys = [ambient.mono_key(m) for m in leads]
+        assert keys == sorted(set(keys)), gb
+        one = ambient.field.one()
+        for g, lm in zip(gb, leads):
+            assert g.leading()[1] == one, gb
+            for h in leads:
+                if h != lm:
+                    assert not any(ambient.mono_divides(h, m) for m in g.terms), gb
+        for g in gens:
+            assert not R.normal_form(g), (g, gb)
+        for i, (g, lg) in enumerate(zip(gb, leads)):
+            for h, lh in zip(gb[i + 1 :], leads[i + 1 :]):
+                lcm = ambient.mono_lcm(lg, lh)
+                s = g.mul_term(ambient.mono_div(lcm, lg), one)
+                s = s - h.mul_term(ambient.mono_div(lcm, lh), one)
+                assert not _reduce(s, R._leads), (g, h)
+        free = GradedRing(ambient, [])
+        for d in range(max(g.degree() for g in gb) + 1):
+            span = _Span(ambient.field)
+            rank = sum(
+                span.insert(g.mul_term(m, one).terms)
+                for g in gens
+                if g and g.degree() <= d
+                for m in free.standard_monomials(d - g.degree())
+            )
+            assert rank == free.hilbert_function(d) - R.hilbert_function(d), (gens, d)
 
 
 def test_normal_form_examples():
