@@ -6,7 +6,9 @@ values in the details; nothing here raises on a mathematical failure.
 Randomized checks draw from corpus generators seeded by the suite options.
 """
 import time
+from functools import lru_cache
 from random import Random
+from types import MappingProxyType
 from typing import Callable, List, Optional, Tuple
 
 from .core import GradedModule, make_graded_ring
@@ -58,34 +60,32 @@ from .report import (
 _DEFAULT_SUITE_OPTIONS = {"field": "Q", "seed": 0}
 
 
+# Fixture builders are memoized per field tag, two tags at a time (the
+# suite compares Q with one prime field); the rings and collections they
+# return are shared, so callers must not change them.
+
+
 def _ring_xy(fieldtag):
-    return make_graded_ring(fieldtag, ["x", "y"])
+    return standard_families(fieldtag)[0].base
 
 
-def _koszul_xy(fieldtag):
-    R = _ring_xy(fieldtag)
-    x, y = R.variables()
-    return build_koszul_dg(R, [x, R.mul(x, y)])
-
-
-def _koszul_xyz(fieldtag):
-    R = make_graded_ring(fieldtag, ["x", "y", "z"])
-    x, y, z = R.variables()
-    return build_koszul_dg(R, [x, R.mul(x, y)])
-
-
+@lru_cache(maxsize=2)
 def _fixture_set(fieldtag):
     """Name -> DG-ring for the connected fixtures the formulas run over."""
-    return {
-        "polynomial k[x,y]": build_ring_dg(_ring_xy(fieldtag)),
-        "koszul on (x, xy) over k[x,y]": _koszul_xy(fieldtag),
-        "koszul on (x, xy) over k[x,y,z]": _koszul_xyz(fieldtag),
+    fams = standard_families(fieldtag)
+    R = make_graded_ring(fieldtag, ["x", "y", "z"])
+    x, y, z = R.variables()
+    return MappingProxyType({
+        "polynomial k[x,y]": fams[0],
+        "koszul on (x, xy) over k[x,y]": fams[1],
+        "koszul on (x, xy) over k[x,y,z]": build_koszul_dg(R, [x, R.mul(x, y)]),
         "quotient k[x,y]/(x^2, xy)": build_ring_dg(
             make_graded_ring(fieldtag, ["x", "y"], ["x^2", "x*y"])
         ),
-    }
+    })
 
 
+@lru_cache(maxsize=2)
 def _designed_false(fieldtag):
     """Trivial extension of k[x,y] by the cyclic module k[x,y]/(x) placed in
     one shift: dimension 2, amplitude 1, sequential depth 1, so the small
@@ -147,7 +147,7 @@ def _check_small_formulas(opts) -> Tuple[bool, dict]:
 
 def _check_fpd_collapses(opts) -> Tuple[bool, dict]:
     fieldtag = opts["field"]
-    A = _koszul_xyz(fieldtag)
+    A = _fixture_set(fieldtag)["koszul on (x, xy) over k[x,y,z]"]
     gor = fpd_bounds(A)
     gor_ok = (
         gor.fpd_value == 1
@@ -172,12 +172,16 @@ def _check_fpd_collapses(opts) -> Tuple[bool, dict]:
     }
 
 
-def _corpus_sweep(opts) -> dict:
+@lru_cache(maxsize=1)
+def _corpus_sweep(field: str, seed: int) -> dict:
     """One pass over the seeded 50-module corpus; records violations of the
     global bound through dim H0 - inf and, over the connected rings, of the
-    depth-sensitive bound, in separate lists."""
-    rng = Random(opts["seed"])
-    fams = standard_families(opts["field"])
+    depth-sensitive bound, in separate lists.
+
+    Memoized for the last (field, seed): the two bound checks run back to
+    back and read the same sweep, so they copy what they report."""
+    rng = Random(seed)
+    fams = standard_families(field)
     depth = {}
     amp = {}
     for i, A in enumerate(fams):
@@ -225,22 +229,22 @@ def _corpus_sweep(opts) -> dict:
 
 
 def _check_global_bound(opts) -> Tuple[bool, dict]:
-    sweep = _corpus_sweep(opts)
+    sweep = _corpus_sweep(opts["field"], opts["seed"])
     details = {
         "bound": "projdim(M) <= dim H0(A) - inf(M)",
         "modules": sweep["modules"],
         "tightest-slack": sweep["tightest-slack"],
-        "violations": sweep["bad-global"],
+        "violations": [dict(v) for v in sweep["bad-global"]],
     }
     return not sweep["bad-global"] and sweep["modules"] == 50, details
 
 
 def _check_depth_bound(opts) -> Tuple[bool, dict]:
-    sweep = _corpus_sweep(opts)
+    sweep = _corpus_sweep(opts["field"], opts["seed"])
     details = {
         "bound": "projdim(M) <= seq.depth(A) - inf(M) - amp(A)",
         "modules-checked": sweep["depth-bound-checked"],
-        "violations": sweep["bad-depth"],
+        "violations": [dict(v) for v in sweep["bad-depth"]],
         "note": (
             "sequential depth is defined over connected rings; "
             "product-family modules are covered by the global bound only"
@@ -281,10 +285,9 @@ def _check_dualizing(opts) -> Tuple[bool, dict]:
     fieldtag = opts["field"]
     table = {}
     ok = True
-    for name, A in (
-        ("polynomial k[x,y]", build_ring_dg(_ring_xy(fieldtag))),
-        ("koszul on (x, xy) over k[x,y]", _koszul_xy(fieldtag)),
-    ):
+    fixtures = _fixture_set(fieldtag)
+    for name in ("polynomial k[x,y]", "koszul on (x, xy) over k[x,y]"):
+        A = fixtures[name]
         rep = dualizing_dg_module(A)
         R = rep.module
         infR = R.inf_h()

@@ -7,6 +7,9 @@ rank-one case of the module engine: syz.ModuleGB on the generators of J as
 columns of P^1 at twist 0, interreduced.  The irrelevant
 maximal ideal generated by the variables plays the role of the maximal ideal
 of a local ring throughout.
+
+A GradedRing is immutable once built: its basis, key and quotient rings are
+computed at most once and kept on the ring.
 """
 from __future__ import annotations
 
@@ -99,7 +102,10 @@ def interreduce(basis: Sequence[Poly]) -> List[Poly]:
 
 
 class GradedRing:
-    """Graded quotient k[x..]/J presented by a reduced Groebner basis."""
+    """Graded quotient k[x..]/J presented by a reduced Groebner basis.
+
+    Immutable: the memos below (monomial bases, dimension, quotient rings)
+    are only valid because nothing changes a ring after construction."""
 
     def __init__(self, ambient: PolyRing, relations: Sequence[Poly]):
         self.ambient = ambient
@@ -115,6 +121,14 @@ class GradedRing:
         self._lt = tuple(lm for (lm, _), _ in self._leads)
         self._mono_basis_cache: dict = {}
         self._dimension: Optional[int] = None
+        self._key = (
+            ambient.field.tag,
+            ambient.names,
+            ambient.degrees,
+            tuple(str(g) for g in self.gb),
+        )
+        # quotient(extra) by the terms of the nonzero extras, in their order
+        self._quotients: dict = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -142,8 +156,18 @@ class GradedRing:
         return self.normal_form(a * b)
 
     def quotient(self, extra: Sequence[Poly]) -> "GradedRing":
-        """R/(extra) over the same ambient ring."""
-        return GradedRing(self.ambient, list(self.relations) + [p for p in extra if p])
+        """R/(extra) over the same ambient ring, relations in the order given.
+
+        Memoized on this ring, keyed on the terms of the nonzero extras in
+        their order: equal extras return the same ring object, so its own
+        memos are shared by every caller."""
+        extra = [p for p in extra if p]
+        key = tuple(p.terms_key() for p in extra)
+        ring = self._quotients.get(key)
+        if ring is None:
+            ring = GradedRing(self.ambient, list(self.relations) + extra)
+            self._quotients[key] = ring
+        return ring
 
     def variables(self) -> List[Poly]:
         return [self.ambient.variable(n) for n in self.ambient.names]
@@ -210,12 +234,7 @@ class GradedRing:
     # -- identity ----------------------------------------------------------
 
     def key(self):
-        return (
-            self.ambient.field.tag,
-            self.ambient.names,
-            self.ambient.degrees,
-            tuple(str(g) for g in self.gb),
-        )
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, GradedRing) and self.key() == other.key()

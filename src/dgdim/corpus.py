@@ -8,6 +8,7 @@ that minimal resolutions do not see the presentation.
 
 Every generator takes an explicit random.Random, never the global state.
 """
+from functools import lru_cache
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,19 +35,24 @@ from .dg import (
 from .dg.tower import semifree_resolution
 
 
+@lru_cache(maxsize=2)
 def standard_families(field: str = "Q"):
     """The three DG-ring families the randomized suites draw modules over:
     a polynomial ring, a Koszul quotient of one, and a split trivial
-    extension with one-dimensional tail."""
+    extension with one-dimensional tail.
+
+    Built once per field tag (the two most recent are kept) and shared by
+    every caller, so the memos on these immutable rings carry over from
+    one check to the next."""
     R = make_graded_ring(field, ["x", "y"])
     x, y = R.variables()
-    return [
+    return (
         build_ring_dg(R),
         build_koszul_dg(R, [x, R.mul(x, y)]),
         build_split_trivial_extension(
             make_graded_ring(field, ["x"]), make_graded_ring(field, []), 1
         ),
-    ]
+    )
 
 
 def homogeneous_pool(A: DGRing) -> List[Poly]:

@@ -15,6 +15,10 @@ coefficient ring (a quotient of the base): the eps-slot of a trivial
 extension is R/I, everything else is R itself.  Elements (AElem) are maps
 basis symbol -> polynomial, the polynomial kept in normal form of the
 slot's ring.
+
+DG-rings, like their base rings, are immutable once built; the derived
+invariants memoized on a DGRing (its sequential depth, the resolutions of
+its residue field) rely on that.
 """
 from __future__ import annotations
 
@@ -55,6 +59,10 @@ class DGRing:
             raise ValueError("basis must contain the unit symbol '1'")
         self._slot_rings: Dict[str, GradedRing] = {}
         self._h0: Optional[GradedRing] = None
+        # memos of dimensions.py: sequential_depth(A) with the default pool,
+        # and the residue-field resolution of bass_numbers by window floor
+        self._depth = None
+        self._residue_resolutions: dict = {}
 
     # -- structure ---------------------------------------------------------
 

@@ -311,7 +311,12 @@ def bass_numbers(
     if mslot is None:
         return {}, None
     window = mslot - scan_hi - 2
-    res = semifree_resolution(residue_dg_module(A), window_lo=window)
+    # memoized on A by window: a Gorenstein test and the dualizing module
+    # it guards ask for the same resolution
+    res = A._residue_resolutions.get(window)
+    if res is None:
+        res = semifree_resolution(residue_dg_module(A), window_lo=window)
+        A._residue_resolutions[window] = res
     H = hom_semifree_into_dg(res.sf, M)
     mus: Dict[int, int] = {}
     for i in range(scan_lo, scan_hi + 1):
@@ -493,7 +498,7 @@ class DepthReport:
     def to_json(self) -> dict:
         return {
             "value": self.value,
-            "sequence": self.sequence,
+            "sequence": list(self.sequence),
             "pool-size": self.pool_size,
             "exhaustive": self.exhaustive,
         }
@@ -509,9 +514,15 @@ def sequential_depth(
     The search is exhaustive over the pool; maximality beyond the pool is
     not claimed, which is what the exhaustive flag records.  The value is
     capped by dim H^0(A), so the search stops early when it gets there.
+    The depth of a DG-ring over the default pool is memoized on the ring;
+    the report is shared, so callers must not change it.
     """
     if isinstance(X, (DGRing, ProductDGRing)):
         _connected(X, "sequential depth")
+        if pool is None:
+            if X._depth is None:
+                X._depth = sequential_depth(free_dg_module(X, [(0, 0)]))
+            return X._depth
         A = X
         M = free_dg_module(A, [(0, 0)])
     else:

@@ -404,10 +404,83 @@ def test_reports_agree_over_both_fields(args, capsys):
     assert docs[0] == docs[1]
 
 
+def _cold_memos(monkeypatch):
+    """Empty every memo that a verify run fills: the syzygy and Gorenstein
+    caches, the shared fixture rings (whose own memos go with them) and the
+    corpus sweep.  A test that counts work through verify starts here, or
+    an earlier run in the same process shrinks what it counts."""
+    import dgdim.core.syz as syz_module
+    import dgdim.dimensions as dimensions_module
+    from dgdim import checks, corpus
+
+    monkeypatch.setattr(syz_module, "_syz_cache", {})
+    monkeypatch.setattr(dimensions_module, "_gorenstein_cache", {})
+    for memo in (corpus.standard_families, checks._fixture_set,
+                 checks._designed_false, checks._corpus_sweep):
+        memo.cache_clear()
+
+
+def _count_calls(monkeypatch, fn, counts):
+    """Count calls of fn through every loaded dgdim module that binds it."""
+    def counted(*args, **kwargs):
+        counts[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "dgdim" or name.startswith("dgdim."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+
+
+def test_verify_work_counts(monkeypatch, capsys):
+    """Pinned work of `verify --seed 0` over Q from cold memos.  Before the
+    corpus sweep ran once, the fixture rings were shared and quotient
+    rings, depth and residue-field resolutions were memoized on their rings,
+    the pins were 323 ideal Groebner bases, 354 semifree resolutions and
+    164 flat-dimension queries."""
+    from dgdim.core.ring import groebner_basis
+    from dgdim.dg.tower import semifree_resolution
+    from dgdim.dimensions import flat_dim
+
+    _cold_memos(monkeypatch)
+    counts = {"groebner_basis": 0, "semifree_resolution": 0, "flat_dim": 0}
+    for fn in (groebner_basis, semifree_resolution, flat_dim):
+        _count_calls(monkeypatch, fn, counts)
+    assert main(["verify", "--seed", "0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
+    assert counts == {
+        "groebner_basis": 28,
+        "semifree_resolution": 220,
+        "flat_dim": 82,
+    }
+
+
+@pytest.mark.parametrize(
+    "filter_, check_id",
+    [("depth-sensitive", "depth-sensitive-projdim-bound"),
+     ("global-projdim", "global-projdim-bound")],
+)
+def test_filtered_bound_check_matches_the_full_suite(
+    monkeypatch, capsys, filter_, check_id
+):
+    """Each bound check, run alone from cold memos, computes the corpus
+    sweep itself and reports exactly what it reports in the full suite."""
+    _cold_memos(monkeypatch)
+    assert main(["verify", "--seed", "0", "--format", "json"]) == 0
+    full = json.loads(capsys.readouterr().out)["results"]
+    _cold_memos(monkeypatch)
+    assert main(["verify", "--seed", "0", "--filter", filter_,
+                 "--format", "json"]) == 0
+    ran = [r for r in json.loads(capsys.readouterr().out)["results"]
+           if r["outcome"] != "skipped"]
+    assert [r["id"] for r in ran] == [check_id]
+    assert ran == [r for r in full if r["id"] == check_id]
+
+
 def test_verify_builds_matrices_from_normal_forms_only(monkeypatch, capsys):
     # GradedMatrix.from_columns takes its entries as given, so every caller
-    # must hand it normal forms; a cold syzygy cache makes every caller run
-    import dgdim.core.syz as syz_module
+    # must hand it normal forms; cold memos make every caller run
     from dgdim.core import GradedMatrix
 
     inner = GradedMatrix.from_columns
@@ -421,7 +494,7 @@ def test_verify_builds_matrices_from_normal_forms_only(monkeypatch, capsys):
         calls[0] += 1
         return inner(target, col_degrees, cols)
 
-    monkeypatch.setattr(syz_module, "_syz_cache", {})
+    _cold_memos(monkeypatch)
     monkeypatch.setattr(GradedMatrix, "from_columns", staticmethod(checked))
     assert main(["verify", "--seed", "0", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0

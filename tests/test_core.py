@@ -176,6 +176,28 @@ def _seeded_ideals(field):
 
 
 @pytest.mark.parametrize("field", FIELDS)
+def test_quotient_is_memoized_on_the_ring(field):
+    """R.quotient(extra) is one ring object per extra, equal in relations,
+    basis, key and JSON to a fresh ring on the same relations; zero extras
+    are dropped and the order of the extras is kept."""
+    R = make_graded_ring(field, ["x", "y", "z"], ["x*y - z^2"])
+    amb = R.ambient
+    a, b = amb.parse("x^2 + y*z"), amb.parse("y^3")
+    Q = R.quotient([a, R.zero(), b])
+    assert R.quotient([amb.parse("y*z + x^2"), b]) is Q
+    fresh = GradedRing(amb, list(R.relations) + [a, b])
+    assert Q.relations == fresh.relations == R.relations + (a, b)
+    assert Q.gb == fresh.gb
+    assert Q.key() == fresh.key()
+    assert Q.to_json() == fresh.to_json()
+    swapped = R.quotient([b, a])
+    assert swapped is not Q
+    assert swapped.relations == R.relations + (b, a)
+    assert swapped.to_json() == GradedRing(amb, list(R.relations) + [b, a]).to_json()
+    assert swapped.key() == Q.key()
+
+
+@pytest.mark.parametrize("field", FIELDS)
 def test_ideal_groebner_basis_is_reduced_and_spans_the_ideal(field):
     """The reduced basis of every seeded ideal is monic, reduced, sorted and
     closed under S-polynomials, and it spans the ideal of the generators:

@@ -22,8 +22,10 @@ from dgdim.dg import (
     residue_dg_module,
     shift_dg,
 )
+import dgdim.dimensions as dimensions_module
 from dgdim.dimensions import (
     bass_numbers,
+    default_sequence_pool,
     dualizing_dg_module,
     flat_dim,
     inj_dim,
@@ -38,28 +40,31 @@ from dgdim.dimensions import (
 )
 
 
-def ring_xy():
-    return build_ring_dg(make_graded_ring("Q", ["x", "y"]))
+FIELDS = ["Q", "Fp:32003"]
 
 
-def koszul_xy():
-    R = make_graded_ring("Q", ["x", "y"])
+def ring_xy(field="Q"):
+    return build_ring_dg(make_graded_ring(field, ["x", "y"]))
+
+
+def koszul_xy(field="Q"):
+    R = make_graded_ring(field, ["x", "y"])
     x, y = R.variables()
     return build_koszul_dg(R, [x, R.mul(x, y)])
 
 
-def koszul_xyz():
-    R = make_graded_ring("Q", ["x", "y", "z"])
+def koszul_xyz(field="Q"):
+    R = make_graded_ring(field, ["x", "y", "z"])
     x, y, z = R.variables()
     return build_koszul_dg(R, [x, R.mul(x, y)])
 
 
-def dual_numbers():
-    return build_ring_dg(make_graded_ring("Q", ["x"], ["x^2"]))
+def dual_numbers(field="Q"):
+    return build_ring_dg(make_graded_ring(field, ["x"], ["x^2"]))
 
 
-def golod_xy():
-    return build_ring_dg(make_graded_ring("Q", ["x", "y"], ["x^2", "x*y"]))
+def golod_xy(field="Q"):
+    return build_ring_dg(make_graded_ring(field, ["x", "y"], ["x^2", "x*y"]))
 
 
 def split_product():
@@ -248,6 +253,21 @@ def test_sequential_depth(make, expected, witness):
     assert rep.exhaustive
 
 
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("make", [ring_xy, koszul_xy, koszul_xyz, golod_xy])
+def test_sequential_depth_memo_matches_a_fresh_search(make, field):
+    """The depth of a DG-ring over the default pool is searched once and
+    kept on the ring; an explicit pool bypasses the memo, so it gives a
+    fresh search to compare with."""
+    A = make(field)
+    first = sequential_depth(A)
+    assert sequential_depth(A) is first
+    fresh = make(field)
+    again = sequential_depth(fresh, pool=default_sequence_pool(fresh))
+    assert again is not first
+    assert again.to_json() == first.to_json()
+
+
 def test_sequential_depth_rejects_products():
     with pytest.raises(ValueError):
         sequential_depth(split_product())
@@ -336,3 +356,33 @@ def test_dualizing_requires_gorenstein():
     R = make_graded_ring("Q", ["x", "y"])
     with pytest.raises(ValueError):
         dualizing_dg_module(build_trivial_extension(R, 1, ["x"]))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_dualizing_module_resolves_the_residue_field_once_per_window(
+    monkeypatch, field
+):
+    """The Gorenstein test and the injective dimension of the dualizing
+    module scan Bass numbers at the same window; the resolution of k is
+    memoized on the ring, so each window is resolved once, and the Bass
+    numbers agree with those over a fresh copy of the ring."""
+    monkeypatch.setattr(dimensions_module, "_gorenstein_cache", {})
+    inner = dimensions_module.semifree_resolution
+    windows = []
+
+    def counted(M, *args, **kwargs):
+        if M.label == "k":
+            windows.append(kwargs.get("window_lo"))
+        return inner(M, *args, **kwargs)
+
+    monkeypatch.setattr(dimensions_module, "semifree_resolution", counted)
+    A = koszul_xy(field)
+    rep = dualizing_dg_module(A)
+    assert rep.injdim.value == 0 and rep.biduality_ok
+    assert windows and len(windows) == len(set(windows))
+    fresh = koszul_xy(field)
+    R = shift_dg(free_dg_module(fresh, [(0, 0)]), rep.shift)
+    for hi in (2, 5):  # two windows: the memo must not answer one for the other
+        mus, res = bass_numbers(rep.module, -2, hi)
+        assert bass_numbers(rep.module, -2, hi)[1] is res
+        assert bass_numbers(R, -2, hi)[0] == mus
