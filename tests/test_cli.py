@@ -434,11 +434,11 @@ def _count_calls(monkeypatch, fn, counts):
 
 
 def test_verify_work_counts(monkeypatch, capsys):
-    """Pinned work of `verify --seed 0` over Q from cold memos.  Before the
-    corpus sweep ran once, the fixture rings were shared and quotient
-    rings, depth and residue-field resolutions were memoized on their rings,
-    the pins were 323 ideal Groebner bases, 354 semifree resolutions and
-    164 flat-dimension queries."""
+    """Pinned work of `verify --seed 0` over Q from cold memos.  When each
+    bound check swept the corpus itself, each check built its own fixture
+    rings and nothing was memoized on a ring, the counts were 323 ideal
+    Groebner bases, 354 semifree resolutions and 164 flat-dimension
+    queries."""
     from dgdim.core.ring import groebner_basis
     from dgdim.dg.tower import semifree_resolution
     from dgdim.dimensions import flat_dim
