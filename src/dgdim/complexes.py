@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .core.freemod import GradedFreeModule, GradedMatrix, _Span, monomial_multiple
+from .core.freemod import Column, GradedFreeModule, GradedMatrix, _Span, monomial_multiple
 from .core.module import GradedModule, minimal_presentation
-from .core.poly import Poly
 from .core.ring import GradedRing
 from .core.syz import syzygy_engine, syzygy_matrix
 
@@ -97,83 +96,70 @@ class FreeComplex:
 def prune_complex(C: FreeComplex) -> FreeComplex:
     """Homotopy-equivalent complex with every differential entry in the
     irrelevant maximal ideal.  Bounded free complexes are semiprojective, so
-    the pruned complex is the minimal free resolution of the original."""
-    ring = C.ring
-    comps = {i: list(m.degrees) for i, m in C.components.items()}
-    diffs: Dict[int, List[List[Poly]]] = {
-        i: [list(r) for r in d.entries] for i, d in C.differentials.items()
-    }
+    the pruned complex is the minimal free resolution of the original.
 
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(diffs):
-            rows = diffs[i]
-            if not rows or not rows[0]:
-                continue
-            pivot = None
-            for r, row in enumerate(rows):
-                for c, e in enumerate(row):
-                    if e and e.degree() == 0:
-                        pivot = (r, c)
-                        break
-                if pivot:
-                    break
-            if pivot is None:
-                continue
-            r0, c0 = pivot
-            u = rows[r0][c0].terms[ring.ambient.mono_one()]
-            uinv = ring.field.inv(u)
-            # correct the same differential
-            nrows = len(rows)
-            ncols = len(rows[0])
-            for r in range(nrows):
-                if r == r0:
-                    continue
-                lead = rows[r][c0]
-                if not lead:
-                    continue
-                for c in range(ncols):
-                    if c == c0 or not rows[r0][c]:
-                        continue
-                    rows[r][c] = ring.normal_form(
-                        rows[r][c] - lead.scale(uinv) * rows[r0][c]
-                    )
-            # drop row r0 from incoming differential d^{i-1}: source gen c0 of
-            # C^i disappears, target gen r0 of C^{i+1} disappears.
-            prev = diffs.get(i - 1)
-            if prev is not None and prev:
-                del prev[c0]
-                if not prev:
-                    del diffs[i - 1]
-            nxt = diffs.get(i + 1)
-            if nxt is not None:
-                nxt2 = [
-                    [row[c] for c in range(len(row)) if c != r0] for row in nxt
-                ]
-                if not nxt2 or not nxt2[0]:
-                    del diffs[i + 1]
-                else:
-                    diffs[i + 1] = nxt2
-            diffs[i] = [
-                [rows[r][c] for c in range(ncols) if c != c0]
-                for r in range(nrows)
-                if r != r0
-            ]
-            if not diffs[i] or not diffs[i][0]:
-                del diffs[i]
-            comps[i].pop(c0)
-            comps[i + 1].pop(r0)
-            changed = True
-            break
-    out_comps = {
-        i: GradedFreeModule(ring, degs) for i, degs in comps.items() if degs
+    Each step cancels the first unit entry, in row-major order, of the
+    lowest differential that has one.  Generators keep their original
+    indices while the work runs; a cancelled pair drops out of alive."""
+    ring = C.ring
+    zero = ring.zero()
+    alive = {i: list(range(m.rank)) for i, m in C.components.items()}
+    diffs: Dict[int, List[Column]] = {
+        i: [dict(col) for col in d.cols] for i, d in C.differentials.items()
     }
+    while True:
+        pivot = None
+        for i in sorted(diffs):
+            cols = diffs[i]
+            units = [
+                (r, c)
+                for c in alive[i]
+                for r, e in cols[c].items()
+                if e.degree() == 0
+            ]
+            if units:
+                pivot = (i,) + min(units)
+                break
+        if pivot is None:
+            break
+        i, r0, c0 = pivot
+        cols = diffs[i]
+        uinv = ring.field.inv(cols[c0][r0].terms[ring.ambient.mono_one()])
+        lead = {r: e.scale(uinv) for r, e in cols[c0].items() if r != r0}
+        # correct the same differential; row r0 and column c0 then go
+        alive[i].remove(c0)
+        alive[i + 1].remove(r0)
+        for c in alive[i]:
+            col = cols[c]
+            f = col.pop(r0, None)
+            if f is None:
+                continue
+            for r, u in lead.items():
+                e = ring.normal_form(col.get(r, zero) - u * f)
+                if e:
+                    col[r] = e
+                else:
+                    col.pop(r, None)
+        # generator c0 of C^i is also a row of the incoming d^{i-1}
+        prev = diffs.get(i - 1)
+        if prev is not None:
+            for c in alive[i - 1]:
+                prev[c].pop(c0, None)
+    out_comps = {
+        i: GradedFreeModule(ring, [m.degrees[g] for g in alive[i]])
+        for i, m in C.components.items()
+        if alive[i]
+    }
+    empty = GradedFreeModule(ring, ())
     out_diffs = {}
-    for i, rows in diffs.items():
-        tgt = out_comps.get(i + 1, GradedFreeModule(ring, ()))
-        src = out_comps.get(i, GradedFreeModule(ring, ()))
-        out_diffs[i] = GradedMatrix(tgt, src, rows, normalize=False)
+    for i, cols in diffs.items():
+        pos = {g: k for k, g in enumerate(alive[i + 1])}
+        out_diffs[i] = GradedMatrix(
+            out_comps.get(i + 1, empty),
+            out_comps.get(i, empty),
+            [{pos[r]: e for r, e in cols[c].items()} for c in alive[i]],
+            normalize=False,
+        )
     return FreeComplex(ring, out_comps, out_diffs, C.known_lo, check=False)
 
 
@@ -184,7 +170,7 @@ def prune_complex(C: FreeComplex) -> FreeComplex:
 class CohomologyData:
     degree: int
     module: GradedModule
-    representatives: List[List[Poly]]
+    representatives: List[Column]
     generator_degrees: Tuple[int, ...]
 
     def is_zero(self) -> bool:
@@ -250,31 +236,31 @@ def minimal_free_resolution_module(M: GradedModule, cutoff: int) -> ResolutionCe
 
 
 def _hstack(target: GradedFreeModule, mats: Sequence[Optional[GradedMatrix]]) -> GradedMatrix:
-    cols: List[List[Poly]] = []
+    cols: List[Column] = []
     degs: List[int] = []
     for m in mats:
-        if m is None:
-            continue
-        for j in range(m.source.rank):
-            cols.append(m.column(j))
-            degs.append(m.source.degrees[j])
+        if m is not None:
+            cols.extend(m.cols)
+            degs.extend(m.source.degrees)
     return GradedMatrix.from_columns(target, degs, cols)
 
 
-def _first_block(S: GradedMatrix, nrows: int) -> Tuple[List[List[Poly]], List[int]]:
+def _first_block(S: GradedMatrix, nrows: int) -> Tuple[List[Column], List[int]]:
+    """The nonzero projections of S's columns to the rows below nrows, each
+    kept at its first occurrence, with their degrees."""
     cols = []
     degs = []
     seen = set()
-    for j in range(S.source.rank):
-        col = [S.entries[r][j] for r in range(nrows)]
-        if all(p.is_zero() for p in col):
+    for col, d in zip(S.cols, S.source.degrees):
+        head = {r: p for r, p in col.items() if r < nrows}
+        if not head:
             continue
-        key = tuple(p.terms_key() for p in col)
+        key = tuple(sorted((r, p.terms_key()) for r, p in head.items()))
         if key in seen:
             continue
         seen.add(key)
-        cols.append(col)
-        degs.append(S.source.degrees[j])
+        cols.append(head)
+        degs.append(d)
     return cols, degs
 
 
@@ -340,17 +326,16 @@ class PresentedComplex:
             # relations must map into relations
             q = self.rel(i)
             if q is not None:
-                for j in range(q.source.rank):
-                    img = d.apply_to_vector(q.column(j))
-                    if any(p for p in img):
+                for col in q.cols:
+                    img = d.apply_to_vector(col)
+                    if img:
                         if nxt is None or not syzygy_engine(nxt).contains(img):
                             raise ValueError("relations escape at degree %d" % i)
             # d^2 must vanish on the quotient
             if i + 1 in self.diffs:
                 comp = self.diffs[i + 1].compose(d)
-                for j in range(comp.source.rank):
-                    col = comp.column(j)
-                    if any(p for p in col):
+                for col in comp.cols:
+                    if col:
                         q2 = self.rel(i + 2)
                         if q2 is None or not syzygy_engine(q2).contains(col):
                             raise ValueError("d^2 nonzero modulo relations at %d" % i)
@@ -398,14 +383,14 @@ def _columns_in_image(
     for j, d in enumerate(K.source.degrees):
         by_degree.setdefault(d, []).append(j)
     one = ring.ambient.mono_one()
-    gens = [(B.source, B.columns()) for B in blocks if B is not None]
+    gens = [(B.source, B.cols) for B in blocks if B is not None]
     for d in sorted(by_degree):
         span = _Span(ring.field)
         for source, cols in gens:
             for mono, c in source.basis_in_degree(d):
                 span.insert(monomial_multiple(ring, cols[c], mono))
         for j in by_degree[d]:
-            if span.insert(monomial_multiple(ring, K.column(j), one)):
+            if span.insert(monomial_multiple(ring, K.cols[j], one)):
                 return False
     return True
 
@@ -438,43 +423,36 @@ def _cohomology(P: PresentedComplex, i: int) -> CohomologyData:
         return P._cohomology_cache[i]
     K = _cycles(P, i)
     killers = _hstack(K.target, [K, P.diffs.get(i - 1), P.rels.get(i)])
-    rel_cols: List[List[Poly]] = []
-    rel_degs: List[int] = []
     if killers.source.rank > K.source.rank:
+        # relations: the K-block heads of the syzygies of [K | D | Q]
+        nk = K.source.rank
         S2 = syzygy_matrix(killers)
-        for j in range(S2.source.rank):
-            head = [S2.entries[r][j] for r in range(K.source.rank)]
-            if all(p.is_zero() for p in head):
-                continue
-            rel_cols.append(head)
-            rel_degs.append(S2.source.degrees[j])
+        rel_cols: List[Column] = []
+        rel_degs: List[int] = []
+        for col, d in zip(S2.cols, S2.source.degrees):
+            head = {r: p for r, p in col.items() if r < nk}
+            if head:
+                rel_cols.append(head)
+                rel_degs.append(d)
+        pres = GradedMatrix.from_columns(K.source, rel_degs, rel_cols)
     else:
-        S2 = syzygy_matrix(K)
-        for j in range(S2.source.rank):
-            rel_cols.append(S2.column(j))
-            rel_degs.append(S2.source.degrees[j])
-    pres = GradedMatrix.from_columns(K.source, rel_degs, rel_cols)
+        pres = syzygy_matrix(K)
     module = GradedModule(pres)
     mp = module.minimal()
-    reps = [K.column(t) for t in mp.survivors]
+    reps = [K.cols[t] for t in mp.survivors]
     data = CohomologyData(i, module, reps, mp.generator_degrees)
     P._cohomology_cache[i] = data
     return data
 
 
 def _times_identity(
-    target: GradedFreeModule, source: GradedFreeModule, E, ng: int
+    target: GradedFreeModule, source: GradedFreeModule, E: Sequence[Column], ng: int
 ) -> GradedMatrix:
-    """E tensor the identity of rank ng: entry E[a][b] on the diagonal of
-    the ng x ng block in row block a and column block b."""
-    z = target.ring.zero()
-    rows = [[z] * source.rank for _ in range(target.rank)]
-    for a, row in enumerate(E):
-        for b, e in enumerate(row):
-            if e:
-                for s in range(ng):
-                    rows[a * ng + s][b * ng + s] = e
-    return GradedMatrix(target, source, rows, normalize=False)
+    """E tensor the identity of rank ng, E given by its sparse columns:
+    entry (a, b) of E on the diagonal of the ng x ng block in row block a
+    and column block b."""
+    cols = [{a * ng + s: e for a, e in col.items()} for col in E for s in range(ng)]
+    return GradedMatrix(target, source, cols, normalize=False)
 
 
 def hom_free_into_module(F: FreeComplex, N: GradedModule) -> PresentedComplex:
@@ -501,7 +479,10 @@ def hom_free_into_module(F: FreeComplex, N: GradedModule) -> PresentedComplex:
         dF = F.differential(-n - 1)  # F^{-n-1} -> F^{-n}
         if not dF.is_zero():
             # -(-1)^n times the transpose of dF
-            E = [[e if n % 2 else -e for e in col] for col in dF.columns()]
+            E: List[Column] = [{} for _ in range(dF.target.rank)]
+            for a, col in enumerate(dF.cols):
+                for b, e in col.items():
+                    E[b][a] = e if n % 2 else -e
             diffs[n] = _times_identity(covers[n + 1], covers[n], E, len(g_deg))
     hi = None if F.known_lo is None else -F.known_lo
     return PresentedComplex(ring, covers, diffs, rels, known_lo=None, known_hi=hi)
@@ -528,7 +509,7 @@ def tensor_free_with_module(F: FreeComplex, N: GradedModule) -> PresentedComplex
             continue
         dF = F.differential(n)
         if not dF.is_zero():
-            diffs[n] = _times_identity(covers[n + 1], covers[n], dF.entries, len(g_deg))
+            diffs[n] = _times_identity(covers[n + 1], covers[n], dF.cols, len(g_deg))
     return PresentedComplex(
         ring, covers, diffs, rels, known_lo=F.known_lo, known_hi=None
     )

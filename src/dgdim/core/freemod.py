@@ -4,7 +4,10 @@ A free module is a tuple of generator degrees: F = R(-d_1) + ... + R(-d_r),
 the i-th generator sitting in internal degree d_i.  A GradedMatrix represents
 a degree-zero map source -> target, column j giving the image of the j-th
 source generator; entry (i, j) is homogeneous of degree src_deg(j) -
-tgt_deg(i) (or zero).
+tgt_deg(i) (or zero).  The matrices of resolutions, Hom and tensor
+complexes are mostly zero, so a GradedMatrix keeps only its nonzero
+entries: one sparse column {row index: normal form} per source generator,
+and every product, sum and elimination walks those entries alone.
 
 Degreewise ranks, kernels and cokernel dimensions come from one exact
 elimination routine, _Span: a sparse echelon basis into which the degree-t
@@ -15,12 +18,14 @@ computations, and minimal_presentation uses the same _Span for irredundancy.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .poly import Poly
 
 if TYPE_CHECKING:
     from .ring import GradedRing
+
+Column = Dict[int, Poly]  # row index -> nonzero normal-form entry
 
 
 class GradedFreeModule:
@@ -64,38 +69,49 @@ class GradedFreeModule:
 
 
 class GradedMatrix:
-    """Homogeneous matrix over a GradedRing; entries kept in normal form."""
+    """Homogeneous matrix over a GradedRing, stored as sparse columns.
 
-    __slots__ = ("ring", "target", "source", "entries")
+    cols[j] is the image of the j-th source generator: a dict {row index:
+    entry} holding the nonzero entries only, each a normal form.  The
+    dicts are shared between matrices (twist, block_diagonal) and are
+    never changed once the matrix is built.
+    """
+
+    __slots__ = ("ring", "target", "source", "cols")
 
     def __init__(
         self,
         target: GradedFreeModule,
         source: GradedFreeModule,
-        entries: Sequence[Sequence[Poly]],
+        cols: Sequence[Column],
         normalize: bool = True,
     ):
         self.ring = target.ring
         self.target = target
         self.source = source
+        if len(cols) != source.rank:
+            raise ValueError("column count != source rank")
         if normalize:
-            self.entries = tuple(
-                tuple(self.ring.normal_form(e) for e in row) for row in entries
-            )
+            nf = self.ring.normal_form
+            rank = target.rank
+            out = []
+            for col in cols:
+                kept = {}
+                for i, e in col.items():
+                    if not 0 <= i < rank:
+                        raise ValueError("row %d outside the target" % i)
+                    if e:
+                        e = nf(e)
+                        if e:
+                            kept[i] = e
+                out.append(kept)
+            self.cols = tuple(out)
         else:
-            self.entries = tuple(tuple(row) for row in entries)
-        if len(self.entries) != target.rank:
-            raise ValueError("row count != target rank")
-        for row in self.entries:
-            if len(row) != source.rank:
-                raise ValueError("column count != source rank")
+            self.cols = tuple(cols)
 
     def check_homogeneous(self) -> None:
-        for i in range(self.target.rank):
-            for j in range(self.source.rank):
-                e = self.entries[i][j]
-                if e.is_zero():
-                    continue
+        for j, col in enumerate(self.cols):
+            for i, e in col.items():
                 want = self.source.degrees[j] - self.target.degrees[i]
                 if e.degree() != want:
                     raise ValueError(
@@ -105,30 +121,22 @@ class GradedMatrix:
 
     @staticmethod
     def zero(target: GradedFreeModule, source: GradedFreeModule) -> "GradedMatrix":
-        z = target.ring.zero()
-        rows = [[z] * source.rank for _ in range(target.rank)]
-        return GradedMatrix(target, source, rows, normalize=False)
+        return GradedMatrix(target, source, [{} for _ in range(source.rank)], normalize=False)
 
     @staticmethod
     def identity(module: GradedFreeModule) -> "GradedMatrix":
-        ring = module.ring
-        rows = [
-            [ring.one() if i == j else ring.zero() for j in range(module.rank)]
-            for i in range(module.rank)
-        ]
-        return GradedMatrix(module, module, rows, normalize=False)
+        one = module.ring.one()
+        cols = [{j: one} if one else {} for j in range(module.rank)]
+        return GradedMatrix(module, module, cols, normalize=False)
 
     @staticmethod
     def from_columns(
-        target: GradedFreeModule, col_degrees: Sequence[int], cols: Sequence[Sequence[Poly]]
+        target: GradedFreeModule, col_degrees: Sequence[int], cols: Sequence[Column]
     ) -> "GradedMatrix":
-        """The matrix with these columns; every entry must already be a
-        normal form, since it is taken as given."""
+        """The matrix with these sparse columns; every entry must already be
+        a nonzero normal form, since it is taken as given."""
         source = GradedFreeModule(target.ring, col_degrees)
-        rows = [
-            [cols[j][i] for j in range(len(cols))] for i in range(target.rank)
-        ]
-        return GradedMatrix(target, source, rows, normalize=False)
+        return GradedMatrix(target, source, cols, normalize=False)
 
     @staticmethod
     def block_diagonal(
@@ -137,76 +145,72 @@ class GradedMatrix:
         """The blocks placed corner to corner: block k takes the rows and
         columns that follow those of blocks 0..k-1, and target must have as
         many rows as the blocks together."""
-        z = target.ring.zero()
-        width = sum(b.source.rank for b in blocks)
-        rows: List[List[Poly]] = []
-        left = 0
+        cols: List[Column] = []
+        top = 0
         for b in blocks:
-            right = width - left - b.source.rank
-            rows.extend([z] * left + list(row) + [z] * right for row in b.entries)
-            left += b.source.rank
+            if top:
+                cols.extend({i + top: e for i, e in col.items()} for col in b.cols)
+            else:
+                cols.extend(b.cols)
+            top += b.target.rank
         source = GradedFreeModule(
             target.ring, [d for b in blocks for d in b.source.degrees]
         )
-        return GradedMatrix(target, source, rows, normalize=False)
-
-    def column(self, j: int) -> List[Poly]:
-        return [self.entries[i][j] for i in range(self.target.rank)]
-
-    def columns(self) -> List[List[Poly]]:
-        return [self.column(j) for j in range(self.source.rank)]
+        return GradedMatrix(target, source, cols, normalize=False)
 
     def compose(self, other: "GradedMatrix") -> "GradedMatrix":
         """self o other  (apply other first)."""
         if other.target.degrees != self.source.degrees:
             raise ValueError("composition shape mismatch")
-        ring = self.ring
-        rows = []
-        for i in range(self.target.rank):
-            row = []
-            for j in range(other.source.rank):
-                acc = ring.zero()
-                for k in range(self.source.rank):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(ring.normal_form(acc))
-            rows.append(row)
-        return GradedMatrix(self.target, other.source, rows, normalize=False)
+        return GradedMatrix(
+            self.target,
+            other.source,
+            [self.apply_to_vector(col) for col in other.cols],
+            normalize=False,
+        )
 
     def add(self, other: "GradedMatrix") -> "GradedMatrix":
-        rows = [
-            [
-                self.ring.normal_form(self.entries[i][j] + other.entries[i][j])
-                for j in range(self.source.rank)
-            ]
-            for i in range(self.target.rank)
-        ]
-        return GradedMatrix(self.target, self.source, rows, normalize=False)
+        nf = self.ring.normal_form
+        cols = []
+        for a, b in zip(self.cols, other.cols):
+            col = dict(a)
+            for i, e in b.items():
+                if i in col:
+                    s = nf(col[i] + e)
+                    if s:
+                        col[i] = s
+                    else:
+                        del col[i]
+                else:
+                    col[i] = e
+            cols.append(col)
+        return GradedMatrix(self.target, self.source, cols, normalize=False)
 
     def negate(self) -> "GradedMatrix":
-        rows = [[-e for e in row] for row in self.entries]
-        return GradedMatrix(self.target, self.source, rows, normalize=False)
+        cols = [{i: -e for i, e in col.items()} for col in self.cols]
+        return GradedMatrix(self.target, self.source, cols, normalize=False)
 
     def twist(self, n: int) -> "GradedMatrix":
         return GradedMatrix(
-            self.target.twist(n), self.source.twist(n), self.entries, normalize=False
+            self.target.twist(n), self.source.twist(n), self.cols, normalize=False
         )
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not any(self.cols)
 
-    def apply_to_vector(self, vec: Sequence[Poly]) -> List[Poly]:
-        ring = self.ring
-        out = []
-        for i in range(self.target.rank):
-            acc = ring.zero()
-            for j in range(self.source.rank):
-                e = self.entries[i][j]
-                if e and vec[j]:
-                    acc = acc + e * vec[j]
-            out.append(ring.normal_form(acc))
+    def apply_to_vector(self, vec: Column) -> Column:
+        """The image of the sparse source vector vec, as a sparse column."""
+        acc: Column = {}
+        for j, v in vec.items():
+            for i, e in self.cols[j].items():
+                p = e * v
+                acc[i] = acc[i] + p if i in acc else p
+        nf = self.ring.normal_form
+        out: Column = {}
+        for i, p in acc.items():
+            p = nf(p)
+            if p:
+                out[i] = p
         return out
 
     # -- degreewise linear algebra ----------------------------------------
@@ -221,9 +225,8 @@ class GradedMatrix:
         cols_basis = self.source.basis_in_degree(t)
         row_index = {key: r for r, key in enumerate(rows_basis)}
         M = [[f.zero()] * len(cols_basis) for _ in rows_basis]
-        columns = self.columns()
         for c, (mono, j) in enumerate(cols_basis):
-            for key, coeff in monomial_multiple(self.ring, columns[j], mono).items():
+            for key, coeff in monomial_multiple(self.ring, self.cols[j], mono).items():
                 r = row_index.get(key)
                 if r is None:
                     raise AssertionError("non-standard monomial in product")
@@ -234,9 +237,8 @@ class GradedMatrix:
         """Rank of the degree-t piece: the degree-t multiples of the columns
         inserted into one sparse echelon basis."""
         span = _Span(self.ring.field)
-        columns = self.columns()
         return sum(
-            span.insert(monomial_multiple(self.ring, columns[j], mono))
+            span.insert(monomial_multiple(self.ring, self.cols[j], mono))
             for mono, j in self.source.basis_in_degree(t)
         )
 
@@ -248,16 +250,11 @@ class GradedMatrix:
 
     def min_entry_degree_is_positive(self) -> bool:
         """True when every nonzero entry has positive degree (minimality)."""
-        for i in range(self.target.rank):
-            for j in range(self.source.rank):
-                e = self.entries[i][j]
-                if e and e.degree() == 0:
-                    return False
-        return True
+        return all(e.degree() for col in self.cols for e in col.values())
 
     def __repr__(self):
         body = "; ".join(
-            ", ".join(str(e) for e in row) for row in self.entries
+            ", ".join("%d: %s" % (i, col[i]) for i in sorted(col)) for col in self.cols
         )
         return "Matrix[%s <- %s](%s)" % (
             list(self.target.degrees),
@@ -266,15 +263,14 @@ class GradedMatrix:
         )
 
 
-def monomial_multiple(ring: GradedRing, col: Sequence[Poly], mono: tuple) -> dict:
+def monomial_multiple(ring: GradedRing, col: Column, mono: tuple) -> dict:
     """mono * col as a k-vector: {(standard monomial, row): coefficient},
     each product entry taken to its normal form."""
     one = ring.field.one()
     out = {}
-    for i, e in enumerate(col):
-        if e:
-            prod = ring.normal_form(e.mul_term(mono, one))
-            out.update(((m, i), c) for m, c in prod.terms.items())
+    for i, e in col.items():
+        prod = ring.normal_form(e.mul_term(mono, one))
+        out.update(((m, i), c) for m, c in prod.terms.items())
     return out
 
 

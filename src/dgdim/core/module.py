@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from .poly import Poly
-from .freemod import GradedFreeModule, GradedMatrix, _Span, monomial_multiple
+from .freemod import Column, GradedFreeModule, GradedMatrix, _Span, monomial_multiple
 from .ring import GradedRing
 
 
@@ -64,7 +64,8 @@ def minimal_presentation(M: GradedMatrix) -> MinimalPresentation:
         return MinimalPresentation(GradedMatrix.zero(empty, empty), [], {})
     tgt = list(M.target.degrees)
     src = list(M.source.degrees)
-    rows = [list(r) for r in M.entries]
+    # working copies of the sparse columns; a dropped row leaves every one
+    cols = [dict(col) for col in M.cols]
     alive_rows = list(range(len(tgt)))
     alive_cols = list(range(len(src)))
     # original generator -> expression in current generators
@@ -72,40 +73,46 @@ def minimal_presentation(M: GradedMatrix) -> MinimalPresentation:
         o: {o: ring.one()} for o in range(len(tgt))
     }
 
+    zero = ring.zero()
     start = 0
     while True:
-        # A column left of the pivot has no unit entry, and clearing row pi
-        # gives it none: a new degree-0 entry needs a unit factor there.
+        # The pivot is the first unit entry, column by column from start
+        # and by ascending row within a column.  A column left of the pivot
+        # has no unit entry, and clearing row pi gives it none: a new
+        # degree-0 entry needs a unit factor there.
         pivot = None
         for k in range(start, len(alive_cols)):
             j = alive_cols[k]
-            for i in alive_rows:
-                e = rows[i][j]
-                if e and e.degree() == 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
+            i = min((i for i, e in cols[j].items() if e.degree() == 0), default=None)
+            if i is not None:
+                pivot = (i, j)
                 start = k
                 break
         if pivot is None:
             break
         pi, pj = pivot
-        c = rows[pi][pj].terms[ring.ambient.mono_one()]
+        colp = cols[pj]
+        c = colp[pi].terms[ring.ambient.mono_one()]
         cinv = field.inv(c)
         # row pi is dropped below, so only the other rows of column pj matter
-        support = [t for t in alive_rows if t != pi and rows[t][pj]]
-        # generator pi = -1/c * sum_{t != pi} rows[t][pj] * g_t
-        combo = {t: rows[t][pj].scale(field.neg(cinv)) for t in support}
+        support = sorted(t for t in colp if t != pi)
+        # generator pi = -1/c * sum_{t != pi} colp[t] * g_t
+        combo = {t: colp[t].scale(field.neg(cinv)) for t in support}
         # clear row pi from the other columns: col_j' -= (e[pi][j']/c) col_pj
         for j2 in alive_cols:
             if j2 == pj:
                 continue
-            f = rows[pi][j2]
-            if not f:
+            col = cols[j2]
+            f = col.pop(pi, None)
+            if f is None:
                 continue
             factor = f.scale(cinv)
             for t in support:
-                rows[t][j2] = ring.normal_form(rows[t][j2] - factor * rows[t][pj])
+                e = ring.normal_form(col.get(t, zero) - factor * colp[t])
+                if e:
+                    col[t] = e
+                else:
+                    col.pop(t, None)
         # rewrite stored expressions of the original generators
         for o, d in expr.items():
             p = d.pop(pi, None)
@@ -123,23 +130,21 @@ def minimal_presentation(M: GradedMatrix) -> MinimalPresentation:
         alive_rows.remove(pi)
         del alive_cols[start]
 
-    # assemble the pruned matrix and drop zero columns
+    # assemble the pruned matrix, rows renumbered, and drop zero columns
     tgt_deg = [tgt[i] for i in alive_rows]
     target = GradedFreeModule(ring, tgt_deg)
-    cols: List[List[Poly]] = []
+    pos = {gen: k for k, gen in enumerate(alive_rows)}
+    live: List[Column] = []
     col_deg: List[int] = []
     for j in alive_cols:
-        col = [rows[i][j] for i in alive_rows]
-        if all(p.is_zero() for p in col):
-            continue
-        cols.append(col)
-        col_deg.append(src[j])
-    kept = _irredundant_columns(target, cols, col_deg)
+        if cols[j]:
+            live.append({pos[i]: e for i, e in cols[j].items()})
+            col_deg.append(src[j])
+    kept = _irredundant_columns(target, live, col_deg)
     matrix = GradedMatrix.from_columns(
-        target, [col_deg[t] for t in kept], [cols[t] for t in kept]
+        target, [col_deg[t] for t in kept], [live[t] for t in kept]
     )
     # re-index expressions to positions within the survivor list
-    pos = {gen: k for k, gen in enumerate(alive_rows)}
     expressions = {
         o: {pos[t]: p for t, p in d.items()} for o, d in expr.items()
     }
@@ -147,7 +152,7 @@ def minimal_presentation(M: GradedMatrix) -> MinimalPresentation:
 
 
 def _irredundant_columns(
-    target: GradedFreeModule, cols: List[List[Poly]], col_deg: List[int]
+    target: GradedFreeModule, cols: List[Column], col_deg: List[int]
 ) -> List[int]:
     """Indices of the columns kept as minimal relations, ascending (degree, index).
 
@@ -196,7 +201,7 @@ class GradedModule:
         target = GradedFreeModule(ring, (0,))
         rels = [ring.normal_form(p) for p in relations]
         rels = [p for p in rels if p]
-        cols = [[p] for p in rels]
+        cols = [{0: p} for p in rels]
         degs = [p.degree() for p in rels]
         return GradedModule(GradedMatrix.from_columns(target, degs, cols))
 

@@ -64,7 +64,7 @@ def groebner_basis(gens: Sequence[Poly]) -> List[Poly]:
     if not gens:
         return []
     ambient = gens[0].ring
-    gbm = ModuleGB(ambient, [0], [[g] for g in gens])
+    gbm = ModuleGB(ambient, [0], [{0: g} for g in gens])
     return interreduce(
         [Poly(ambient, {m: c for (m, _), c in vec.items()}) for vec, _ in gbm.gb]
     )

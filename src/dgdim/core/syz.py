@@ -40,7 +40,7 @@ import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import Poly, PolyRing
-from .freemod import GradedMatrix
+from .freemod import Column, GradedMatrix
 
 VecTerm = Tuple[tuple, int]  # (monomial, position)
 Vec = Dict[VecTerm, object]
@@ -79,25 +79,18 @@ def _vec_add_scaled(field, vec: Vec, other: Vec, mono, coeff, ambient) -> None:
             vec[key] = val
 
 
-def _columns_to_vec(ambient: PolyRing, col: Sequence[Poly]) -> Vec:
+def _column_to_vec(col: Column) -> Vec:
     vec: Vec = {}
-    for pos, p in enumerate(col):
+    for pos, p in col.items():
         for m, c in p.terms.items():
             vec[(m, pos)] = c
     return vec
 
 
-def _vec_to_columns(ambient: PolyRing, vec: Vec, rank: int) -> List[Poly]:
-    cols: List[dict] = [dict() for _ in range(rank)]
-    for (m, p), c in vec.items():
-        cols[p][m] = c
-    return [Poly(ambient, t) for t in cols]
-
-
 class ModuleGB:
     """Groebner basis of a submodule of P^r with history and syzygy data."""
 
-    def __init__(self, ambient: PolyRing, twists: Sequence[int], columns: List[List[Poly]]):
+    def __init__(self, ambient: PolyRing, twists: Sequence[int], columns: Sequence[Column]):
         self.ambient = ambient
         self.field = ambient.field
         self.twists = tuple(twists)
@@ -106,7 +99,7 @@ class ModuleGB:
         # gb entries: (vector, history dict colindex -> Poly)
         self.gb: List[Tuple[Vec, Dict[int, Poly]]] = []
         self.syzygies: List[Dict[int, Poly]] = []
-        self._build([_columns_to_vec(ambient, c) for c in columns])
+        self._build([_column_to_vec(c) for c in columns])
 
     # -- reduction ---------------------------------------------------------
 
@@ -264,18 +257,15 @@ class ModuleGB:
 
     # -- public operations ---------------------------------------------------
 
-    def reduce_vector(self, col: Sequence[Poly]) -> Tuple[List[Poly], Dict[int, Poly]]:
-        """Normal form of a column vector plus its expression data.
+    def reduce_vector(self, col: Column) -> Tuple[Vec, Dict[int, Poly]]:
+        """Remainder of a sparse column vector plus its expression data.
 
-        Returns (remainder columns, quotients on ORIGINAL column indices).
-        Positions index the target basis, so vectors have len(twists) rows.
+        Returns (remainder vector, quotients on ORIGINAL column indices).
+        Positions index the target basis.
         """
-        vec = _columns_to_vec(self.ambient, list(col))
-        remainder, quots = self._reduce(vec)
+        remainder, quots = self._reduce(_column_to_vec(col))
         rel = {k: q for k, q in quots.items() if q}
-        expressed = self._history_of(rel)
-        cols = _vec_to_columns(self.ambient, remainder, len(self.twists))
-        return cols, expressed
+        return remainder, self._history_of(rel)
 
 
 class SyzygyEngine:
@@ -290,40 +280,42 @@ class SyzygyEngine:
         self.ring = M.ring
         ambient = self.ring.ambient
         self.ambient = ambient
-        r = M.target.rank
-        cols = M.columns()
-        twists = list(M.target.degrees)
-        aug_cols: List[List[Poly]] = list(cols)
-        self.n_original = len(cols)
+        aug_cols: List[Column] = list(M.cols)
+        self.n_original = len(aug_cols)
         for g in self.ring.gb:
-            for i in range(r):
-                col = [ambient.zero()] * r
-                col[i] = g
-                aug_cols.append(col)
-        self.gbm = ModuleGB(ambient, twists, aug_cols)
+            aug_cols.extend({i: g} for i in range(M.target.rank))
+        self.gbm = ModuleGB(ambient, M.target.degrees, aug_cols)
         self._syz: Optional[GradedMatrix] = None
 
     def syzygy_matrix(self) -> GradedMatrix:
         """Homogeneous generators of ker(M) over R: the first-block
         projections of the recorded syzygies, without zero or repeated
         columns, sorted by degree, then by the terms of the entries
-        (Poly.terms_key).  Computed once."""
+        (Poly.terms_key) as a dense tuple over the source positions.
+        Computed once.
+
+        The sort key is the sparse ((-position, terms), ...) in ascending
+        position, which orders columns exactly as the dense tuple does: a
+        zero entry's terms () sort before any nonzero terms, so where two
+        columns first differ, the one whose entry at the smaller position
+        is nonzero is the larger in both keys."""
         if self._syz is not None:
             return self._syz
-        R = self.ring
-        zero = R.zero()
+        nf = self.ring.normal_form
         src = self.M.source.degrees
         found = {}
         for syz in self.gbm.syzygies:
-            col = [zero] * self.n_original
-            for j, p in syz.items():
+            col = {}
+            for j in sorted(syz):
                 if j < self.n_original:
-                    col[j] = R.normal_form(p)
-            lead = next((j for j, p in enumerate(col) if p), None)
-            if lead is None:
+                    p = nf(syz[j])
+                    if p:
+                        col[j] = p
+            if not col:
                 continue
-            key = tuple(p.terms_key() for p in col)
+            key = tuple((-j, p.terms_key()) for j, p in col.items())
             if key not in found:
+                lead = next(iter(col))
                 found[key] = (col[lead].degree() + src[lead], col)
         order = sorted(found, key=lambda key: (found[key][0], key))
         self._syz = GradedMatrix.from_columns(
@@ -333,21 +325,24 @@ class SyzygyEngine:
         )
         return self._syz
 
-    def divide(self, col: Sequence[Poly]) -> Optional[List[Poly]]:
-        """Express col = M*q over R; returns q or None when not in the image."""
+    def divide(self, col: Column) -> Optional[Column]:
+        """Express the sparse column col = M*q over R; returns q, sparse, or
+        None when col is not in the image."""
+        nf = self.ring.normal_form
         remainder, expressed = self.gbm.reduce_vector(
-            [self.ring.normal_form(p) for p in col]
+            {i: nf(p) for i, p in col.items()}
         )
-        if any(p for p in remainder):
+        if remainder:
             return None
-        R = self.ring
-        q = []
-        for j in range(self.n_original):
-            p = expressed.get(j)
-            q.append(R.normal_form(p) if p is not None else R.zero())
+        q = {}
+        for j, p in expressed.items():
+            if j < self.n_original:
+                p = nf(p)
+                if p:
+                    q[j] = p
         return q
 
-    def contains(self, col: Sequence[Poly]) -> bool:
+    def contains(self, col: Column) -> bool:
         return self.divide(col) is not None
 
 
@@ -355,11 +350,15 @@ _syz_cache: dict = {}
 
 
 def _matrix_key(M: GradedMatrix):
+    """Equal for matrices with equal entries; an equality key, not an order."""
     return (
         M.ring.key(),
         M.target.degrees,
         M.source.degrees,
-        tuple(tuple(e.terms_key() for e in row) for row in M.entries),
+        tuple(
+            tuple(sorted((i, e.terms_key()) for i, e in col.items()))
+            for col in M.cols
+        ),
     )
 
 

@@ -198,23 +198,17 @@ def redundant_presentation(M: GradedModule, rng: Random) -> GradedModule:
     ring = M.ring
     P = M.presentation
     tgt_degs = list(P.target.degrees)
-    cols: List[List[Poly]] = []
-    col_degs: List[int] = []
-    for j in range(P.source.rank):
-        cols.append(list(P.column(j)))
-        col_degs.append(P.source.degrees[j])
+    cols = [dict(col) for col in P.cols]
+    col_degs = list(P.source.degrees)
 
     # redundant generator: e_new = m * e_i, recorded by the column m*e_i - e_new
     i = rng.randrange(len(tgt_degs))
     mono = _random_monomial(ring, rng, rng.choice([1, 2]))
     m = ring.normal_form(mono)
     new_deg = tgt_degs[i] + mono.degree()
-    for col in cols:
-        col.append(ring.zero())
+    link = {i: m} if m else {}
+    link[len(tgt_degs)] = ring.one().scale(-1)
     tgt_degs.append(new_deg)
-    link = [ring.zero()] * len(tgt_degs)
-    link[i] = m
-    link[-1] = ring.one().scale(-1)
     cols.append(link)
     col_degs.append(new_deg)
 
@@ -222,7 +216,9 @@ def redundant_presentation(M: GradedModule, rng: Random) -> GradedModule:
     if cols:
         j = rng.randrange(len(cols))
         m2 = _random_monomial(ring, rng, rng.choice([1, 2]))
-        cols.append([ring.mul(m2, entry) for entry in cols[j]])
+        cols.append(
+            {r: p for r, e in cols[j].items() if (p := ring.mul(m2, e))}
+        )
         col_degs.append(col_degs[j] + m2.degree())
 
     order = list(range(len(cols)))

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..complexes import CohomologyData, PresentedComplex, trusted_degree
 from ..core.freemod import GradedFreeModule, GradedMatrix
-from ..core.module import GradedModule
 from ..core.poly import Poly
 from ..core.syz import syzygy_engine
 from .dgring import AElem, DGRing
@@ -125,7 +124,7 @@ class DGModule:
         return GradedMatrix(
             GradedFreeModule(R, [tw]),
             GradedFreeModule(R, [tw + r.degree() for r in rels]),
-            [rels],
+            [{0: r} for r in rels],
             normalize=False,
         )
 
@@ -269,20 +268,18 @@ class DGModule:
             tgt_list = table.get(c + 1)
             if not tgt_list:
                 continue
-            tgt = covers[c + 1]
-            rows = [[R.zero()] * len(lst) for _ in tgt_list]
             pos = {s: t for t, s in enumerate(tgt_list)}
-            for col, (j, b) in enumerate(lst):
+            cols = []
+            for j, b in lst:
+                col = {}
                 for slot, p in self.expand_slot_d(j, b).items():
                     r = pos.get(slot)
-                    if r is None:
-                        if not p.is_zero():
-                            raise AssertionError(
-                                "differential leaves the slot table"
-                            )
-                        continue
-                    rows[r][col] = rows[r][col] + p
-            diffs[c] = GradedMatrix(tgt, covers[c], rows)
+                    if r is not None:
+                        col[r] = p
+                    elif p:
+                        raise AssertionError("differential leaves the slot table")
+                cols.append(col)
+            diffs[c] = GradedMatrix(covers[c + 1], covers[c], cols)
         self._underlying = PresentedComplex(
             R, covers, diffs, rels, known_lo=self.known_lo
         )
@@ -357,40 +354,6 @@ def residue_dg_module(A: DGRing) -> DGModule:
     )
 
 
-def dg_module_from_h0_module(
-    A: DGRing, M: GradedModule, cutoff: int = 8
-) -> DGModule:
-    """An H^0(A)-module, encoded by a free H^0-resolution with h0-kind
-    generators (truncation window kept when the resolution does not stop)."""
-    from ..complexes import minimal_free_resolution_module
-
-    h0 = A.h0_ring()
-    if M.ring.key() != h0.key():
-        raise ValueError("module must be defined over H^0 of the DG-ring")
-    cert = minimal_free_resolution_module(M, cutoff)
-    F = cert.complex
-    gens: List[DGGen] = []
-    index: Dict[Tuple[int, int], int] = {}
-    for c in F.support():
-        for t, tw in enumerate(F.component(c).degrees):
-            index[(c, t)] = len(gens)
-            gens.append(DGGen(c, tw, "h0"))
-    diff: Dict[int, Dict[int, AElem]] = {}
-    for c, d in F.differentials.items():
-        for sj in range(d.source.rank):
-            row: Dict[int, AElem] = {}
-            for ti in range(d.target.rank):
-                e = d.entries[ti][sj]
-                if e.is_zero():
-                    continue
-                row[index[(c + 1, ti)]] = A.from_base(e)
-            if row:
-                diff[index[(c, sj)]] = row
-    return DGModule(
-        A, gens, diff, known_lo=F.known_lo, check=False, label="h0-module"
-    )
-
-
 def shift_dg(M: DGModule, n: int) -> DGModule:
     """M[n]: component i becomes M^{i+n}; differential and action signs are
     absorbed into the generator data."""
@@ -451,10 +414,10 @@ class DGMap:
         tgt_list = tgt.slots_by_degree().get(c, [])
         src_cover = src.underlying().cover(c)
         tgt_cover = tgt.underlying().cover(c)
-        rows = [[R.zero()] * len(src_list) for _ in tgt_list]
+        cols: List[Dict[int, Poly]] = [{} for _ in src_list]
         pos = {s: t for t, s in enumerate(tgt_list)}
         A = src.A
-        for col, (j, b) in enumerate(src_list):
+        for (j, b), col in zip(src_list, cols):
             row_entries = self.entries.get(j)
             if not row_entries:
                 continue
@@ -473,9 +436,8 @@ class DGMap:
                         if not p.is_zero():
                             raise AssertionError("map leaves the slot table")
                         continue
-                    term = p if sign > 0 else -p
-                    rows[r][col] = rows[r][col] + term
-        return GradedMatrix(tgt_cover, src_cover, rows)
+                    col[r] = p if sign > 0 else -p
+        return GradedMatrix(tgt_cover, src_cover, cols)
 
     def validate(self) -> None:
         src, tgt = self.source, self.target
@@ -502,9 +464,8 @@ class DGMap:
             rhs = f_c1.compose(src.underlying().diff(c))
             delta = lhs.add(rhs.negate())
             q = tgt.underlying().rel(c + 1)
-            for jcol in range(delta.source.rank):
-                col = delta.column(jcol)
-                if all(p.is_zero() for p in col):
+            for col in delta.cols:
+                if not col:
                     continue
                 if q is None or not syzygy_engine(q).contains(col):
                     raise ValueError(
@@ -539,10 +500,6 @@ def cone_dg(f: DGMap, check: bool = True) -> DGModule:
     if cands:
         lo = max(cands)
     return DGModule(A, gens, diff, known_lo=lo, check=check)
-
-
-def cocone_dg(f: DGMap, check: bool = True) -> DGModule:
-    return shift_dg(cone_dg(f, check=check), -1)
 
 
 # ---------- Hom from a semifree module ----------
@@ -591,13 +548,13 @@ def hom_semifree_into_dg(SF: DGModule, M: DGModule) -> PresentedComplex:
         if (n + 1) not in table:
             continue
         src_list = table[n]
-        tgt = covers[n + 1]
-        rows = [[R.zero()] * len(src_list) for _ in range(tgt.rank)]
+        cols: List[Dict[int, Poly]] = [{} for _ in src_list]
 
         def put(r: Optional[int], c: int, p: Poly):
             if r is None or p.is_zero():
                 return
-            rows[r][c] = rows[r][c] + p
+            col = cols[c]
+            col[r] = col[r] + p if r in col else p
 
         for col, (j, s) in enumerate(src_list):
             # d_M applied to the value slot
@@ -629,7 +586,7 @@ def hom_semifree_into_dg(SF: DGModule, M: DGModule) -> PresentedComplex:
                             col,
                             p if sgn > 0 else -p,
                         )
-        diffs[n] = GradedMatrix(tgt, covers[n], rows)
+        diffs[n] = GradedMatrix(covers[n + 1], covers[n], cols)
     # window: a truncated SF corrupts high Hom degrees, a truncated M low ones
     hi = None
     if SF.known_lo is not None and m_slots:

@@ -59,8 +59,10 @@ class DGRing:
             raise ValueError("basis must contain the unit symbol '1'")
         self._slot_rings: Dict[str, GradedRing] = {}
         self._h0: Optional[GradedRing] = None
-        # memos of dimensions.py: sequential_depth(A) with the default pool,
-        # and the residue-field resolution of bass_numbers by window floor
+        # memos of dimensions.py: ring_amplitude(A), sequential_depth(A) with
+        # the default pool, and the residue-field resolution of bass_numbers
+        # by window floor
+        self._amplitude = None
         self._depth = None
         self._residue_resolutions: dict = {}
 

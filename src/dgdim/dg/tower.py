@@ -24,8 +24,6 @@ from .dgmodule import (
     DGModule,
     cone_dg,
     free_dg_module,
-    h0_cyclic_dg_module,
-    hom_semifree_into_dg,
     shift_dg,
 )
 
@@ -123,10 +121,9 @@ def _stage(M: DGModule, floor: Optional[int]) -> Optional[SppjStage]:
     slots = M.slots_by_degree()[s]
     for t, rep in enumerate(data.representatives):
         row: Dict[int, AElem] = {}
-        for idx, (i, sym) in enumerate(slots):
+        for idx in sorted(rep):
+            i, sym = slots[idx]
             p = rep[idx]
-            if p.is_zero():
-                continue
             if i in row:
                 row[i] = row[i].add(AElem(A, {sym: p}))
             else:
@@ -285,42 +282,12 @@ def _reduction_over(SF: DGModule, ring: GradedRing) -> FreeComplex:
         tgt_lst = by_deg.get(c + 1)
         if not tgt_lst:
             continue
-        rows = [
-            [
-                SF.diff.get(j, {}).get(i, SF.A.zero_elem()).unit_part()
-                for j in lst
-            ]
-            for i in tgt_lst
+        pos = {i: r for r, i in enumerate(tgt_lst)}
+        cols = [
+            {pos[i]: a.unit_part() for i, a in SF.diff.get(j, {}).items() if i in pos}
+            for j in lst
         ]
-        diffs[c] = GradedMatrix(comps[c + 1], comps[c], rows)
+        diffs[c] = GradedMatrix(comps[c + 1], comps[c], cols)
     return FreeComplex(
         ring, comps, diffs, known_lo=SF.known_lo, check=True
     )
-
-
-def reduce_dg_module(
-    M: DGModule,
-    window_lo: Optional[int] = None,
-    max_stages: Optional[int] = None,
-):
-    """Derived base change of M to H^0(A), as a complex over H^0(A).
-
-    Resolves M semifreely first; the window floor is passed through."""
-    res = semifree_resolution(M, window_lo=window_lo, max_stages=max_stages)
-    return reduce_to_h0(res.sf)
-
-
-def coreduce_dg_module(
-    M: DGModule,
-    window_lo: Optional[int] = None,
-    max_stages: Optional[int] = None,
-):
-    """Derived Hom from H^0(A) into M, as a presented complex over the base.
-
-    The cohomology modules are annihilated by everything that dies in
-    H^0(A), so the result is a complex of H^0(A)-modules in disguise; its
-    bottom cohomology agrees with the bottom cohomology of M."""
-    A = M.A
-    H = h0_cyclic_dg_module(A, [])
-    res = semifree_resolution(H, window_lo=window_lo, max_stages=max_stages)
-    return hom_semifree_into_dg(res.sf, M)

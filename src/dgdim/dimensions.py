@@ -65,13 +65,16 @@ def ring_free_module(A: AnyRing):
 
 
 def ring_amplitude(A: AnyRing) -> int:
-    """sup minus inf of H(A); 0 for an ordinary ring."""
+    """sup minus inf of H(A); 0 for an ordinary ring.  Memoized on a
+    connected DG-ring, which is immutable once built."""
     if isinstance(A, ProductDGRing):
         return max(ring_amplitude(f) for f in A.factors)
-    amp = free_dg_module(A, [(0, 0)]).amp_h()
-    if amp is None:
-        raise ValueError("the zero DG-ring has no amplitude")
-    return amp
+    if A._amplitude is None:
+        amp = free_dg_module(A, [(0, 0)]).amp_h()
+        if amp is None:
+            raise ValueError("the zero DG-ring has no amplitude")
+        A._amplitude = amp
+    return A._amplitude
 
 
 def ring_inf(A: AnyRing) -> int:
@@ -617,12 +620,10 @@ def _ambient_dg_module(X: DGModule, P_ring: GradedRing) -> DGModule:
         if not tgt_slots:
             continue
         mat = U.diff(c)
-        for s, src in enumerate(src_slots):
-            row = {}
-            for t, tgt in enumerate(tgt_slots):
-                e = mat.entries[t][s]
-                if not e.is_zero():
-                    row[slot_index[tgt]] = RP.from_base(e)
+        for src, col in zip(src_slots, mat.cols):
+            row = {
+                slot_index[tgt_slots[t]]: RP.from_base(col[t]) for t in sorted(col)
+            }
             if row:
                 diff[slot_index[src]] = row
     return DGModule(RP, gens, diff, known_lo=X.known_lo, check=True)

@@ -479,23 +479,28 @@ def test_filtered_bound_check_matches_the_full_suite(
 
 
 def test_verify_builds_matrices_from_normal_forms_only(monkeypatch, capsys):
-    # GradedMatrix.from_columns takes its entries as given, so every caller
-    # must hand it normal forms; cold memos make every caller run
+    # GradedMatrix(..., normalize=False) stores its sparse columns as given,
+    # so every trusted construction must hand it nonzero normal forms on
+    # rows of the target; cold memos make every caller run
     from dgdim.core import GradedMatrix
 
-    inner = GradedMatrix.from_columns
+    inner = GradedMatrix.__init__
     calls = [0]
 
-    def checked(target, col_degrees, cols):
+    def checked(self, target, source, cols, normalize=True):
+        inner(self, target, source, cols, normalize)
+        if normalize:
+            return
         ring = target.ring
-        for col in cols:
-            for e in col:
+        for col in self.cols:
+            for i, e in col.items():
+                assert 0 <= i < target.rank, "row %d outside the target" % i
+                assert e, "a zero entry is stored"
                 assert ring.normal_form(e) == e, "entry %s is not a normal form" % e
         calls[0] += 1
-        return inner(target, col_degrees, cols)
 
     _cold_memos(monkeypatch)
-    monkeypatch.setattr(GradedMatrix, "from_columns", staticmethod(checked))
+    monkeypatch.setattr(GradedMatrix, "__init__", checked)
     assert main(["verify", "--seed", "0", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
     assert calls[0] > 0

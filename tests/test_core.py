@@ -293,18 +293,150 @@ def test_graded_matrix_homogeneity_check():
     R = make_graded_ring("Q", {"x": 1, "y": 1})
     F0 = GradedFreeModule(R, (0,))
     F1 = GradedFreeModule(R, (1, 2))
-    M = GradedMatrix(F0, F1, [[R.parse("x"), R.parse("x*y")]])
+    M = GradedMatrix(F0, F1, [{0: R.parse("x")}, {0: R.parse("x*y")}])
     M.check_homogeneous()
-    bad = GradedMatrix(F0, F1, [[R.parse("x^2"), R.parse("x*y")]])
+    bad = GradedMatrix(F0, F1, [{0: R.parse("x^2")}, {0: R.parse("x*y")}])
     with pytest.raises(ValueError):
         bad.check_homogeneous()
+
+
+# ---------- sparse matrix arithmetic against a dense reference ----------
+
+
+def _arith_rings(field):
+    return [
+        make_graded_ring(field, ["x", "y"]),
+        make_graded_ring(field, ["x", "y"], ["x^2*y"]),
+        make_graded_ring(field, ["x", "y", "z"], ["x*y", "z^2"]),
+    ]
+
+
+def _random_entry(R, rng, d):
+    """Zero, or a sum of up to three random ambient monomials of degree d
+    with coefficients in -3..3, not reduced modulo the ring's relations."""
+    P = R.ambient
+    xs = [P.variable(name) for name in P.names]
+    e = P.zero()
+    if d < 0 or rng.random() < 0.4:
+        return e
+    for _ in range(rng.randint(1, 3)):
+        m = P.one().scale(P.field.from_int(rng.randint(-3, 3)))
+        for _ in range(d):
+            m = m * rng.choice(xs)
+        e = e + m
+    return e
+
+
+def _random_matrix(R, rng, tgt, src):
+    """(GradedMatrix, dense rows of normal forms): random homogeneous
+    entries, with about one column in four forced to zero."""
+    zero_cols = {j for j in range(len(src)) if rng.random() < 0.25}
+    raw = [
+        [R.zero() if j in zero_cols else _random_entry(R, rng, src[j] - tgt[i])
+         for j in range(len(src))]
+        for i in range(len(tgt))
+    ]
+    M = GradedMatrix(
+        GradedFreeModule(R, tgt),
+        GradedFreeModule(R, src),
+        [{i: raw[i][j] for i in range(len(tgt))} for j in range(len(src))],
+    )
+    return M, [[R.normal_form(e) for e in row] for row in raw]
+
+
+def _dense(M):
+    """M's entries as dense rows; every stored entry must be a nonzero
+    normal form on a row of the target."""
+    R = M.ring
+    for col in M.cols:
+        for i, e in col.items():
+            assert 0 <= i < M.target.rank and e and R.normal_form(e) == e
+    return [
+        [M.cols[j].get(i, R.zero()) for j in range(M.source.rank)]
+        for i in range(M.target.rank)
+    ]
+
+
+def _dense_product(R, A, B, inner, ncols):
+    """The triple loop: entry (i, j) is the normal form of sum_k A_ik B_kj."""
+    return [
+        [
+            R.normal_form(sum((A[i][k] * B[k][j] for k in range(inner)), R.zero()))
+            for j in range(ncols)
+        ]
+        for i in range(len(A))
+    ]
+
+
+def _degrees(rng, lo, n):
+    return tuple(sorted(rng.randint(lo, lo + 2) for _ in range(n)))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_sparse_matrix_arithmetic_matches_a_dense_reference(field):
+    rng = random.Random(13)
+    shapes = [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1)]
+    shapes += [tuple(rng.randint(1, 4) for _ in range(3)) for _ in range(12)]
+    checked_zero = False
+    for R in _arith_rings(field):
+        for n0, n1, n2 in shapes:
+            d0 = _degrees(rng, 0, n0)
+            d1 = _degrees(rng, 1, n1)
+            d2 = _degrees(rng, 2, n2)
+            A, DA = _random_matrix(R, rng, d0, d1)
+            B, DB = _random_matrix(R, rng, d1, d2)
+            A2, DA2 = _random_matrix(R, rng, d0, d1)
+            assert _dense(A) == DA and _dense(B) == DB
+            A.check_homogeneous()
+            is_zero = all(not e for row in DA for e in row)
+            assert A.is_zero() == is_zero
+            checked_zero |= is_zero and n0 * n1 > 0
+            # compose
+            C = A.compose(B)
+            assert C.target.degrees == d0 and C.source.degrees == d2
+            assert _dense(C) == _dense_product(R, DA, DB, n1, n2)
+            # add and negate
+            assert _dense(A.add(A2)) == [
+                [R.normal_form(a + b) for a, b in zip(r, r2)]
+                for r, r2 in zip(DA, DA2)
+            ]
+            assert _dense(A.negate()) == [[-a for a in row] for row in DA]
+            assert A.add(A.negate()).is_zero()
+            # apply_to_vector, against the product with a one-column matrix
+            Dv = [[R.normal_form(_random_entry(R, rng, d))] for d in d1]
+            got = A.apply_to_vector({j: p[0] for j, p in enumerate(Dv) if p[0]})
+            want = _dense_product(R, DA, Dv, n1, 1)
+            assert [got.get(i, R.zero()) for i in range(n0)] == [r[0] for r in want]
+            assert all(got.values())
+            # twist: same entries, every degree shifted
+            T = A.twist(3)
+            assert _dense(T) == DA
+            assert T.target.degrees == tuple(d - 3 for d in d0)
+            assert T.source.degrees == tuple(d - 3 for d in d1)
+            T.check_homogeneous()
+            # block_diagonal of A and B, corner to corner
+            target = GradedFreeModule(R, d0 + d1)
+            D = GradedMatrix.block_diagonal(target, [A, B])
+            assert D.source.degrees == d1 + d2
+            z = R.zero()
+            want = [row + [z] * n2 for row in DA] + [[z] * n1 + row for row in DB]
+            assert _dense(D) == want
+            D.check_homogeneous()
+            # check_homogeneous rejects an entry of the wrong degree
+            if n0 and n1:
+                i, j = rng.randrange(n0), rng.randrange(n1)
+                bad = [dict(col) for col in A.cols]
+                bad[j][i] = R.one() if d1[j] != d0[i] else R.variables()[0]
+                with pytest.raises(ValueError):
+                    GradedMatrix(A.target, A.source, bad).check_homogeneous()
+    assert checked_zero
 
 
 def test_degreewise_rank_oracle():
     R = make_graded_ring("Q", {"x": 1, "y": 1})
     F0 = GradedFreeModule(R, (0,))
     F1 = GradedFreeModule(R, (1, 2))
-    M = GradedMatrix(F0, F1, [[R.parse("x"), R.parse("x*y")]])
+    M = GradedMatrix(F0, F1, [{0: R.parse("x")}, {0: R.parse("x*y")}])
     # coker = k[x,y]/(x, xy) = k[y]: one dimension in each degree
     for t in range(5):
         assert M.coker_dim_in_degree(t) == 1

@@ -7,7 +7,7 @@ before being frozen into the asserts.
 import pytest
 
 from dgdim.complexes import cohomology_data, prune_complex
-from dgdim.core import GradedModule, make_graded_ring
+from dgdim.core import make_graded_ring
 from dgdim.dg import (
     AElem,
     build_koszul_dg,
@@ -15,8 +15,6 @@ from dgdim.dg import (
     build_split_trivial_extension,
     build_trivial_extension,
     cone_dg,
-    coreduce_dg_module,
-    dg_module_from_h0_module,
     direct_sum_dg,
     factor_residue_module,
     free_dg_module,
@@ -26,7 +24,6 @@ from dgdim.dg import (
     multiplication_map,
     product_dg,
     product_koszul_module,
-    reduce_dg_module,
     reduce_to_h0,
     residue_dg_module,
     semifree_resolution,
@@ -257,10 +254,10 @@ def test_residue_tower_over_dual_numbers():
     for c in range(trust, 1):
         assert F.component(c).rank == 1
     for c in range(trust, 0):
-        entry = F.differential(c).entries[0][0]
+        entry = F.differential(c).cols[0][0]
         assert entry.degree() == 1 and len(entry.terms) == 1
     x = A.base.variables()[0]
-    assert F.differential(-1).entries[0][0] in (x, -x)
+    assert F.differential(-1).cols[0][0] in (x, -x)
 
 
 def test_stage_positions_strictly_decrease():
@@ -272,13 +269,11 @@ def test_stage_positions_strictly_decrease():
 
 
 def test_h0_module_encoding_round_trip():
-    """k over H^0(K(k[x,y]; x,xy)) = k[y], resolved over the DG-ring: Tor
-    appears in even degrees with internal twists 0, 2, 4."""
+    """The residue field k, an H^0-module over H^0(K(k[x,y]; x,xy)) = k[y],
+    resolved over the DG-ring: Tor appears in even degrees with internal
+    twists 0, 2, 4."""
     A = koszul_xy()
-    h0 = A.h0_ring()
-    Mk = GradedModule.cyclic(h0, h0.variables())
-    Md = dg_module_from_h0_module(A, Mk)
-    res = semifree_resolution(Md, window_lo=-6)
+    res = semifree_resolution(residue_dg_module(A), window_lo=-6)
     F = prune_complex(reduce_to_h0(res.sf))
     trust = F.known_lo + 1 if F.known_lo is not None else -6
     got = {}
@@ -303,7 +298,7 @@ def test_truncation_markers_propagate_to_hom():
 
 def test_reduce_free_module_is_h0():
     A = koszul_xy()
-    F = reduce_dg_module(free_over(A))
+    F = reduce_to_h0(semifree_resolution(free_over(A)).sf)
     Fp = prune_complex(F)
     assert Fp.support() == [0]
     assert Fp.component(0).rank == 1
@@ -313,7 +308,7 @@ def test_reduce_preserves_sup():
     A = koszul_xy()
     _, y = A.base.variables()
     for M in (koszul_dg_module(A, [y]), shift_dg(free_over(A), 2)):
-        F = prune_complex(reduce_dg_module(M, window_lo=-6))
+        F = prune_complex(reduce_to_h0(semifree_resolution(M, window_lo=-6).sf))
         sup_f = max(
             (c for c in F.support() if not cohomology_data(F, c).is_zero()),
             default=None,
@@ -325,7 +320,8 @@ def test_coreduce_preserves_inf():
     A = koszul_xy()
     _, y = A.base.variables()
     M = koszul_dg_module(A, [y])
-    H = coreduce_dg_module(M, window_lo=-6)
+    res = semifree_resolution(h0_cyclic_dg_module(A), window_lo=-6)
+    H = hom_semifree_into_dg(res.sf, M)
     assert M.inf_h() == -1
     assert H.cohomology(-1).is_zero() is False
     for c in range(-4, -1):
@@ -334,7 +330,8 @@ def test_coreduce_preserves_inf():
 
 def test_coreduce_of_ring_module_is_h0():
     A = build_ring_dg(ring_xy())
-    H = coreduce_dg_module(free_over(A))
+    res = semifree_resolution(h0_cyclic_dg_module(A))
+    H = hom_semifree_into_dg(res.sf, free_over(A))
     data = H.cohomology(0)
     assert data.generator_degrees == (0,)
     for c in (-2, -1, 1):

@@ -268,6 +268,28 @@ def test_sequential_depth_memo_matches_a_fresh_search(make, field):
     assert again.to_json() == first.to_json()
 
 
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize(
+    "make, amp", [(ring_xy, 0), (koszul_xy, 1), (koszul_xyz, 1), (golod_xy, 0)]
+)
+def test_ring_amplitude_memo_matches_a_fresh_ring(monkeypatch, make, amp, field):
+    """amp(A) is computed once and kept on the DG-ring: a second call builds
+    no free module, and a fresh ring of the same data computes it anew and
+    gets the same value."""
+    A = make(field)
+    assert ring_amplitude(A) == amp
+    builds = [0]
+    inner = dimensions_module.free_dg_module
+
+    def counted(*args, **kwargs):
+        builds[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(dimensions_module, "free_dg_module", counted)
+    assert ring_amplitude(A) == amp and builds[0] == 0
+    assert ring_amplitude(make(field)) == amp and builds[0] == 1
+
+
 def test_sequential_depth_rejects_products():
     with pytest.raises(ValueError):
         sequential_depth(split_product())

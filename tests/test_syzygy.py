@@ -22,6 +22,11 @@ from dgdim.core.poly import Poly
 from dgdim.corpus import redundant_presentation, standard_families
 
 
+def _sparse(col):
+    """A dense column as a sparse one: its nonzero entries by row."""
+    return {i: p for i, p in enumerate(col) if p}
+
+
 def _kernel_dim(M, t):
     return M.kernel_dim_in_degree(t)
 
@@ -41,16 +46,16 @@ def test_syzygy_of_x_xy_over_polynomial_ring():
     R = make_graded_ring("Q", {"x": 1, "y": 1})
     F0 = GradedFreeModule(R, (0,))
     F1 = GradedFreeModule(R, (1, 2))
-    M = GradedMatrix(F0, F1, [[R.parse("x"), R.parse("x*y")]])
+    M = GradedMatrix(F0, F1, [{0: R.parse("x")}, {0: R.parse("x*y")}])
     S = syzygy_matrix(M)
     # the kernel is generated by a single column proportional to (-y, 1)
     assert S.source.rank >= 1
     _assert_syzygies_complete(M)
     eng = SyzygyEngine(S)
-    target_col = [R.parse("-y"), R.parse("1")]
+    target_col = {0: R.parse("-y"), 1: R.parse("1")}
     assert eng.contains(target_col) or SyzygyEngine(
         GradedMatrix.from_columns(F1, [2], [target_col])
-    ).contains(S.column(0))
+    ).contains(S.cols[0])
 
 
 def test_syzygy_over_quotient_ring():
@@ -58,24 +63,24 @@ def test_syzygy_over_quotient_ring():
     R = make_graded_ring("Q", {"x": 1, "y": 1}, ["x*y"])
     F0 = GradedFreeModule(R, (0,))
     F1 = GradedFreeModule(R, (1,))
-    M = GradedMatrix(F0, F1, [[R.parse("x")]])
+    M = GradedMatrix(F0, F1, [{0: R.parse("x")}])
     S = syzygy_matrix(M)
     _assert_syzygies_complete(M)
     # kernel generated by y (in degree 2 of the twisted source)
     eng = SyzygyEngine(S)
-    assert eng.contains([R.parse("y")])
+    assert eng.contains({0: R.parse("y")})
 
 
 def test_syzygy_of_maximal_ideal_koszul():
     R = make_graded_ring("Q", {"x": 1, "y": 1})
     F0 = GradedFreeModule(R, (0,))
     F1 = GradedFreeModule(R, (1, 1))
-    M = GradedMatrix(F0, F1, [[R.parse("x"), R.parse("y")]])
+    M = GradedMatrix(F0, F1, [{0: R.parse("x")}, {0: R.parse("y")}])
     S = syzygy_matrix(M)
     _assert_syzygies_complete(M)
     # Koszul syzygy (-y, x)
     eng = SyzygyEngine(S)
-    assert eng.contains([R.parse("-y"), R.parse("x")])
+    assert eng.contains({0: R.parse("-y"), 1: R.parse("x")})
 
 
 def test_syzygy_periodic_quotient():
@@ -83,7 +88,7 @@ def test_syzygy_periodic_quotient():
     R = make_graded_ring("Q", {"x": 1}, ["x^2"])
     F0 = GradedFreeModule(R, (0,))
     F1 = GradedFreeModule(R, (1,))
-    M = GradedMatrix(F0, F1, [[R.parse("x")]])
+    M = GradedMatrix(F0, F1, [{0: R.parse("x")}])
     _assert_syzygies_complete(M)
 
 
@@ -103,7 +108,7 @@ def test_randomized_syzygy_completeness():
                 choices = [p for p in pool if p == "0" or R.ambient.parse(p).degree() == deg]
                 row.append(R.parse(rng.choice(choices)))
             entries.append(row)
-        M = GradedMatrix(tgt, src, entries)
+        M = GradedMatrix(tgt, src, [dict(enumerate(col)) for col in zip(*entries)])
         _assert_syzygies_complete(M, through_degree=5)
 
 
@@ -111,23 +116,23 @@ def test_division_over_quotient():
     R = make_graded_ring("Q", {"x": 1, "y": 1}, ["x^2"])
     F0 = GradedFreeModule(R, (0,))
     F1 = GradedFreeModule(R, (1, 2))
-    M = GradedMatrix(F0, F1, [[R.parse("x"), R.parse("y^2")]])
+    M = GradedMatrix(F0, F1, [{0: R.parse("x")}, {0: R.parse("y^2")}])
     eng = SyzygyEngine(M)
-    q = eng.divide([R.parse("x*y + y^3 + x*y^2")])
+    q = eng.divide({0: R.parse("x*y + y^3 + x*y^2")})
     assert q is not None
     got = M.apply_to_vector(q)
-    assert got[0] == R.parse("x*y + y^3 + x*y^2")
-    assert eng.divide([R.parse("y")]) is None
+    assert got == {0: R.parse("x*y + y^3 + x*y^2")}
+    assert eng.divide({0: R.parse("y")}) is None
 
 
 def test_minimal_presentation_drops_redundant_relation():
     R = make_graded_ring("Q", {"x": 1, "y": 1})
     F0 = GradedFreeModule(R, (0,))
     F1 = GradedFreeModule(R, (1, 2))
-    M = GradedMatrix(F0, F1, [[R.parse("x"), R.parse("x*y")]])
+    M = GradedMatrix(F0, F1, [{0: R.parse("x")}, {0: R.parse("x*y")}])
     mp = minimal_presentation(M)
     assert mp.matrix.source.rank == 1
-    assert str(mp.matrix.entries[0][0]) == "x"
+    assert str(mp.matrix.cols[0][0]) == "x"
 
 
 def test_minimal_presentation_kills_unit_entries():
@@ -138,12 +143,12 @@ def test_minimal_presentation_kills_unit_entries():
     M = GradedMatrix(
         F0,
         F1,
-        [[R.parse("1"), R.parse("x")], [R.parse("0"), R.parse("y")]],
+        [{0: R.parse("1"), 1: R.parse("0")}, {0: R.parse("x"), 1: R.parse("y")}],
     )
     mp = minimal_presentation(M)
     assert mp.matrix.target.rank == 1
     assert mp.matrix.source.rank == 1
-    assert str(mp.matrix.entries[0][0]) == "y"
+    assert str(mp.matrix.cols[0][0]) == "y"
     # hilbert functions agree with the original cokernel through degree 6
     for t in range(7):
         assert mp.matrix.coker_dim_in_degree(t) == M.coker_dim_in_degree(t)
@@ -154,7 +159,7 @@ def test_minimal_presentation_expressions_track_dropped_generators():
     F0 = GradedFreeModule(R, (0, 1))
     F1 = GradedFreeModule(R, (1,))
     # g0 has relation none; g1 = x*g0 via column (x, -1)... encoded:
-    M = GradedMatrix(F0, F1, [[R.parse("x")], [R.parse("-1")]])
+    M = GradedMatrix(F0, F1, [{0: R.parse("x"), 1: R.parse("-1")}])
     mp = minimal_presentation(M)
     assert mp.survivors == [0]
     # g1 = x * g0
@@ -168,11 +173,11 @@ def test_mutually_redundant_columns_are_not_both_dropped():
     # careless irredundancy pass discards both.  Two generators must survive.
     A = make_graded_ring("Q", {"x": 1, "y": 1}, ["x^2*y"])
     tgt = GradedFreeModule(A, (0,))
-    M = GradedMatrix.from_columns(tgt, [1, 3], [[A.parse("y")], [A.parse("x^3")]])
+    M = GradedMatrix.from_columns(tgt, [1, 3], [{0: A.parse("y")}, {0: A.parse("x^3")}])
     S = SyzygyEngine(M).syzygy_matrix()
     mp = minimal_presentation(S)
     assert mp.matrix.source.rank == 2
-    cols = [[str(p) for p in mp.matrix.column(j)] for j in range(2)]
+    cols = [[str(col.get(i, "0")) for i in range(2)] for col in mp.matrix.cols]
     assert ["x^2", "0"] in cols
     # the second minimal generator is (0, y) up to adding multiples of the first
     others = [c for c in cols if c != ["x^2", "0"]]
@@ -251,7 +256,7 @@ def _recorded_pass(monkeypatch, M):
 
     def record(target, cols, col_deg):
         kept = inner(target, cols, col_deg)
-        seen.append((target, [list(c) for c in cols], list(col_deg), kept))
+        seen.append((target, [dict(c) for c in cols], list(col_deg), kept))
         return kept
 
     monkeypatch.setattr(module_mod, "_irredundant_columns", record)
@@ -266,7 +271,7 @@ def test_minimal_presentation_keeps_the_probe_rule_columns(monkeypatch, field):
     for M in _presentations(field):
         mp, (target, cols, col_deg, kept) = _recorded_pass(monkeypatch, M)
         assert kept == _probe_rule(target, cols, col_deg)
-        assert mp.matrix.columns() == [cols[t] for t in kept]
+        assert list(mp.matrix.cols) == [cols[t] for t in kept]
         assert list(mp.matrix.source.degrees) == [col_deg[t] for t in kept]
 
 
@@ -281,11 +286,29 @@ def test_minimal_presentation_is_degreewise_irredundant(monkeypatch, field):
             assert K.rank_in_degree(t) == full.rank_in_degree(t), "degree %d" % t
             assert K.coker_dim_in_degree(t) == M.coker_dim_in_degree(t), "degree %d" % t
         for j, d in enumerate(K.source.degrees):
-            others = [c for i, c in enumerate(K.columns()) if i != j]
+            others = [c for i, c in enumerate(K.cols) if i != j]
             degs = [e for i, e in enumerate(K.source.degrees) if i != j]
             less = GradedMatrix.from_columns(K.target, degs, others)
             assert less.rank_in_degree(d) < K.rank_in_degree(d), "column %d" % j
         assert K.min_entry_degree_is_positive()
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_syzygy_columns_sorted_by_degree_then_dense_terms(field):
+    """syzygy_matrix orders its columns by degree, then by the tuple of
+    terms_key over every source position, zero entries included; its
+    sparse sort key must give exactly this order."""
+    seen = 0
+    for M in _presentations(field):
+        S = syzygy_matrix(M)
+        zero = M.ring.zero()
+        keys = [
+            (d, tuple(col.get(i, zero).terms_key() for i in range(S.target.rank)))
+            for col, d in zip(S.cols, S.source.degrees)
+        ]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        seen += len(keys) > 1
+    assert seen > 5
 
 
 # ---------- field_rank and rank_in_degree against dense elimination ----------
@@ -365,7 +388,7 @@ def test_degreewise_ranks_match_dense_elimination(field):
 def test_minimal_presentation_builds_no_module_groebner_basis(monkeypatch):
     A = make_graded_ring("Q", {"x": 1, "y": 1}, ["x^2*y"])
     tgt = GradedFreeModule(A, (0,))
-    M = GradedMatrix.from_columns(tgt, [1, 3], [[A.parse("y")], [A.parse("x^3")]])
+    M = GradedMatrix.from_columns(tgt, [1, 3], [{0: A.parse("y")}, {0: A.parse("x^3")}])
     S = SyzygyEngine(M).syzygy_matrix()
     base = GradedModule.cyclic(A, [A.parse("x^2"), A.parse("x*y")])
     padded = redundant_presentation(base, random.Random(3)).presentation
@@ -387,17 +410,18 @@ def test_syzygy_cache_keys_on_terms_in_any_order(monkeypatch, field):
     A = make_graded_ring(field, {"x": 1, "y": 1, "z": 1}, ["x^2*y"])
     tgt = GradedFreeModule(A, (0,))
     src = GradedFreeModule(A, (1, 1, 2))
-    M = GradedMatrix(tgt, src, [[
-        A.parse("x + 2*y - z"),
-        A.parse("3*x - y + 1/2*z"),
-        A.parse("x*z + y^2 - 7/3*z^2"),
-    ]])
-    reversed_rows = [
-        [Poly(e.ring, dict(reversed(list(e.terms.items())))) for e in row]
-        for row in M.entries
+    M = GradedMatrix(tgt, src, [
+        {0: A.parse("x + 2*y - z")},
+        {0: A.parse("3*x - y + 1/2*z")},
+        {0: A.parse("x*z + y^2 - 7/3*z^2")},
+    ])
+    reversed_cols = [
+        {i: Poly(e.ring, dict(reversed(list(e.terms.items())))) for i, e in col.items()}
+        for col in M.cols
     ]
-    M2 = GradedMatrix(tgt, src, reversed_rows, normalize=False)
-    pairs = [(e, e2) for row, row2 in zip(M.entries, M2.entries) for e, e2 in zip(row, row2)]
+    M2 = GradedMatrix(tgt, src, reversed_cols, normalize=False)
+    assert [list(col) for col in M.cols] == [list(col) for col in M2.cols] == [[0]] * 3
+    pairs = [(col[i], col2[i]) for col, col2 in zip(M.cols, M2.cols) for i in col]
     assert all(e == e2 for e, e2 in pairs)
     assert any(list(e.terms) != list(e2.terms) for e, e2 in pairs)
     builds = [0]
@@ -414,17 +438,13 @@ def test_syzygy_cache_keys_on_terms_in_any_order(monkeypatch, field):
     assert builds[0] == 1
     assert S2 is S  # the engine computes its syzygy matrix once
     assert S2.source.degrees == S.source.degrees
-    assert [S2.column(j) for j in range(S2.source.rank)] == [
-        S.column(j) for j in range(S.source.rank)
-    ]
+    assert S2.cols == S.cols
     assert M.compose(S).is_zero() and S.source.rank > 0
     # a fresh cache builds a fresh engine with the same answer
     monkeypatch.setattr(syz_mod, "_syz_cache", {})
     S3 = syzygy_matrix(M2)
     assert builds[0] == 2 and S3 is not S
-    assert [S3.column(j) for j in range(S3.source.rank)] == [
-        S.column(j) for j in range(S.source.rank)
-    ]
+    assert S3.cols == S.cols
 
 
 # ---------- the module Groebner engine: completeness, closure, two fields ----------
@@ -453,7 +473,9 @@ def _lifted_matrices(field):
                 col.append(R.mul(e, xs[c % len(xs)]) if c % 2 else e)
             cols.append(col)
         tgt = GradedFreeModule(R, (0,) * n)
-        out.append(GradedMatrix.from_columns(tgt, [1 + c % 2 for c in range(m)], cols))
+        out.append(GradedMatrix.from_columns(
+            tgt, [1 + c % 2 for c in range(m)], [_sparse(col) for col in cols]
+        ))
     return out
 
 
@@ -534,7 +556,9 @@ def _integer_modules(field):
                             e = e + R.ambient.monomial(mono, R.field.from_int(c))
                     col.append(e)
                 cols.append(col)
-            P = GradedMatrix.from_columns(GradedFreeModule(R, tuple(tgt)), degs, cols)
+            P = GradedMatrix.from_columns(
+                GradedFreeModule(R, tuple(tgt)), degs, [_sparse(col) for col in cols]
+            )
             out.append(GradedModule(P))
     return out
 
