@@ -73,8 +73,8 @@ class GradedMatrix:
 
     cols[j] is the image of the j-th source generator: a dict {row index:
     entry} holding the nonzero entries only, each a normal form.  The
-    dicts are shared between matrices (twist, block_diagonal) and are
-    never changed once the matrix is built.
+    dicts may be shared between matrices (twist, _hstack) and are never
+    changed once the matrix is built.
     """
 
     __slots__ = ("ring", "target", "source", "cols")
@@ -148,10 +148,7 @@ class GradedMatrix:
         cols: List[Column] = []
         top = 0
         for b in blocks:
-            if top:
-                cols.extend({i + top: e for i, e in col.items()} for col in b.cols)
-            else:
-                cols.extend(b.cols)
+            cols.extend({i + top: e for i, e in col.items()} for col in b.cols)
             top += b.target.rank
         source = GradedFreeModule(
             target.ring, [d for b in blocks for d in b.source.degrees]

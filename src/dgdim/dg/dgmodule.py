@@ -409,7 +409,6 @@ class DGMap:
         """Slot matrix of the map on cohomological degree c."""
         src = self.source
         tgt = self.target
-        R = src.A.base
         src_list = src.slots_by_degree().get(c, [])
         tgt_list = tgt.slots_by_degree().get(c, [])
         src_cover = src.underlying().cover(c)
