@@ -376,7 +376,6 @@ def _check_hochschild(opts) -> Tuple[bool, dict]:
 def _scenario_doc() -> dict:
     return {
         "schema": "dgdim-scenario/1",
-        "options": {"seed": 0},
         "rings": {"R": {"variables": ["x", "y"]}},
         "dg_rings": {"A": {"kind": "koszul", "base": "R",
                            "elements": ["x", "x*y"]}},

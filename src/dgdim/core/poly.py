@@ -11,7 +11,7 @@ import operator
 import re
 from typing import Iterable, Optional
 
-from .scalars import Field, field_from_tag
+from .scalars import Field
 
 Monomial = tuple  # tuple[int, ...], one exponent per variable
 
@@ -322,11 +322,3 @@ def _parse_term(ring: PolyRing, sign: str, body: str, ctx: str) -> Poly:
     if sign == "-":
         coeff = f.neg(coeff)
     return ring.monomial(tuple(expo), coeff)
-
-
-def poly_ring_from_json(data: dict) -> PolyRing:
-    """{'field': tag, 'variables': [{'name':…, 'degree':…}, …]} -> PolyRing."""
-    field = field_from_tag(data["field"])
-    names = [v["name"] for v in data["variables"]]
-    degrees = [v.get("degree", 1) for v in data["variables"]]
-    return PolyRing(field, names, degrees)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from .poly import Monomial, Poly, PolyRing, poly_ring_from_json
+from .poly import Monomial, Poly, PolyRing
 from .scalars import field_from_tag
 from .syz import ModuleGB
 
@@ -246,18 +246,6 @@ class GradedRing:
         rel = ", ".join(str(g) for g in self.gb)
         return "GradedRing(%r mod [%s])" % (self.ambient, rel)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "field": self.field.tag,
-            "variables": [
-                {"name": n, "degree": d}
-                for n, d in zip(self.ambient.names, self.ambient.degrees)
-            ],
-            "relations": [str(r) for r in self.relations],
-        }
-
 
 def make_graded_ring(field, variables, relations: Iterable[str] = ()) -> GradedRing:
     """Build k[x..]/J from a field (or tag), name->degree data and relation strings.
@@ -275,10 +263,4 @@ def make_graded_ring(field, variables, relations: Iterable[str] = ()) -> GradedR
         ]
     ambient = PolyRing(field, [n for n, _ in items], [d for _, d in items])
     rels = [ambient.parse(s) for s in relations]
-    return GradedRing(ambient, rels)
-
-
-def graded_ring_from_json(data: dict) -> GradedRing:
-    ambient = poly_ring_from_json(data)
-    rels = [ambient.parse(s) for s in data.get("relations", [])]
     return GradedRing(ambient, rels)

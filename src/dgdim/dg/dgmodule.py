@@ -340,10 +340,11 @@ def free_dg_module(
 
 
 def h0_cyclic_dg_module(
-    A: DGRing, rels: Sequence[Poly] = (), twist: int = 0, label: str = ""
+    A: DGRing, rels: Sequence[Poly] = (), label: str = ""
 ) -> DGModule:
-    """Cyclic H^0(A)-module, restricted to A along the augmentation."""
-    gens = [DGGen(0, twist, "h0", rels=tuple(rels))]
+    """Cyclic H^0(A)-module on one generator at cohomological degree 0 and
+    internal degree 0, restricted to A along the augmentation."""
+    gens = [DGGen(0, 0, "h0", rels=tuple(rels))]
     return DGModule(A, gens, {}, check=False, label=label)
 
 

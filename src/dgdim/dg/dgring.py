@@ -17,8 +17,8 @@ basis symbol -> polynomial, the polynomial kept in normal form of the
 slot's ring.
 
 DG-rings, like their base rings, are immutable once built; the derived
-invariants memoized on a DGRing (its sequential depth, the resolutions of
-its residue field) rely on that.
+invariants memoized on a DGRing (its amplitude, sequential depth and
+Gorenstein test, the resolutions of its residue field) rely on that.
 """
 from __future__ import annotations
 
@@ -59,11 +59,12 @@ class DGRing:
             raise ValueError("basis must contain the unit symbol '1'")
         self._slot_rings: Dict[str, GradedRing] = {}
         self._h0: Optional[GradedRing] = None
-        # memos of dimensions.py: ring_amplitude(A), sequential_depth(A) with
-        # the default pool, and the residue-field resolution of bass_numbers
+        # memos of dimensions.py: ring_amplitude(A), sequential_depth(A),
+        # is_gorenstein(A), and the residue-field resolution of bass_numbers
         # by window floor
         self._amplitude = None
         self._depth = None
+        self._gorenstein = None
         self._residue_resolutions: dict = {}
 
     # -- structure ---------------------------------------------------------
@@ -127,22 +128,6 @@ class DGRing:
 
     def __repr__(self):
         return "DGRing(%s over %r)" % (self.label, self.base)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "base": self.base.to_json(),
-            "basis": [
-                {
-                    "symbol": s,
-                    "cohdeg": self.cohdeg[s],
-                    "twist": self.twist[s],
-                    "slot_relations": [str(p) for p in self.slot_extra.get(s, ())],
-                }
-                for s in self.basis
-            ],
-            "h0_relations": [str(p) for p in self.h0_extra],
-        }
 
     # -- axioms (exercised by the test-suite, not on every construction) ----
 
@@ -453,8 +438,6 @@ class ProductDGRing:
     def __repr__(self):
         return "ProductDGRing(%s)" % (self.label,)
 
-    def to_json(self) -> dict:
-        return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
 
 
 def product_dg(factors: Sequence[DGRing]) -> ProductDGRing:

@@ -86,20 +86,6 @@ class ProductDGModule:
     def is_acyclic(self) -> bool:
         return all(p.is_acyclic() for p in self.parts)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "product-module",
-            "parts": [
-                {
-                    "generators": [
-                        {"cohdeg": g.cohdeg, "twist": g.twist, "kind": g.kind}
-                        for g in p.gens
-                    ]
-                }
-                for p in self.parts
-            ],
-        }
-
 
 def product_module(
     ring: ProductDGRing, parts: Sequence[DGModule]

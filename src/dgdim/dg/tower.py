@@ -12,7 +12,7 @@ and matches the input from s-k+2 up.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..complexes import FreeComplex
 from ..core.freemod import GradedFreeModule, GradedMatrix
@@ -47,16 +47,6 @@ class SemifreeResolution:
         self.stages = stages
         self.terminated = terminated
 
-    def to_json(self) -> dict:
-        return {
-            "terminated": self.terminated,
-            "stages": [
-                {"position": st["position"], "twists": list(st["twists"])}
-                for st in self.stages
-            ],
-            "known_lo": self.sf.known_lo,
-        }
-
 
 def _no_cohomology_below(N: DGModule, floor: int) -> bool:
     """True when H(N) vanishes at every slot degree strictly below floor.
@@ -74,33 +64,15 @@ def _no_cohomology_below(N: DGModule, floor: int) -> bool:
     return True
 
 
-class SppjStage:
-    """One cover-and-cone step: a free module P covering the top cohomology
-    of M, the covering map, and the cone of that map (whose cohomology at
-    the covered degree is gone, surjectivity of H(f) there being exactly
-    how the cover was chosen)."""
-
-    __slots__ = ("position", "cover", "map", "cone", "twists")
-
-    def __init__(self, position, cover, map, cone, twists):
-        self.position = position
-        self.cover = cover
-        self.map = map
-        self.cone = cone
-        self.twists = twists
-
-    def to_json(self) -> dict:
-        return {
-            "position": self.position,
-            "twists": list(self.twists),
-            "cover-rank": len(self.cover.gens),
-        }
-
-
-def _stage(M: DGModule, floor: Optional[int]) -> Optional[SppjStage]:
-    """The stage covering the top nonzero certified H^s(M) with s >= floor,
-    one free generator per minimal generator of H^s(M); None when there is
-    no such s (certification cut, slot support and floor combined)."""
+def _stage(
+    M: DGModule, floor: Optional[int]
+) -> Optional[Tuple[int, DGModule, Tuple[int, ...]]]:
+    """Cover the top nonzero certified H^s(M) with s >= floor by a free
+    module P, one generator per minimal generator of H^s(M), and return
+    (s, cone of P -> M, twists of P).  The cone has no cohomology at s,
+    surjectivity of H(P) -> H(M) there being how the cover was chosen.
+    None when there is no such s (certification cut, slot support and floor
+    combined)."""
     hi = M.max_slot_cohdeg()
     if hi is None:
         return None
@@ -130,26 +102,14 @@ def _stage(M: DGModule, floor: Optional[int]) -> Optional[SppjStage]:
                 row[i] = AElem(A, {sym: p})
         if row:
             entries[t] = row
-    f = DGMap(P, M, entries, check=False)
-    return SppjStage(s, P, f, cone_dg(f, check=False), tuple(data.generator_degrees))
-
-
-def sppj_step(M: DGModule, floor: Optional[int] = None) -> SppjStage:
-    """Cover the top certified cohomology of M by a finite free module.
-
-    Raises ValueError when no certified cohomology remains at or above
-    floor (nothing to cover)."""
-    stage = _stage(M, floor)
-    if stage is None:
-        raise ValueError("no certified cohomology at or above the floor")
-    return stage
+    cone = cone_dg(DGMap(P, M, entries, check=False), check=False)
+    return s, cone, tuple(data.generator_degrees)
 
 
 def semifree_resolution(
     M: DGModule,
     window_lo: Optional[int] = None,
     max_stages: Optional[int] = None,
-    certify: bool = True,
 ) -> SemifreeResolution:
     """Resolve M by a semifree DG-module, faithfully above window_lo.
 
@@ -185,13 +145,14 @@ def semifree_resolution(
             raise RuntimeError(
                 "semifree tower did not stabilize after %d stages" % k
             )
-        N = shift_dg(stage.cone, -1)  # the cocone of the covering map
+        position, cone, twists = stage
+        N = shift_dg(cone, -1)  # the cocone of the covering map
         k += 1
-        pos = stage.position - (k - 1)
+        pos = position - (k - 1)
         if prev_pos is not None and pos >= prev_pos:
             raise AssertionError("stage positions failed to decrease")
         prev_pos = pos
-        stages.append({"position": pos, "twists": stage.twists})
+        stages.append({"position": pos, "twists": twists})
     # extract the free block and shift it back to the source's frame
     total = len(N.gens)
     sf_gens = [N.gens[t].shifted(k - 1) for t in range(m, total)]
@@ -237,8 +198,7 @@ def semifree_resolution(
         lo_sf = cand if lo_sf is None else max(lo_sf, cand)
         terminated = False
     sf = DGModule(A, sf_gens, sf_diff, known_lo=lo_sf, check=False)
-    if certify:
-        sf.underlying().validate()
+    sf.underlying().validate()
     return SemifreeResolution(sf, M, glue, stages, terminated)
 
 

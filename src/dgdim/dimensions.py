@@ -40,7 +40,6 @@ from .dg import (
     cone_dg,
     free_dg_module,
     hom_semifree_into_dg,
-    koszul_dg_module,
     multiplication_map,
     reduce_to_h0,
     residue_dg_module,
@@ -376,16 +375,6 @@ def inj_dim(M: AnyModule) -> DimensionReport:
 # ---------- regular sequences and depth ----------
 
 
-def koszul_on_module(M: DGModule, elements: Sequence) -> DGModule:
-    """K(A; elements) (x)_A M: iterated cones of multiplication on M."""
-    out = M
-    for a in elements:
-        p = a if isinstance(a, Poly) else M.A.base.parse(str(a))
-        p = M.A.base.normal_form(p)
-        out = cone_dg(multiplication_map(out, p), check=False)
-    return out
-
-
 @dataclass
 class RegSeqReport:
     regular: bool
@@ -393,15 +382,6 @@ class RegSeqReport:
     first_failure: Optional[int]
     base_inf: Optional[int]
     koszul_infs: List[Optional[int]]
-
-    def to_json(self) -> dict:
-        return {
-            "regular": self.regular,
-            "length": self.length,
-            "first-failure": self.first_failure,
-            "base-inf": self.base_inf,
-            "koszul-infs": self.koszul_infs,
-        }
 
 
 def is_regular_sequence(A: AnyRing, elements: Sequence) -> RegSeqReport:
@@ -435,28 +415,24 @@ def is_regular_sequence(A: AnyRing, elements: Sequence) -> RegSeqReport:
         q = A.base.normal_form(p)
         if not q.is_zero() and q.degree() == 0:
             raise ValueError("the sequence generates the unit ideal")
-    target = ring_inf(A)
-    infs: List[Optional[int]] = []
-    for t in range(1, len(elements) + 1):
-        K = koszul_dg_module(A, list(elements[:t]), check=False)
-        val = K.inf_h()
-        infs.append(val)
-        if val != target:
-            return RegSeqReport(False, len(elements), t - 1, target, infs)
-    return RegSeqReport(True, len(elements), None, target, infs)
+    return module_sequence_regular(free_dg_module(A, [(0, 0)]), elements)
 
 
 def module_sequence_regular(M: DGModule, elements: Sequence) -> RegSeqReport:
     """Same criterion against a module: inf(K(A;a) (x) M) must stay at
-    inf(M) for every prefix."""
+    inf(M) for every prefix.  Each prefix is the cone of multiplication by
+    its last element on the one before it."""
+    base = M.A.base
     target = M.inf_h()
     infs: List[Optional[int]] = []
-    for t in range(1, len(elements) + 1):
-        K = koszul_on_module(M, list(elements[:t]))
+    K = M
+    for t, a in enumerate(elements):
+        p = a if isinstance(a, Poly) else base.parse(str(a))
+        K = cone_dg(multiplication_map(K, base.normal_form(p)), check=False)
         val = K.inf_h()
         infs.append(val)
         if val != target:
-            return RegSeqReport(False, len(elements), t - 1, target, infs)
+            return RegSeqReport(False, len(elements), t, target, infs)
     return RegSeqReport(True, len(elements), None, target, infs)
 
 
@@ -507,9 +483,7 @@ class DepthReport:
         }
 
 
-def sequential_depth(
-    X: Union[AnyRing, DGModule], pool: Optional[Sequence[Poly]] = None
-) -> DepthReport:
+def sequential_depth(X: Union[AnyRing, DGModule]) -> DepthReport:
     """Longest regular sequence from the degree-<=2 pool, by depth-first
     search with prefix pruning (every prefix of a regular sequence is
     regular, so dead prefixes cut the tree).
@@ -517,23 +491,18 @@ def sequential_depth(
     The search is exhaustive over the pool; maximality beyond the pool is
     not claimed, which is what the exhaustive flag records.  The value is
     capped by dim H^0(A), so the search stops early when it gets there.
-    The depth of a DG-ring over the default pool is memoized on the ring;
-    the report is shared, so callers must not change it.
+    The depth of a DG-ring is memoized on the ring; the report is shared,
+    so callers must not change it.
     """
     if isinstance(X, (DGRing, ProductDGRing)):
         _connected(X, "sequential depth")
-        if pool is None:
-            if X._depth is None:
-                X._depth = sequential_depth(free_dg_module(X, [(0, 0)]))
-            return X._depth
-        A = X
-        M = free_dg_module(A, [(0, 0)])
-    else:
-        M = X
-        A = M.A
-        _connected(A, "sequential depth")
-    if pool is None:
-        pool = default_sequence_pool(A)
+        if X._depth is None:
+            X._depth = sequential_depth(free_dg_module(X, [(0, 0)]))
+        return X._depth
+    M = X
+    A = M.A
+    _connected(A, "sequential depth")
+    pool = default_sequence_pool(A)
     cap = max(A.dimension(), 0)
     target = M.inf_h()
     best: List[Poly] = []
@@ -582,13 +551,6 @@ class LocalCohomologyReport:
     amplitude: int
     degrees: List[int]
     route: str
-
-    def to_json(self) -> dict:
-        return {
-            "amplitude": self.amplitude,
-            "degrees": self.degrees,
-            "route": self.route,
-        }
 
 
 def _ambient_dg_module(X: DGModule, P_ring: GradedRing) -> DGModule:
@@ -683,7 +645,6 @@ def is_local_cohen_macaulay(A: AnyRing) -> bool:
 class DualizingReport:
     module: DGModule
     shift: int
-    twist: int
     normalized_inf: int
     injdim: DimensionReport
     biduality_ok: bool
@@ -693,41 +654,25 @@ class DualizingReport:
         """Self-injective dimension of A itself, undoing the normalization."""
         return self.injdim.value + self.shift
 
-    def to_json(self) -> dict:
-        return {
-            "shift": self.shift,
-            "twist": self.twist,
-            "normalized-inf": self.normalized_inf,
-            "injdim": self.injdim.to_json(),
-            "injdim-unshifted": self.injdim_unshifted,
-            "biduality": self.biduality_ok,
-        }
-
-
-_gorenstein_cache: dict = {}
-
 
 def is_gorenstein(A: AnyRing) -> bool:
     """Finite injective dimension over itself; componentwise over products.
 
-    Memoized by the ring's structural key: the Bass scan behind a negative
-    answer walks an infinite minimal resolution to its cutoff, which is far
-    too slow to repeat."""
+    Memoized on a connected DG-ring: the Bass scan behind a negative answer
+    walks an infinite minimal resolution to its cutoff, which is far too
+    slow to repeat."""
     if isinstance(A, ProductDGRing):
         return all(is_gorenstein(f) for f in A.factors)
-    key = A.key()
-    hit = _gorenstein_cache.get(key)
-    if hit is None:
-        hit = inj_dim(free_dg_module(A, [(0, 0)])).finite
-        _gorenstein_cache[key] = hit
-    return hit
+    if A._gorenstein is None:
+        A._gorenstein = inj_dim(free_dg_module(A, [(0, 0)])).finite
+    return A._gorenstein
 
 
 def dualizing_dg_module(A: AnyRing) -> DualizingReport:
     """A shifted copy of A as the dualizing module, for DG-rings of finite
-    self-injective dimension; normalized so inf(R) = -dim H^0(A), with the
-    internal twist recorded separately (zero here: the graded structure
-    plays no role in the normalization).
+    self-injective dimension; normalized so inf(R) = -dim H^0(A).  The
+    internal twist stays zero: the graded structure plays no role in the
+    normalization.
     """
     _connected(A, "dualizing module construction")
     if not is_gorenstein(A):
@@ -751,7 +696,6 @@ def dualizing_dg_module(A: AnyRing) -> DualizingReport:
     return DualizingReport(
         module=R,
         shift=s,
-        twist=0,
         normalized_inf=R.inf_h(),
         injdim=inj,
         biduality_ok=ok,

@@ -9,7 +9,7 @@ are reported as certified intervals
     dim H0(A) - amp(A)  <=  FPD(A)  <=  dim H0(A)
 
 together with whatever collapses the instance admits: a Gorenstein ring
-collapses to the lower endpoint, a registered witness with
+collapses to the lower endpoint, a witness module with
 projdim + inf = dim H0(A) collapses to the upper one.  Witness recipes
 follow the localization construction; genuine localization is inhomogeneous
 and stays outside the graded engine, so recipes are only *verified* when
@@ -116,23 +116,20 @@ def small_finitistic_dims(A: AnyRing) -> FinitisticReport:
     )
 
 
-def fpd_bounds(A: AnyRing, witnesses: Sequence[DGModule] = ()) -> FinitisticReport:
+def fpd_bounds(A: AnyRing) -> FinitisticReport:
     """Certified interval [dim H0 - amp, dim H0] for the large FPD.
 
-    Witness candidates (registered plus the automatic ones: factor residue
-    fields over a product, the depth Koszul complex and the free module over
-    a connected ring) are scored by projdim + inf.  A witness reaching the
-    upper endpoint collapses the interval upward; otherwise, for connected A
-    with A and H0(A) both Gorenstein, the interval collapses to the lower
-    endpoint.  The Gorenstein collapse is a local statement, so it is never
+    Witness candidates (factor residue fields over a product, the depth
+    Koszul complex and the free module over a connected ring) are scored
+    by projdim + inf.  A witness reaching the upper endpoint collapses the
+    interval upward; otherwise, for connected A with A and H0(A) both
+    Gorenstein, the interval collapses to the lower endpoint.  The Gorenstein collapse is a local statement, so it is never
     applied to a product.
     """
     dim = A.dimension()
     amp = ring_amplitude(A)
     lo, hi = dim - amp, dim
-    cands: List[Tuple[str, object]] = [
-        ("registered #%d" % i, M) for i, M in enumerate(witnesses)
-    ]
+    cands: List[Tuple[str, object]] = []
     if isinstance(A, ProductDGRing):
         for i in range(len(A.factors)):
             cands.append(
@@ -447,11 +444,10 @@ def _doubled_ring(B: GradedRing) -> Tuple[GradedRing, List[Poly]]:
     return E, diag
 
 
-def hochschild_table(
-    A: GradedRing, B: GradedRing, upto: Optional[int] = None
-) -> HochschildReport:
-    """HH_i = Tor_i over B (x)_A B and HH^i = Ext^i, for the flat maps the
-    desk-scale engine supports: the identity, or the base field into B."""
+def hochschild_table(A: GradedRing, B: GradedRing) -> HochschildReport:
+    """HH_i = Tor_i over B (x)_A B and HH^i = Ext^i for i up to one past
+    the vanishing threshold dim(B (x)_A B), for the flat maps the desk-scale
+    engine supports: the identity, or the base field into B."""
     if A.key() == B.key():
         E, diag = B, []
         label = "identity on the ring"
@@ -465,8 +461,6 @@ def hochschild_table(
         )
     diagonal = GradedModule.cyclic(E, diag)
     threshold = E.dimension()
-    if upto is None:
-        upto = threshold + 1
     cert = minimal_free_resolution_module(diagonal, cutoff=threshold + 2)
     F = cert.complex
     length = -min(F.support()) if F.support() else 0
@@ -474,7 +468,7 @@ def hochschild_table(
     H = hom_free_into_module(F, diagonal)
     hh_lower: Dict[int, dict] = {}
     hh_upper: Dict[int, dict] = {}
-    for i in range(0, upto + 1):
+    for i in range(0, threshold + 2):
         lo_data = T.cohomology(-i)
         up_data = H.cohomology(i)
         hh_lower[i] = {

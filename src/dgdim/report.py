@@ -104,22 +104,6 @@ class VerificationReport:
         }
 
 
-def parse_report(data: bytes) -> VerificationReport:
-    """Inverse of the json emission (wall time is not serialized)."""
-    doc = json.loads(data.decode("utf-8"))
-    if doc.get("schema") != SCHEMA:
-        raise ValueError("unknown report schema %r" % doc.get("schema"))
-    rep = VerificationReport(doc["title"], options=doc["options"])
-    for r in doc["results"]:
-        rep.add(
-            CheckResult(
-                r["id"], r["claim"], r["outcome"], r["details"],
-                reproduce=r.get("reproduce"),
-            )
-        )
-    return rep
-
-
 def _text_lines(report: VerificationReport) -> List[str]:
     lines = [
         "%s  (dgdim %s)" % (report.title, __version__),

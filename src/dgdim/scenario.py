@@ -59,9 +59,7 @@ SCHEMA = "dgdim-scenario/1"
 
 _DEFAULT_OPTIONS = {
     "field": "Q",
-    "cutoff": 12,
     "window": [-8, 8],
-    "seed": 0,
 }
 
 _QUERY_OPS = (
@@ -107,15 +105,11 @@ def _check_options(opts: dict) -> dict:
         if k not in merged:
             raise ScenarioError("unknown option %r" % k)
         merged[k] = v
-    if not isinstance(merged["cutoff"], int) or not 1 <= merged["cutoff"] <= 64:
-        raise ScenarioError("cutoff must be an integer in 1..64")
     w = merged["window"]
     if (not isinstance(w, (list, tuple)) or len(w) != 2
             or not all(isinstance(x, int) for x in w) or w[0] > w[1]
             or w[1] - w[0] > 64):
         raise ScenarioError("window must be [lo, hi] with lo <= hi, span <= 64")
-    if not isinstance(merged["seed"], int):
-        raise ScenarioError("seed must be an integer")
     merged["window"] = list(w)
     return merged
 

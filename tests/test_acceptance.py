@@ -125,7 +125,7 @@ def test_criterion_10_determinism_and_presentation_independence():
     seed, and Betti numbers stable across redundant presentations."""
     t0 = time.time()
     cmd = [sys.executable, "-m", "dgdim.cli", "run", SHIPPED,
-           "--seed", "0", "--format", "json"]
+           "--format", "json"]
     # the child does not inherit pytest's pythonpath, so pass the source tree
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))

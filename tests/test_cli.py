@@ -8,12 +8,7 @@ import pytest
 
 from dgdim.checks import check_ids, describe_check, run_check, verify_builtin_suite
 from dgdim.cli import main
-from dgdim.report import (
-    CheckResult,
-    VerificationReport,
-    emit_report,
-    parse_report,
-)
+from dgdim.report import CheckResult, VerificationReport, emit_report
 from dgdim.scenario import (
     ScenarioError,
     load_scenario,
@@ -41,16 +36,6 @@ def small_doc(**extra):
 
 
 # ---------- reports ----------
-
-
-def test_report_json_round_trip():
-    rep = VerificationReport("demo", options={"seed": 0})
-    rep.add(CheckResult("a-check", "a claim", "pass", {"value": 3}))
-    rep.add(CheckResult("b-check", "b claim", "fail", {"value": 1},
-                        reproduce={"queries": []}))
-    back = parse_report(emit_report(rep, "json"))
-    assert emit_report(back, "json") == emit_report(rep, "json")
-    assert back.results[1].reproduce == {"queries": []}
 
 
 def test_report_wall_time_not_in_json_bytes():
@@ -149,7 +134,8 @@ def test_scenario_rejects_bad_differential_at_parse_stage():
 @pytest.mark.parametrize(
     "options",
     [{"cutoff": 0}, {"cutoff": "four"}, {"window": [3, -3]},
-     {"window": [0]}, {"seed": "zero"}, {"colour": 1}],
+     {"window": [0]}, {"seed": "zero"}, {"colour": 1},
+     {"cutoff": 12}, {"seed": 0}],
 )
 def test_scenario_rejects_out_of_range_options(options):
     with pytest.raises(ScenarioError):
@@ -371,8 +357,40 @@ def test_cli_explain_unknown_check(capsys):
 
 
 def test_cli_rejects_malformed_window():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["run", SHIPPED, "--window", "broad"])
+    assert exc.value.code == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["run", SHIPPED, "--cutoff", "3"], ["run", SHIPPED, "--seed", "1"],
+     ["verify", "--window", "1:2"],
+     ["explain", "betti-presentation-independence", "--cutoff", "3"]],
+    ids=["run-cutoff", "run-seed", "verify-window", "explain-cutoff"],
+)
+def test_cli_rejects_flags_a_subcommand_does_not_read(args, capsys):
+    """A usage error is bad input (exit 3), not indeterminate (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tag", ["Fp:4", "Fp:1", "Fp:x"])
+@pytest.mark.parametrize(
+    "args",
+    [["run", SHIPPED], ["verify", "--filter", "betti"],
+     ["explain", "betti-presentation-independence"]],
+    ids=["run", "verify", "explain"],
+)
+def test_cli_rejects_bad_field_tags_up_front(args, tag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--field", tag])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert "--field" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_field_flag_overrides_scenario(capsys):
@@ -405,16 +423,14 @@ def test_reports_agree_over_both_fields(args, capsys):
 
 
 def _cold_memos(monkeypatch):
-    """Empty every memo that a verify run fills: the syzygy and Gorenstein
-    caches, the shared fixture rings (whose own memos go with them) and the
-    corpus sweep.  A test that counts work through verify starts here, or
+    """Empty every memo that a verify run fills: the syzygy cache, the
+    shared fixture rings (whose own memos go with them) and the corpus
+    sweep.  A test that counts work through verify starts here, or
     an earlier run in the same process shrinks what it counts."""
     import dgdim.core.syz as syz_module
-    import dgdim.dimensions as dimensions_module
     from dgdim import checks, corpus
 
     monkeypatch.setattr(syz_module, "_syz_cache", {})
-    monkeypatch.setattr(dimensions_module, "_gorenstein_cache", {})
     for memo in (corpus.standard_families, checks._fixture_set,
                  checks._designed_false, checks._corpus_sweep):
         memo.cache_clear()

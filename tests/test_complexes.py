@@ -636,7 +636,6 @@ def count_work(monkeypatch):
     monkeypatch.setattr(tower_module, "semifree_resolution", counted_sf)
     monkeypatch.setattr(dimensions_module, "semifree_resolution", counted_sf)
     monkeypatch.setattr(syz_module, "_syz_cache", {})
-    monkeypatch.setattr(dimensions_module, "_gorenstein_cache", {})
     return counts
 
 

@@ -28,7 +28,6 @@ from dgdim.dg import (
     residue_dg_module,
     semifree_resolution,
     shift_dg,
-    sppj_step,
     tensor_reduce,
     twist_dg,
 )
@@ -120,9 +119,6 @@ def test_product_ring_dimension_and_json():
     S = build_split_trivial_extension(P1, P0, 1)
     assert S.dimension() == 1
     assert [f.kind for f in S.factors] == ["ring", "trivial-extension"]
-    data = S.to_json()
-    assert data["kind"] == "product"
-    assert len(data["factors"]) == 2
 
 
 def test_koszul_ring_matches_iterated_cones():
@@ -191,26 +187,29 @@ def test_direct_sum_supports_union():
     assert S.cohomology_support() == [-4, -3, -1, 0]
 
 
-# ---------- sppj steps and towers ----------
+# ---------- semifree towers ----------
 
 
-def test_sppj_step_kills_top_cohomology():
-    """Covering k over k[x,y]: the cone loses H^0 and picks up the first
-    syzygy module (x, y) one step down."""
+def test_semifree_first_stage_covers_top_cohomology():
+    """Resolving k over k[x,y]: the first stage covers H^0 by one free
+    generator at position 0, twist 0, and the second covers the first
+    syzygy module (x, y), two generators of twist 1, one step down."""
     A = build_ring_dg(ring_xy())
-    k = residue_dg_module(A)
-    st = sppj_step(k)
-    assert st.position == 0
-    assert len(st.cover.gens) == 1
-    assert st.cone.cohomology(0).is_zero()
-    assert st.cone.cohomology(-1).generator_degrees == (1, 1)
+    res = semifree_resolution(residue_dg_module(A), window_lo=-8)
+    assert res.stages[0] == {"position": 0, "twists": (0,)}
+    assert res.stages[1] == {"position": -1, "twists": (1, 1)}
 
 
-def test_sppj_step_rejects_acyclic():
+def test_semifree_resolution_of_acyclic_cone_has_no_stages():
+    """The cone of the identity on k is acyclic and not semifree, so the
+    tower runs and finds nothing to cover."""
     A = koszul_xy()
-    C = cone_dg(multiplication_map(free_over(A), A.base.one()), check=False)
-    with pytest.raises(ValueError):
-        sppj_step(C)
+    C = cone_dg(multiplication_map(residue_dg_module(A), A.base.one()),
+                check=False)
+    res = semifree_resolution(C)
+    assert res.stages == []
+    assert res.terminated
+    assert len(res.sf.gens) == 0
 
 
 def test_semifree_shortcut_keeps_module():

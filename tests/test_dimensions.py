@@ -25,7 +25,6 @@ from dgdim.dg import (
 import dgdim.dimensions as dimensions_module
 from dgdim.dimensions import (
     bass_numbers,
-    default_sequence_pool,
     dualizing_dg_module,
     flat_dim,
     inj_dim,
@@ -256,14 +255,12 @@ def test_sequential_depth(make, expected, witness):
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("make", [ring_xy, koszul_xy, koszul_xyz, golod_xy])
 def test_sequential_depth_memo_matches_a_fresh_search(make, field):
-    """The depth of a DG-ring over the default pool is searched once and
-    kept on the ring; an explicit pool bypasses the memo, so it gives a
-    fresh search to compare with."""
+    """The depth of a DG-ring is searched once and kept on the ring; a
+    fresh ring of the same data searches anew and finds the same report."""
     A = make(field)
     first = sequential_depth(A)
     assert sequential_depth(A) is first
-    fresh = make(field)
-    again = sequential_depth(fresh, pool=default_sequence_pool(fresh))
+    again = sequential_depth(make(field))
     assert again is not first
     assert again.to_json() == first.to_json()
 
@@ -388,7 +385,6 @@ def test_dualizing_module_resolves_the_residue_field_once_per_window(
     module scan Bass numbers at the same window; the resolution of k is
     memoized on the ring, so each window is resolved once, and the Bass
     numbers agree with those over a fresh copy of the ring."""
-    monkeypatch.setattr(dimensions_module, "_gorenstein_cache", {})
     inner = dimensions_module.semifree_resolution
     windows = []
 
