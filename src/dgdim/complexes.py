@@ -1,17 +1,20 @@
-"""Bounded complexes of graded free modules, cohomological (upper) indexing.
+"""Bounded complexes of graded presented modules, cohomological (upper)
+indexing.
 
 The differential d^i: C^i -> C^{i+1} raises degree by one and d o d = 0.
-Free complexes come from minimal resolutions of modules and from reducing
-semifree DG-modules to H^0; pruning makes them minimal.  Cohomology is
-computed on complexes of presented modules, a free complex being one
-without relations.
+There is one complex type, PresentedComplex; a free complex is one without
+relations.  Free complexes come from minimal resolutions of modules and
+from reducing semifree DG-modules to H^0; pruning (free complexes only)
+makes them minimal.  Complexes with relations come from Hom and tensor of
+a free complex into a module and from the underlying complexes of
+DG-modules.  One routine computes the cohomology of all of them.
 
 A complex may carry a certified lower end known_lo (None = unbounded):
 components at or below it were truncated away.  Truncated complexes arise
-from resolutions that were cut off, never from constructors.  Only
-presented complexes also carry an upper end known_hi, since Hom out of a
-truncated free complex is truncated from above; their cohomology is
-trusted strictly between the two.
+from resolutions that were cut off, never from constructors.  A complex
+may also carry an upper end known_hi, since Hom out of a truncated free
+complex is truncated from above; cohomology is trusted strictly between
+the two.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core.freemod import Column, GradedFreeModule, GradedMatrix, _Span, monomial_multiple
-from .core.module import GradedModule, minimal_presentation
+from .core.module import GradedModule, cancel_units, minimal_presentation
 from .core.ring import GradedRing
 from .core.syz import syzygy_engine, syzygy_matrix
 
@@ -32,122 +35,118 @@ def trusted_degree(
     return (known_lo is None or i > known_lo) and (known_hi is None or i < known_hi)
 
 
-class FreeComplex:
-    """components: cohomological degree -> GradedFreeModule (sparse);
-    differentials: degree i -> matrix for d^i (missing = zero)."""
+class PresentedComplex:
+    """Complex whose degree-i component is coker(rels_i) on a free cover.
+
+    covers: cohomological degree -> GradedFreeModule (sparse); diffs and
+    rels: degree i -> matrix for d^i and for the relations of degree i
+    (missing = zero).  A free complex is one without relations.
+    Differentials act on the covers and must carry relations into relations.
+    Cohomology at i is computed from stacked syzygies: cycles are the first
+    block of syz([D_i | Q_{i+1}]), and a cycle dies when it lies in the image
+    of D_{i-1} together with Q_i.  Whether every cycle dies is decided first,
+    by linear algebra over k one internal degree at a time
+    (cohomology_vanishes); only a nonzero H^i gets the second syzygy module
+    and a minimal presentation.
+    """
 
     def __init__(
         self,
         ring: GradedRing,
-        components: Dict[int, GradedFreeModule],
-        differentials: Dict[int, GradedMatrix],
+        covers: Dict[int, GradedFreeModule],
+        diffs: Dict[int, GradedMatrix],
+        rels: Optional[Dict[int, GradedMatrix]] = None,
         known_lo: Optional[int] = None,
-        check: bool = True,
+        known_hi: Optional[int] = None,
+        check: bool = False,
     ):
         self.ring = ring
-        self.components = {
-            i: m for i, m in components.items() if m.rank > 0
-        }
-        self.differentials = {
-            i: d for i, d in differentials.items() if not d.is_zero()
+        self.covers = {i: m for i, m in covers.items() if m.rank > 0}
+        self.diffs = {i: d for i, d in diffs.items() if not d.is_zero()}
+        self.rels = {
+            i: q for i, q in (rels or {}).items() if q.source.rank > 0
         }
         self.known_lo = known_lo
-        self._presented: Optional["PresentedComplex"] = None
+        self.known_hi = known_hi
+        self._cohomology_cache: Dict[int, CohomologyData] = {}
+        self._cycle_cache: Dict[int, Optional[GradedMatrix]] = {}
+        self._nonzero: Set[int] = set()
         if check:
             self.validate()
 
-    def component(self, i: int) -> GradedFreeModule:
-        m = self.components.get(i)
-        if m is None:
-            return GradedFreeModule(self.ring, ())
-        return m
+    def _trust(self, i: int) -> bool:
+        return trusted_degree(i, self.known_lo, self.known_hi)
 
-    def differential(self, i: int) -> GradedMatrix:
-        d = self.differentials.get(i)
+    def cover(self, i: int) -> GradedFreeModule:
+        m = self.covers.get(i)
+        return m if m is not None else GradedFreeModule(self.ring, ())
+
+    def diff(self, i: int) -> GradedMatrix:
+        d = self.diffs.get(i)
         if d is None:
-            return GradedMatrix.zero(self.component(i + 1), self.component(i))
+            return GradedMatrix.zero(self.cover(i + 1), self.cover(i))
         return d
 
+    def rel(self, i: int) -> Optional[GradedMatrix]:
+        return self.rels.get(i)
+
     def support(self) -> List[int]:
-        return sorted(self.components)
+        return sorted(self.covers)
 
     def validate(self) -> None:
-        for i, d in self.differentials.items():
-            if d.target.degrees != self.component(i + 1).degrees:
+        for i, d in self.diffs.items():
+            if d.target.degrees != self.cover(i + 1).degrees:
                 raise ValueError("differential %d target mismatch" % i)
-            if d.source.degrees != self.component(i).degrees:
+            if d.source.degrees != self.cover(i).degrees:
                 raise ValueError("differential %d source mismatch" % i)
             d.check_homogeneous()
-        for i in list(self.differentials):
-            if i + 1 in self.differentials:
-                if not self.differentials[i + 1].compose(self.differentials[i]).is_zero():
-                    raise ValueError("d^2 != 0 between degrees %d and %d" % (i, i + 2))
+            nxt = self.rel(i + 1)
+            # relations must map into relations
+            q = self.rel(i)
+            if q is not None:
+                for col in q.cols:
+                    img = d.apply_to_vector(col)
+                    if img:
+                        if nxt is None or not syzygy_engine(nxt).contains(img):
+                            raise ValueError("relations escape at degree %d" % i)
+            # d^2 must vanish on the quotient
+            if i + 1 in self.diffs:
+                comp = self.diffs[i + 1].compose(d)
+                for col in comp.cols:
+                    if col:
+                        q2 = self.rel(i + 2)
+                        if q2 is None or not syzygy_engine(q2).contains(col):
+                            raise ValueError("d^2 nonzero modulo relations at %d" % i)
+        for i, q in self.rels.items():
+            q.check_homogeneous()
 
-    def __repr__(self):
-        parts = ", ".join(
-            "%d:%s" % (i, list(self.component(i).degrees)) for i in self.support()
-        )
-        return "FreeComplex(%s)" % parts
+    def cohomology(self, i: int) -> CohomologyData:
+        return _cohomology(self, i)
+
+    def cohomology_vanishes(self, i: int) -> bool:
+        return _vanishes(self, i)
 
 
 # ---------- pruning (Gaussian cancellation of unit entries) ----------
 
 
-def prune_complex(C: FreeComplex) -> FreeComplex:
-    """Homotopy-equivalent complex with every differential entry in the
-    irrelevant maximal ideal.  Bounded free complexes are semiprojective, so
-    the pruned complex is the minimal free resolution of the original.
-
-    Each step cancels the first unit entry, in row-major order, of the
-    lowest differential that has one.  Generators keep their original
-    indices while the work runs; a cancelled pair drops out of alive."""
+def prune_complex(C: PresentedComplex) -> PresentedComplex:
+    """Homotopy-equivalent free complex with every differential entry in
+    the irrelevant maximal ideal.  Bounded free complexes are
+    semiprojective, so the pruned complex is the minimal free resolution of
+    the original.  The unit entries are cancelled by core.module's
+    cancel_units, differential by differential from the lowest."""
+    if C.rels:
+        raise ValueError("pruning needs a free complex, without relations")
     ring = C.ring
-    zero = ring.zero()
-    alive = {i: list(range(m.rank)) for i, m in C.components.items()}
+    alive = {i: list(range(m.rank)) for i, m in C.covers.items()}
     diffs: Dict[int, List[Column]] = {
-        i: [dict(col) for col in d.cols] for i, d in C.differentials.items()
+        i: [dict(col) for col in d.cols] for i, d in C.diffs.items()
     }
-    while True:
-        pivot = None
-        for i in sorted(diffs):
-            cols = diffs[i]
-            units = [
-                (r, c)
-                for c in alive[i]
-                for r, e in cols[c].items()
-                if e.degree() == 0
-            ]
-            if units:
-                pivot = (i,) + min(units)
-                break
-        if pivot is None:
-            break
-        i, r0, c0 = pivot
-        cols = diffs[i]
-        uinv = ring.field.inv(cols[c0][r0].terms[ring.ambient.mono_one()])
-        lead = {r: e.scale(uinv) for r, e in cols[c0].items() if r != r0}
-        # correct the same differential; row r0 and column c0 then go
-        alive[i].remove(c0)
-        alive[i + 1].remove(r0)
-        for c in alive[i]:
-            col = cols[c]
-            f = col.pop(r0, None)
-            if f is None:
-                continue
-            for r, u in lead.items():
-                e = ring.normal_form(col.get(r, zero) - u * f)
-                if e:
-                    col[r] = e
-                else:
-                    col.pop(r, None)
-        # generator c0 of C^i is also a row of the incoming d^{i-1}
-        prev = diffs.get(i - 1)
-        if prev is not None:
-            for c in alive[i - 1]:
-                prev[c].pop(c0, None)
-    out_comps = {
+    cancel_units(ring, diffs, alive)
+    out_covers = {
         i: GradedFreeModule(ring, [m.degrees[g] for g in alive[i]])
-        for i, m in C.components.items()
+        for i, m in C.covers.items()
         if alive[i]
     }
     empty = GradedFreeModule(ring, ())
@@ -155,12 +154,14 @@ def prune_complex(C: FreeComplex) -> FreeComplex:
     for i, cols in diffs.items():
         pos = {g: k for k, g in enumerate(alive[i + 1])}
         out_diffs[i] = GradedMatrix(
-            out_comps.get(i + 1, empty),
-            out_comps.get(i, empty),
+            out_covers.get(i + 1, empty),
+            out_covers.get(i, empty),
             [{pos[r]: e for r, e in cols[c].items()} for c in alive[i]],
             normalize=False,
         )
-    return FreeComplex(ring, out_comps, out_diffs, C.known_lo, check=False)
+    return PresentedComplex(
+        ring, out_covers, out_diffs, known_lo=C.known_lo, known_hi=C.known_hi
+    )
 
 
 # ---------- cohomology ----------
@@ -177,14 +178,8 @@ class CohomologyData:
         return len(self.generator_degrees) == 0
 
 
-def cohomology_data(C: FreeComplex, i: int) -> CohomologyData:
-    """H^i of a free complex: the presented complex without relations,
-    built once and cached on C."""
-    if C._presented is None:
-        C._presented = PresentedComplex(
-            C.ring, C.components, C.differentials, {}, C.known_lo
-        )
-    return _cohomology(C._presented, i)
+def cohomology_data(C: PresentedComplex, i: int) -> CohomologyData:
+    return _cohomology(C, i)
 
 
 # ---------- minimal free resolutions ----------
@@ -192,7 +187,7 @@ def cohomology_data(C: FreeComplex, i: int) -> CohomologyData:
 
 @dataclass
 class ResolutionCertificate:
-    complex: FreeComplex
+    complex: PresentedComplex
     terminated: bool
     betti: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
@@ -202,7 +197,7 @@ def minimal_free_resolution_module(M: GradedModule, cutoff: int) -> ResolutionCe
     ring = M.ring
     mp = M.minimal()
     if mp.rank == 0:
-        empty = FreeComplex(ring, {}, {}, check=False)
+        empty = PresentedComplex(ring, {}, {})
         return ResolutionCertificate(empty, True)
     comps: Dict[int, GradedFreeModule] = {0: GradedFreeModule(ring, mp.generator_degrees)}
     diffs: Dict[int, GradedMatrix] = {}
@@ -227,8 +222,8 @@ def minimal_free_resolution_module(M: GradedModule, cutoff: int) -> ResolutionCe
             raise AssertionError("unit entry inside a minimal resolution step")
         current = S_min.matrix
     lo = None if terminated else -step
-    cplx = FreeComplex(ring, comps, diffs, known_lo=lo, check=False)
-    betti = {i: tuple(sorted(cplx.component(i).degrees)) for i in cplx.support()}
+    cplx = PresentedComplex(ring, comps, diffs, known_lo=lo)
+    betti = {i: tuple(sorted(cplx.cover(i).degrees)) for i in cplx.support()}
     return ResolutionCertificate(cplx, terminated, betti)
 
 
@@ -262,91 +257,6 @@ def _first_block(S: GradedMatrix, nrows: int) -> Tuple[List[Column], List[int]]:
         cols.append(head)
         degs.append(d)
     return cols, degs
-
-
-class PresentedComplex:
-    """Complex whose degree-i component is coker(rels_i) on a free cover.
-
-    Differentials act on the covers and must carry relations into relations.
-    Cohomology at i is computed from stacked syzygies: cycles are the first
-    block of syz([D_i | Q_{i+1}]), and a cycle dies when it lies in the image
-    of D_{i-1} together with Q_i.  Whether every cycle dies is decided first,
-    by linear algebra over k one internal degree at a time
-    (cohomology_vanishes); only a nonzero H^i gets the second syzygy module
-    and a minimal presentation.
-    """
-
-    def __init__(
-        self,
-        ring: GradedRing,
-        covers: Dict[int, GradedFreeModule],
-        diffs: Dict[int, GradedMatrix],
-        rels: Dict[int, GradedMatrix],
-        known_lo: Optional[int] = None,
-        known_hi: Optional[int] = None,
-        check: bool = False,
-    ):
-        self.ring = ring
-        self.covers = {i: m for i, m in covers.items() if m.rank > 0}
-        self.diffs = {i: d for i, d in diffs.items() if not d.is_zero()}
-        self.rels = {
-            i: q for i, q in rels.items() if q.source.rank > 0
-        }
-        self.known_lo = known_lo
-        self.known_hi = known_hi
-        self._cohomology_cache: Dict[int, CohomologyData] = {}
-        self._cycle_cache: Dict[int, Optional[GradedMatrix]] = {}
-        self._nonzero: Set[int] = set()
-        if check:
-            self.validate()
-
-    def _trust(self, i: int) -> bool:
-        return trusted_degree(i, self.known_lo, self.known_hi)
-
-    def cover(self, i: int) -> GradedFreeModule:
-        m = self.covers.get(i)
-        return m if m is not None else GradedFreeModule(self.ring, ())
-
-    def diff(self, i: int) -> GradedMatrix:
-        d = self.diffs.get(i)
-        if d is None:
-            return GradedMatrix.zero(self.cover(i + 1), self.cover(i))
-        return d
-
-    def rel(self, i: int) -> Optional[GradedMatrix]:
-        return self.rels.get(i)
-
-    def support(self) -> List[int]:
-        return sorted(self.covers)
-
-    def validate(self) -> None:
-        for i, d in self.diffs.items():
-            d.check_homogeneous()
-            nxt = self.rel(i + 1)
-            # relations must map into relations
-            q = self.rel(i)
-            if q is not None:
-                for col in q.cols:
-                    img = d.apply_to_vector(col)
-                    if img:
-                        if nxt is None or not syzygy_engine(nxt).contains(img):
-                            raise ValueError("relations escape at degree %d" % i)
-            # d^2 must vanish on the quotient
-            if i + 1 in self.diffs:
-                comp = self.diffs[i + 1].compose(d)
-                for col in comp.cols:
-                    if col:
-                        q2 = self.rel(i + 2)
-                        if q2 is None or not syzygy_engine(q2).contains(col):
-                            raise ValueError("d^2 nonzero modulo relations at %d" % i)
-        for i, q in self.rels.items():
-            q.check_homogeneous()
-
-    def cohomology(self, i: int) -> CohomologyData:
-        return _cohomology(self, i)
-
-    def cohomology_vanishes(self, i: int) -> bool:
-        return _vanishes(self, i)
 
 
 def _cycles(P: PresentedComplex, i: int) -> Optional[GradedMatrix]:
@@ -415,7 +325,7 @@ def _vanishes(P: PresentedComplex, i: int) -> bool:
 
 
 def _cohomology(P: PresentedComplex, i: int) -> CohomologyData:
-    """H^i(P), cached on P; the one routine behind both complex kinds."""
+    """H^i(P), cached on P; the one cohomology routine."""
     cached = P._cohomology_cache.get(i)
     if cached is not None:
         return cached
@@ -455,9 +365,11 @@ def _times_identity(
     return GradedMatrix(target, source, cols, normalize=False)
 
 
-def hom_free_into_module(F: FreeComplex, N: GradedModule) -> PresentedComplex:
+def hom_free_into_module(F: PresentedComplex, N: GradedModule) -> PresentedComplex:
     """Hom(F, N) for a bounded-or-truncated free complex F, component n being
     the maps F^{-n} -> N; the n-th cover is a sum of twists of N's cover."""
+    if F.rels:
+        raise ValueError("Hom into a module needs a free complex, without relations")
     ring = F.ring
     mp = N.minimal()
     g_deg = mp.generator_degrees
@@ -466,7 +378,7 @@ def hom_free_into_module(F: FreeComplex, N: GradedModule) -> PresentedComplex:
     rels: Dict[int, GradedMatrix] = {}
     for j in F.support():
         n = -j
-        f_deg = F.component(j).degrees
+        f_deg = F.cover(j).degrees
         degs = [g - d for d in f_deg for g in g_deg]
         covers[n] = GradedFreeModule(ring, degs)
         rels[n] = GradedMatrix.block_diagonal(
@@ -476,7 +388,7 @@ def hom_free_into_module(F: FreeComplex, N: GradedModule) -> PresentedComplex:
     for n in sorted(covers):
         if (n + 1) not in covers:
             continue
-        dF = F.differential(-n - 1)  # F^{-n-1} -> F^{-n}
+        dF = F.diff(-n - 1)  # F^{-n-1} -> F^{-n}
         if not dF.is_zero():
             # -(-1)^n times the transpose of dF
             E: List[Column] = [{} for _ in range(dF.target.rank)]
@@ -488,8 +400,10 @@ def hom_free_into_module(F: FreeComplex, N: GradedModule) -> PresentedComplex:
     return PresentedComplex(ring, covers, diffs, rels, known_lo=None, known_hi=hi)
 
 
-def tensor_free_with_module(F: FreeComplex, N: GradedModule) -> PresentedComplex:
+def tensor_free_with_module(F: PresentedComplex, N: GradedModule) -> PresentedComplex:
     """F tensor N: component n is a sum of twists of N indexed by F^n."""
+    if F.rels:
+        raise ValueError("tensor with a module needs a free complex, without relations")
     ring = F.ring
     mp = N.minimal()
     g_deg = mp.generator_degrees
@@ -497,7 +411,7 @@ def tensor_free_with_module(F: FreeComplex, N: GradedModule) -> PresentedComplex
     covers: Dict[int, GradedFreeModule] = {}
     rels: Dict[int, GradedMatrix] = {}
     for n in F.support():
-        f_deg = F.component(n).degrees
+        f_deg = F.cover(n).degrees
         degs = [g + d for d in f_deg for g in g_deg]
         covers[n] = GradedFreeModule(ring, degs)
         rels[n] = GradedMatrix.block_diagonal(
@@ -507,7 +421,7 @@ def tensor_free_with_module(F: FreeComplex, N: GradedModule) -> PresentedComplex
     for n in sorted(covers):
         if (n + 1) not in covers:
             continue
-        dF = F.differential(n)
+        dF = F.diff(n)
         if not dF.is_zero():
             diffs[n] = _times_identity(covers[n + 1], covers[n], dF.cols, len(g_deg))
     return PresentedComplex(

@@ -4,6 +4,10 @@ minimal_presentation prunes a presentation until every relation entry lies in
 the irrelevant maximal ideal and the relation columns are irredundant; by
 graded Nakayama the surviving generators are a minimal generating set.
 
+Unit entries go first, by cancel_units: the one Gaussian-cancellation loop
+of the program.  A presentation is its one-differential case; prune_complex
+in complexes.py runs it over every differential of a free complex.
+
 Irredundancy is linear algebra over k, one internal degree at a time.  A
 homogeneous column of degree d lies in the submodule generated by others
 exactly when its k-vector lies in the span of the degree-d multiples of the
@@ -35,14 +39,11 @@ class MinimalPresentation:
     """Result of minimizing a presentation.
 
     survivors: indices of the original generators that remain, in order.
-    expressions: original generator index -> {surviving index -> Poly}
-        writing each original generator in terms of the survivors.
     """
 
-    def __init__(self, matrix: GradedMatrix, survivors: List[int], expressions: Dict[int, Dict[int, Poly]]):
+    def __init__(self, matrix: GradedMatrix, survivors: List[int]):
         self.matrix = matrix
         self.survivors = survivors
-        self.expressions = expressions
 
     @property
     def generator_degrees(self) -> Tuple[int, ...]:
@@ -56,79 +57,84 @@ class MinimalPresentation:
         return self.rank == 0
 
 
+def cancel_units(
+    ring: GradedRing, diffs: Dict[int, List[Column]], alive: Dict[int, List[int]]
+) -> None:
+    """Cancel every unit entry of a chain of differentials, in place.
+
+    diffs[i] holds the working sparse columns of d^i: C^i -> C^{i+1}, one
+    per generator of C^i, keyed by generators of C^{i+1}; alive[i] lists
+    the generators of C^i still present, in order, and every index keeps
+    its original meaning while the work runs.  A unit entry u = d^i[r, c]
+    splits off a contractible pair: generator c of C^i and generator r of
+    C^{i+1} leave alive, every other column of d^i first subtracts (its
+    row-r entry / u) times column c, and row c leaves d^{i-1}.  The result
+    is homotopy equivalent to the input and has no unit entry.
+
+    Differentials are taken from the lowest.  Within d^i the pivot is the
+    first alive column holding a unit entry, at its smallest row, and the
+    search resumes at that column after each cancellation.  One pass per
+    differential is enough.  A column left of the pivot has no unit entry,
+    and clearing row r gives it none: a new degree-0 entry would need a
+    unit factor in row r.  And a cancellation only deletes entries of the
+    differential below (row c of d^{i-1}, already free of units) and drops
+    a column of the one above, so it never makes a unit elsewhere.
+    """
+    field = ring.field
+    one = ring.ambient.mono_one()
+    zero = ring.zero()
+    for i in sorted(diffs):
+        cols = diffs[i]
+        live = alive[i]
+        below = diffs.get(i - 1)
+        start = 0
+        while True:
+            pivot = None
+            for k in range(start, len(live)):
+                pivot = min(
+                    (r for r, e in cols[live[k]].items() if e.degree() == 0),
+                    default=None,
+                )
+                if pivot is not None:
+                    start = k
+                    break
+            if pivot is None:
+                break
+            c0 = live.pop(start)
+            alive[i + 1].remove(pivot)
+            colp = cols[c0]
+            uinv = field.inv(colp[pivot].terms[one])
+            # row pivot goes, so only the other rows of column c0 matter
+            support = sorted(t for t in colp if t != pivot)
+            for c in live:
+                col = cols[c]
+                f = col.pop(pivot, None)
+                if f is None:
+                    continue
+                factor = f.scale(uinv)
+                for t in support:
+                    e = ring.normal_form(col.get(t, zero) - factor * colp[t])
+                    if e:
+                        col[t] = e
+                    else:
+                        col.pop(t, None)
+            if below is not None:
+                for c in alive[i - 1]:
+                    below[c].pop(c0, None)
+
+
 def minimal_presentation(M: GradedMatrix) -> MinimalPresentation:
     ring = M.ring
-    field = ring.field
     if ring.is_zero_ring:
         empty = GradedFreeModule(ring, ())
-        return MinimalPresentation(GradedMatrix.zero(empty, empty), [], {})
-    tgt = list(M.target.degrees)
-    src = list(M.source.degrees)
-    # working copies of the sparse columns; a dropped row leaves every one
+        return MinimalPresentation(GradedMatrix.zero(empty, empty), [])
+    tgt = M.target.degrees
+    src = M.source.degrees
+    # M is the one differential from its source (0) to its target (1)
+    alive = {0: list(range(len(src))), 1: list(range(len(tgt)))}
     cols = [dict(col) for col in M.cols]
-    alive_rows = list(range(len(tgt)))
-    alive_cols = list(range(len(src)))
-    # original generator -> expression in current generators
-    expr: Dict[int, Dict[int, Poly]] = {
-        o: {o: ring.one()} for o in range(len(tgt))
-    }
-
-    zero = ring.zero()
-    start = 0
-    while True:
-        # The pivot is the first unit entry, column by column from start
-        # and by ascending row within a column.  A column left of the pivot
-        # has no unit entry, and clearing row pi gives it none: a new
-        # degree-0 entry needs a unit factor there.
-        pivot = None
-        for k in range(start, len(alive_cols)):
-            j = alive_cols[k]
-            i = min((i for i, e in cols[j].items() if e.degree() == 0), default=None)
-            if i is not None:
-                pivot = (i, j)
-                start = k
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        colp = cols[pj]
-        c = colp[pi].terms[ring.ambient.mono_one()]
-        cinv = field.inv(c)
-        # row pi is dropped below, so only the other rows of column pj matter
-        support = sorted(t for t in colp if t != pi)
-        # generator pi = -1/c * sum_{t != pi} colp[t] * g_t
-        combo = {t: colp[t].scale(field.neg(cinv)) for t in support}
-        # clear row pi from the other columns: col_j' -= (e[pi][j']/c) col_pj
-        for j2 in alive_cols:
-            if j2 == pj:
-                continue
-            col = cols[j2]
-            f = col.pop(pi, None)
-            if f is None:
-                continue
-            factor = f.scale(cinv)
-            for t in support:
-                e = ring.normal_form(col.get(t, zero) - factor * colp[t])
-                if e:
-                    col[t] = e
-                else:
-                    col.pop(t, None)
-        # rewrite stored expressions of the original generators
-        for o, d in expr.items():
-            p = d.pop(pi, None)
-            if p:
-                for t, coef in combo.items():
-                    add = ring.normal_form(p * coef)
-                    if t in d:
-                        s = ring.normal_form(d[t] + add)
-                        if s:
-                            d[t] = s
-                        else:
-                            del d[t]
-                    elif add:
-                        d[t] = add
-        alive_rows.remove(pi)
-        del alive_cols[start]
+    cancel_units(ring, {0: cols}, alive)
+    alive_cols, alive_rows = alive[0], alive[1]
 
     # assemble the pruned matrix, rows renumbered, and drop zero columns
     tgt_deg = [tgt[i] for i in alive_rows]
@@ -144,11 +150,7 @@ def minimal_presentation(M: GradedMatrix) -> MinimalPresentation:
     matrix = GradedMatrix.from_columns(
         target, [col_deg[t] for t in kept], [live[t] for t in kept]
     )
-    # re-index expressions to positions within the survivor list
-    expressions = {
-        o: {pos[t]: p for t, p in d.items()} for o, d in expr.items()
-    }
-    return MinimalPresentation(matrix, alive_rows, expressions)
+    return MinimalPresentation(matrix, alive_rows)
 
 
 def _irredundant_columns(

@@ -17,6 +17,7 @@ from .core import GradedFreeModule, GradedMatrix, GradedModule, GradedRing, Poly
 from .dg import (
     DGModule,
     DGRing,
+    ProductDGModule,
     ProductDGRing,
     build_koszul_dg,
     build_ring_dg,
@@ -27,7 +28,6 @@ from .dg import (
     h0_cyclic_dg_module,
     hom_semifree_into_dg,
     multiplication_map,
-    product_module,
     residue_dg_module,
     shift_dg,
     twist_dg,
@@ -140,7 +140,7 @@ def random_perfect_module(A, rng: Random, steps: Optional[int] = None):
         steps = rng.randrange(2, 5)
     if isinstance(A, ProductDGRing):
         parts = [_random_connected_module(f, rng, steps) for f in A.factors]
-        return product_module(A, parts)
+        return ProductDGModule(A, parts)
     return _random_connected_module(A, rng, steps)
 
 

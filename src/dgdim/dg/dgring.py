@@ -18,7 +18,8 @@ slot's ring.
 
 DG-rings, like their base rings, are immutable once built; the derived
 invariants memoized on a DGRing (its amplitude, sequential depth and
-Gorenstein test, the resolutions of its residue field) rely on that.
+Gorenstein test, the resolutions of its residue field, the DG-ring of its
+H^0) rely on that.
 """
 from __future__ import annotations
 
@@ -61,17 +62,14 @@ class DGRing:
         self._h0: Optional[GradedRing] = None
         # memos of dimensions.py: ring_amplitude(A), sequential_depth(A),
         # is_gorenstein(A), and the residue-field resolution of bass_numbers
-        # by window floor
+        # by window floor; of finitistic.py: the DG-ring of H^0(A)
         self._amplitude = None
         self._depth = None
         self._gorenstein = None
         self._residue_resolutions: dict = {}
+        self._h0_dg: Optional["DGRing"] = None
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def is_product(self) -> bool:
-        return False
 
     def slot_ring(self, sym: str) -> GradedRing:
         r = self._slot_rings.get(sym)
@@ -92,9 +90,6 @@ class DGRing:
         """Krull dimension of H^0."""
         return self.h0_ring().dimension()
 
-    def zero_elem(self) -> "AElem":
-        return AElem(self, {})
-
     def from_base(self, p: Poly) -> "AElem":
         return AElem(self, {self.unit: p})
 
@@ -103,9 +98,6 @@ class DGRing:
 
     def d_basis(self, sym: str) -> Dict[str, Poly]:
         return self.d_table.get(sym, {})
-
-    def min_cohdeg(self) -> int:
-        return min(self.cohdeg[s] for s in self.basis)
 
     def key(self):
         return (
@@ -419,10 +411,6 @@ class ProductDGRing:
         self.factors = tuple(factors)
         self.label = " x ".join(f.label for f in self.factors)
 
-    @property
-    def is_product(self) -> bool:
-        return True
-
     def dimension(self) -> int:
         return max(f.dimension() for f in self.factors)
 
@@ -437,8 +425,3 @@ class ProductDGRing:
 
     def __repr__(self):
         return "ProductDGRing(%s)" % (self.label,)
-
-
-
-def product_dg(factors: Sequence[DGRing]) -> ProductDGRing:
-    return ProductDGRing(factors)

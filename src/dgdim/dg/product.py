@@ -23,7 +23,6 @@ from .dgring import (
     ProductDGRing,
     build_ring_dg,
     build_trivial_extension,
-    product_dg,
 )
 
 
@@ -36,7 +35,7 @@ def build_split_trivial_extension(
     extension leaves the B factor untouched and the whole thing splits as
     the product of B (as a DG-ring) with the one-factor extension of C.
     """
-    return product_dg([build_ring_dg(B), build_trivial_extension(C, shift)])
+    return ProductDGRing([build_ring_dg(B), build_trivial_extension(C, shift)])
 
 
 def zero_dg_module(factor: DGRing) -> DGModule:
@@ -85,12 +84,6 @@ class ProductDGModule:
 
     def is_acyclic(self) -> bool:
         return all(p.is_acyclic() for p in self.parts)
-
-
-def product_module(
-    ring: ProductDGRing, parts: Sequence[DGModule]
-) -> ProductDGModule:
-    return ProductDGModule(ring, parts)
 
 
 def product_free_module(

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..complexes import FreeComplex
+from ..complexes import PresentedComplex
 from ..core.freemod import GradedFreeModule, GradedMatrix
 from ..core.poly import Poly
-from ..core.ring import GradedRing
 from .dgring import AElem
 from .dgmodule import (
     DGMap,
@@ -31,19 +30,13 @@ from .dgmodule import (
 class SemifreeResolution:
     """Semifree replacement of a DG-module.
 
-    sf            -- DGModule with free generators only
-    source        -- the module being resolved
-    glue_to_source-- raw differential entries from the accumulated free
-                     generators into the source block of the final cocone
-                     (the comparison data, kept in the cocone's frame)
-    stages        -- per stage: dict with position (cohdeg in sf), twists
-    terminated    -- True when the tower stopped because nothing was left
+    sf         -- DGModule with free generators only
+    stages     -- per stage: dict with position (cohdeg in sf), twists
+    terminated -- True when the tower stopped because nothing was left
     """
 
-    def __init__(self, sf, source, glue_to_source, stages, terminated):
+    def __init__(self, sf, stages, terminated):
         self.sf = sf
-        self.source = source
-        self.glue_to_source = glue_to_source
         self.stages = stages
         self.terminated = terminated
 
@@ -115,12 +108,10 @@ def semifree_resolution(
 
     window_lo=None asks for exact termination and raises RuntimeError when
     the tower does not stop within max_stages."""
-    A = M.A
     if all(g.kind == "free" for g in M.gens):
         # already semifree: with only free generators over a non-positive
         # ring, ordering by descending cohomological degree is a filtration
-        glue = {j: {j: A.from_base(A.base.one())} for j in range(len(M.gens))}
-        return SemifreeResolution(M, M, glue, [], M.known_lo is None)
+        return SemifreeResolution(M, [], M.known_lo is None)
     m = len(M.gens)
     N = M
     k = 0
@@ -158,19 +149,14 @@ def semifree_resolution(
     sf_gens = [N.gens[t].shifted(k - 1) for t in range(m, total)]
     sign = -1 if (k - 1) % 2 else 1
     sf_diff: Dict[int, Dict[int, AElem]] = {}
-    glue: Dict[int, Dict[int, AElem]] = {}
     for j in range(m, total):
-        row = N.diff.get(j)
-        if not row:
-            continue
         inner = {
-            i - m: a.scale_int(sign) for i, a in row.items() if i >= m
+            i - m: a.scale_int(sign)
+            for i, a in N.diff.get(j, {}).items()
+            if i >= m
         }
         if inner:
             sf_diff[j - m] = inner
-        outer = {i: a for i, a in row.items() if i < m}
-        if outer:
-            glue[j - m] = outer
     # trust window for the extracted resolution
     terminated = False
     lo_sf: Optional[int] = None
@@ -197,23 +183,18 @@ def semifree_resolution(
         cand = M.known_lo + 1
         lo_sf = cand if lo_sf is None else max(lo_sf, cand)
         terminated = False
-    sf = DGModule(A, sf_gens, sf_diff, known_lo=lo_sf, check=False)
+    sf = DGModule(M.A, sf_gens, sf_diff, known_lo=lo_sf, check=False)
     sf.underlying().validate()
-    return SemifreeResolution(sf, M, glue, stages, terminated)
+    return SemifreeResolution(sf, stages, terminated)
 
 
-def reduce_to_h0(SF: DGModule) -> FreeComplex:
-    """H^0(A) tensor_A SF for a semifree SF: the free H^0-complex on the
-    generators, differential the unit-slot coefficients of the glue."""
-    A = SF.A
-    for g in SF.gens:
-        if g.kind != "free":
-            raise ValueError("reduction needs a semifree module")
-    return _reduction_over(SF, A.h0_ring())
-
-
-def tensor_reduce(SF: DGModule, extra_relations: Sequence[Poly]) -> FreeComplex:
-    """(H^0/extra) tensor_A SF, computed over the smaller quotient ring."""
+def reduce_to_h0(
+    SF: DGModule, extra_relations: Sequence[Poly] = ()
+) -> PresentedComplex:
+    """(H^0(A)/extra) tensor_A SF for a semifree SF: the free complex over
+    that quotient ring on the generators, differential the unit-slot
+    coefficients of the glue.  With no extra relations the ring is H^0(A)
+    itself: quotients are memoized, so it is the object h0_ring() returns."""
     A = SF.A
     for g in SF.gens:
         if g.kind != "free":
@@ -224,16 +205,12 @@ def tensor_reduce(SF: DGModule, extra_relations: Sequence[Poly]) -> FreeComplex:
         if not q.is_zero():
             rels.append(q)
     ring = A.base.quotient(rels) if rels else A.base
-    return _reduction_over(SF, ring)
-
-
-def _reduction_over(SF: DGModule, ring: GradedRing) -> FreeComplex:
     by_deg: Dict[int, List[int]] = {}
     for j, g in enumerate(SF.gens):
         by_deg.setdefault(g.cohdeg, []).append(j)
     for lst in by_deg.values():
         lst.sort()
-    comps = {
+    covers = {
         c: GradedFreeModule(ring, [SF.gens[j].twist for j in lst])
         for c, lst in by_deg.items()
     }
@@ -247,7 +224,5 @@ def _reduction_over(SF: DGModule, ring: GradedRing) -> FreeComplex:
             {pos[i]: a.unit_part() for i, a in SF.diff.get(j, {}).items() if i in pos}
             for j in lst
         ]
-        diffs[c] = GradedMatrix(comps[c + 1], comps[c], cols)
-    return FreeComplex(
-        ring, comps, diffs, known_lo=SF.known_lo, check=True
-    )
+        diffs[c] = GradedMatrix(covers[c + 1], covers[c], cols)
+    return PresentedComplex(ring, covers, diffs, known_lo=SF.known_lo, check=True)

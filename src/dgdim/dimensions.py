@@ -1,8 +1,8 @@
 """Derived homological dimensions of DG-modules.
 
-Everything here reduces to three computable functors: the reduction
-H^0(A) (x)_A -, tensor reductions against quotient rings of H^0(A), and
-derived Hom from (a semifree replacement of) the residue field.  Finite
+Everything here reduces to two computable functors: the reduction
+(H^0(A)/I) (x)_A -, with I zero or a test ideal, and derived Hom from (a
+semifree replacement of) the residue field.  Finite
 answers come with the pruned table that exhibits them; infinite answers
 come with the bound rule that certifies them, since a finite value would
 have to show up inside the computed window.
@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .complexes import (
-    FreeComplex,
+    PresentedComplex,
     cohomology_data,
     hom_free_into_module,
     prune_complex,
@@ -45,7 +45,6 @@ from .dg import (
     residue_dg_module,
     semifree_resolution,
     shift_dg,
-    tensor_reduce,
 )
 
 AnyRing = Union[DGRing, ProductDGRing]
@@ -157,9 +156,9 @@ def _combine_parts(kind: str, parts: List[DimensionReport]) -> DimensionReport:
     )
 
 
-def _betti_table(F: FreeComplex) -> Dict[str, List[int]]:
+def _betti_table(F: PresentedComplex) -> Dict[str, List[int]]:
     return {
-        str(c): list(F.component(c).degrees)
+        str(c): list(F.cover(c).degrees)
         for c in F.support()
     }
 
@@ -204,7 +203,7 @@ def proj_dim(M: AnyModule) -> DimensionReport:
             reduction=trace,
         )
     trusted = {
-        str(c): list(F.component(c).degrees)
+        str(c): list(F.cover(c).degrees)
         for c in F.support()
         if trusted_degree(c, F.known_lo)
     }
@@ -259,7 +258,7 @@ def flat_dim(M: AnyModule) -> DimensionReport:
     tor_tables: Dict[str, Dict[str, List[int]]] = {}
     deepest: Optional[int] = None
     for label, gens in test_ideal_family(A):
-        F = tensor_reduce(res.sf, gens)
+        F = reduce_to_h0(res.sf, gens)
         table: Dict[str, List[int]] = {}
         lo = min(F.support(), default=0)
         hi = max(F.support(), default=0)
@@ -648,11 +647,6 @@ class DualizingReport:
     normalized_inf: int
     injdim: DimensionReport
     biduality_ok: bool
-
-    @property
-    def injdim_unshifted(self) -> int:
-        """Self-injective dimension of A itself, undoing the normalization."""
-        return self.injdim.value + self.shift
 
 
 def is_gorenstein(A: AnyRing) -> bool:

@@ -34,6 +34,7 @@ from .complexes import (
 from .core import GradedModule, GradedRing, Poly, PolyRing
 from .dg import (
     DGModule,
+    DGRing,
     ProductDGRing,
     build_ring_dg,
     factor_residue_module,
@@ -166,17 +167,27 @@ def fpd_bounds(A: AnyRing) -> FinitisticReport:
     elif lo == hi:
         report.fpd_value = hi
     elif not isinstance(A, ProductDGRing):
-        if is_gorenstein(A) and is_gorenstein(build_ring_dg(A.h0_ring())):
+        if _gorenstein_with_h0(A):
             report.gorenstein_case = True
             report.fpd_value = lo
     return report
+
+
+def _gorenstein_with_h0(A: DGRing) -> bool:
+    """A and H0(A) both Gorenstein.  The DG-ring of H0(A) is memoized on A,
+    so the Gorenstein memo on it serves every later call."""
+    if not is_gorenstein(A):
+        return False
+    if A._h0_dg is None:
+        A._h0_dg = build_ring_dg(A.h0_ring())
+    return is_gorenstein(A._h0_dg)
 
 
 def gorenstein_projdim_bound_check(A: AnyRing, modules: Sequence[DGModule]) -> dict:
     """Sharpened bound projdim(M) <= dim H0 - amp - inf(M) for every
     finite-flat-dimension module; failures are hard errors."""
     _connected(A, "the sharpened Gorenstein bound")
-    if not (is_gorenstein(A) and is_gorenstein(build_ring_dg(A.h0_ring()))):
+    if not _gorenstein_with_h0(A):
         raise ValueError("the sharpened bound needs A and H0(A) Gorenstein")
     dim = A.dimension()
     amp = ring_amplitude(A)

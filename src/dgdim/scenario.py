@@ -22,7 +22,6 @@ from .dg import (
     h0_cyclic_dg_module,
     koszul_dg_module,
     multiplication_map,
-    product_dg,
     product_koszul_module,
     residue_dg_module,
     shift_dg,
@@ -181,7 +180,7 @@ def _build_dg_rings(scn: Scenario, decls: dict) -> None:
                 scn.deps[name] = [base]
             elif kind == "product":
                 factors = _need(decl, "factors", what)
-                scn.dg_rings[name] = product_dg(
+                scn.dg_rings[name] = ProductDGRing(
                     [_dg_ref(scn, f, what) for f in factors]
                 )
                 scn.deps[name] = list(factors)
@@ -202,7 +201,7 @@ def _build_dg_rings(scn: Scenario, decls: dict) -> None:
             raise ScenarioError("%s: %s" % (what, exc))
 
 
-def _build_presented(A, decl: dict, what: str):
+def _module_from_generators(A, decl: dict, what: str):
     gens = [
         DGGen(int(c), int(t))
         for c, t in _need(decl, "generators", what)
@@ -300,7 +299,7 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                 scn.deps[name] = [of, other]
             elif kind == "presented":
                 ring = _need(decl, "ring", what)
-                scn.modules[name] = _build_presented(
+                scn.modules[name] = _module_from_generators(
                     _dg_ref(scn, ring, what), decl, what
                 )
                 scn.deps[name] = [ring]

@@ -18,7 +18,6 @@ import dgdim.core.syz as syz_module
 import dgdim.dg.tower as tower_module
 import dgdim.dimensions as dimensions_module
 from dgdim.complexes import (
-    FreeComplex,
     PresentedComplex,
     cohomology_data,
     hom_free_into_module,
@@ -32,6 +31,7 @@ from dgdim.core import (
     GradedModule,
     field_rank,
     make_graded_ring,
+    minimal_presentation,
 )
 from dgdim.dg import (
     build_koszul_dg,
@@ -49,15 +49,14 @@ from dgdim.dg import (
 from dgdim.corpus import (
     amplitude_zero_test_family,
     random_perfect_module,
+    redundant_presentation,
     standard_families,
 )
 
 
 def _pieces(C, i):
     """Cover, differential and relations (or None) of C at degree i."""
-    if isinstance(C, PresentedComplex):
-        return C.cover(i), C.diff(i), C.rel(i)
-    return C.component(i), C.differential(i), None
+    return C.cover(i), C.diff(i), C.rel(i)
 
 
 def _rank_in_degree(target, mats, t):
@@ -90,11 +89,7 @@ def h_dim(C, i, t):
 
 def assert_h_matches_oracle(C, degrees, t_range):
     for i in degrees:
-        if isinstance(C, PresentedComplex):
-            data = C.cohomology(i)
-        else:
-            data = cohomology_data(C, i)
-        mod = data.module
+        mod = C.cohomology(i).module
         for t in t_range:
             assert mod.hilbert_function(t) == h_dim(C, i, t), (i, t)
 
@@ -160,10 +155,10 @@ def test_resolution_of_k_over_polynomial_ring():
     assert cert.terminated
     F = cert.complex
     assert F.support() == [-2, -1, 0]
-    assert F.component(0).degrees == (0,)
-    assert tuple(sorted(F.component(-1).degrees)) == (1, 1)
-    assert F.component(-2).degrees == (2,)
-    for d in F.differentials.values():
+    assert F.cover(0).degrees == (0,)
+    assert tuple(sorted(F.cover(-1).degrees)) == (1, 1)
+    assert F.cover(-2).degrees == (2,)
+    for d in F.diffs.values():
         assert d.min_entry_degree_is_positive()
     # resolves k: H^0 = k, H^{-1} = H^{-2} = 0
     assert_h_matches_oracle(F, [-2, -1, 0], range(0, 5))
@@ -180,7 +175,7 @@ def test_resolution_of_k_over_dual_numbers_is_periodic():
     F = cert.complex
     assert F.support() == [-6, -5, -4, -3, -2, -1, 0]
     for i in range(0, 7):
-        assert F.component(-i).degrees == (i,)
+        assert F.cover(-i).degrees == (i,)
     assert F.known_lo == -6
     for i in range(-5, 0):
         assert cohomology_data(F, i).is_zero()
@@ -192,7 +187,7 @@ def test_resolution_of_free_module_is_itself():
     cert = minimal_free_resolution_module(M, cutoff=3)
     assert cert.terminated
     assert cert.complex.support() == [0]
-    assert cert.complex.component(0).degrees == (0, 3)
+    assert cert.complex.cover(0).degrees == (0, 3)
 
 
 def test_betti_numbers_do_not_depend_on_presentation():
@@ -275,7 +270,7 @@ def test_hom_differential_sign_convention():
     R = make_graded_ring("Q", ["x"], [])
     x = R.parse("x")
     c = {-1: GradedFreeModule(R, (1,)), 0: GradedFreeModule(R, (0,))}
-    Kx = FreeComplex(R, c, {-1: GradedMatrix(c[0], c[-1], [{0: x}])})
+    Kx = PresentedComplex(R, c, {-1: GradedMatrix(c[0], c[-1], [{0: x}])}, check=True)
     H = hom_free_into_module(Kx, GradedModule.free(R, (0,)))
     assert H.diff(0).cols == ({0: -x},)
 
@@ -298,22 +293,23 @@ def test_prune_removes_contractible_summand():
         -1: GradedFreeModule(R, (1, 1, 2)),
         -2: GradedFreeModule(R, (2,)),
     }
-    fat = FreeComplex(
+    fat = PresentedComplex(
         R,
         c,
         {
             -1: _from_rows(c[0], c[-1], [[x, y, z], [z, z, R.parse("3")]]),
             -2: _from_rows(c[-1], c[-2], [[-y], [x], [z]]),
         },
+        check=True,
     )
     slim = prune_complex(fat)
     slim.validate()
-    assert {i: slim.component(i).degrees for i in slim.support()} == {
+    assert {i: slim.cover(i).degrees for i in slim.support()} == {
         0: (0,),
         -1: (1, 1),
         -2: (2,),
     }
-    for d in slim.differentials.values():
+    for d in slim.diffs.values():
         assert d.min_entry_degree_is_positive()
 
 
@@ -328,13 +324,14 @@ def test_prune_of_cone_of_identity_is_zero():
         -1: GradedFreeModule(R, (1, 0)),
         0: GradedFreeModule(R, (0,)),
     }
-    cone = FreeComplex(
+    cone = PresentedComplex(
         R,
         c,
         {
             -2: _from_rows(c[-1], c[-2], [[one], [-x]]),
             -1: _from_rows(c[0], c[-1], [[x, one]]),
         },
+        check=True,
     )
     assert prune_complex(cone).support() == []
 
@@ -350,7 +347,7 @@ def test_prune_preserves_cohomology():
         0: GradedFreeModule(R, (0, 4)),
         1: GradedFreeModule(R, (4,)),
     }
-    fat = FreeComplex(
+    fat = PresentedComplex(
         R,
         c,
         {
@@ -358,11 +355,63 @@ def test_prune_preserves_cohomology():
             -1: _from_rows(c[0], c[-1], [[R.parse("x*y"), z], [z, z]]),
             0: _from_rows(c[1], c[0], [[z, R.one()]]),
         },
+        check=True,
     )
     slim = prune_complex(fat)
     for i in [-2, -1, 0, 1]:
         for t in range(0, 6):
             assert h_dim(slim, i, t) == h_dim(fat, i, t), (i, t)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+def test_prune_of_a_presentation_keeps_the_minimal_generators(field):
+    """A presentation M read as the complex F1 --M--> F0 in degrees -1 and 0:
+    pruning cancels the unit entries of M by minimal_presentation's pivot
+    rule, so it keeps the survivors of F0 and leaves the same relations."""
+    rng = Random(5)
+    cases = 0
+    for rels in ([], ["x^2", "x*y"], ["x*y", "y^3"]):
+        R = make_graded_ring(field, ["x", "y"], rels)
+        x, y = R.variables()
+        for gens in ([x], [x, y], [R.mul(x, y), R.mul(y, y)]):
+            M = GradedModule.cyclic(R, gens)
+            for _ in range(3):
+                M = redundant_presentation(M, rng)
+            P = M.presentation
+            mp = minimal_presentation(P)
+            C = PresentedComplex(R, {0: P.target, -1: P.source}, {-1: P}, check=True)
+            slim = prune_complex(C)
+            assert slim.cover(0).degrees == tuple(P.target.degrees[g] for g in mp.survivors)
+            # the pruned differential has no unit entry left, and its
+            # irredundant columns are the minimal relations, entry for entry
+            again = minimal_presentation(slim.diff(-1))
+            assert again.survivors == list(range(slim.cover(0).rank))
+            assert again.matrix.source.degrees == mp.matrix.source.degrees
+            assert again.matrix.cols == mp.matrix.cols
+            cases += len(P.target.degrees) > len(mp.survivors)
+    assert cases == 9
+
+
+def _with_relations():
+    R = make_graded_ring("Q", ["x"], [])
+    F0 = GradedFreeModule(R, (0,))
+    Q = GradedMatrix(F0, GradedFreeModule(R, (1,)), [{0: R.parse("x")}])
+    return PresentedComplex(R, {0: F0}, {}, {0: Q}, check=True), GradedModule.free(R, (0,))
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda C, N: prune_complex(C),
+        hom_free_into_module,
+        tensor_free_with_module,
+    ],
+    ids=["prune_complex", "hom_free_into_module", "tensor_free_with_module"],
+)
+def test_free_complex_operations_reject_relations(operation):
+    C, N = _with_relations()
+    with pytest.raises(ValueError, match="without relations"):
+        operation(C, N)
 
 
 # ---------- long exact sequence of a cone ----------

@@ -359,7 +359,7 @@ def test_dualizing_regular_ring():
     assert rep.normalized_inf == -2
     assert rep.injdim.value == 0
     assert rep.injdim.value == rep.normalized_inf + 2
-    assert rep.injdim_unshifted == 2
+    assert rep.injdim.value + rep.shift == 2
     assert rep.biduality_ok
 
 

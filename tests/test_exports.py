@@ -1,9 +1,11 @@
-"""Every public name of dgdim.core and dgdim.dg has a reader in the program.
+"""Every public name of dgdim.core and dgdim.dg, and every function of the
+program, has a reader in the program.
 
 A name in a package's __all__ that only its own module and the package
 __init__ mention is a dead export: nothing in src/dgdim or bench reads it,
-so it can go, or leave __all__ and stay a module-level name.  Tests do not
-count as readers.
+so it can go, or leave __all__ and stay a module-level name.  A function or
+method whose name shows up on no line of src/dgdim or bench but its own
+def line is dead code.  Tests do not count as readers.
 """
 import importlib
 import re
@@ -20,6 +22,18 @@ SOURCES = sorted((ROOT / "src" / "dgdim").rglob("*.py")) + sorted(
 # the degreewise rank that the tests use as an independent oracle
 TEST_ORACLES = {"field_rank"}
 
+# functions only the tests call: the degreewise linear-algebra oracles and
+# the structure checks, and fpd_example_pair, whose caller is still to come
+TEST_ONLY_FUNCTIONS = {
+    "matrix_in_degree",
+    "kernel_dim_in_degree",
+    "min_entry_degree_is_positive",
+    "check_axioms",
+    "fpd_example_pair",
+}
+
+DEF_LINE = re.compile(r"^\s*def\s+(\w+)\s*\(")
+
 
 @pytest.mark.parametrize("package", ["dgdim.core", "dgdim.dg"])
 def test_every_export_is_read_outside_its_module(package):
@@ -34,3 +48,21 @@ def test_every_export_is_read_outside_its_module(package):
                    if path not in skip):
             unread.append(name)
     assert sorted(unread) == sorted(TEST_ORACLES & set(pkg.__all__))
+
+
+def test_every_function_is_named_off_its_def_line():
+    program = (ROOT / "src" / "dgdim").resolve()
+    defined = set()
+    words = set()
+    for path in SOURCES:
+        for line in path.read_text(encoding="utf-8").splitlines():
+            m = DEF_LINE.match(line)
+            if m is None:
+                words.update(re.findall(r"\w+", line))
+            elif program in path.resolve().parents:
+                defined.add(m.group(1))
+    unread = {
+        name for name in defined
+        if not (name.startswith("__") and name.endswith("__")) and name not in words
+    }
+    assert sorted(unread) == sorted(TEST_ONLY_FUNCTIONS)

@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+import dgdim.dimensions as dimensions_module
 from dgdim.core import make_graded_ring
 from dgdim.dg import (
     build_koszul_dg,
@@ -165,6 +166,23 @@ def test_gorenstein_bound_check_precondition():
     B = build_trivial_extension(make_graded_ring("Q", ["x", "y"]), 1, ["x"])
     with pytest.raises(ValueError):
         gorenstein_projdim_bound_check(B, [])
+
+
+def test_gorenstein_tests_share_the_h0_dg_ring(monkeypatch):
+    """fpd_bounds and the sharpened bound test H0(A) on one DG-ring memoized
+    on A, so after fpd_bounds the bound check runs no Bass scan at all."""
+    A = koszul_xyz()
+    assert fpd_bounds(A).gorenstein_case
+    calls = [0]
+    inner = dimensions_module.inj_dim
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(dimensions_module, "inj_dim", counted)
+    assert gorenstein_projdim_bound_check(A, [])["checked"] == 0
+    assert calls[0] == 0
 
 
 # ---------- witness recipes ----------
