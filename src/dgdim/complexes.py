@@ -46,8 +46,10 @@ class PresentedComplex:
     block of syz([D_i | Q_{i+1}]), and a cycle dies when it lies in the image
     of D_{i-1} together with Q_i.  Whether every cycle dies is decided first,
     by linear algebra over k one internal degree at a time
-    (cohomology_vanishes); only a nonzero H^i gets the second syzygy module
-    and a minimal presentation.
+    (cohomology_vanishes), which stops at the first cycle generator that
+    survives; only a nonzero H^i gets the second syzygy module and a
+    minimal presentation.  When the irrelevant ideal kills H^i, the same
+    count run to the end is dim_k H^i (cohomology_k_dim).
     """
 
     def __init__(
@@ -125,6 +127,15 @@ class PresentedComplex:
 
     def cohomology_vanishes(self, i: int) -> bool:
         return _vanishes(self, i)
+
+    def cohomology_k_dim(self, i: int) -> int:
+        """dim_k H^i, for a complex whose H^i the irrelevant ideal kills
+        (Ext from the residue field is one).  Such an H^i is spanned over k
+        by the classes of the cycle generators, so its dimension is the
+        number of them independent modulo the image, counted by the
+        degreewise linear algebra of the vanishing test; no presentation of
+        H^i is built."""
+        return _surviving_cycles(self, i)
 
 
 # ---------- pruning (Gaussian cancellation of unit entries) ----------
@@ -280,20 +291,26 @@ def _cycles(P: PresentedComplex, i: int) -> Optional[GradedMatrix]:
     return K
 
 
-def _columns_in_image(
-    K: GradedMatrix, blocks: Sequence[Optional[GradedMatrix]]
-) -> bool:
-    """True when every column of K lies in the submodule generated by the
-    columns of the blocks (None blocks are skipped).  A homogeneous vector
-    of degree d lies in a graded submodule exactly when it lies in its
-    degree-d piece, which the standard-monomial multiples of the columns of
-    degree <= d span over k."""
+def _independent_columns(
+    K: GradedMatrix,
+    blocks: Sequence[Optional[GradedMatrix]],
+    limit: Optional[int] = None,
+) -> int:
+    """Number of columns of K that stay k-linearly independent modulo the
+    submodule generated by the columns of the blocks (None blocks are
+    skipped), counted one internal degree at a time and stopping once the
+    count reaches limit.  A homogeneous vector of degree d lies in a graded
+    submodule exactly when it lies in its degree-d piece, which the
+    standard-monomial multiples of the columns of degree <= d span over k;
+    each degree-d column of K is tested modulo that piece and the degree-d
+    columns of K before it."""
     ring = K.ring
     by_degree: Dict[int, List[int]] = {}
     for j, d in enumerate(K.source.degrees):
         by_degree.setdefault(d, []).append(j)
     one = ring.ambient.mono_one()
     gens = [(B.source, B.cols) for B in blocks if B is not None]
+    count = 0
     for d in sorted(by_degree):
         span = _Span(ring.field)
         for source, cols in gens:
@@ -301,27 +318,42 @@ def _columns_in_image(
                 span.insert(monomial_multiple(ring, cols[c], mono))
         for j in by_degree[d]:
             if span.insert(monomial_multiple(ring, K.cols[j], one)):
-                return False
-    return True
+                count += 1
+                if count == limit:
+                    return count
+    return count
+
+
+def _surviving_cycles(
+    P: PresentedComplex, i: int, limit: Optional[int] = None
+) -> int:
+    """Number of cycle generators at degree i that survive modulo the
+    image of [D_{i-1} | Q_i], counted up to limit; 0 exactly when
+    H^i(P) = 0.  A zero answer is cached as H^i, a nonzero one marked."""
+    cached = P._cohomology_cache.get(i)
+    if cached is not None and cached.is_zero():
+        return 0
+    if limit == 1 and i in P._nonzero:
+        return 1
+    K = _cycles(P, i)
+    n = 0 if K is None else _independent_columns(
+        K, [P.diffs.get(i - 1), P.rels.get(i)], limit
+    )
+    if n:
+        P._nonzero.add(i)
+    else:
+        P._cohomology_cache[i] = CohomologyData(
+            i, GradedModule.free(P.ring, ()), [], ()
+        )
+    return n
 
 
 def _vanishes(P: PresentedComplex, i: int) -> bool:
     """H^i(P) = 0, decided by degreewise linear algebra: every cycle lies in
-    the image of [D_{i-1} | Q_i].  No Groebner basis, syzygy or minimal
-    presentation beyond the cycles' own; a zero answer is cached as H^i."""
-    cached = P._cohomology_cache.get(i)
-    if cached is not None:
-        return cached.is_zero()
-    if i in P._nonzero:
-        return False
-    K = _cycles(P, i)
-    if K is None or _columns_in_image(K, [P.diffs.get(i - 1), P.rels.get(i)]):
-        P._cohomology_cache[i] = CohomologyData(
-            i, GradedModule.free(P.ring, ()), [], ()
-        )
-        return True
-    P._nonzero.add(i)
-    return False
+    the image of [D_{i-1} | Q_i], tested up to the first independent cycle
+    generator.  No Groebner basis, syzygy or minimal presentation beyond
+    the cycles' own."""
+    return _surviving_cycles(P, i, limit=1) == 0
 
 
 def _cohomology(P: PresentedComplex, i: int) -> CohomologyData:

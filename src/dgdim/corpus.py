@@ -160,7 +160,9 @@ def amplitude_zero_test_family(A: DGRing) -> List[Tuple[str, DGModule]]:
 def direct_ext_projdim(M: DGModule) -> Optional[int]:
     """Projective dimension found by brute Ext search: resolve, map into
     each amplitude-zero test module, and take the top nonvanishing degree.
-    Returns None when nothing survives (the acyclic case)."""
+    Each Hom complex is scanned from its top down to the first nonzero
+    degree, and never at or below the best degree found so far.  Returns
+    None when nothing survives (the acyclic case)."""
     A = M.A
     res = semifree_resolution(M)
     if not res.terminated:
@@ -168,10 +170,14 @@ def direct_ext_projdim(M: DGModule) -> Optional[int]:
     best: Optional[int] = None
     for _, T in amplitude_zero_test_family(A):
         H = hom_semifree_into_dg(res.sf, T)
-        for i in range(min(H.support(), default=0), max(H.support(), default=0) + 1):
-            if not H.cohomology_vanishes(i):
-                if best is None or i > best:
-                    best = i
+        supp = H.support()
+        if not supp:
+            continue
+        stop = supp[0] - 1 if best is None else max(supp[0] - 1, best)
+        best = next(
+            (i for i in range(supp[-1], stop, -1) if not H.cohomology_vanishes(i)),
+            best,
+        )
     return best
 
 

@@ -22,12 +22,17 @@ differential and the module action pick up the signs
 which make shifting a module by [n] the data change (cohdeg -= n,
 sigma += n, alpha *= (-1)^n).  All slot coefficients live in the slot's
 coefficient ring; d^2 = 0 is checked modulo the slot relations.
+
+Cohomology is that of the underlying presented complex, over the slot
+support above known_lo.  inf_h scans it upward and sup_h downward, each
+stopping at the first nonzero degree; cohomology_support tests every
+degree.
 """
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..complexes import CohomologyData, PresentedComplex, trusted_degree
+from ..complexes import CohomologyData, PresentedComplex
 from ..core.freemod import GradedFreeModule, GradedMatrix
 from ..core.poly import Poly
 from ..core.syz import syzygy_engine
@@ -293,35 +298,40 @@ class DGModule:
     def cohomology_vanishes(self, i: int) -> bool:
         return self.underlying().cohomology_vanishes(i)
 
-    def cohomology_support(
-        self, lo: Optional[int] = None, hi: Optional[int] = None
-    ) -> List[int]:
-        """Cohomological degrees with nonzero H, inside the certified range."""
+    def _scan_range(self) -> range:
+        """The certified degrees of the slot support, ascending: H vanishes
+        outside the support, and degrees at or below known_lo are not
+        certified."""
         s = self.support()
         if not s:
-            return []
-        a = s[0] - 1 if lo is None else lo
-        b = s[-1] + 1 if hi is None else hi
-        return [
-            i
-            for i in range(a, b + 1)
-            if trusted_degree(i, self.known_lo) and not self.cohomology_vanishes(i)
-        ]
+            return range(0)
+        lo = s[0] if self.known_lo is None else max(s[0], self.known_lo + 1)
+        return range(lo, s[-1] + 1)
+
+    def cohomology_support(self) -> List[int]:
+        """Cohomological degrees with nonzero H, inside the certified range."""
+        return [i for i in self._scan_range() if not self.cohomology_vanishes(i)]
 
     def sup_h(self) -> Optional[int]:
-        degs = self.cohomology_support()
-        return degs[-1] if degs else None
+        """Top nonzero certified degree, scanning down to the first one."""
+        return next(
+            (i for i in reversed(self._scan_range()) if not self.cohomology_vanishes(i)),
+            None,
+        )
 
     def inf_h(self) -> Optional[int]:
-        degs = self.cohomology_support()
-        return degs[0] if degs else None
+        """Bottom nonzero certified degree, scanning up to the first one."""
+        return next(
+            (i for i in self._scan_range() if not self.cohomology_vanishes(i)),
+            None,
+        )
 
     def amp_h(self) -> Optional[int]:
-        degs = self.cohomology_support()
-        return degs[-1] - degs[0] if degs else None
+        lo = self.inf_h()
+        return None if lo is None else self.sup_h() - lo
 
     def is_acyclic(self) -> bool:
-        return not self.cohomology_support()
+        return self.inf_h() is None
 
     def __repr__(self):
         name = self.label or "DGModule"

@@ -9,6 +9,20 @@ glue entries among them, form a semifree module SF quasi-isomorphic to the
 input down to a controllable degree: if the process is stopped while
 cohomology survives at degree s after k stages, SF carries known_lo = s-k+1
 and matches the input from s-k+2 up.
+
+Each stage's scan starts at the degree the previous stage covered.  Say a
+stage covers the top nonzero H^s(N) by P.  The generators of P sit at s
+and A is non-positive, so H^t(P) = 0 for t > s.  In the long exact
+sequence of cone(P -> N),
+
+    H^t(P) -> H^t(N) -> H^t(cone) -> H^{t+1}(P),
+
+the right-hand term vanishes for t >= s and H^t(N) does for t > s, so
+H^t(cone) = 0 for t > s; at t = s, H^s(P) -> H^s(N) is onto by the choice
+of cover, so H^s(cone) = 0 too.  The cocone is cone[-1], so it has no
+cohomology above s, and the next stage scans down from s instead of from
+its top slot degree.  No cohomology is carried from one stage to the next:
+the ceiling alone keeps every degree above s from being read again.
 """
 from __future__ import annotations
 
@@ -58,28 +72,29 @@ def _no_cohomology_below(N: DGModule, floor: int) -> bool:
 
 
 def _stage(
-    M: DGModule, floor: Optional[int]
+    M: DGModule, floor: Optional[int], ceiling: Optional[int]
 ) -> Optional[Tuple[int, DGModule, Tuple[int, ...]]]:
-    """Cover the top nonzero certified H^s(M) with s >= floor by a free
-    module P, one generator per minimal generator of H^s(M), and return
-    (s, cone of P -> M, twists of P).  The cone has no cohomology at s,
-    surjectivity of H(P) -> H(M) there being how the cover was chosen.
-    None when there is no such s (certification cut, slot support and floor
-    combined)."""
+    """Cover the top nonzero certified H^s(M) with floor <= s <= ceiling by
+    a free module P, one generator per minimal generator of H^s(M), and
+    return (s, cone of P -> M, twists of P).  The cone has no cohomology at
+    s, surjectivity of H(P) -> H(M) there being how the cover was chosen.
+    The caller certifies that H(M) vanishes above the ceiling (None: no
+    ceiling), so the scan starts there.  None when there is no such s
+    (certification cut, slot support and floor combined)."""
     hi = M.max_slot_cohdeg()
     if hi is None:
         return None
+    if ceiling is not None:
+        hi = min(hi, ceiling)
     eff = M.min_slot_cohdeg()
     if M.known_lo is not None:
         eff = max(eff, M.known_lo + 1)
     if floor is not None:
         eff = max(eff, floor)
-    for s in range(hi, eff - 1, -1):
-        data = M.cohomology(s)
-        if not data.is_zero():
-            break
-    else:
+    s = next((s for s in range(hi, eff - 1, -1) if not M.cohomology_vanishes(s)), None)
+    if s is None:
         return None
+    data = M.cohomology(s)
     A = M.A
     P = free_dg_module(A, [(s, tw) for tw in data.generator_degrees])
     entries: Dict[int, Dict[int, AElem]] = {}
@@ -125,11 +140,12 @@ def semifree_resolution(
         else:
             max_stages = 48
     floor_now = None
+    ceiling: Optional[int] = None
     while True:
         if window_lo is not None:
             # only cohomology at s with s - k > window_lo - 2 forces a stage
             floor_now = window_lo + k - 1
-        stage = _stage(N, floor_now)
+        stage = _stage(N, floor_now, ceiling)
         if stage is None:
             break
         if k >= max_stages:
@@ -138,6 +154,8 @@ def semifree_resolution(
             )
         position, cone, twists = stage
         N = shift_dg(cone, -1)  # the cocone of the covering map
+        # H(N) = 0 above the covered position (see the module docstring)
+        ceiling = position
         k += 1
         pos = position - (k - 1)
         if prev_pos is not None and pos >= prev_pos:

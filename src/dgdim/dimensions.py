@@ -7,6 +7,12 @@ answers come with the pruned table that exhibits them; infinite answers
 come with the bound rule that certifies them, since a finite value would
 have to show up inside the computed window.
 
+Each cohomology scan stops where the theory settles its answer: inf and
+sup stop at the first nonzero degree, the inf of a Koszul cone over a
+module of known inf takes one vanishing test, and a Bass number is the
+k-dimension of an Ext group that the maximal ideal kills, so it is counted
+without presenting the group.
+
 The graded-local conventions: the base is a connected graded quotient of
 a polynomial ring, the maximal ideal is the irrelevant one, and the
 residue field sits in internal degree zero.  Product rings are handled
@@ -306,7 +312,12 @@ def flat_dim(M: AnyModule) -> DimensionReport:
 def bass_numbers(
     M: DGModule, scan_lo: int, scan_hi: int
 ) -> Tuple[Dict[int, int], Optional[SemifreeResolution]]:
-    """mu^i = rank of Ext^i(k, M) for scan_lo <= i <= scan_hi."""
+    """mu^i = rank of Ext^i(k, M) for scan_lo <= i <= scan_hi.
+
+    Ext^i(k, M) is killed by the maximal ideal, because it is killed
+    through k, so mu^i is its k-dimension: the number of cycle generators
+    of Hom(SF, M) at degree i that stay independent modulo the image.  No
+    presentation of Ext^i is built."""
     A = M.A
     mslot = M.min_slot_cohdeg()
     if mslot is None:
@@ -323,7 +334,7 @@ def bass_numbers(
     for i in range(scan_lo, scan_hi + 1):
         if not H._trust(i):
             raise RuntimeError("Bass window fell short at degree %d" % i)
-        mus[i] = len(H.cohomology(i).generator_degrees)
+        mus[i] = H.cohomology_k_dim(i)
     return mus, res
 
 
@@ -417,18 +428,32 @@ def is_regular_sequence(A: AnyRing, elements: Sequence) -> RegSeqReport:
     return module_sequence_regular(free_dg_module(A, [(0, 0)]), elements)
 
 
+def _cone_inf(K: DGModule, t: Optional[int], a: Poly) -> Optional[int]:
+    """inf of K = cone(a: M(-|a|) -> M), given t = inf(M), by one vanishing
+    test.  For a zero or positive-degree a the long exact sequence of the
+    cone gives H^j(K) = 0 below t - 1 and H^{t-1}(K) = ker(a on H^t M),
+    while H^t(K) maps onto coker(a on H^t M), nonzero by Nakayama.  So
+    inf(K) is t - 1 when H^{t-1}(K) is nonzero and t otherwise.  A unit a,
+    a truncated cone or an acyclic M takes the full scan instead."""
+    if t is None or K.known_lo is not None or (a and a.degree() == 0):
+        return K.inf_h()
+    return t if K.cohomology_vanishes(t - 1) else t - 1
+
+
 def module_sequence_regular(M: DGModule, elements: Sequence) -> RegSeqReport:
     """Same criterion against a module: inf(K(A;a) (x) M) must stay at
     inf(M) for every prefix.  Each prefix is the cone of multiplication by
-    its last element on the one before it."""
+    its last element on the one before it, so while the prefix is regular
+    the cone's inf takes one vanishing test (_cone_inf)."""
     base = M.A.base
     target = M.inf_h()
     infs: List[Optional[int]] = []
     K = M
     for t, a in enumerate(elements):
         p = a if isinstance(a, Poly) else base.parse(str(a))
-        K = cone_dg(multiplication_map(K, base.normal_form(p)), check=False)
-        val = K.inf_h()
+        q = base.normal_form(p)
+        K = cone_dg(multiplication_map(K, q), check=False)
+        val = _cone_inf(K, target, q)
         infs.append(val)
         if val != target:
             return RegSeqReport(False, len(elements), t, target, infs)
@@ -507,8 +532,9 @@ def sequential_depth(X: Union[AnyRing, DGModule]) -> DepthReport:
     best: List[Poly] = []
 
     def regular_after(prefix_module: DGModule, p: Poly) -> Optional[DGModule]:
+        # every prefix module passed here has inf equal to target
         K = cone_dg(multiplication_map(prefix_module, p), check=False)
-        if K.inf_h() != target:
+        if _cone_inf(K, target, p) != target:
             return None
         return K
 

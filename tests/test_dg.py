@@ -4,10 +4,17 @@ The cohomology fixtures here were derived independently (Koszul homology
 by hand, socle/annihilator computations over the small quotient rings)
 before being frozen into the asserts.
 """
+from random import Random
+
 import pytest
 
-from dgdim.complexes import cohomology_data, prune_complex
-from dgdim.core import make_graded_ring
+from dgdim.complexes import (
+    cohomology_data,
+    minimal_free_resolution_module,
+    prune_complex,
+)
+from dgdim.core import GradedModule, make_graded_ring
+from dgdim.corpus import random_perfect_module, standard_families
 from dgdim.dg import (
     AElem,
     ProductDGRing,
@@ -265,6 +272,47 @@ def test_stage_positions_strictly_decrease():
     assert len(set(positions)) == len(positions)
 
 
+FIELDS = ["Q", "Fp:32003"]
+
+
+def seeded_quotients(field):
+    """k[x,y]/(x^2, xy), then quotients of k[x,y,z] by two or three seeded
+    homogeneous quadrics and cubics with one or two terms each."""
+    yield make_graded_ring(field, ["x", "y"], ["x^2", "x*y"])
+    by_degree = {
+        2: ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"],
+        3: ["x^3", "x*y*z", "y^2*z", "z^3"],
+    }
+    rng = Random(11)
+    for _ in range(4):
+        rels = []
+        for _ in range(rng.randint(2, 3)):
+            monos = rng.sample(by_degree[rng.choice([2, 2, 3])], rng.randint(1, 2))
+            rels.append(" + ".join(
+                "%d*%s" % (rng.choice([1, 2, 3]), m) for m in monos
+            ))
+        yield make_graded_ring(field, ["x", "y", "z"], rels)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_residue_tower_twists_are_the_betti_degrees(field):
+    """Over an ordinary ring the tower of k is its minimal free resolution:
+    stage j sits at position -j and its twists are the Betti degrees of
+    step j, which the iterated-syzygy resolution computes without the
+    tower.  Each stage scans only up to the position the last one covered,
+    so a missed class above that ceiling would show up here."""
+    for R in seeded_quotients(field):
+        res = semifree_resolution(residue_dg_module(build_ring_dg(R)), window_lo=-2)
+        n = len(res.stages)
+        assert n >= 3 and not res.terminated
+        betti = minimal_free_resolution_module(
+            GradedModule.cyclic(R, R.variables()), n + 1
+        ).betti
+        assert [st["position"] for st in res.stages] == list(range(0, -n, -1))
+        for j, st in enumerate(res.stages):
+            assert tuple(sorted(st["twists"])) == betti[-j], (R.relations, j)
+
+
 def test_h0_module_encoding_round_trip():
     """The residue field k, an H^0-module over H^0(K(k[x,y]; x,xy)) = k[y],
     resolved over the DG-ring: Tor appears in even degrees with internal
@@ -396,3 +444,33 @@ def test_h0_cyclic_restriction_has_h0_only():
     assert M.cohomology_support() == [0]
     h = M.cohomology(0).module
     assert [h.hilbert_function(t) for t in range(3)] == [1, 1, 1]
+
+
+# ---------- early-exit cohomology scans ----------
+
+
+def scan_cases(field):
+    """Fresh builds of the seeded perfect modules of the standard families
+    (each product factor on its own), and truncated residue-field towers."""
+    for A in standard_families(field):
+        for seed in range(6):
+            M = random_perfect_module(A, Random(seed))
+            yield from getattr(M, "parts", [M])
+    for R in (make_graded_ring(field, ["x", "y"], ["x^2", "x*y"]),
+              make_graded_ring(field, ["x"], ["x^2"])):
+        yield semifree_resolution(residue_dg_module(build_ring_dg(R)),
+                                  window_lo=-2).sf
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_inf_and_sup_stop_at_the_ends_of_the_support(field):
+    """inf_h scans up and sup_h down, each to its first nonzero degree; on
+    a separate fresh build, so no answer is cached from the full scan, they
+    are the ends of cohomology_support."""
+    truncated = 0
+    for M, fresh in zip(scan_cases(field), scan_cases(field)):
+        degs = M.cohomology_support()
+        ends = (degs[0], degs[-1], degs[-1] - degs[0]) if degs else (None,) * 3
+        assert (fresh.inf_h(), fresh.sup_h(), fresh.amp_h()) == ends, M
+        truncated += M.known_lo is not None
+    assert truncated == 2

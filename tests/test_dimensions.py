@@ -8,6 +8,9 @@ import json
 
 import pytest
 
+from dgdim import checks, corpus
+from dgdim.cli import main
+from dgdim.complexes import PresentedComplex
 from dgdim.core import make_graded_ring
 from dgdim.dg import (
     build_koszul_dg,
@@ -32,6 +35,7 @@ from dgdim.dimensions import (
     is_local_cohen_macaulay,
     is_regular_sequence,
     local_cohomology_amplitude,
+    module_sequence_regular,
     proj_dim,
     ring_amplitude,
     ring_free_module,
@@ -196,6 +200,70 @@ def test_bass_numbers_window():
     assert mus == {0: 0, 1: 0, 2: 1}
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_bass_counts_match_full_cohomology_in_the_suites(monkeypatch, capsys, field):
+    """Every Bass number is counted as a k-dimension.  At each degree that
+    the injective-dimension queries of this file and `verify --seed 0`
+    scan, the count equals the number of minimal generators of the full
+    H^i of the Hom complex."""
+    inner = PresentedComplex.cohomology_k_dim
+    seen = {"degrees": 0, "nonzero": 0}
+
+    def checked(self, i):
+        n = inner(self, i)
+        assert n == len(self.cohomology(i).generator_degrees), i
+        seen["degrees"] += 1
+        seen["nonzero"] += n > 0
+        return n
+
+    monkeypatch.setattr(PresentedComplex, "cohomology_k_dim", checked)
+    modules = [
+        ring_free_module(ring_xy(field)),
+        ring_free_module(koszul_xy(field)),
+        ring_free_module(dual_numbers(field)),
+        residue_dg_module(dual_numbers(field)),
+        ring_free_module(golod_xy(field)),
+        ring_free_module(build_trivial_extension(
+            make_graded_ring(field, ["x", "y"]), 1, ["x"])),
+    ]
+    for M in modules:
+        inj_dim(M)
+    assert seen["degrees"] >= 30 and seen["nonzero"] >= 10, seen
+    # fresh fixture rings, so that verify runs every query instead of
+    # reading the Gorenstein and residue-resolution memos of earlier rings
+    for memo in (corpus.standard_families, checks._fixture_set,
+                 checks._designed_false, checks._corpus_sweep):
+        memo.cache_clear()
+    before = dict(seen)
+    assert main(["verify", "--seed", "0", "--field", field, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
+    assert seen["degrees"] > before["degrees"]
+    assert seen["nonzero"] > before["nonzero"]
+
+
+def koszul_ladder_ring(d, n, field="Q"):
+    """K(k[x, y_1..y_d]; x, x*m_1, .., x*m_n) with m_i = y_i when d >= n
+    and m_i = y_1^i otherwise: a Gorenstein DG-ring with dim H0 = d and
+    amplitude n."""
+    ys = ["y", "z", "w"][:d]
+    base = make_graded_ring(field, ["x"] + ys)
+    monos = ys[:n] if d >= n else ["%s^%d" % (ys[0], i) for i in range(1, n + 1)]
+    return build_koszul_dg(base, [base.parse(e) for e in ["x"] + ["x*" + m for m in monos]])
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
+def test_bass_numbers_of_koszul_ladder_rings(d, n):
+    """Koszul self-duality over the polynomial ring P = k[x, y_1..y_d]
+    gives RHom_A(k, A) = RHom_P(k, P) up to shift for A = K(P; f_1..f_r),
+    so mu^i(A) is 1 at i = dim P - r = d - n and 0 everywhere else in the
+    window the injective-dimension query scans."""
+    A = koszul_ladder_ring(d, n)
+    assert A.dimension() == d and ring_amplitude(A) == n
+    rep = inj_dim(ring_free_module(A))
+    assert rep.value == d - n
+    assert rep.certificate["bass"] == {str(d - n): 1}
+
+
 # ---------- regular sequences ----------
 
 
@@ -231,6 +299,38 @@ def test_product_sequence_componentwise():
     # a unit in a single coordinate leaves a proper ideal: no error, not
     # regular either
     assert not is_regular_sequence(Apr, [("1", "0")]).regular
+
+
+def test_unit_element_takes_the_full_inf_scan():
+    """Multiplication by a unit has an acyclic cone, which the one-test
+    inf of a Koszul cone cannot see (it never answers None); the unit
+    sends the cone to the full scan, which reports the true inf."""
+    for elements, infs in ((["1"], [None]), (["x", "1"], [0, None])):
+        rep = module_sequence_regular(ring_free_module(ring_xy()), elements)
+        assert rep.koszul_infs == infs
+        assert rep.first_failure == len(infs) - 1
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_cone_inf_matches_the_full_scan_in_sequential_depth(monkeypatch, field):
+    """sequential_depth reads the inf of each Koszul cone off one vanishing
+    test.  On every cone it builds over the fixture rings of verify, and
+    over a Koszul module on each, that value is the inf of the full scan;
+    both answers (regular and not) occur."""
+    inner = dimensions_module._cone_inf
+    outcomes = {"regular": 0, "not regular": 0}
+
+    def checked(K, t, a):
+        val = inner(K, t, a)
+        assert val == K.inf_h(), (K, a)
+        outcomes["regular" if val == t else "not regular"] += 1
+        return val
+
+    monkeypatch.setattr(dimensions_module, "_cone_inf", checked)
+    for A in checks._fixture_set(field).values():
+        sequential_depth(free_dg_module(A, [(0, 0)]))
+        sequential_depth(koszul_dg_module(A, [A.base.variables()[-1]]))
+    assert outcomes["regular"] >= 5 and outcomes["not regular"] >= 5, outcomes
 
 
 # ---------- sequential depth ----------
