@@ -27,6 +27,31 @@ Cohomology is that of the underlying presented complex, over the slot
 support above known_lo.  inf_h scans it upward and sup_h downward, each
 stopping at the first nonzero degree; cohomology_support tests every
 degree.
+
+Hom out of a semifree module is the underlying complex of a DG-module.
+Let SF have free generators e_j (cohdeg a_j, twist s_j, parity sigma_j)
+and M generators g_i (cohdeg c_i, twist t_i, parity tau_i).  A map of
+degree n sends e_j to sum_sym p [sym g_i] with c_i + |sym| - a_j = n, so
+Hom_A(SF, M) is spanned by slots [sym h_(j,i)] of a module H with one
+generator h_(j,i) per pair: cohdeg c_i - a_j, twist t_i - s_j, and the
+kind, relations and parity tau_i of g_i.  Its differential is
+
+    d(phi) = d_M o phi - (-1)^n phi o d_SF.
+
+The first term is d_M on the value slot, which is the M entry alpha on
+h_(j,i) -> h_(j,i').  The second sends [sym h_(j,i)] to
+-(-1)^n (-1)^{(sigma_j + n)|b|} b . [sym g_i] at e_{j2}, for each entry
+beta_{j2,j} = sum_b (beta)_b b of d_SF; all such b have the degree
+|b| = a_{j2} + 1 - a_j.  The action gives b . [sym g_i] =
+(-1)^{tau_i |b|} [(b sym) g_i], and b sym = (-1)^{|b||sym|} sym b.  An
+entry gamma on h_(j,i) -> h_(j2,i), both of parity tau_i, expands to
+(-1)^{|sym|} [(sym gamma) h_(j2,i)].  The quotient of the two signs is
+free of sym, so gamma = eps * beta_{j2,j} with
+
+    eps = -(-1)^{c_i + a_j} (-1)^{|b|(sigma_j + tau_i + c_i + a_j)}.
+
+With h_(j,i) numbered j * len(M.gens) + i, the slots of each degree come
+SF-major, then in M's slot order.
 """
 from __future__ import annotations
 
@@ -35,7 +60,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..complexes import CohomologyData, PresentedComplex
 from ..core.freemod import GradedFreeModule, GradedMatrix
 from ..core.poly import Poly
-from ..core.syz import syzygy_engine
 from .dgring import AElem, DGRing
 
 
@@ -94,7 +118,6 @@ class DGModule:
         self.known_lo = known_lo
         self.label = label
         self._slots_by_deg: Optional[Dict[int, List[Slot]]] = None
-        self._slot_pos: Dict[Slot, Tuple[int, int]] = {}
         self._underlying: Optional[PresentedComplex] = None
         if check:
             self._check_shape()
@@ -134,21 +157,15 @@ class DGModule:
         )
 
     def slots_by_degree(self) -> Dict[int, List[Slot]]:
+        """Slots by cohomological degree, each list in (generator, ring
+        basis) order."""
         if self._slots_by_deg is None:
             table: Dict[int, List[Slot]] = {}
             for j in range(len(self.gens)):
                 for sym in self.gen_slots(j):
                     table.setdefault(self.slot_cohdeg(j, sym), []).append((j, sym))
-            for c, lst in table.items():
-                lst.sort(key=lambda s: (s[0], self.A.basis.index(s[1])))
-                for idx, s in enumerate(lst):
-                    self._slot_pos[s] = (c, idx)
             self._slots_by_deg = table
         return self._slots_by_deg
-
-    def slot_position(self, slot: Slot) -> Tuple[int, int]:
-        self.slots_by_degree()
-        return self._slot_pos[slot]
 
     def support(self) -> List[int]:
         return sorted(self.slots_by_degree())
@@ -224,33 +241,6 @@ class DGModule:
                         continue
                     put((i, sym), p if sign > 0 else -p)
         return out
-
-    def act(self, a: AElem, vec: Dict[Slot, Poly]) -> Dict[Slot, Poly]:
-        """Module action of a ring element on a slot vector."""
-        A = self.A
-        out: Dict[Slot, Poly] = {}
-        for (j, b), p in vec.items():
-            if p.is_zero():
-                continue
-            gj = self.gens[j]
-            for c, q in a.coeffs.items():
-                hit = A.mul_basis(c, b)
-                if hit is None:
-                    continue
-                sym, sign = hit
-                if gj.kind == "h0" and sym != A.unit:
-                    continue
-                if (gj.sigma * A.cohdeg[c]) % 2:
-                    sign = -sign
-                term = q * p
-                if sign < 0:
-                    term = -term
-                slot = (j, sym)
-                if slot in out:
-                    out[slot] = out[slot] + term
-                else:
-                    out[slot] = term
-        return {s: p for s, p in out.items() if not p.is_zero()}
 
     # -- underlying presented complex --------------------------------------
 
@@ -396,14 +386,16 @@ def twist_dg(M: DGModule, t: int) -> DGModule:
 
 class DGMap:
     """Degree-zero map of DG-modules, generator-to-generator coefficients in
-    the same raw-expansion convention as differentials."""
+    the same raw-expansion convention as differentials.  It is checked
+    through its cone: cone_dg(f, check=True) checks the degrees of the
+    entries and d^2 = 0 on the cone, which holds exactly when f commutes
+    with the differentials."""
 
     def __init__(
         self,
         source: DGModule,
         target: DGModule,
         entries: Dict[int, Dict[int, AElem]],
-        check: bool = True,
     ):
         self.source = source
         self.target = target
@@ -413,74 +405,6 @@ class DGMap:
             if kept:
                 clean[j] = kept
         self.entries = clean
-        if check:
-            self.validate()
-
-    def underlying_component(self, c: int) -> GradedMatrix:
-        """Slot matrix of the map on cohomological degree c."""
-        src = self.source
-        tgt = self.target
-        src_list = src.slots_by_degree().get(c, [])
-        tgt_list = tgt.slots_by_degree().get(c, [])
-        src_cover = src.underlying().cover(c)
-        tgt_cover = tgt.underlying().cover(c)
-        cols: List[Dict[int, Poly]] = [{} for _ in src_list]
-        pos = {s: t for t, s in enumerate(tgt_list)}
-        A = src.A
-        for (j, b), col in zip(src_list, cols):
-            row_entries = self.entries.get(j)
-            if not row_entries:
-                continue
-            gj = src.gens[j]
-            b_elem = AElem(A, {b: A.base.one()})
-            bdeg = A.cohdeg[b]
-            for i, beta in row_entries.items():
-                gi = tgt.gens[i]
-                sign = -1 if ((gj.sigma + gi.sigma) * bdeg) % 2 else 1
-                prod = b_elem.mul(beta)
-                for sym, p in prod.coeffs.items():
-                    if gi.kind == "h0" and sym != A.unit:
-                        continue
-                    r = pos.get((i, sym))
-                    if r is None:
-                        if not p.is_zero():
-                            raise AssertionError("map leaves the slot table")
-                        continue
-                    col[r] = p if sign > 0 else -p
-        return GradedMatrix(tgt_cover, src_cover, cols)
-
-    def validate(self) -> None:
-        src, tgt = self.source, self.target
-        A = src.A
-        if tgt.A != A:
-            raise ValueError("map across different DG-rings")
-        for j, row in self.entries.items():
-            gj = src.gens[j]
-            for i, beta in row.items():
-                gi = tgt.gens[i]
-                want_coh = gj.cohdeg - gi.cohdeg
-                want_tw = gj.twist - gi.twist
-                for sym, p in beta.coeffs.items():
-                    if A.cohdeg[sym] != want_coh:
-                        raise ValueError("map entry %d<-%d off-degree" % (i, j))
-                    d = p.degree()
-                    if d is not None and d != want_tw - A.twist[sym]:
-                        raise ValueError("map entry %d<-%d off-twist" % (i, j))
-        # commuting with differentials, modulo target relations
-        for c in src.support():
-            f_c = self.underlying_component(c)
-            f_c1 = self.underlying_component(c + 1)
-            lhs = tgt.underlying().diff(c).compose(f_c)
-            rhs = f_c1.compose(src.underlying().diff(c))
-            delta = lhs.add(rhs.negate())
-            q = tgt.underlying().rel(c + 1)
-            for col in delta.cols:
-                if not col:
-                    continue
-                if q is None or not syzygy_engine(q).contains(col):
-                    raise ValueError(
-                        "map does not commute with differentials at %d" % c
-                    )
 
 
 def cone_dg(f: DGMap, check: bool = True) -> DGModule:
@@ -517,94 +441,41 @@ def cone_dg(f: DGMap, check: bool = True) -> DGModule:
 
 def hom_semifree_into_dg(SF: DGModule, M: DGModule) -> PresentedComplex:
     """Hom_A(SF, M) as a presented complex over the base ring; SF must have
-    free generators only.  Component n holds the maps of degree n, slots
-    indexed by (SF generator, M slot)."""
+    free generators only.  Component n holds the maps of degree n: the
+    underlying complex of the DG-module H of the module docstring."""
     A = SF.A
     if M.A != A:
         raise ValueError("modules over different DG-rings")
-    for g in SF.gens:
-        if g.kind != "free":
-            raise ValueError("source must be semifree (free generators)")
-    R = A.base
-    m_slots = M.slots_by_degree()
-    sf_gens = list(enumerate(SF.gens))
-    # Hom-slot inventory: (sf gen j, m slot (i, sym)) at degree mdeg - c_j
-    covers: Dict[int, GradedFreeModule] = {}
-    rels: Dict[int, GradedMatrix] = {}
-    table: Dict[int, List[Tuple[int, Slot]]] = {}
-    for j, gj in sf_gens:
-        for mdeg, lst in m_slots.items():
-            n = mdeg - gj.cohdeg
-            for s in lst:
-                table.setdefault(n, []).append((j, s))
-    for n, lst in table.items():
-        lst.sort(key=lambda e: (e[0], M.slot_position(e[1])[1]))
-        covers[n] = GradedFreeModule(
-            R,
-            [
-                M.slot_twist(s[0], s[1]) - SF.gens[j].twist
-                for (j, s) in lst
-            ],
-        )
-        rels[n] = GradedMatrix.block_diagonal(
-            covers[n],
-            [M._slot_relation_block(*s).twist(SF.gens[j].twist) for (j, s) in lst],
-        )
-    pos: Dict[int, Dict[Tuple[int, Slot], int]] = {
-        n: {e: t for t, e in enumerate(lst)} for n, lst in table.items()
-    }
-    diffs: Dict[int, GradedMatrix] = {}
-    for n in sorted(table):
-        if (n + 1) not in table:
-            continue
-        src_list = table[n]
-        cols: List[Dict[int, Poly]] = [{} for _ in src_list]
-
-        def put(r: Optional[int], c: int, p: Poly):
-            if r is None or p.is_zero():
-                return
-            col = cols[c]
-            col[r] = col[r] + p if r in col else p
-
-        for col, (j, s) in enumerate(src_list):
-            # d_M applied to the value slot
-            mdeg = M.slot_cohdeg(s[0], s[1])
-            m_src = m_slots.get(mdeg, [])
-            m_tgt = m_slots.get(mdeg + 1, [])
-            if m_tgt:
-                dcol = M.expand_slot_d(s[0], s[1])
-                for slot2, p in dcol.items():
-                    put(pos[n + 1].get((j, slot2)), col, p)
-            # minus (-1)^n phi o d_SF: alpha entries into generator j
-            sgn_outer = 1 if n % 2 else -1  # -(-1)^n
-            for j2, row2 in SF.diff.items():
-                beta = row2.get(j)
-                if beta is None:
-                    continue
-                gj2 = SF.gens[j2]
-                for b, coef in beta.coeffs.items():
-                    bdeg = A.cohdeg[b]
-                    sgn = sgn_outer
-                    if ((SF.gens[j].sigma + n) * bdeg) % 2:
-                        sgn = -sgn
-                    acted = M.act(
-                        AElem(A, {b: coef}), {s: R.one()}
-                    )
-                    for slot2, p in acted.items():
-                        put(
-                            pos[n + 1].get((j2, slot2)),
-                            col,
-                            p if sgn > 0 else -p,
-                        )
-        diffs[n] = GradedMatrix(covers[n + 1], covers[n], cols)
-    # window: a truncated SF corrupts high Hom degrees, a truncated M low ones
-    hi = None
-    if SF.known_lo is not None and m_slots:
-        hi = min(m_slots) - SF.known_lo
-    lo = None
-    if M.known_lo is not None and SF.support():
-        lo = M.known_lo - SF.min_slot_cohdeg()
-    return PresentedComplex(R, covers, diffs, rels, known_lo=lo, known_hi=hi)
+    if any(g.kind != "free" for g in SF.gens):
+        raise ValueError("source must be semifree (free generators)")
+    m = len(M.gens)
+    gens = [
+        DGGen(g.cohdeg - e.cohdeg, g.twist - e.twist, g.kind, g.rels, g.sigma)
+        for e in SF.gens
+        for g in M.gens
+    ]
+    diff: Dict[int, Dict[int, AElem]] = {}
+    for j in range(len(SF.gens)):
+        for i, row in M.diff.items():
+            diff[j * m + i] = {j * m + i2: a for i2, a in row.items()}
+    for j2, row in SF.diff.items():
+        for j, beta in row.items():
+            e = SF.gens[j]
+            bdeg = SF.gens[j2].cohdeg + 1 - e.cohdeg
+            for i, g in enumerate(M.gens):
+                ca = g.cohdeg + e.cohdeg
+                odd = (1 + ca + bdeg * (e.sigma + g.sigma + ca)) % 2
+                diff.setdefault(j * m + i, {})[j2 * m + i] = (
+                    beta.negate() if odd else beta
+                )
+    u = DGModule(A, gens, diff, check=False).underlying()
+    # a truncated SF corrupts high Hom degrees, a truncated M low ones
+    sf_lo, m_lo = SF.min_slot_cohdeg(), M.min_slot_cohdeg()
+    lo = None if M.known_lo is None or sf_lo is None else M.known_lo - sf_lo
+    hi = None if SF.known_lo is None or m_lo is None else m_lo - SF.known_lo
+    return PresentedComplex(
+        A.base, u.covers, u.diffs, u.rels, known_lo=lo, known_hi=hi
+    )
 
 
 # ---------- stock constructions ----------
@@ -637,7 +508,7 @@ def multiplication_map(M: DGModule, a: Poly) -> DGMap:
     if not a.is_zero():
         for j in range(len(M.gens)):
             entries[j] = {j: A.from_base(a)}
-    return DGMap(src, M, entries, check=False)
+    return DGMap(src, M, entries)
 
 
 def koszul_dg_module(A: DGRing, elements: Sequence, check: bool = True) -> DGModule:

@@ -81,17 +81,10 @@ def _stage(
     The caller certifies that H(M) vanishes above the ceiling (None: no
     ceiling), so the scan starts there.  None when there is no such s
     (certification cut, slot support and floor combined)."""
-    hi = M.max_slot_cohdeg()
-    if hi is None:
-        return None
-    if ceiling is not None:
-        hi = min(hi, ceiling)
-    eff = M.min_slot_cohdeg()
-    if M.known_lo is not None:
-        eff = max(eff, M.known_lo + 1)
-    if floor is not None:
-        eff = max(eff, floor)
-    s = next((s for s in range(hi, eff - 1, -1) if not M.cohomology_vanishes(s)), None)
+    scan = M._scan_range()
+    hi = scan.stop - 1 if ceiling is None else min(scan.stop - 1, ceiling)
+    lo = scan.start if floor is None else max(scan.start, floor)
+    s = next((s for s in range(hi, lo - 1, -1) if not M.cohomology_vanishes(s)), None)
     if s is None:
         return None
     data = M.cohomology(s)
@@ -110,7 +103,7 @@ def _stage(
                 row[i] = AElem(A, {sym: p})
         if row:
             entries[t] = row
-    cone = cone_dg(DGMap(P, M, entries, check=False), check=False)
+    cone = cone_dg(DGMap(P, M, entries), check=False)
     return s, cone, tuple(data.generator_degrees)
 
 

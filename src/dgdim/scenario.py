@@ -153,6 +153,15 @@ def _module_ref(scn: Scenario, name: str, what: str):
     return scn.modules[name]
 
 
+def _not_product(x, what: str, kind: str):
+    """x, a DG-ring or module, when it is not over a product DG-ring."""
+    if isinstance(x, (ProductDGRing, ProductDGModule)):
+        raise ScenarioError(
+            "%s: kind %r needs a connected DG-ring, not a product" % (what, kind)
+        )
+    return x
+
+
 def _build_dg_rings(scn: Scenario, decls: dict) -> None:
     for name, decl in decls.items():
         what = "DG-ring %r" % name
@@ -212,6 +221,8 @@ def _module_from_generators(A, decl: dict, what: str):
             int(i): A.from_base(A.base.parse(str(expr)))
             for i, expr in row.items()
         }
+    if any(not 0 <= k < len(gens) for j, row in diff.items() for k in (j, *row)):
+        raise ScenarioError("%s: differential names an undeclared generator" % what)
     return DGModule(A, gens, diff, check=True)
 
 
@@ -249,21 +260,31 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
             elif kind == "residue":
                 ring = _need(decl, "ring", what)
                 scn.modules[name] = residue_dg_module(
-                    _dg_ref(scn, ring, what)
+                    _not_product(_dg_ref(scn, ring, what), what, kind)
                 )
                 scn.deps[name] = [ring]
             elif kind == "factor-residue":
                 ring = _need(decl, "ring", what)
-                scn.modules[name] = factor_residue_module(
-                    _dg_ref(scn, ring, what), int(_need(decl, "index", what))
-                )
+                A = _dg_ref(scn, ring, what)
+                if not isinstance(A, ProductDGRing):
+                    raise ScenarioError(
+                        "%s: kind %r needs a product DG-ring" % (what, kind)
+                    )
+                index = int(_need(decl, "index", what))
+                if not 0 <= index < len(A.factors):
+                    raise ScenarioError(
+                        "%s: index %d is not a factor of %r, which has %d"
+                        % (what, index, ring, len(A.factors))
+                    )
+                scn.modules[name] = factor_residue_module(A, index)
                 scn.deps[name] = [ring]
             elif kind == "h0-cyclic":
                 ring = _need(decl, "ring", what)
-                scn.modules[name] = h0_cyclic_dg_module(
-                    _dg_ref(scn, ring, what),
-                    [str(e) for e in decl.get("elements", ())],
-                )
+                A = _not_product(_dg_ref(scn, ring, what), what, kind)
+                rels = [A.base.parse(str(e)) for e in decl.get("elements", ())]
+                for p in rels:
+                    p.degree()  # an inhomogeneous element raises ValueError
+                scn.modules[name] = h0_cyclic_dg_module(A, rels)
                 scn.deps[name] = [ring]
             elif kind == "shift":
                 of = _need(decl, "of", what)
@@ -285,7 +306,7 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                 scn.deps[name] = [of]
             elif kind == "cone-mult":
                 of = _need(decl, "of", what)
-                M = _module_ref(scn, of, what)
+                M = _not_product(_module_ref(scn, of, what), what, kind)
                 a = M.A.base.parse(str(_need(decl, "element", what)))
                 scn.modules[name] = cone_dg(multiplication_map(M, a))
                 scn.deps[name] = [of]
@@ -293,14 +314,14 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                 of = _need(decl, "of", what)
                 other = _need(decl, "and", what)
                 scn.modules[name] = direct_sum_dg(
-                    _module_ref(scn, of, what),
-                    _module_ref(scn, other, what),
+                    _not_product(_module_ref(scn, of, what), what, kind),
+                    _not_product(_module_ref(scn, other, what), what, kind),
                 )
                 scn.deps[name] = [of, other]
             elif kind == "presented":
                 ring = _need(decl, "ring", what)
                 scn.modules[name] = _module_from_generators(
-                    _dg_ref(scn, ring, what), decl, what
+                    _not_product(_dg_ref(scn, ring, what), what, kind), decl, what
                 )
                 scn.deps[name] = [ring]
             else:

@@ -309,6 +309,59 @@ def test_cli_bad_scenario_is_input_error(tmp_path, capsys):
     assert "line 1" in err
 
 
+def product_doc(modules):
+    """A scenario over a connected DG-ring B and the product P = B x C."""
+    return {
+        "schema": "dgdim-scenario/1",
+        "rings": {"R": {"variables": ["x", "y"]}, "S": {"variables": ["z"]}},
+        "dg_rings": {"B": {"kind": "ring", "base": "R"},
+                     "C": {"kind": "ring", "base": "S"},
+                     "P": {"kind": "product", "factors": ["B", "C"]}},
+        "modules": modules,
+        "queries": [],
+    }
+
+
+FREE_OVER_P = {"kind": "free", "ring": "P", "generators": [[0, 0]]}
+
+
+@pytest.mark.parametrize("modules,needs", [
+    ({"F": FREE_OVER_P, "X": {"kind": "cone-mult", "of": "F", "element": "x"}},
+     "connected"),
+    ({"F": FREE_OVER_P, "X": {"kind": "sum", "of": "F", "and": "F"}}, "connected"),
+    ({"X": {"kind": "residue", "ring": "P"}}, "connected"),
+    ({"X": {"kind": "h0-cyclic", "ring": "P"}}, "connected"),
+    ({"X": {"kind": "presented", "ring": "P", "generators": [[0, 0]],
+            "differential": {}}}, "connected"),
+    ({"X": {"kind": "factor-residue", "ring": "B", "index": 0}}, "product"),
+    ({"X": {"kind": "factor-residue", "ring": "P", "index": 2}}, "not a factor"),
+    ({"X": {"kind": "presented", "ring": "B", "generators": [[0, 0], [-1, 1]],
+            "differential": {"1": {"5": "x"}}}}, "undeclared generator"),
+    ({"X": {"kind": "h0-cyclic", "ring": "B", "elements": ["x + y^2"]}},
+     "not homogeneous"),
+], ids=["cone-mult", "sum", "residue", "h0-cyclic", "presented",
+        "factor-residue-connected", "factor-residue-index",
+        "presented-index", "h0-cyclic-inhomogeneous"])
+def test_cli_rejects_bad_module_declarations(modules, needs, tmp_path, capsys):
+    """A module kind given the wrong kind of DG-ring, a generator index or
+    an element it cannot take is bad input (exit 3), reported in one line
+    that names the module, not a traceback or a failed check."""
+    p = tmp_path / "bad-module.json"
+    p.write_text(json.dumps(product_doc(modules)))
+    assert main(["run", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "module 'X'" in err and needs in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_h0_cyclic_scenario_module_parses_its_elements():
+    """k[x, y]/(x) is the cyclic module the elements declare: proj dim 1."""
+    doc = small_doc(queries=[{"op": "proj-dim", "module": "X", "expect": 1}])
+    doc["dg_rings"]["B"] = {"kind": "ring", "base": "R"}
+    doc["modules"] = {"X": {"kind": "h0-cyclic", "ring": "B", "elements": ["x"]}}
+    assert run_scenario(parse_scenario(doc)).exit_code() == 0
+
+
 def test_cli_expect_mismatch_exit_code(tmp_path, capsys):
     doc = small_doc(queries=[{"op": "proj-dim", "module": "M", "expect": 5}])
     p = tmp_path / "mismatch.json"

@@ -10,6 +10,7 @@ import pytest
 
 from dgdim.complexes import (
     cohomology_data,
+    hom_free_into_module,
     minimal_free_resolution_module,
     prune_complex,
 )
@@ -17,6 +18,7 @@ from dgdim.core import GradedModule, make_graded_ring
 from dgdim.corpus import random_perfect_module, standard_families
 from dgdim.dg import (
     AElem,
+    DGMap,
     ProductDGRing,
     build_koszul_dg,
     build_ring_dg,
@@ -166,7 +168,19 @@ def test_multiplication_map_validates():
     A = koszul_xy()
     x, _ = A.base.variables()
     f = multiplication_map(koszul_dg_module(A, [x]), x)
-    f.validate()
+    cone_dg(f, check=True)
+
+
+def test_cone_check_rejects_a_map_that_does_not_commute_with_d():
+    """K(A; x) -> A sending the degree-0 generator to 1 has entries of the
+    right degrees, but f(d e) = x while d(f e) = 0 on the degree -1
+    generator e, so d^2 is not zero on the cone."""
+    A = koszul_xy()
+    x, _ = A.base.variables()
+    K = koszul_dg_module(A, [x])
+    f = DGMap(K, free_over(A), {0: {0: A.from_base(A.base.one())}})
+    with pytest.raises(ValueError, match="d\\^2"):
+        cone_dg(f, check=True)
 
 
 def test_shift_moves_support():
@@ -313,6 +327,37 @@ def test_residue_tower_twists_are_the_betti_degrees(field):
             assert tuple(sorted(st["twists"])) == betti[-j], (R.relations, j)
 
 
+def complex_entries(C):
+    """Covers, differentials, relations and window of a presented complex,
+    entry for entry."""
+    return (
+        {n: C.cover(n).degrees for n in C.support()},
+        {n: (d.source.degrees, d.target.degrees, d.cols) for n, d in C.diffs.items()},
+        {n: (q.source.degrees, q.target.degrees, q.cols) for n, q in C.rels.items()},
+        C.known_lo,
+        C.known_hi,
+    )
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_semifree_hom_into_the_ring_is_hom_of_the_reduction(field):
+    """Over an ordinary ring R, Hom_A(SF, A) is Hom_R(SF tensor_A H^0, R):
+    hom_free_into_module builds it from reduce_to_h0(SF) without the
+    DG-module machinery.  The two agree entry for entry on truncated towers
+    of k (with equal upper ends) and on the finite tower over k[x, y]."""
+    cases = [(R, lo) for R in seeded_quotients(field) for lo in (-2, -3)]
+    cases.append((make_graded_ring(field, ["x", "y"]), None))
+    truncated = 0
+    for R, window_lo in cases:
+        A = build_ring_dg(R)
+        SF = semifree_resolution(residue_dg_module(A), window_lo=window_lo).sf
+        H = hom_semifree_into_dg(SF, free_over(A))
+        oracle = hom_free_into_module(reduce_to_h0(SF), GradedModule.free(R, [0]))
+        assert complex_entries(H) == complex_entries(oracle), (R.relations, window_lo)
+        truncated += H.known_hi is not None
+    assert truncated == len(cases) - 1
+
+
 def test_h0_module_encoding_round_trip():
     """The residue field k, an H^0-module over H^0(K(k[x,y]; x,xy)) = k[y],
     resolved over the DG-ring: Tor appears in even degrees with internal
@@ -361,7 +406,7 @@ def test_reduce_preserves_sup():
         assert sup_f == M.sup_h()
 
 
-def test_coreduce_preserves_inf():
+def test_derived_hom_from_h0_tower_finds_inf():
     A = koszul_xy()
     _, y = A.base.variables()
     M = koszul_dg_module(A, [y])
@@ -373,7 +418,7 @@ def test_coreduce_preserves_inf():
         assert H.cohomology(c).is_zero() or c == -1
 
 
-def test_coreduce_of_ring_module_is_h0():
+def test_derived_hom_of_h0_into_a_ring_is_h0():
     A = build_ring_dg(ring_xy())
     res = semifree_resolution(h0_cyclic_dg_module(A))
     H = hom_semifree_into_dg(res.sf, free_over(A))
