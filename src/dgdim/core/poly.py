@@ -90,11 +90,6 @@ class PolyRing:
         mono = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Poly(self, {mono: self.field.one()})
 
-    def constant(self, c) -> "Poly":
-        if self.field.is_zero(c):
-            return self.zero()
-        return Poly(self, {self.mono_one(): c})
-
     def monomial(self, m: Monomial, c=None) -> "Poly":
         c = self.field.one() if c is None else c
         if self.field.is_zero(c):

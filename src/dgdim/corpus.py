@@ -241,6 +241,10 @@ def betti_signature(betti: Dict[int, Sequence[int]]) -> Dict[int, Tuple[int, ...
     return {i: tuple(sorted(degs)) for i, degs in betti.items() if len(degs)}
 
 
-def resolution_signature(M: GradedModule, cutoff: int = 8) -> Dict[int, Tuple[int, ...]]:
-    cert = minimal_free_resolution_module(M, cutoff=cutoff)
+# resolution_signature compares minimal resolutions through this many steps
+_SIGNATURE_CUTOFF = 8
+
+
+def resolution_signature(M: GradedModule) -> Dict[int, Tuple[int, ...]]:
+    cert = minimal_free_resolution_module(M, cutoff=_SIGNATURE_CUTOFF)
     return betti_signature(cert.betti)

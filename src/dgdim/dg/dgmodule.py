@@ -320,9 +320,6 @@ class DGModule:
         lo = self.inf_h()
         return None if lo is None else self.sup_h() - lo
 
-    def is_acyclic(self) -> bool:
-        return self.inf_h() is None
-
     def __repr__(self):
         name = self.label or "DGModule"
         return "%s(%s)" % (name, list(self.gens))
@@ -331,12 +328,10 @@ class DGModule:
 # ---------- constructors ----------
 
 
-def free_dg_module(
-    A: DGRing, placements: Sequence[Tuple[int, int]], label: str = ""
-) -> DGModule:
+def free_dg_module(A: DGRing, placements: Sequence[Tuple[int, int]]) -> DGModule:
     """Free DG-module with one generator per (cohdeg, twist) pair."""
     gens = [DGGen(c, t, "free") for (c, t) in placements]
-    return DGModule(A, gens, {}, check=False, label=label)
+    return DGModule(A, gens, {}, check=False)
 
 
 def h0_cyclic_dg_module(

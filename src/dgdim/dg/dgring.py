@@ -394,34 +394,3 @@ def build_trivial_extension(
         label="R(+)C[%d]" % shift,
     )
 
-
-# ---------- products ----------
-
-
-class ProductDGRing:
-    """Finite product of DG-rings, componentwise everything.
-
-    H^0 is the product of the factor H^0's; dimensions and amplitudes are
-    maxima over factors.
-    """
-
-    def __init__(self, factors: Sequence[DGRing]):
-        if not factors:
-            raise ValueError("empty product")
-        self.factors = tuple(factors)
-        self.label = " x ".join(f.label for f in self.factors)
-
-    def dimension(self) -> int:
-        return max(f.dimension() for f in self.factors)
-
-    def key(self):
-        return tuple(f.key() for f in self.factors)
-
-    def __eq__(self, other):
-        return isinstance(other, ProductDGRing) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "ProductDGRing(%s)" % (self.label,)

@@ -1,13 +1,13 @@
-"""Modules over product DG-rings, kept one factor at a time.
+"""Finite products of DG-rings and their modules, kept one factor at a time.
 
 A module over a finite product decomposes along the idempotents, so the
 representation here is simply a tuple of factor modules.  Cohomological
-invariants combine in the obvious way: support is the union, sup/inf are
-extrema over the factors, dimensions of the derived kind are maxima.
+invariants combine in the obvious way: inf is the minimum over the
+factors, dimensions of the derived kind are maxima.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.ring import GradedRing
 from .dgmodule import (
@@ -18,12 +18,27 @@ from .dgmodule import (
     shift_dg,
     twist_dg,
 )
-from .dgring import (
-    DGRing,
-    ProductDGRing,
-    build_ring_dg,
-    build_trivial_extension,
-)
+from .dgring import DGRing, build_ring_dg, build_trivial_extension
+
+
+class ProductDGRing:
+    """Finite product of DG-rings, componentwise everything.
+
+    H^0 is the product of the factor H^0's; dimensions and amplitudes are
+    maxima over factors.
+    """
+
+    def __init__(self, factors: Sequence[DGRing]):
+        if not factors:
+            raise ValueError("empty product")
+        self.factors = tuple(factors)
+        self.label = " x ".join(f.label for f in self.factors)
+
+    def dimension(self) -> int:
+        return max(f.dimension() for f in self.factors)
+
+    def __repr__(self):
+        return "ProductDGRing(%s)" % (self.label,)
 
 
 def build_split_trivial_extension(
@@ -38,52 +53,24 @@ def build_split_trivial_extension(
     return ProductDGRing([build_ring_dg(B), build_trivial_extension(C, shift)])
 
 
-def zero_dg_module(factor: DGRing) -> DGModule:
-    """The zero module (no generators) over a single factor."""
-    return DGModule(factor, [], {}, check=False, label="0")
-
-
 class ProductDGModule:
     """A DG-module over a product ring: one factor module per factor."""
 
-    __slots__ = ("ring", "parts")
+    __slots__ = ("A", "parts")
 
-    def __init__(self, ring: ProductDGRing, parts: Sequence[DGModule]):
+    def __init__(self, A: ProductDGRing, parts: Sequence[DGModule]):
         parts = tuple(parts)
-        if len(parts) != len(ring.factors):
+        if len(parts) != len(A.factors):
             raise ValueError("need exactly one part per product factor")
-        for part, fac in zip(parts, ring.factors):
+        for part, fac in zip(parts, A.factors):
             if part.A != fac:
                 raise ValueError("part does not live over its factor")
-        self.ring = ring
+        self.A = A
         self.parts = parts
-
-    @property
-    def A(self) -> ProductDGRing:
-        return self.ring
-
-    def cohomology_support(self) -> List[int]:
-        out = set()
-        for part in self.parts:
-            out.update(part.cohomology_support())
-        return sorted(out)
-
-    def sup_h(self) -> Optional[int]:
-        vals = [s for p in self.parts for s in [p.sup_h()] if s is not None]
-        return max(vals) if vals else None
 
     def inf_h(self) -> Optional[int]:
         vals = [s for p in self.parts for s in [p.inf_h()] if s is not None]
         return min(vals) if vals else None
-
-    def amp_h(self) -> Optional[int]:
-        s, i = self.sup_h(), self.inf_h()
-        if s is None or i is None:
-            return None
-        return s - i
-
-    def is_acyclic(self) -> bool:
-        return all(p.is_acyclic() for p in self.parts)
 
 
 def product_free_module(
@@ -95,21 +82,15 @@ def product_free_module(
     )
 
 
-def factor_module(
-    ring: ProductDGRing, index: int, part: DGModule
-) -> ProductDGModule:
-    """A module supported on one factor only (zero elsewhere); this is the
-    restriction of a factor module along the projection."""
+def factor_residue_module(ring: ProductDGRing, index: int) -> ProductDGModule:
+    """The residue field of one factor, viewed over the whole product: the
+    restriction along the projection, zero on every other factor."""
     parts = [
-        part if i == index else zero_dg_module(f)
+        residue_dg_module(f) if i == index
+        else DGModule(f, [], {}, check=False, label="0")
         for i, f in enumerate(ring.factors)
     ]
     return ProductDGModule(ring, parts)
-
-
-def factor_residue_module(ring: ProductDGRing, index: int) -> ProductDGModule:
-    """The residue field of one factor, viewed over the whole product."""
-    return factor_module(ring, index, residue_dg_module(ring.factors[index]))
 
 
 def product_koszul_module(
@@ -130,8 +111,8 @@ def product_koszul_module(
 
 
 def shift_product(M: ProductDGModule, n: int) -> ProductDGModule:
-    return ProductDGModule(M.ring, [shift_dg(p, n) for p in M.parts])
+    return ProductDGModule(M.A, [shift_dg(p, n) for p in M.parts])
 
 
 def twist_product(M: ProductDGModule, t: int) -> ProductDGModule:
-    return ProductDGModule(M.ring, [twist_dg(p, t) for p in M.parts])
+    return ProductDGModule(M.A, [twist_dg(p, t) for p in M.parts])

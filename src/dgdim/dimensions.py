@@ -15,9 +15,10 @@ without presenting the group.
 
 The graded-local conventions: the base is a connected graded quotient of
 a polynomial ring, the maximal ideal is the irrelevant one, and the
-residue field sits in internal degree zero.  Product rings are handled
-one factor at a time with maxima/minima in the places where localization
-at the idempotents says so.
+residue field sits in internal degree zero.  Over a product ring the
+dimension queries work one factor at a time and take the maximum, as
+localization at the idempotents says; depth, regular sequences, local
+cohomology and the Gorenstein test need a connected DG-ring.
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ from .dg import (
     free_dg_module,
     hom_semifree_into_dg,
     multiplication_map,
+    product_free_module,
     reduce_to_h0,
     residue_dg_module,
     semifree_resolution,
@@ -62,8 +64,6 @@ AnyModule = Union[DGModule, ProductDGModule]
 
 def ring_free_module(A: AnyRing):
     if isinstance(A, ProductDGRing):
-        from .dg import product_free_module
-
         return product_free_module(A, [(0, 0)])
     return free_dg_module(A, [(0, 0)])
 
@@ -81,9 +81,7 @@ def ring_amplitude(A: AnyRing) -> int:
     return A._amplitude
 
 
-def ring_inf(A: AnyRing) -> int:
-    if isinstance(A, ProductDGRing):
-        return min(ring_inf(f) for f in A.factors)
+def ring_inf(A: DGRing) -> int:
     val = free_dg_module(A, [(0, 0)]).inf_h()
     if val is None:
         raise ValueError("the zero DG-ring has no inf")
@@ -396,30 +394,8 @@ class RegSeqReport:
 
 def is_regular_sequence(A: AnyRing, elements: Sequence) -> RegSeqReport:
     """Koszul criterion: a_1..a_l is A-regular iff inf K(A; a) = inf(A),
-    checked prefix by prefix.  Over a product the coordinates must be
-    regular over every factor."""
-    if isinstance(A, ProductDGRing):
-        reports: List[Optional[RegSeqReport]] = []
-        for i, fac in enumerate(A.factors):
-            coords = [row[i] for row in elements]
-            try:
-                reports.append(is_regular_sequence(fac, coords))
-            except ValueError:
-                # unit ideal in this coordinate: K(factor; a) is acyclic,
-                # so the factor certainly fails the inf criterion
-                reports.append(None)
-        if all(r is None for r in reports):
-            raise ValueError("the sequence generates the unit ideal")
-        bad = [0 if r is None else r.first_failure
-               for r in reports if r is None or not r.regular]
-        return RegSeqReport(
-            regular=not bad,
-            length=len(elements),
-            first_failure=min(bad) if bad else None,
-            base_inf=ring_inf(A),
-            koszul_infs=[r.koszul_infs[-1] if r is not None and r.koszul_infs
-                         else None for r in reports],
-        )
+    checked prefix by prefix."""
+    _connected(A, "the regular-sequence test")
     for a in elements:
         p = A.base.parse(a) if isinstance(a, str) else a
         q = A.base.normal_form(p)
@@ -624,11 +600,9 @@ def local_cohomology_amplitude(
     ring: H^j_m(X) is nonzero exactly when Ext^{v-j}_P(X, P) is, where v
     is the number of ambient variables."""
     if isinstance(X, (DGRing, ProductDGRing)):
-        _connected(X, "local cohomology")
-        X = free_dg_module(X, [(0, 0)])
-    if isinstance(X, ProductDGModule):
-        raise ValueError("local cohomology needs a graded-local DG-ring")
+        X = ring_free_module(X)
     A = X.A
+    _connected(A, "local cohomology")
     P_ring = GradedRing(A.base.ambient, [])
     v = P_ring.dimension()
     amb = _ambient_dg_module(X, P_ring)
@@ -676,13 +650,12 @@ class DualizingReport:
 
 
 def is_gorenstein(A: AnyRing) -> bool:
-    """Finite injective dimension over itself; componentwise over products.
+    """Finite injective dimension over itself.
 
-    Memoized on a connected DG-ring: the Bass scan behind a negative answer
-    walks an infinite minimal resolution to its cutoff, which is far too
-    slow to repeat."""
-    if isinstance(A, ProductDGRing):
-        return all(is_gorenstein(f) for f in A.factors)
+    Memoized on the DG-ring: the Bass scan behind a negative answer walks
+    an infinite minimal resolution to its cutoff, which is far too slow to
+    repeat."""
+    _connected(A, "the Gorenstein test")
     if A._gorenstein is None:
         A._gorenstein = inj_dim(free_dg_module(A, [(0, 0)])).finite
     return A._gorenstein

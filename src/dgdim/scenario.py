@@ -22,6 +22,7 @@ from .dg import (
     h0_cyclic_dg_module,
     koszul_dg_module,
     multiplication_map,
+    product_free_module,
     product_koszul_module,
     residue_dg_module,
     shift_dg,
@@ -153,12 +154,10 @@ def _module_ref(scn: Scenario, name: str, what: str):
     return scn.modules[name]
 
 
-def _not_product(x, what: str, kind: str):
+def _not_product(x, what: str):
     """x, a DG-ring or module, when it is not over a product DG-ring."""
     if isinstance(x, (ProductDGRing, ProductDGModule)):
-        raise ScenarioError(
-            "%s: kind %r needs a connected DG-ring, not a product" % (what, kind)
-        )
+        raise ScenarioError("%s needs a connected DG-ring, not a product" % what)
     return x
 
 
@@ -228,8 +227,8 @@ def _module_from_generators(A, decl: dict, what: str):
 
 def _build_modules(scn: Scenario, decls: dict) -> None:
     for name, decl in decls.items():
-        what = "module %r" % name
-        kind = _need(decl, "kind", what)
+        kind = _need(decl, "kind", "module %r" % name)
+        what = "module %r (kind %r)" % (name, kind)
         try:
             if kind == "free":
                 ring = _need(decl, "ring", what)
@@ -239,7 +238,6 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                     for c, t in _need(decl, "generators", what)
                 ]
                 if isinstance(A, ProductDGRing):
-                    from .dg import product_free_module
                     scn.modules[name] = product_free_module(A, placements)
                 else:
                     scn.modules[name] = free_dg_module(A, placements)
@@ -260,16 +258,14 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
             elif kind == "residue":
                 ring = _need(decl, "ring", what)
                 scn.modules[name] = residue_dg_module(
-                    _not_product(_dg_ref(scn, ring, what), what, kind)
+                    _not_product(_dg_ref(scn, ring, what), what)
                 )
                 scn.deps[name] = [ring]
             elif kind == "factor-residue":
                 ring = _need(decl, "ring", what)
                 A = _dg_ref(scn, ring, what)
                 if not isinstance(A, ProductDGRing):
-                    raise ScenarioError(
-                        "%s: kind %r needs a product DG-ring" % (what, kind)
-                    )
+                    raise ScenarioError("%s needs a product DG-ring" % what)
                 index = int(_need(decl, "index", what))
                 if not 0 <= index < len(A.factors):
                     raise ScenarioError(
@@ -280,7 +276,7 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                 scn.deps[name] = [ring]
             elif kind == "h0-cyclic":
                 ring = _need(decl, "ring", what)
-                A = _not_product(_dg_ref(scn, ring, what), what, kind)
+                A = _not_product(_dg_ref(scn, ring, what), what)
                 rels = [A.base.parse(str(e)) for e in decl.get("elements", ())]
                 for p in rels:
                     p.degree()  # an inhomogeneous element raises ValueError
@@ -306,7 +302,7 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                 scn.deps[name] = [of]
             elif kind == "cone-mult":
                 of = _need(decl, "of", what)
-                M = _not_product(_module_ref(scn, of, what), what, kind)
+                M = _not_product(_module_ref(scn, of, what), what)
                 a = M.A.base.parse(str(_need(decl, "element", what)))
                 scn.modules[name] = cone_dg(multiplication_map(M, a))
                 scn.deps[name] = [of]
@@ -314,18 +310,18 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                 of = _need(decl, "of", what)
                 other = _need(decl, "and", what)
                 scn.modules[name] = direct_sum_dg(
-                    _not_product(_module_ref(scn, of, what), what, kind),
-                    _not_product(_module_ref(scn, other, what), what, kind),
+                    _not_product(_module_ref(scn, of, what), what),
+                    _not_product(_module_ref(scn, other, what), what),
                 )
                 scn.deps[name] = [of, other]
             elif kind == "presented":
                 ring = _need(decl, "ring", what)
                 scn.modules[name] = _module_from_generators(
-                    _not_product(_dg_ref(scn, ring, what), what, kind), decl, what
+                    _not_product(_dg_ref(scn, ring, what), what), decl, what
                 )
                 scn.deps[name] = [ring]
             else:
-                raise ScenarioError("%s has unknown kind %r" % (what, kind))
+                raise ScenarioError("module %r has unknown kind %r" % (name, kind))
         except ScenarioError:
             raise
         except (ValueError, KeyError) as exc:
@@ -340,13 +336,23 @@ def _check_queries(scn: Scenario, queries: List[dict]) -> None:
         op = _need(q, "op", what)
         if op not in _QUERY_OPS:
             raise ScenarioError("%s has unknown op %r" % (what, op))
+        what = "%s (op %r)" % (what, op)
         if op in ("proj-dim", "flat-dim", "inj-dim", "cohomology"):
             _module_ref(scn, _need(q, "module", what), what)
-        elif op in ("depth", "small-finitistic", "fpd-interval"):
+        elif op in ("depth", "small-finitistic"):
+            _not_product(_dg_ref(scn, _need(q, "ring", what), what), what)
+        elif op == "fpd-interval":
             _dg_ref(scn, _need(q, "ring", what), what)
         elif op == "bass-witness":
-            _dg_ref(scn, _need(q, "ring", what), what)
-            _need(q, "n", what)
+            A = _dg_ref(scn, _need(q, "ring", what), what)
+            n = _need(q, "n", what)
+            if type(n) is not int:
+                raise ScenarioError("%s: n must be an integer, not %r" % (what, n))
+            dim = A.dimension()
+            if not 0 <= n <= dim:
+                raise ScenarioError(
+                    "%s: n = %d lies outside 0 <= n <= dim H0 = %d" % (what, n, dim)
+                )
         elif op == "hochschild":
             _ring_ref(scn, _need(q, "source", what), what)
             _ring_ref(scn, _need(q, "target", what), what)
@@ -468,7 +474,7 @@ def _run_query(scn: Scenario, idx: int, q: dict) -> CheckResult:
             details.update(rep.to_json())
             details["value"] = rep.fpd_value
         elif op == "bass-witness":
-            rec = bass_witness_recipe(scn.dg_rings[q["ring"]], int(q["n"]))
+            rec = bass_witness_recipe(scn.dg_rings[q["ring"]], q["n"])
             details.update(rec.to_json())
             details["value"] = rec.verified
         elif op == "hochschild":

@@ -362,6 +362,54 @@ def test_h0_cyclic_scenario_module_parses_its_elements():
     assert run_scenario(parse_scenario(doc)).exit_code() == 0
 
 
+def run_product_query(query, tmp_path, capsys):
+    """Exit code and stderr of one query against product_doc's rings."""
+    doc = product_doc({"F": FREE_OVER_P})
+    doc["queries"] = [query]
+    p = tmp_path / "query.json"
+    p.write_text(json.dumps(doc))
+    code = main(["run", str(p)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    return code, captured.err
+
+
+@pytest.mark.parametrize("query,needs", [
+    ({"op": "bass-witness", "ring": "B", "n": "a"}, "integer"),
+    ({"op": "bass-witness", "ring": "B", "n": 1.5}, "integer"),
+    ({"op": "bass-witness", "ring": "B", "n": -1}, "outside"),
+    ({"op": "bass-witness", "ring": "P", "n": 3}, "outside"),
+], ids=["n-not-a-number", "n-not-an-integer", "n-negative", "n-above-dim"])
+def test_cli_rejects_bad_query_inputs(query, needs, tmp_path, capsys):
+    """A bass-witness target that is not an integer in 0..dim H0(A) is bad
+    input: exit 3 with one line naming the query and its op."""
+    code, err = run_product_query(query, tmp_path, capsys)
+    assert code == 3
+    assert "query 0 (op 'bass-witness')" in err and needs in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("query,code", [
+    ({"op": "proj-dim", "module": "F"}, 0),
+    ({"op": "flat-dim", "module": "F"}, 0),
+    ({"op": "inj-dim", "module": "F"}, 0),
+    ({"op": "cohomology", "module": "F"}, 0),
+    ({"op": "fpd-interval", "ring": "P"}, 0),
+    ({"op": "bass-witness", "ring": "P", "n": 1}, 0),
+    ({"op": "depth", "ring": "P"}, 3),
+    ({"op": "small-finitistic", "ring": "P"}, 3),
+], ids=lambda v: v["op"] if isinstance(v, dict) else None)
+def test_every_query_op_on_a_product_dg_ring(query, code, tmp_path, capsys):
+    """The dimension, cohomology, FPD and witness queries take a product
+    DG-ring; depth and the small finitistic dimension need a connected one,
+    so on a product they are bad input (exit 3, one line), not a FAIL."""
+    got, err = run_product_query(query, tmp_path, capsys)
+    assert got == code
+    if code == 3:
+        assert "query 0 (op %r)" % query["op"] in err and "connected" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_expect_mismatch_exit_code(tmp_path, capsys):
     doc = small_doc(queries=[{"op": "proj-dim", "module": "M", "expect": 5}])
     p = tmp_path / "mismatch.json"

@@ -5,6 +5,7 @@ Bass/Betti tables over the small fixtures) before freezing; the infinite
 cases were checked against the growth of the minimal resolutions.
 """
 import json
+from random import Random
 
 import pytest
 
@@ -139,6 +140,34 @@ def test_projdim_factor_residue_over_product():
     rep = proj_dim(M)
     assert rep.value == 1
     assert rep.value + M.inf_h() == 1
+
+
+def combined_value(parts):
+    """The dimension of a product module from the reports on its parts."""
+    if all(p.acyclic for p in parts):
+        return "-infinity"
+    if any(p.infinite for p in parts):
+        return "infinity"
+    return max(p.value for p in parts if not p.acyclic)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_product_dimensions_combine_the_parts(field):
+    """Over a product, proj/flat/inj dim are acyclic when every part is,
+    infinite when some part is, and the largest finite value otherwise.
+    The seeded perfect modules are finite on both factors; the factor
+    residue fields and the Koszul module on a unit reach the other cases."""
+    A = corpus.standard_families(field)[2]
+    modules = [corpus.random_perfect_module(A, Random(seed)) for seed in range(6)]
+    modules += [
+        factor_residue_module(A, 0),  # finite, zero on the other factor
+        factor_residue_module(A, 1),  # infinite on the trivial extension
+        product_koszul_module(A, [("1", "1")]),  # acyclic on both factors
+    ]
+    for i, M in enumerate(modules):
+        for query in (proj_dim, flat_dim, inj_dim):
+            want = combined_value([query(p) for p in M.parts])
+            assert query(M).to_json()["value"] == want, (i, query.__name__)
 
 
 def test_dimension_report_json_round_trip():
@@ -288,17 +317,8 @@ def test_zerodivisor_detected():
 def test_unit_ideal_rejected():
     with pytest.raises(ValueError):
         is_regular_sequence(ring_xy(), ["1"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="connected"):
         is_regular_sequence(split_product(), [("1", "1")])
-
-
-def test_product_sequence_componentwise():
-    Apr = split_product()
-    # a zero coordinate on one factor is a zerodivisor for the product
-    assert not is_regular_sequence(Apr, [("x", "0")]).regular
-    # a unit in a single coordinate leaves a proper ideal: no error, not
-    # regular either
-    assert not is_regular_sequence(Apr, [("1", "0")]).regular
 
 
 def test_unit_element_takes_the_full_inf_scan():
@@ -392,6 +412,19 @@ def test_sequential_depth_rejects_products():
         sequential_depth(split_product())
 
 
+@pytest.mark.parametrize("query", [
+    is_gorenstein,
+    is_local_cohen_macaulay,
+    local_cohomology_amplitude,
+    lambda A: local_cohomology_amplitude(ring_free_module(A)),
+    dualizing_dg_module,
+], ids=["gorenstein", "local-cm", "local-cohomology-ring",
+        "local-cohomology-module", "dualizing"])
+def test_connected_only_queries_reject_products(query):
+    with pytest.raises(ValueError, match="connected"):
+        query(split_product())
+
+
 # ---------- local cohomology ----------
 
 
@@ -447,10 +480,6 @@ def test_not_gorenstein_golod_quotient():
     # slow fixture: the Bass scan walks a resolution with Fibonacci-type
     # Betti growth before certifying non-termination
     assert not is_gorenstein(golod_xy())
-
-
-def test_gorenstein_product_componentwise():
-    assert is_gorenstein(split_product())
 
 
 def test_dualizing_regular_ring():
