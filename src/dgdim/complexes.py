@@ -7,7 +7,9 @@ relations.  Free complexes come from minimal resolutions of modules and
 from reducing semifree DG-modules to H^0; pruning (free complexes only)
 makes them minimal.  Complexes with relations come from Hom and tensor of
 a free complex into a module and from the underlying complexes of
-DG-modules.  One routine computes the cohomology of all of them.
+DG-modules.  One routine computes the cohomology of all of them: it reads
+the minimal generators of each H^i off a degreewise count over k, and
+presents H^i as a module only when that is asked for.
 
 A complex may carry a certified lower end known_lo (None = unbounded):
 components at or below it were truncated away.  Truncated complexes arise
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core.freemod import Column, GradedFreeModule, GradedMatrix, _Span, monomial_multiple
-from .core.module import GradedModule, cancel_units, minimal_presentation
+from .core.module import GradedModule, cancel_units
 from .core.ring import GradedRing
 from .core.syz import syzygy_engine, syzygy_matrix
 
@@ -42,14 +44,16 @@ class PresentedComplex:
     rels: degree i -> matrix for d^i and for the relations of degree i
     (missing = zero).  A free complex is one without relations.
     Differentials act on the covers and must carry relations into relations.
-    Cohomology at i is computed from stacked syzygies: cycles are the first
-    block of syz([D_i | Q_{i+1}]), and a cycle dies when it lies in the image
-    of D_{i-1} together with Q_i.  Whether every cycle dies is decided first,
-    by linear algebra over k one internal degree at a time
-    (cohomology_vanishes), which stops at the first cycle generator that
-    survives; only a nonzero H^i gets the second syzygy module and a
-    minimal presentation.  When the irrelevant ideal kills H^i, the same
-    count run to the end is dim_k H^i (cohomology_k_dim).
+    Cohomology at i is Z/(B + Q_i): the cycles Z are generated by the first
+    block of syz([D_i | Q_{i+1}]), and B is the image of D_{i-1}.  Every
+    answer comes from one count by linear algebra over k, one internal
+    degree at a time: a cycle generator is a minimal generator of H^i
+    (graded Nakayama) when it stays independent modulo B + Q_i, the
+    multiples of positive degree of those kept below it and those kept
+    before it in its own degree.  cohomology_vanishes stops at the first
+    one kept, cohomology keeps them all, and when the irrelevant ideal
+    kills H^i their number is dim_k H^i (cohomology_k_dim).  No Groebner
+    basis beyond the cycles' own is built until H^i is read as a module.
     """
 
     def __init__(
@@ -130,12 +134,9 @@ class PresentedComplex:
 
     def cohomology_k_dim(self, i: int) -> int:
         """dim_k H^i, for a complex whose H^i the irrelevant ideal kills
-        (Ext from the residue field is one).  Such an H^i is spanned over k
-        by the classes of the cycle generators, so its dimension is the
-        number of them independent modulo the image, counted by the
-        degreewise linear algebra of the vanishing test; no presentation of
-        H^i is built."""
-        return _surviving_cycles(self, i)
+        (Ext from the residue field is one): then H^i = H^i/mH^i, so its
+        dimension is its number of minimal generators."""
+        return len(_cohomology(self, i).generator_degrees)
 
 
 # ---------- pruning (Gaussian cancellation of unit entries) ----------
@@ -178,15 +179,40 @@ def prune_complex(C: PresentedComplex) -> PresentedComplex:
 # ---------- cohomology ----------
 
 
-@dataclass
 class CohomologyData:
-    degree: int
-    module: GradedModule
-    representatives: List[Column]
-    generator_degrees: Tuple[int, ...]
+    """H^i of a presented complex, on a minimal set of generators.
+
+    representatives are the cycle generators whose classes minimally
+    generate H^i, in ascending index order, and generator_degrees their
+    degrees.  module, H^i presented on those generators, is built on first
+    read: its relations are the generator-block heads of the syzygies of
+    [generators | image blocks].
+    """
+
+    def __init__(
+        self, degree: int, gens: GradedMatrix, image: Sequence[Optional[GradedMatrix]]
+    ):
+        self.degree = degree
+        self.representatives: List[Column] = list(gens.cols)
+        self.generator_degrees: Tuple[int, ...] = gens.source.degrees
+        self._gens = gens
+        self._image = image
+        self._module: Optional[GradedModule] = None
 
     def is_zero(self) -> bool:
         return len(self.generator_degrees) == 0
+
+    @property
+    def module(self) -> GradedModule:
+        if self._module is None:
+            K = self._gens
+            if self.is_zero():
+                self._module = GradedModule.free(K.ring, ())
+            else:
+                S = syzygy_matrix(_hstack(K.target, [K, *self._image]))
+                cols, degs = _first_block(S, K.source.rank)
+                self._module = GradedModule(GradedMatrix.from_columns(K.source, degs, cols))
+        return self._module
 
 
 def cohomology_data(C: PresentedComplex, i: int) -> CohomologyData:
@@ -228,7 +254,7 @@ def minimal_free_resolution_module(M: GradedModule, cutoff: int) -> ResolutionCe
         if S.source.rank == 0:
             terminated = True
             break
-        S_min = minimal_presentation(S)
+        S_min = GradedModule(S).minimal()
         if len(S_min.survivors) != S.target.rank:
             raise AssertionError("unit entry inside a minimal resolution step")
         current = S_min.matrix
@@ -295,94 +321,85 @@ def _independent_columns(
     K: GradedMatrix,
     blocks: Sequence[Optional[GradedMatrix]],
     limit: Optional[int] = None,
-) -> int:
-    """Number of columns of K that stay k-linearly independent modulo the
-    submodule generated by the columns of the blocks (None blocks are
-    skipped), counted one internal degree at a time and stopping once the
-    count reaches limit.  A homogeneous vector of degree d lies in a graded
-    submodule exactly when it lies in its degree-d piece, which the
-    standard-monomial multiples of the columns of degree <= d span over k;
-    each degree-d column of K is tested modulo that piece and the degree-d
-    columns of K before it."""
+) -> List[int]:
+    """Indices, ascending, of columns of K whose classes minimally generate
+    the module their columns generate modulo the submodule N generated by
+    the columns of the blocks (None blocks are skipped); the scan stops once
+    limit are kept.
+
+    By graded Nakayama the kept classes are a k-basis of H/mH, where H is
+    that quotient and m the irrelevant ideal, so a degree-d column is kept
+    exactly when it is k-independent modulo N_d, the positive-degree
+    multiples of the columns kept below d and the degree-d columns kept
+    before it.  A homogeneous vector of degree d lies in a graded submodule
+    exactly when it lies in its degree-d piece, which the standard-monomial
+    multiples of its generators of degree <= d span over k; so one _Span
+    per degree holds all three.  A column dropped below d is not needed:
+    by induction it lies in the span of N and the columns kept below it.
+    """
     ring = K.ring
     by_degree: Dict[int, List[int]] = {}
     for j, d in enumerate(K.source.degrees):
         by_degree.setdefault(d, []).append(j)
     one = ring.ambient.mono_one()
     gens = [(B.source, B.cols) for B in blocks if B is not None]
-    count = 0
+    kept: List[int] = []
     for d in sorted(by_degree):
         span = _Span(ring.field)
         for source, cols in gens:
             for mono, c in source.basis_in_degree(d):
                 span.insert(monomial_multiple(ring, cols[c], mono))
+        for u in kept:
+            for mono in ring.standard_monomials(d - K.source.degrees[u]):
+                span.insert(monomial_multiple(ring, K.cols[u], mono))
         for j in by_degree[d]:
             if span.insert(monomial_multiple(ring, K.cols[j], one)):
-                count += 1
-                if count == limit:
-                    return count
-    return count
+                kept.append(j)
+                if len(kept) == limit:
+                    return sorted(kept)
+    return sorted(kept)
 
 
-def _surviving_cycles(
-    P: PresentedComplex, i: int, limit: Optional[int] = None
-) -> int:
-    """Number of cycle generators at degree i that survive modulo the
-    image of [D_{i-1} | Q_i], counted up to limit; 0 exactly when
-    H^i(P) = 0.  A zero answer is cached as H^i, a nonzero one marked."""
-    cached = P._cohomology_cache.get(i)
-    if cached is not None and cached.is_zero():
-        return 0
-    if limit == 1 and i in P._nonzero:
-        return 1
-    K = _cycles(P, i)
-    n = 0 if K is None else _independent_columns(
-        K, [P.diffs.get(i - 1), P.rels.get(i)], limit
-    )
-    if n:
-        P._nonzero.add(i)
-    else:
-        P._cohomology_cache[i] = CohomologyData(
-            i, GradedModule.free(P.ring, ()), [], ()
-        )
-    return n
+def _image_blocks(P: PresentedComplex, i: int) -> List[Optional[GradedMatrix]]:
+    """[D_{i-1}, Q_i]: the blocks whose columns generate the image that
+    H^i is taken modulo (None where zero)."""
+    return [P.diffs.get(i - 1), P.rels.get(i)]
 
 
 def _vanishes(P: PresentedComplex, i: int) -> bool:
-    """H^i(P) = 0, decided by degreewise linear algebra: every cycle lies in
-    the image of [D_{i-1} | Q_i], tested up to the first independent cycle
-    generator.  No Groebner basis, syzygy or minimal presentation beyond
-    the cycles' own."""
-    return _surviving_cycles(P, i, limit=1) == 0
+    """H^i(P) = 0: no cycle generator survives modulo the image, tested up
+    to the first that does.  A zero answer is cached as H^i, a nonzero one
+    marked."""
+    cached = P._cohomology_cache.get(i)
+    if cached is not None:
+        return cached.is_zero()
+    if i in P._nonzero:
+        return False
+    K = _cycles(P, i)
+    if K is not None and _independent_columns(K, _image_blocks(P, i), limit=1):
+        P._nonzero.add(i)
+        return False
+    P._cohomology_cache[i] = CohomologyData(
+        i, GradedMatrix.from_columns(P.cover(i), [], []), []
+    )
+    return True
 
 
 def _cohomology(P: PresentedComplex, i: int) -> CohomologyData:
-    """H^i(P), cached on P; the one cohomology routine."""
+    """H^i(P), cached on P; the one cohomology routine.  Its minimal
+    generators are the cycle generators that _independent_columns keeps
+    modulo the image; no Groebner basis beyond the cycles' own is built
+    until the module is read."""
     cached = P._cohomology_cache.get(i)
     if cached is not None:
         return cached
-    if _vanishes(P, i):
-        return P._cohomology_cache[i]
+    blocks = _image_blocks(P, i)
     K = _cycles(P, i)
-    killers = _hstack(K.target, [K, P.diffs.get(i - 1), P.rels.get(i)])
-    if killers.source.rank > K.source.rank:
-        # relations: the K-block heads of the syzygies of [K | D | Q]
-        nk = K.source.rank
-        S2 = syzygy_matrix(killers)
-        rel_cols: List[Column] = []
-        rel_degs: List[int] = []
-        for col, d in zip(S2.cols, S2.source.degrees):
-            head = {r: p for r, p in col.items() if r < nk}
-            if head:
-                rel_cols.append(head)
-                rel_degs.append(d)
-        pres = GradedMatrix.from_columns(K.source, rel_degs, rel_cols)
-    else:
-        pres = syzygy_matrix(K)
-    module = GradedModule(pres)
-    mp = module.minimal()
-    reps = [K.cols[t] for t in mp.survivors]
-    data = CohomologyData(i, module, reps, mp.generator_degrees)
+    kept = [] if K is None else _independent_columns(K, blocks)
+    gens = GradedMatrix.from_columns(
+        P.cover(i), [K.source.degrees[j] for j in kept], [K.cols[j] for j in kept]
+    )
+    data = CohomologyData(i, gens, blocks)
     P._cohomology_cache[i] = data
     return data
 

@@ -11,13 +11,18 @@ and every product, sum and elimination walks those entries alone.
 
 Degreewise ranks, kernels and cokernel dimensions come from one exact
 elimination routine, _Span: a sparse echelon basis into which the degree-t
-multiples of the columns are inserted.  A rank does not depend on the basis
-or the order of insertion, so no dense field matrix is built for it.  This
-linear algebra is the brute-force oracle backing the Groebner-based module
-computations, and minimal_presentation uses the same _Span for irredundancy.
+multiples of the columns are inserted.  Its rows are keyed by pivot and a
+vector is reduced in ascending key order, so an insert touches only the
+rows whose pivots the vector meets, not every stored row.  A rank does not
+depend on the basis or the order of insertion, so no dense field matrix is
+built for it.  This linear algebra is the brute-force oracle backing the
+Groebner-based module computations; minimal_presentation uses the same
+_Span for irredundancy, and the cohomology count of complexes.py for the
+minimal generators of each cohomology group.
 """
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .poly import Poly
@@ -262,13 +267,15 @@ class GradedMatrix:
 
 def monomial_multiple(ring: GradedRing, col: Column, mono: tuple) -> dict:
     """mono * col as a k-vector: {(standard monomial, row): coefficient},
-    each product entry taken to its normal form."""
-    one = ring.field.one()
-    out = {}
-    for i, e in col.items():
-        prod = ring.normal_form(e.mul_term(mono, one))
-        out.update(((m, i), c) for m, c in prod.terms.items())
-    return out
+    each product entry taken to its normal form.  The entries of col are
+    normal forms already, so mono = 1 reads them as they are."""
+    if any(mono):
+        amb, nf = ring.ambient, ring.normal_form
+        col = {
+            i: nf(Poly(amb, {amb.mono_mul(m, mono): c for m, c in e.terms.items()}))
+            for i, e in col.items()
+        }
+    return {(m, i): c for i, e in col.items() for m, c in e.terms.items()}
 
 
 # ---------- exact field linear algebra ----------
@@ -277,34 +284,53 @@ def monomial_multiple(ring: GradedRing, col: Column, mono: tuple) -> dict:
 class _Span:
     """Echelon basis of a subspace of k-vectors held as sparse dicts.
 
-    Each stored row has coefficient 1 at its pivot and 0 at the pivots of
-    the rows stored before it, so one pass in storage order reduces a vector.
+    The keys of the vectors in one span must be mutually comparable.  Each
+    stored row is kept under its pivot, its smallest key, as the inverse of
+    its pivot coefficient and a dict of its other entries, unscaled: one
+    product scales each reduction step, where scaling the row to pivot 1
+    would cost one per entry.  A vector is reduced in pivot order, the
+    discipline of F4-style sparse elimination: its keys are taken in
+    ascending order from a heap, a key that is the pivot of a row is
+    eliminated by that row, which only brings in larger keys, and the first
+    key that is no row's pivot becomes a new one.
     """
 
     def __init__(self, field):
         self.field = field
-        self.rows: List[Tuple[object, dict]] = []
+        self.rows: Dict[object, Tuple[object, dict]] = {}
 
     def insert(self, vec: dict) -> bool:
         """Add vec to the span; False when it already lay in it."""
         f = self.field
+        add, mul = f.add, f.mul
+        rows = self.rows
         vec = dict(vec)
-        for pivot, row in self.rows:
-            c = vec.get(pivot)
+        heap = list(vec)
+        heapify(heap)
+        while heap:
+            key = heappop(heap)
+            c = vec.pop(key, None)
             if c is None:
-                continue
-            for key, v in row.items():
-                s = f.sub(vec[key], f.mul(c, v)) if key in vec else f.neg(f.mul(c, v))
-                if f.is_zero(s):
-                    del vec[key]
+                continue  # cancelled, or a key pushed twice
+            row = rows.get(key)
+            if row is None:
+                rows[key] = (f.inv(c), vec)
+                return True
+            inv, row = row
+            c = f.neg(mul(c, inv))
+            for k, v in row.items():
+                u = vec.get(k)
+                if u is None:
+                    vec[k] = mul(c, v)
+                    heappush(heap, k)
                 else:
-                    vec[key] = s
-        if not vec:
-            return False
-        pivot = next(iter(vec))
-        inv = f.inv(vec[pivot])
-        self.rows.append((pivot, {key: f.mul(inv, v) for key, v in vec.items()}))
-        return True
+                    # field elements are canonical, so zero is falsy
+                    s = add(u, mul(c, v))
+                    if s:
+                        vec[k] = s
+                    else:
+                        del vec[k]
+        return False
 
 
 def field_rank(field, M: List[List]) -> int:

@@ -3,6 +3,11 @@
 minimal_presentation prunes a presentation until every relation entry lies in
 the irrelevant maximal ideal and the relation columns are irredundant; by
 graded Nakayama the surviving generators are a minimal generating set.
+It is reached through GradedModule.minimal(): by Hom and tensor into a
+module, by each step of a minimal free resolution, and when a cohomology
+group is read as a module.  The minimal generators of a cohomology group
+itself come from the degreewise count of complexes.py, with no
+presentation.
 
 Unit entries go first, by cancel_units: the one Gaussian-cancellation loop
 of the program.  A presentation is its one-differential case; prune_complex

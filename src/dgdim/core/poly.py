@@ -177,16 +177,6 @@ class Poly:
             return self.ring.zero()
         return Poly(self.ring, {m: f.mul(c, v) for m, v in self.terms.items()})
 
-    def mul_term(self, mono: Monomial, c) -> "Poly":
-        f = self.ring.field
-        if f.is_zero(c):
-            return self.ring.zero()
-        ring = self.ring
-        return Poly(
-            ring,
-            {ring.mono_mul(m, mono): f.mul(c, v) for m, v in self.terms.items()},
-        )
-
     def leading(self) -> tuple:
         """(monomial, coeff) with the largest monomial; error on zero."""
         if not self.terms:

@@ -7,7 +7,7 @@ execution then turns each entry of the query list into one check result.
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .core import GradedRing, make_graded_ring
 from .dg import (
@@ -136,6 +136,22 @@ def _build_rings(scn: Scenario, decls: dict) -> None:
         scn.deps[name] = []
 
 
+def _integer(x: object, key: str, what: str) -> int:
+    """x, when it is a JSON integer; anything else, a float such as 1.5
+    included, is bad input naming the key."""
+    if type(x) is not int:
+        raise ScenarioError("%s: %s must be an integer, not %r" % (what, key, x))
+    return x
+
+
+def _placements(decl: dict, what: str) -> List[Tuple[int, int]]:
+    """The declared generators as (position, twist) pairs of integers."""
+    return [
+        (_integer(c, "generator position", what), _integer(t, "generator twist", what))
+        for c, t in _need(decl, "generators", what)
+    ]
+
+
 def _ring_ref(scn: Scenario, name: str, what: str) -> GradedRing:
     if name not in scn.rings:
         raise ScenarioError("%s refers to undeclared ring %r" % (what, name))
@@ -181,9 +197,9 @@ def _build_dg_rings(scn: Scenario, decls: dict) -> None:
                 base = _need(decl, "base", what)
                 scn.dg_rings[name] = build_trivial_extension(
                     _ring_ref(scn, base, what),
-                    int(_need(decl, "shift", what)),
+                    _integer(_need(decl, "shift", what), "shift", what),
                     [str(e) for e in decl.get("relations", ())],
-                    int(decl.get("twist", 0)),
+                    _integer(decl.get("twist", 0), "twist", what),
                 )
                 scn.deps[name] = [base]
             elif kind == "product":
@@ -198,7 +214,7 @@ def _build_dg_rings(scn: Scenario, decls: dict) -> None:
                 scn.dg_rings[name] = build_split_trivial_extension(
                     _ring_ref(scn, base, what),
                     _ring_ref(scn, tail, what),
-                    int(_need(decl, "shift", what)),
+                    _integer(_need(decl, "shift", what), "shift", what),
                 )
                 scn.deps[name] = [base, tail]
             else:
@@ -210,10 +226,7 @@ def _build_dg_rings(scn: Scenario, decls: dict) -> None:
 
 
 def _module_from_generators(A, decl: dict, what: str):
-    gens = [
-        DGGen(int(c), int(t))
-        for c, t in _need(decl, "generators", what)
-    ]
+    gens = [DGGen(c, t) for c, t in _placements(decl, what)]
     diff: Dict[int, Dict[int, object]] = {}
     for j, row in _need(decl, "differential", what).items():
         diff[int(j)] = {
@@ -233,10 +246,7 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
             if kind == "free":
                 ring = _need(decl, "ring", what)
                 A = _dg_ref(scn, ring, what)
-                placements = [
-                    (int(c), int(t))
-                    for c, t in _need(decl, "generators", what)
-                ]
+                placements = _placements(decl, what)
                 if isinstance(A, ProductDGRing):
                     scn.modules[name] = product_free_module(A, placements)
                 else:
@@ -266,7 +276,7 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                 A = _dg_ref(scn, ring, what)
                 if not isinstance(A, ProductDGRing):
                     raise ScenarioError("%s needs a product DG-ring" % what)
-                index = int(_need(decl, "index", what))
+                index = _integer(_need(decl, "index", what), "index", what)
                 if not 0 <= index < len(A.factors):
                     raise ScenarioError(
                         "%s: index %d is not a factor of %r, which has %d"
@@ -285,7 +295,7 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
             elif kind == "shift":
                 of = _need(decl, "of", what)
                 M = _module_ref(scn, of, what)
-                n = int(_need(decl, "by", what))
+                n = _integer(_need(decl, "by", what), "by", what)
                 scn.modules[name] = (
                     shift_product(M, n) if isinstance(M, ProductDGModule)
                     else shift_dg(M, n)
@@ -294,7 +304,7 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
             elif kind == "twist":
                 of = _need(decl, "of", what)
                 M = _module_ref(scn, of, what)
-                t = int(_need(decl, "by", what))
+                t = _integer(_need(decl, "by", what), "by", what)
                 scn.modules[name] = (
                     twist_product(M, t) if isinstance(M, ProductDGModule)
                     else twist_dg(M, t)
@@ -345,9 +355,7 @@ def _check_queries(scn: Scenario, queries: List[dict]) -> None:
             _dg_ref(scn, _need(q, "ring", what), what)
         elif op == "bass-witness":
             A = _dg_ref(scn, _need(q, "ring", what), what)
-            n = _need(q, "n", what)
-            if type(n) is not int:
-                raise ScenarioError("%s: n must be an integer, not %r" % (what, n))
+            n = _integer(_need(q, "n", what), "n", what)
             dim = A.dimension()
             if not 0 <= n <= dim:
                 raise ScenarioError(

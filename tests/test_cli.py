@@ -354,6 +354,65 @@ def test_cli_rejects_bad_module_declarations(modules, needs, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def _bad_number_doc(field, value):
+    """product_doc with value in one declared number field; the error must
+    name the declaration ('DG-ring ...' or 'module ...') and the key."""
+    modules, dg_rings = {"F": FREE_OVER_P}, {}
+    if field == "shift-by":
+        modules["X"] = {"kind": "shift", "of": "F", "by": value}
+    elif field == "twist-by":
+        modules["X"] = {"kind": "twist", "of": "F", "by": value}
+    elif field == "factor-residue-index":
+        modules["X"] = {"kind": "factor-residue", "ring": "P", "index": value}
+    elif field == "free-generators":
+        modules["X"] = {"kind": "free", "ring": "B", "generators": [[0, value]]}
+    elif field == "presented-generators":
+        modules["X"] = {"kind": "presented", "ring": "B",
+                        "generators": [[value, 0]], "differential": {}}
+    elif field == "trivial-extension-shift":
+        dg_rings["T"] = {"kind": "trivial-extension", "base": "R", "shift": value}
+    elif field == "trivial-extension-twist":
+        dg_rings["T"] = {"kind": "trivial-extension", "base": "R", "shift": 1,
+                         "twist": value}
+    elif field == "split-trivial-extension-shift":
+        dg_rings["T"] = {"kind": "split-trivial-extension", "base": "R",
+                         "tail": "S", "shift": value}
+    doc = product_doc(modules)
+    doc["dg_rings"].update(dg_rings)
+    return doc
+
+
+NUMBER_FIELDS = {
+    "shift-by": ("module 'X'", "by"),
+    "twist-by": ("module 'X'", "by"),
+    "factor-residue-index": ("module 'X'", "index"),
+    "free-generators": ("module 'X'", "generator twist"),
+    "presented-generators": ("module 'X'", "generator position"),
+    "trivial-extension-shift": ("DG-ring 'T'", "shift"),
+    "trivial-extension-twist": ("DG-ring 'T'", "twist"),
+    "split-trivial-extension-shift": ("DG-ring 'T'", "shift"),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, "a"], ids=["float", "string"])
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+def test_cli_rejects_scenario_numbers_that_are_not_integers(
+    field, value, tmp_path, capsys
+):
+    """A number a declaration reads must be a JSON integer: int() would
+    truncate 1.5 to 1 and build the wrong object, so anything else is bad
+    input (exit 3), reported in one line naming the declaration and key."""
+    p = tmp_path / "bad-number.json"
+    p.write_text(json.dumps(_bad_number_doc(field, value)))
+    assert main(["run", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    owner, key = NUMBER_FIELDS[field]
+    assert owner in captured.err
+    assert "%s must be an integer, not %r" % (key, value) in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_h0_cyclic_scenario_module_parses_its_elements():
     """k[x, y]/(x) is the cyclic module the elements declare: proj dim 1."""
     doc = small_doc(queries=[{"op": "proj-dim", "module": "X", "expect": 1}])
@@ -555,21 +614,35 @@ def test_verify_work_counts(monkeypatch, capsys):
     bound check swept the corpus itself, each check built its own fixture
     rings and nothing was memoized on a ring, the counts were 323 ideal
     Groebner bases, 354 semifree resolutions and 164 flat-dimension
-    queries."""
+    queries.  Before each nonzero cohomology group was read off the
+    degreewise count of its minimal generators, the run built 586 module
+    Groebner bases and 500 minimal presentations."""
+    import dgdim.core.syz as syz_module
+    from dgdim.core.module import minimal_presentation
     from dgdim.core.ring import groebner_basis
     from dgdim.dg.tower import semifree_resolution
     from dgdim.dimensions import flat_dim
 
     _cold_memos(monkeypatch)
-    counts = {"groebner_basis": 0, "semifree_resolution": 0, "flat_dim": 0}
-    for fn in (groebner_basis, semifree_resolution, flat_dim):
+    counts = {"groebner_basis": 0, "semifree_resolution": 0, "flat_dim": 0,
+              "minimal_presentation": 0, "module GBs": 0}
+    for fn in (groebner_basis, semifree_resolution, flat_dim, minimal_presentation):
         _count_calls(monkeypatch, fn, counts)
+    inner_gb = syz_module.ModuleGB.__init__
+
+    def counted_gb(self, *args, **kwargs):
+        counts["module GBs"] += 1
+        inner_gb(self, *args, **kwargs)
+
+    monkeypatch.setattr(syz_module.ModuleGB, "__init__", counted_gb)
     assert main(["verify", "--seed", "0", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
     assert counts == {
         "groebner_basis": 28,
         "semifree_resolution": 220,
         "flat_dim": 82,
+        "minimal_presentation": 30,
+        "module GBs": 343,
     }
 
 

@@ -217,17 +217,19 @@ def test_ideal_groebner_basis_is_reduced_and_spans_the_ideal(field):
                     assert not any(ambient.mono_divides(h, m) for m in g.terms), gb
         for g in gens:
             assert not R.normal_form(g), (g, gb)
+        def times(g, mono):
+            return g * Poly(ambient, {mono: one})
+
         for i, (g, lg) in enumerate(zip(gb, leads)):
             for h, lh in zip(gb[i + 1 :], leads[i + 1 :]):
                 lcm = ambient.mono_lcm(lg, lh)
-                s = g.mul_term(ambient.mono_div(lcm, lg), one)
-                s = s - h.mul_term(ambient.mono_div(lcm, lh), one)
+                s = times(g, ambient.mono_div(lcm, lg)) - times(h, ambient.mono_div(lcm, lh))
                 assert not _reduce(s, R._leads), (g, h)
         free = GradedRing(ambient, [])
         for d in range(max(g.degree() for g in gb) + 1):
             span = _Span(ambient.field)
             rank = sum(
-                span.insert(g.mul_term(m, one).terms)
+                span.insert(times(g, m).terms)
                 for g in gens
                 if g and g.degree() <= d
                 for m in free.standard_monomials(d - g.degree())

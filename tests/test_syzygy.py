@@ -18,6 +18,7 @@ from dgdim.core import (
     minimal_presentation,
     syzygy_matrix,
 )
+from dgdim.core.freemod import _Span
 from dgdim.core.poly import Poly
 from dgdim.corpus import redundant_presentation, standard_families
 
@@ -382,6 +383,85 @@ def test_degreewise_ranks_match_dense_elimination(field):
             assert field_rank(F, dense) == rank, "degree %d" % t
             assert M.kernel_dim_in_degree(t) == len(cols) - rank, "degree %d" % t
             assert M.coker_dim_in_degree(t) == len(rows) - rank, "degree %d" % t
+
+
+def _ordered_cases(F, rng):
+    """Sequences of sparse vectors {key: nonzero} on the keys 0..n-1, each
+    dict's keys in the order given, named for the path of _Span they take:
+    keys inserted in descending order (within each vector, and each pivot
+    below the previous ones), keys in mixed order, a vector that cancels
+    fully against the ones before it, and a reduction that brings in a key
+    smaller than one the vector already holds."""
+
+    def rand_vec(keys):
+        return {k: F.from_int(rng.choice([-3, -2, -1, 1, 2, 3])) for k in keys}
+
+    def combine(vecs, n):
+        out = {}
+        for vec in vecs:
+            c = F.from_int(rng.choice([-2, -1, 1, 2]))
+            for k, v in vec.items():
+                out[k] = F.add(out.get(k, F.zero()), F.mul(c, v))
+        keys = [k for k in range(n) if k in out and not F.is_zero(out[k])]
+        rng.shuffle(keys)
+        return {k: out[k] for k in keys}
+
+    cases = []
+    for _ in range(6):
+        n = rng.randint(3, 8)
+        descending = []
+        for p in range(n - 1, -1, -1):
+            keys = [p] + rng.sample(range(p + 1, n), rng.randint(0, n - p - 1))
+            descending.append(rand_vec(sorted(keys, reverse=True)))
+        cases.append(("descending", n, descending))
+        mixed = [rand_vec(rng.sample(range(n), rng.randint(1, n)))
+                 for _ in range(rng.randint(2, 7))]
+        cases.append(("mixed", n, mixed))
+        base = [rand_vec(rng.sample(range(n), rng.randint(1, n))) for _ in range(3)]
+        cases.append(("cancels", n, base + [combine(base, n), combine(base[1:], n)]))
+    # pivot 0 brings in key 2 below the vector's 5, and 2 is itself a pivot
+    one = F.one()
+    two = F.from_int(2)
+    cases.append(("smaller key", 6, [
+        {0: one, 2: one}, {2: one, 3: one}, {5: one, 0: one},
+        {3: F.neg(one), 5: one}, {5: two, 0: two, 4: one}, {3: one, 0: one, 2: two},
+    ]))
+    return cases
+
+
+def _dense_rows(F, n, vecs):
+    return [[vec.get(k, F.zero()) for k in range(n)] for vec in vecs]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_span_paths_match_dense_elimination(field):
+    """Each _Span insert answers membership, and field_rank and
+    rank_in_degree the rank, as dense elimination of the vectors so far
+    does, whatever the order of the keys."""
+    F = field_from_tag(field)
+    R = make_graded_ring(F, ["x"])
+    x = R.parse("x")
+    names = set()
+    for name, n, vecs in _ordered_cases(F, random.Random(5)):
+        names.add(name)
+        span = _Span(F)
+        for m, vec in enumerate(vecs):
+            grew = _dense_rank(F, _dense_rows(F, n, vecs[: m + 1])) > _dense_rank(
+                F, _dense_rows(F, n, vecs[:m]))
+            assert span.insert(vec) == grew, (name, m)
+        rank = _dense_rank(F, _dense_rows(F, n, vecs))
+        assert field_rank(F, _dense_rows(F, n, vecs)) == rank, name
+        # the same vectors as the columns x * vec of a matrix into R^n, so
+        # the keys of each degree-t multiple are (x^t, k) in vec's order
+        M = GradedMatrix(
+            GradedFreeModule(R, [0] * n),
+            GradedFreeModule(R, [1] * len(vecs)),
+            [{k: x.scale(v) for k, v in vec.items()} for vec in vecs],
+        )
+        for t in (1, 2):
+            assert M.rank_in_degree(t) == rank, (name, t)
+            assert _dense_rank(F, M.matrix_in_degree(t)[2]) == rank, (name, t)
+    assert names == {"descending", "mixed", "cancels", "smaller key"}
 
 
 def test_minimal_presentation_builds_no_module_groebner_basis(monkeypatch):
