@@ -8,8 +8,9 @@ from reducing semifree DG-modules to H^0; pruning (free complexes only)
 makes them minimal.  Complexes with relations come from Hom and tensor of
 a free complex into a module and from the underlying complexes of
 DG-modules.  One routine computes the cohomology of all of them: it reads
-the minimal generators of each H^i off a degreewise count over k, and
-presents H^i as a module only when that is asked for.
+the minimal generators of each H^i off the degreewise Nakayama count of
+core.freemod (GradedMatrix.minimal_columns, which minimal presentations
+share), and presents H^i as a module only when that is asked for.
 
 A complex may carry a certified lower end known_lo (None = unbounded):
 components at or below it were truncated away.  Truncated complexes arise
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .core.freemod import Column, GradedFreeModule, GradedMatrix, _Span, monomial_multiple
+from .core.freemod import Column, GradedFreeModule, GradedMatrix
 from .core.module import GradedModule, cancel_units
 from .core.ring import GradedRing
 from .core.syz import syzygy_engine, syzygy_matrix
@@ -46,13 +47,9 @@ class PresentedComplex:
     Differentials act on the covers and must carry relations into relations.
     Cohomology at i is Z/(B + Q_i): the cycles Z are generated by the first
     block of syz([D_i | Q_{i+1}]), and B is the image of D_{i-1}.  Every
-    answer comes from one count by linear algebra over k, one internal
-    degree at a time: a cycle generator is a minimal generator of H^i
-    (graded Nakayama) when it stays independent modulo B + Q_i, the
-    multiples of positive degree of those kept below it and those kept
-    before it in its own degree.  cohomology_vanishes stops at the first
-    one kept, cohomology keeps them all, and when the irrelevant ideal
-    kills H^i their number is dim_k H^i (cohomology_k_dim).  No Groebner
+    answer comes from the count of minimal generators of the cycle
+    generators modulo the columns of D_{i-1} and Q_i.  cohomology_vanishes
+    stops at the first one kept, cohomology keeps them all.  No Groebner
     basis beyond the cycles' own is built until H^i is read as a module.
     """
 
@@ -132,12 +129,6 @@ class PresentedComplex:
     def cohomology_vanishes(self, i: int) -> bool:
         return _vanishes(self, i)
 
-    def cohomology_k_dim(self, i: int) -> int:
-        """dim_k H^i, for a complex whose H^i the irrelevant ideal kills
-        (Ext from the residue field is one): then H^i = H^i/mH^i, so its
-        dimension is its number of minimal generators."""
-        return len(_cohomology(self, i).generator_degrees)
-
 
 # ---------- pruning (Gaussian cancellation of unit entries) ----------
 
@@ -190,7 +181,7 @@ class CohomologyData:
     """
 
     def __init__(
-        self, degree: int, gens: GradedMatrix, image: Sequence[Optional[GradedMatrix]]
+        self, degree: int, gens: GradedMatrix, image: Sequence[GradedMatrix]
     ):
         self.degree = degree
         self.representatives: List[Column] = list(gens.cols)
@@ -317,53 +308,10 @@ def _cycles(P: PresentedComplex, i: int) -> Optional[GradedMatrix]:
     return K
 
 
-def _independent_columns(
-    K: GradedMatrix,
-    blocks: Sequence[Optional[GradedMatrix]],
-    limit: Optional[int] = None,
-) -> List[int]:
-    """Indices, ascending, of columns of K whose classes minimally generate
-    the module their columns generate modulo the submodule N generated by
-    the columns of the blocks (None blocks are skipped); the scan stops once
-    limit are kept.
-
-    By graded Nakayama the kept classes are a k-basis of H/mH, where H is
-    that quotient and m the irrelevant ideal, so a degree-d column is kept
-    exactly when it is k-independent modulo N_d, the positive-degree
-    multiples of the columns kept below d and the degree-d columns kept
-    before it.  A homogeneous vector of degree d lies in a graded submodule
-    exactly when it lies in its degree-d piece, which the standard-monomial
-    multiples of its generators of degree <= d span over k; so one _Span
-    per degree holds all three.  A column dropped below d is not needed:
-    by induction it lies in the span of N and the columns kept below it.
-    """
-    ring = K.ring
-    by_degree: Dict[int, List[int]] = {}
-    for j, d in enumerate(K.source.degrees):
-        by_degree.setdefault(d, []).append(j)
-    one = ring.ambient.mono_one()
-    gens = [(B.source, B.cols) for B in blocks if B is not None]
-    kept: List[int] = []
-    for d in sorted(by_degree):
-        span = _Span(ring.field)
-        for source, cols in gens:
-            for mono, c in source.basis_in_degree(d):
-                span.insert(monomial_multiple(ring, cols[c], mono))
-        for u in kept:
-            for mono in ring.standard_monomials(d - K.source.degrees[u]):
-                span.insert(monomial_multiple(ring, K.cols[u], mono))
-        for j in by_degree[d]:
-            if span.insert(monomial_multiple(ring, K.cols[j], one)):
-                kept.append(j)
-                if len(kept) == limit:
-                    return sorted(kept)
-    return sorted(kept)
-
-
-def _image_blocks(P: PresentedComplex, i: int) -> List[Optional[GradedMatrix]]:
-    """[D_{i-1}, Q_i]: the blocks whose columns generate the image that
-    H^i is taken modulo (None where zero)."""
-    return [P.diffs.get(i - 1), P.rels.get(i)]
+def _image_blocks(P: PresentedComplex, i: int) -> List[GradedMatrix]:
+    """The nonzero ones of [D_{i-1}, Q_i]: the blocks whose columns generate
+    the image that H^i is taken modulo."""
+    return [B for B in (P.diffs.get(i - 1), P.rels.get(i)) if B is not None]
 
 
 def _vanishes(P: PresentedComplex, i: int) -> bool:
@@ -376,7 +324,7 @@ def _vanishes(P: PresentedComplex, i: int) -> bool:
     if i in P._nonzero:
         return False
     K = _cycles(P, i)
-    if K is not None and _independent_columns(K, _image_blocks(P, i), limit=1):
+    if K is not None and K.minimal_columns(_image_blocks(P, i), limit=1):
         P._nonzero.add(i)
         return False
     P._cohomology_cache[i] = CohomologyData(
@@ -387,15 +335,15 @@ def _vanishes(P: PresentedComplex, i: int) -> bool:
 
 def _cohomology(P: PresentedComplex, i: int) -> CohomologyData:
     """H^i(P), cached on P; the one cohomology routine.  Its minimal
-    generators are the cycle generators that _independent_columns keeps
-    modulo the image; no Groebner basis beyond the cycles' own is built
-    until the module is read."""
+    generators are the cycle generators that GradedMatrix.minimal_columns
+    keeps modulo the image; no Groebner basis beyond the cycles' own is
+    built until the module is read."""
     cached = P._cohomology_cache.get(i)
     if cached is not None:
         return cached
     blocks = _image_blocks(P, i)
     K = _cycles(P, i)
-    kept = [] if K is None else _independent_columns(K, blocks)
+    kept = [] if K is None else K.minimal_columns(blocks)
     gens = GradedMatrix.from_columns(
         P.cover(i), [K.source.degrees[j] for j in kept], [K.cols[j] for j in kept]
     )

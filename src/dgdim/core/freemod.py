@@ -16,14 +16,17 @@ vector is reduced in ascending key order, so an insert touches only the
 rows whose pivots the vector meets, not every stored row.  A rank does not
 depend on the basis or the order of insertion, so no dense field matrix is
 built for it.  This linear algebra is the brute-force oracle backing the
-Groebner-based module computations; minimal_presentation uses the same
-_Span for irredundancy, and the cohomology count of complexes.py for the
-minimal generators of each cohomology group.
+Groebner-based module computations.
+
+The same span gives the one count of minimal generators, by graded
+Nakayama, one internal degree at a time: GradedMatrix.minimal_columns.
+minimal_presentation reads its irredundant relations off it, and
+complexes.py the minimal generators of each cohomology group.
 """
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .poly import Poly
 
@@ -238,11 +241,52 @@ class GradedMatrix:
     def rank_in_degree(self, t: int) -> int:
         """Rank of the degree-t piece: the degree-t multiples of the columns
         inserted into one sparse echelon basis."""
-        span = _Span(self.ring.field)
+        return self._insert_multiples(_Span(self.ring.field), t, range(len(self.cols)))
+
+    def _insert_multiples(self, span: "_Span", t: int, columns) -> int:
+        """Insert the degree-t multiples of the given columns into span, a
+        standard monomial times each; the number that were new to it."""
+        ring = self.ring
+        degs = self.source.degrees
         return sum(
-            span.insert(monomial_multiple(self.ring, self.cols[j], mono))
-            for mono, j in self.source.basis_in_degree(t)
+            span.insert(monomial_multiple(ring, self.cols[j], mono))
+            for j in columns
+            for mono in ring.standard_monomials(t - degs[j])
         )
+
+    def minimal_columns(
+        self, blocks: Sequence["GradedMatrix"] = (), limit: Optional[int] = None
+    ) -> List[int]:
+        """Indices, ascending, of the columns whose classes minimally
+        generate the module they generate modulo the submodule N that the
+        columns of blocks (matrices into the same target) generate; the
+        scan stops once limit are kept.
+
+        By graded Nakayama these classes are a k-basis of H/mH, H that
+        quotient and m the irrelevant ideal.  So, one degree d at a time, a
+        degree-d column is kept exactly when it lies outside the k-span of
+        N_d, of the degree-d multiples of the columns kept below d, and of
+        the degree-d columns kept before it in the order given.  The
+        degree-d piece of a graded submodule is spanned by the
+        standard-monomial multiples of its generators of degree <= d, and
+        a column dropped below d lies, by induction, in the span of N and
+        the columns kept below it; so one _Span per degree holds all three.
+        """
+        by_degree: Dict[int, List[int]] = {}
+        for j, d in enumerate(self.source.degrees):
+            by_degree.setdefault(d, []).append(j)
+        kept: List[int] = []
+        for d in sorted(by_degree):
+            span = _Span(self.ring.field)
+            for B in blocks:
+                B._insert_multiples(span, d, range(len(B.cols)))
+            self._insert_multiples(span, d, kept)
+            for j in by_degree[d]:
+                if self._insert_multiples(span, d, (j,)):
+                    kept.append(j)
+                    if len(kept) == limit:
+                        return sorted(kept)
+        return sorted(kept)
 
     def kernel_dim_in_degree(self, t: int) -> int:
         return self.source.dim_in_degree(t) - self.rank_in_degree(t)

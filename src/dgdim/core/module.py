@@ -5,24 +5,19 @@ the irrelevant maximal ideal and the relation columns are irredundant; by
 graded Nakayama the surviving generators are a minimal generating set.
 It is reached through GradedModule.minimal(): by Hom and tensor into a
 module, by each step of a minimal free resolution, and when a cohomology
-group is read as a module.  The minimal generators of a cohomology group
-itself come from the degreewise count of complexes.py, with no
-presentation.
+group is read as a module.
 
 Unit entries go first, by cancel_units: the one Gaussian-cancellation loop
 of the program.  A presentation is its one-differential case; prune_complex
 in complexes.py runs it over every differential of a free complex.
 
-Irredundancy is linear algebra over k, one internal degree at a time.  A
-homogeneous column of degree d lies in the submodule generated by others
-exactly when its k-vector lies in the span of the degree-d multiples of the
-others of degree <= d: standard monomials times the lower columns, scalars
-times the columns of degree d.  So the columns are taken in ascending degree;
-in degree d the span of the multiples of the columns kept so far is built,
-and the degree-d columns are visited from the highest index down, each kept
-exactly when it is independent of the span, which it then joins.  The span
-is freemod's _Span, the one k-linear elimination routine of the program; it
-also computes every degreewise rank.
+Irredundancy is the degreewise Nakayama count of freemod,
+GradedMatrix.minimal_columns, which also reads off the minimal generators
+of each cohomology group in complexes.py.  In each degree d it keeps a
+column exactly when its k-vector lies outside the span of the degree-d
+multiples of the columns kept below d and of the degree-d columns kept
+before it, visiting the degree-d columns in the order it is given them;
+minimal_presentation gives them from the highest index down.
 
 This keeps the same columns as the rule "in ascending (degree, index) order,
 drop a column when the still-live others of degree <= its own generate it".
@@ -36,7 +31,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from .poly import Poly
-from .freemod import Column, GradedFreeModule, GradedMatrix, _Span, monomial_multiple
+from .freemod import Column, GradedFreeModule, GradedMatrix
 from .ring import GradedRing
 
 
@@ -57,9 +52,6 @@ class MinimalPresentation:
     @property
     def rank(self) -> int:
         return self.matrix.target.rank
-
-    def is_zero(self) -> bool:
-        return self.rank == 0
 
 
 def cancel_units(
@@ -151,40 +143,17 @@ def minimal_presentation(M: GradedMatrix) -> MinimalPresentation:
         if cols[j]:
             live.append({pos[i]: e for i, e in cols[j].items()})
             col_deg.append(src[j])
-    kept = _irredundant_columns(target, live, col_deg)
+    # the count visits each degree's columns in the order given: reversed,
+    # so that it keeps the reverse-delete choice (module docstring)
+    n = len(live)
+    rev = GradedMatrix.from_columns(target, col_deg[::-1], live[::-1])
+    kept = sorted(
+        (n - 1 - r for r in rev.minimal_columns()), key=lambda t: (col_deg[t], t)
+    )
     matrix = GradedMatrix.from_columns(
         target, [col_deg[t] for t in kept], [live[t] for t in kept]
     )
     return MinimalPresentation(matrix, alive_rows)
-
-
-def _irredundant_columns(
-    target: GradedFreeModule, cols: List[Column], col_deg: List[int]
-) -> List[int]:
-    """Indices of the columns kept as minimal relations, ascending (degree, index).
-
-    Degree d sees the k-span of the degree-d multiples of the columns kept
-    in lower degrees; its own columns are visited from the highest index
-    down, and one is kept exactly when its vector lies outside the span,
-    which it then joins.
-    """
-    ring = target.ring
-    by_degree: Dict[int, List[int]] = {}
-    for t, d in enumerate(col_deg):
-        by_degree.setdefault(d, []).append(t)
-    one = ring.ambient.mono_one()
-    kept: List[int] = []
-    for d in sorted(by_degree):
-        span = _Span(ring.field)
-        for u in kept:
-            for mono in ring.standard_monomials(d - col_deg[u]):
-                span.insert(monomial_multiple(ring, cols[u], mono))
-        new = [
-            t for t in reversed(by_degree[d])
-            if span.insert(monomial_multiple(ring, cols[t], one))
-        ]
-        kept.extend(reversed(new))
-    return kept
 
 
 class GradedModule:
@@ -217,14 +186,8 @@ class GradedModule:
             self._minimal = minimal_presentation(self.presentation)
         return self._minimal
 
-    def minimal_generator_degrees(self) -> Tuple[int, ...]:
-        return self.minimal().generator_degrees
-
-    def is_zero(self) -> bool:
-        return self.minimal().rank == 0
-
     def hilbert_function(self, t: int) -> int:
         return self.presentation.coker_dim_in_degree(t)
 
     def __repr__(self):
-        return "GradedModule(gens %s)" % (list(self.minimal_generator_degrees()),)
+        return "GradedModule(gens %s)" % (list(self.minimal().generator_degrees),)

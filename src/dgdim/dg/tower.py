@@ -84,10 +84,12 @@ def _stage(
     scan = M._scan_range()
     hi = scan.stop - 1 if ceiling is None else min(scan.stop - 1, ceiling)
     lo = scan.start if floor is None else max(scan.start, floor)
-    s = next((s for s in range(hi, lo - 1, -1) if not M.cohomology_vanishes(s)), None)
-    if s is None:
+    data = next(
+        (d for d in map(M.cohomology, range(hi, lo - 1, -1)) if not d.is_zero()), None
+    )
+    if data is None:
         return None
-    data = M.cohomology(s)
+    s = data.degree
     A = M.A
     P = free_dg_module(A, [(s, tw) for tw in data.generator_degrees])
     entries: Dict[int, Dict[int, AElem]] = {}

@@ -312,10 +312,11 @@ def bass_numbers(
 ) -> Tuple[Dict[int, int], Optional[SemifreeResolution]]:
     """mu^i = rank of Ext^i(k, M) for scan_lo <= i <= scan_hi.
 
-    Ext^i(k, M) is killed by the maximal ideal, because it is killed
-    through k, so mu^i is its k-dimension: the number of cycle generators
-    of Hom(SF, M) at degree i that stay independent modulo the image.  No
-    presentation of Ext^i is built."""
+    Ext^i(k, M) is killed by the maximal ideal m, because it is killed
+    through k.  So Ext^i = Ext^i/m Ext^i, and mu^i, its k-dimension, is
+    its number of minimal generators: the cycle generators of Hom(SF, M)
+    at degree i that stay independent modulo the image.  No presentation
+    of Ext^i is built."""
     A = M.A
     mslot = M.min_slot_cohdeg()
     if mslot is None:
@@ -332,7 +333,7 @@ def bass_numbers(
     for i in range(scan_lo, scan_hi + 1):
         if not H._trust(i):
             raise RuntimeError("Bass window fell short at degree %d" % i)
-        mus[i] = H.cohomology_k_dim(i)
+        mus[i] = len(H.cohomology(i).generator_degrees)
     return mus, res
 
 

@@ -455,21 +455,29 @@ def _doubled_ring(B: GradedRing) -> Tuple[GradedRing, List[Poly]]:
     return E, diag
 
 
+_IDENTITY_MAP = "identity on the ring"
+
+
+def hochschild_map(A: GradedRing, B: GradedRing) -> str:
+    """The label of the map A -> B when it is one of the flat maps the
+    desk-scale engine supports, the identity or the base field into B;
+    ValueError for any other."""
+    if A.key() == B.key():
+        return _IDENTITY_MAP
+    if A.ambient.nvars == 0 and not A.relations:
+        return "base field into the ring"
+    raise ValueError(
+        "the map from the source ring to the target must be the identity "
+        "or the base field into the target; other flat maps are out of scope"
+    )
+
+
 def hochschild_table(A: GradedRing, B: GradedRing) -> HochschildReport:
     """HH_i = Tor_i over B (x)_A B and HH^i = Ext^i for i up to one past
-    the vanishing threshold dim(B (x)_A B), for the flat maps the desk-scale
-    engine supports: the identity, or the base field into B."""
-    if A.key() == B.key():
-        E, diag = B, []
-        label = "identity on the ring"
-    elif A.ambient.nvars == 0 and not A.relations:
-        E, diag = _doubled_ring(B)
-        label = "base field into the ring"
-    else:
-        raise ValueError(
-            "B is flat over A in the implemented sense only for the identity "
-            "map or the base field; general flat maps are out of scope"
-        )
+    the vanishing threshold dim(B (x)_A B), for the maps hochschild_map
+    supports."""
+    label = hochschild_map(A, B)
+    E, diag = (B, []) if label == _IDENTITY_MAP else _doubled_ring(B)
     diagonal = GradedModule.cyclic(E, diag)
     threshold = E.dimension()
     cert = minimal_free_resolution_module(diagonal, cutoff=threshold + 2)

@@ -43,6 +43,7 @@ from .dimensions import (
 from .finitistic import (
     bass_witness_recipe,
     fpd_bounds,
+    hochschild_map,
     hochschild_table,
     hochschild_vanishing_check,
     small_finitistic_dims,
@@ -133,6 +134,11 @@ def _build_rings(scn: Scenario, decls: dict) -> None:
             raise
         except (ValueError, KeyError) as exc:
             raise ScenarioError("ring %r: %s" % (name, exc))
+        if scn.rings[name].is_zero_ring:
+            raise ScenarioError(
+                "ring %r: the relations generate the unit ideal, so it is "
+                "the zero ring" % name
+            )
         scn.deps[name] = []
 
 
@@ -362,8 +368,12 @@ def _check_queries(scn: Scenario, queries: List[dict]) -> None:
                     "%s: n = %d lies outside 0 <= n <= dim H0 = %d" % (what, n, dim)
                 )
         elif op == "hochschild":
-            _ring_ref(scn, _need(q, "source", what), what)
-            _ring_ref(scn, _need(q, "target", what), what)
+            src = _ring_ref(scn, _need(q, "source", what), what)
+            tgt = _ring_ref(scn, _need(q, "target", what), what)
+            try:
+                hochschild_map(src, tgt)
+            except ValueError as exc:
+                raise ScenarioError("%s: %s" % (what, exc))
         scn.queries.append(q)
 
 

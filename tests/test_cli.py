@@ -448,6 +448,45 @@ def test_cli_rejects_bad_query_inputs(query, needs, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def run_doc(doc, tmp_path, capsys):
+    """Exit code and stderr of `dgdim run` on the scenario doc."""
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(doc))
+    code = main(["run", str(p)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    return code, captured.err
+
+
+def test_cli_rejects_a_zero_ring(tmp_path, capsys):
+    """Relations with a nonzero constant generate the unit ideal: the zero
+    ring is bad input (exit 3, one line naming it), not a depth FAIL."""
+    doc = {
+        "schema": "dgdim-scenario/1",
+        "rings": {"Z": {"variables": ["x"], "relations": ["2"]}},
+        "dg_rings": {"A": {"kind": "ring", "base": "Z"}},
+        "queries": [{"op": "depth", "ring": "A"}],
+    }
+    code, err = run_doc(doc, tmp_path, capsys)
+    assert code == 3
+    assert "ring 'Z'" in err and "zero ring" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_rejects_an_unsupported_hochschild_map(tmp_path, capsys):
+    """hochschild takes the identity or the base field into the target;
+    k[x] -> k[x, y] is bad input (exit 3, one line naming the query)."""
+    doc = {
+        "schema": "dgdim-scenario/1",
+        "rings": {"R": {"variables": ["x"]}, "S": {"variables": ["x", "y"]}},
+        "queries": [{"op": "hochschild", "source": "R", "target": "S"}],
+    }
+    code, err = run_doc(doc, tmp_path, capsys)
+    assert code == 3
+    assert "query 0 (op 'hochschild')" in err and "out of scope" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("query,code", [
     ({"op": "proj-dim", "module": "F"}, 0),
     ({"op": "flat-dim", "module": "F"}, 0),

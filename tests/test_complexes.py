@@ -47,6 +47,7 @@ from dgdim.dg import (
     semifree_resolution,
     shift_dg,
 )
+from dgdim.core.freemod import _Span
 from dgdim.corpus import (
     amplitude_zero_test_family,
     random_perfect_module,
@@ -797,9 +798,19 @@ def test_golod_query_work_counts(monkeypatch, field):
     S-pair reductions.  Before each nonzero cohomology group was read off
     the degreewise count of its minimal generators (with no second syzygy
     module and no minimal presentation) they were 7 presentations, 18
-    module Groebner bases and 253 (Q) / 252 (Fp) S-pair reductions."""
+    module Groebner bases and 253 (Q) / 252 (Fp) S-pair reductions.
+    Before the tower scanned with the full count, so that the degree it
+    covers is counted once and not twice, the _Span inserts were 93."""
     A = build_ring_dg(golod_ring(field))
     counts = count_work(monkeypatch)
+    inserts = [0]
+    inner_insert = _Span.insert
+
+    def counted_insert(self, vec):
+        inserts[0] += 1
+        return inner_insert(self, vec)
+
+    monkeypatch.setattr(_Span, "insert", counted_insert)
     rep = dimensions_module.inj_dim(free_dg_module(A, [(0, 0)]))
     assert rep.infinite
     assert counts == {
@@ -808,6 +819,7 @@ def test_golod_query_work_counts(monkeypatch, field):
         "tower stages": 7,
         "S-pairs": {"Q": 145, "Fp:32003": 144}[field],
     }
+    assert inserts[0] == 86
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-import dgdim.core.module as module_mod
 import dgdim.core.syz as syz_mod
 from dgdim.core import (
     GradedFreeModule,
@@ -250,18 +249,25 @@ def _probe_rule(target, cols, col_deg):
 
 def _recorded_pass(monkeypatch, M):
     """minimal_presentation(M), and the (target, columns, degrees, kept)
-    that its irredundancy pass saw and returned."""
+    that its irredundancy pass saw and returned.  The pass is the count
+    GradedMatrix.minimal_columns on the live columns in reverse order; the
+    record gives them in their own order, and kept as their indices in
+    ascending (degree, index) order."""
     seen = []
-    inner = module_mod._irredundant_columns
+    inner = GradedMatrix.minimal_columns
 
-    def record(target, cols, col_deg):
-        kept = inner(target, cols, col_deg)
-        seen.append((target, [dict(c) for c in cols], list(col_deg), kept))
+    def record(self, blocks=(), limit=None):
+        kept = inner(self, blocks, limit)
+        n = len(self.cols)
+        cols = [dict(c) for c in reversed(self.cols)]
+        col_deg = list(reversed(self.source.degrees))
+        back = sorted((n - 1 - r for r in kept), key=lambda t: (col_deg[t], t))
+        seen.append((self.target, cols, col_deg, back))
         return kept
 
-    monkeypatch.setattr(module_mod, "_irredundant_columns", record)
+    monkeypatch.setattr(GradedMatrix, "minimal_columns", record)
     mp = minimal_presentation(M)
-    monkeypatch.setattr(module_mod, "_irredundant_columns", inner)
+    monkeypatch.setattr(GradedMatrix, "minimal_columns", inner)
     assert len(seen) == 1
     return mp, seen[0]
 
