@@ -206,16 +206,21 @@ class DGModule:
     # -- the slot-level differential ---------------------------------------
 
     def expand_slot_d(self, j: int, b: str) -> Dict[Slot, Poly]:
-        """Coefficients of d[b g_j] on the slots of the target degree."""
+        """Coefficients of d[b g_j] on the slots of the target degree, each
+        a nonzero normal form: every term is a normal form of the ring
+        data or a product normalized by AElem.mul, and their sums stay
+        normal (see dgring.py)."""
         A = self.A
         gj = self.gens[j]
         out: Dict[Slot, Poly] = {}
 
         def put(slot: Slot, p: Poly):
-            if p.is_zero():
-                return
             if slot in out:
-                out[slot] = out[slot] + p
+                q = out[slot] + p
+                if q:
+                    out[slot] = q
+                else:
+                    del out[slot]
             else:
                 out[slot] = p
 
@@ -226,7 +231,7 @@ class DGModule:
             put((j, sym), coef if sgn_first > 0 else -coef)
         row = self.diff.get(j)
         if row:
-            b_elem = AElem(A, {b: A.base.one()})
+            b_elem = None if b == A.unit else AElem(A, {b: A.base.one()})
             bdeg = A.cohdeg[b]
             for i, alpha in row.items():
                 gi = self.gens[i]
@@ -235,7 +240,7 @@ class DGModule:
                     if ((gj.sigma + gi.sigma + 1) * bdeg) % 2
                     else 1
                 )
-                prod = b_elem.mul(alpha)
+                prod = alpha if b_elem is None else b_elem.mul(alpha)
                 for sym, p in prod.coeffs.items():
                     if gi.kind == "h0" and sym != A.unit:
                         continue
@@ -269,12 +274,13 @@ class DGModule:
                 col = {}
                 for slot, p in self.expand_slot_d(j, b).items():
                     r = pos.get(slot)
-                    if r is not None:
-                        col[r] = p
-                    elif p:
+                    if r is None:
                         raise AssertionError("differential leaves the slot table")
+                    col[r] = p
                 cols.append(col)
-            diffs[c] = GradedMatrix(covers[c + 1], covers[c], cols)
+            diffs[c] = GradedMatrix(
+                covers[c + 1], covers[c], cols, normalize=False
+            )
         self._underlying = PresentedComplex(
             R, covers, diffs, rels, known_lo=self.known_lo
         )

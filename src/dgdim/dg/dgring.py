@@ -16,6 +16,15 @@ extension is R/I, everything else is R itself.  Elements (AElem) are maps
 basis symbol -> polynomial, the polynomial kept in normal form of the
 slot's ring.
 
+Only products and outside input are normalized: AElem(...) itself, mul and
+d, whose coefficient products can leave the normal forms.  A k-linear
+combination of normal forms is a normal form (no term of either lies in
+the leading-term ideal, so no term of the sum does), so add, negate and
+scale_int combine the stored coefficients directly and only drop those
+that cancel to zero.  A normal form in a slot's quotient ring is also one
+in the base ring, whose leading-term ideal the quotient's contains.  The
+d_table is normalized into the target slots once, when the ring is built.
+
 DG-rings, like their base rings, are immutable once built; the derived
 invariants memoized on a DGRing (its amplitude, sequential depth and
 Gorenstein test, the resolutions of its residue field, the DG-ring of its
@@ -51,7 +60,6 @@ class DGRing:
         self.cohdeg = dict(cohdeg)
         self.twist = dict(twist)
         self.mul_table = dict(mul_table)
-        self.d_table = {s: dict(v) for s, v in d_table.items()}
         self.slot_extra = {s: tuple(slot_extra.get(s, ())) for s in basis}
         self.h0_extra = tuple(h0_extra)
         self.label = label or kind
@@ -60,6 +68,7 @@ class DGRing:
             raise ValueError("basis must contain the unit symbol '1'")
         self._slot_rings: Dict[str, GradedRing] = {}
         self._h0: Optional[GradedRing] = None
+        self.d_table = {s: AElem(self, v).coeffs for s, v in d_table.items()}
         # memos of dimensions.py: ring_amplitude(A), sequential_depth(A),
         # is_gorenstein(A), and the residue-field resolution of bass_numbers
         # by window floor; of finitistic.py: the DG-ring of H^0(A)
@@ -175,6 +184,8 @@ class AElem:
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: DGRing, coeffs: Dict[str, Poly]):
+        """The element with these coefficients, each normalized in its
+        slot's ring."""
         self.ring = ring
         clean: Dict[str, Poly] = {}
         for sym, p in coeffs.items():
@@ -182,6 +193,15 @@ class AElem:
             if q:
                 clean[sym] = q
         self.coeffs = clean
+
+    @classmethod
+    def _normal(cls, ring: DGRing, coeffs: Dict[str, Poly]) -> "AElem":
+        """The element with these coefficients, already normal forms of
+        their slots' rings: only the zeros are dropped."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.coeffs = {sym: p for sym, p in coeffs.items() if p}
+        return out
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -203,10 +223,10 @@ class AElem:
                 out[sym] = out[sym] + p
             else:
                 out[sym] = p
-        return AElem(self.ring, out)
+        return AElem._normal(self.ring, out)
 
     def negate(self) -> "AElem":
-        return AElem(self.ring, {s: -p for s, p in self.coeffs.items()})
+        return AElem._normal(self.ring, {s: -p for s, p in self.coeffs.items()})
 
     def scale_int(self, n: int) -> "AElem":
         if n == 1:
@@ -214,7 +234,9 @@ class AElem:
         if n == -1:
             return self.negate()
         c = self.ring.base.field.from_int(n)
-        return AElem(self.ring, {s: p.scale(c) for s, p in self.coeffs.items()})
+        return AElem._normal(
+            self.ring, {s: p.scale(c) for s, p in self.coeffs.items()}
+        )
 
     def mul(self, other: "AElem") -> "AElem":
         A = self.ring

@@ -23,6 +23,16 @@ of cover, so H^s(cone) = 0 too.  The cocone is cone[-1], so it has no
 cohomology above s, and the next stage scans down from s instead of from
 its top slot degree.  No cohomology is carried from one stage to the next:
 the ceiling alone keeps every degree above s from being read again.
+
+A windowed tower (window_lo given) is faithful above window_lo and makes
+no claim below it.  It stops once no cohomology is left at or above its
+floor, and it reads the end state for termination only where that costs
+nothing: no slots left, or the floor at or below the bottom slot.
+Otherwise the resolution keeps its final cocone and carries the window
+bound as known_lo.  Whether the cocone has cohomology below the floor is
+a separate question, asked only by certify_termination, the one function
+that runs that scan; a caller that only reads the window (the Bass
+numbers) never pays for it.
 """
 from __future__ import annotations
 
@@ -44,31 +54,44 @@ from .dgmodule import (
 class SemifreeResolution:
     """Semifree replacement of a DG-module.
 
-    sf         -- DGModule with free generators only
+    sf         -- DGModule with free generators only, faithful above its
+                  known_lo (None: a quasi-isomorphism)
     stages     -- per stage: dict with position (cohdeg in sf), twists
-    terminated -- True when the tower stopped because nothing was left
+    terminated -- True when the tower is known to have stopped because
+                  nothing was left
+    pending    -- (final cocone, floor) of a windowed tower whose
+                  termination only the scan of certify_termination can
+                  decide, else None
     """
 
-    def __init__(self, sf, stages, terminated):
+    def __init__(self, sf, stages, terminated, pending=None):
         self.sf = sf
         self.stages = stages
         self.terminated = terminated
+        self.pending = pending
 
 
-def _no_cohomology_below(N: DGModule, floor: int) -> bool:
-    """True when H(N) vanishes at every slot degree strictly below floor.
+def certify_termination(res: SemifreeResolution) -> SemifreeResolution:
+    """The resolution with its termination decided: when the final cocone
+    of a windowed tower has no cohomology at any slot degree below the
+    floor, nothing was left and the tower is finished, so the result is
+    terminated with known_lo None.  Otherwise res itself.
 
-    Scans downward from the floor; a leftover class usually sits just
-    underneath it, so the negative answer is cheap.  Each degree is the
-    degreewise linear-algebra vanishing test, so a degree found nonzero
-    builds no minimal presentation here."""
-    mn = N.min_slot_cohdeg()
-    if mn is None:
-        return True
-    for s in range(floor - 1, mn - 1, -1):
+    This is the only place the below-floor scan runs.  It scans downward
+    from the floor; a leftover class usually sits just underneath it, so
+    the negative answer is cheap.  Each degree is the degreewise
+    linear-algebra vanishing test, so a degree found nonzero builds no
+    minimal presentation here."""
+    if res.pending is None:
+        return res
+    N, floor = res.pending
+    for s in range(floor - 1, N.min_slot_cohdeg() - 1, -1):
         if not N.cohomology_vanishes(s):
-            return False
-    return True
+            return res
+    sf = res.sf
+    # the same generators and differential, already validated
+    full = DGModule(sf.A, sf.gens, sf.diff, known_lo=None, check=False)
+    return SemifreeResolution(full, res.stages, True)
 
 
 def _stage(
@@ -117,7 +140,10 @@ def semifree_resolution(
     """Resolve M by a semifree DG-module, faithfully above window_lo.
 
     window_lo=None asks for exact termination and raises RuntimeError when
-    the tower does not stop within max_stages."""
+    the tower does not stop within max_stages.  A windowed result is
+    terminated only when its end state shows it without a scan; otherwise
+    sf.known_lo is the window bound, and certify_termination decides
+    termination by scanning below the floor."""
     if all(g.kind == "free" for g in M.gens):
         # already semifree: with only free generators over a non-positive
         # ring, ordering by descending cohomological degree is a filtration
@@ -173,20 +199,19 @@ def semifree_resolution(
     # trust window for the extracted resolution
     terminated = False
     lo_sf: Optional[int] = None
+    pending = None
     if window_lo is not None:
         floor_eff = window_lo + k - 1
         if N.known_lo is not None:
             floor_eff = max(floor_eff, N.known_lo + 1)
         mn = N.min_slot_cohdeg()
-        if N.known_lo is None and (
-            mn is None
-            or floor_eff <= mn
-            or _no_cohomology_below(N, floor_eff)
-        ):
-            # nothing was left below the floor either: the tower is finished
+        if N.known_lo is None and (mn is None or floor_eff <= mn):
+            # no slot below the floor: the tower is finished
             terminated = True
         else:
             lo_sf = floor_eff - k
+            if N.known_lo is None:
+                pending = (N, floor_eff)
     else:
         if N.known_lo is None:
             terminated = True
@@ -198,7 +223,7 @@ def semifree_resolution(
         terminated = False
     sf = DGModule(M.A, sf_gens, sf_diff, known_lo=lo_sf, check=False)
     sf.underlying().validate()
-    return SemifreeResolution(sf, stages, terminated)
+    return SemifreeResolution(sf, stages, terminated, pending)
 
 
 def reduce_to_h0(

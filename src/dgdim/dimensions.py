@@ -44,6 +44,7 @@ from .dg import (
     ProductDGRing,
     SemifreeResolution,
     build_ring_dg,
+    certify_termination,
     cone_dg,
     free_dg_module,
     hom_semifree_into_dg,
@@ -188,7 +189,7 @@ def proj_dim(M: AnyModule) -> DimensionReport:
                                reduction="module is acyclic")
     cap = A.dimension() - infM
     floor = -(cap + 2)
-    res = semifree_resolution(M, window_lo=floor)
+    res = certify_termination(semifree_resolution(M, window_lo=floor))
     F = prune_complex(reduce_to_h0(res.sf))
     trace = "semifree tower (%d stages), reduction to H^0, pruned" % len(
         res.stages
@@ -258,7 +259,7 @@ def flat_dim(M: AnyModule) -> DimensionReport:
                                reduction="module is acyclic")
     cap = A.dimension() - infM
     floor = -(cap + 2)
-    res = semifree_resolution(M, window_lo=floor)
+    res = certify_termination(semifree_resolution(M, window_lo=floor))
     tor_tables: Dict[str, Dict[str, List[int]]] = {}
     deepest: Optional[int] = None
     for label, gens in test_ideal_family(A):

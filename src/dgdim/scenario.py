@@ -150,6 +150,21 @@ def _integer(x: object, key: str, what: str) -> int:
     return x
 
 
+def _check_expect(x: object, op: str, what: str) -> None:
+    """An expect must be a value the op reports (see _run_query): a JSON
+    boolean for bass-witness and hochschild, a JSON integer, "infinity" or
+    "-infinity" for the dimensions, and a JSON integer for the other ops."""
+    if op in ("bass-witness", "hochschild"):
+        ok, want = type(x) is bool, "a boolean"
+    elif op in ("proj-dim", "flat-dim", "inj-dim"):
+        ok = type(x) is int or x in ("infinity", "-infinity")
+        want = 'an integer, "infinity" or "-infinity"'
+    else:
+        ok, want = type(x) is int, "an integer"
+    if not ok:
+        raise ScenarioError("%s: expect must be %s, not %r" % (what, want, x))
+
+
 def _placements(decl: dict, what: str) -> List[Tuple[int, int]]:
     """The declared generators as (position, twist) pairs of integers."""
     return [
@@ -374,6 +389,8 @@ def _check_queries(scn: Scenario, queries: List[dict]) -> None:
                 hochschild_map(src, tgt)
             except ValueError as exc:
                 raise ScenarioError("%s: %s" % (what, exc))
+        if "expect" in q:
+            _check_expect(q["expect"], op, what)
         scn.queries.append(q)
 
 
@@ -516,8 +533,10 @@ def _run_query(scn: Scenario, idx: int, q: dict) -> CheckResult:
             {"reason": str(exc) or type(exc).__name__},
             reproduce=_sub_scenario(scn, q),
         )
-    if "expect" in q and q["expect"] != details.get("value"):
-        details["expected"] = q["expect"]
+    want, got = q.get("expect"), details.get("value")
+    # type-strict: True == 1 == 1.0 in Python, but not in the report
+    if "expect" in q and (type(want) is not type(got) or want != got):
+        details["expected"] = want
         return CheckResult(
             check_id, claim, FAIL, details, reproduce=_sub_scenario(scn, q)
         )

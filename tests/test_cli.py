@@ -508,6 +508,62 @@ def test_every_query_op_on_a_product_dg_ring(query, code, tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("query,want", [
+    ({"op": "proj-dim", "module": "M", "expect": True}, "an integer, "),
+    ({"op": "proj-dim", "module": "M", "expect": 1.0}, "an integer, "),
+    ({"op": "proj-dim", "module": "M", "expect": "one"}, "an integer, "),
+    ({"op": "inj-dim", "module": "M", "expect": [1]}, "an integer, "),
+    ({"op": "flat-dim", "module": "M", "expect": None}, "an integer, "),
+    ({"op": "cohomology", "module": "M", "expect": "infinity"}, "an integer,"),
+    ({"op": "depth", "ring": "A", "expect": True}, "an integer,"),
+    ({"op": "small-finitistic", "ring": "A", "expect": 0.0}, "an integer,"),
+    ({"op": "fpd-interval", "ring": "A", "expect": "0"}, "an integer,"),
+    ({"op": "bass-witness", "ring": "A", "n": 0, "expect": 1}, "a boolean"),
+    ({"op": "hochschild", "source": "R", "target": "R", "expect": "true"},
+     "a boolean"),
+], ids=["bool-for-dimension", "float-for-dimension", "word-for-dimension",
+        "list-for-dimension", "null-for-dimension", "infinity-for-count",
+        "bool-for-depth", "float-for-fpd", "string-for-fpd-interval",
+        "int-for-bass-witness", "string-for-hochschild"])
+def test_cli_rejects_expect_outside_the_op_domain(query, want, tmp_path, capsys):
+    """An expect must be a value the op reports: a JSON integer,
+    "infinity" or "-infinity" for the dimensions, a JSON boolean for
+    bass-witness and hochschild, a JSON integer for the rest.  Anything
+    else is bad input (exit 3, one line naming the query), where Python's
+    True == 1 == 1.0 used to let some of them pass and the others fail."""
+    code, err = run_doc(small_doc(queries=[query]), tmp_path, capsys)
+    assert code == 3
+    assert "query 0 (op %r): expect must be %s" % (query["op"], want) in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("query,code", [
+    ({"op": "proj-dim", "module": "M", "expect": 1}, 0),
+    ({"op": "proj-dim", "module": "M", "expect": 2}, 1),
+    ({"op": "proj-dim", "module": "M", "expect": "infinity"}, 1),
+    ({"op": "depth", "ring": "A", "expect": 1}, 0),
+    ({"op": "hochschild", "source": "R", "target": "R", "expect": True}, 0),
+    ({"op": "hochschild", "source": "R", "target": "R", "expect": False}, 1),
+], ids=["dimension-match", "dimension-mismatch", "infinity-mismatch",
+        "depth-match", "verdict-match", "verdict-mismatch"])
+def test_expect_in_the_op_domain_is_compared(query, code, tmp_path, capsys):
+    """A well-typed expect passes when it equals the value and fails
+    (exit 1) when it does not."""
+    assert run_doc(small_doc(queries=[query]), tmp_path, capsys)[0] == code
+
+
+def test_expect_comparison_is_type_strict():
+    """The comparison itself tells True from 1 and 1.0 from 1, even for an
+    expect that reached it without the parse-time domain check."""
+    for wrong in (True, 1.0):
+        scn = parse_scenario(small_doc())
+        scn.queries[0] = dict(scn.queries[0], expect=wrong)
+        rep = run_scenario(scn)
+        assert rep.results[0].outcome == "fail"
+        assert rep.results[0].details["value"] == 1
+    assert run_scenario(parse_scenario(small_doc())).exit_code() == 0
+
+
 def test_cli_expect_mismatch_exit_code(tmp_path, capsys):
     doc = small_doc(queries=[{"op": "proj-dim", "module": "M", "expect": 5}])
     p = tmp_path / "mismatch.json"
@@ -655,7 +711,9 @@ def test_verify_work_counts(monkeypatch, capsys):
     Groebner bases, 354 semifree resolutions and 164 flat-dimension
     queries.  Before each nonzero cohomology group was read off the
     degreewise count of its minimal generators, the run built 586 module
-    Groebner bases and 500 minimal presentations."""
+    Groebner bases and 500 minimal presentations.  Before the Bass numbers'
+    residue towers stopped at their window, with no termination scan below
+    the floor, it built 343 module Groebner bases."""
     import dgdim.core.syz as syz_module
     from dgdim.core.module import minimal_presentation
     from dgdim.core.ring import groebner_basis
@@ -681,7 +739,7 @@ def test_verify_work_counts(monkeypatch, capsys):
         "semifree_resolution": 220,
         "flat_dim": 82,
         "minimal_presentation": 30,
-        "module GBs": 343,
+        "module GBs": 341,
     }
 
 

@@ -48,6 +48,7 @@ from dgdim.dg import (
     shift_dg,
 )
 from dgdim.core.freemod import _Span
+from dgdim.core.ring import GradedRing
 from dgdim.corpus import (
     amplitude_zero_test_family,
     random_perfect_module,
@@ -800,26 +801,39 @@ def test_golod_query_work_counts(monkeypatch, field):
     module and no minimal presentation) they were 7 presentations, 18
     module Groebner bases and 253 (Q) / 252 (Fp) S-pair reductions.
     Before the tower scanned with the full count, so that the degree it
-    covers is counted once and not twice, the _Span inserts were 93."""
+    covers is counted once and not twice, the _Span inserts were 93.
+    Before the residue tower of the Bass numbers stopped at its window
+    (with no termination scan below the floor) and sums of normal forms
+    were taken as normal forms, they were 11 module Groebner bases,
+    145 (Q) / 144 (Fp) S-pair reductions, 86 _Span inserts and 1,625 (Q) /
+    1,688 (Fp) GradedRing.normal_form calls."""
     A = build_ring_dg(golod_ring(field))
     counts = count_work(monkeypatch)
     inserts = [0]
+    normal_forms = [0]
     inner_insert = _Span.insert
+    inner_nf = GradedRing.normal_form
 
     def counted_insert(self, vec):
         inserts[0] += 1
         return inner_insert(self, vec)
 
+    def counted_nf(self, p):
+        normal_forms[0] += 1
+        return inner_nf(self, p)
+
     monkeypatch.setattr(_Span, "insert", counted_insert)
+    monkeypatch.setattr(GradedRing, "normal_form", counted_nf)
     rep = dimensions_module.inj_dim(free_dg_module(A, [(0, 0)]))
     assert rep.infinite
     assert counts == {
         "presentations": 0,
-        "module GBs": 11,
+        "module GBs": 10,
         "tower stages": 7,
-        "S-pairs": {"Q": 145, "Fp:32003": 144}[field],
+        "S-pairs": {"Q": 102, "Fp:32003": 100}[field],
     }
-    assert inserts[0] == 86
+    assert inserts[0] == 85
+    assert normal_forms[0] == {"Q": 337, "Fp:32003": 353}[field]
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -14,16 +14,18 @@ from dgdim.complexes import (
     minimal_free_resolution_module,
     prune_complex,
 )
-from dgdim.core import GradedModule, make_graded_ring
+from dgdim.core import GradedMatrix, GradedModule, make_graded_ring
 from dgdim.corpus import random_perfect_module, standard_families
 from dgdim.dg import (
     AElem,
     DGMap,
+    DGModule,
     ProductDGRing,
     build_koszul_dg,
     build_ring_dg,
     build_split_trivial_extension,
     build_trivial_extension,
+    certify_termination,
     cone_dg,
     direct_sum_dg,
     factor_residue_module,
@@ -39,6 +41,7 @@ from dgdim.dg import (
     shift_dg,
     twist_dg,
 )
+from dgdim.dimensions import proj_dim
 
 
 def ring_xy():
@@ -289,6 +292,31 @@ def test_stage_positions_strictly_decrease():
 FIELDS = ["Q", "Fp:32003"]
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_certify_termination_settles_a_windowed_tower(field):
+    """k over K(k[x,y,z]; x,y,z), which is quasi-isomorphic to k: one
+    stage covers H^0 by A, and the cocone keeps A's slots below the floor
+    of a shallow window.  The windowed tower claims only its window; the
+    certificate scans below the floor, finds nothing, and gives the exact
+    resolution.  Over the Golod ring the scan finds a class, and the
+    resolution comes back as it was."""
+    R = make_graded_ring(field, ["x", "y", "z"])
+    A = build_koszul_dg(R, R.variables())
+    res = semifree_resolution(residue_dg_module(A), window_lo=-1)
+    assert not res.terminated and res.pending is not None
+    assert res.sf.known_lo == -2
+    cert = certify_termination(res)
+    exact = semifree_resolution(residue_dg_module(A))
+    assert cert.terminated and exact.terminated
+    assert cert.sf.known_lo is None and cert.stages == exact.stages
+    assert [repr(g) for g in cert.sf.gens] == [repr(g) for g in exact.sf.gens]
+    assert certify_termination(cert) is cert
+    golod = build_ring_dg(make_graded_ring(field, ["x", "y"], ["x^2", "x*y"]))
+    res = semifree_resolution(residue_dg_module(golod), window_lo=-2)
+    assert res.pending is not None
+    assert certify_termination(res) is res and not res.terminated
+
+
 def seeded_quotients(field):
     """k[x,y]/(x^2, xy), then quotients of k[x,y,z] by two or three seeded
     homogeneous quadrics and cubics with one or two terms each."""
@@ -520,3 +548,158 @@ def test_inf_and_sup_stop_at_the_ends_of_the_support(field):
         assert (fresh.inf_h(), fresh.sup_h(), fresh.amp_h()) == ends, M
         truncated += M.known_lo is not None
     assert truncated == 2
+
+
+# ---------- normal forms ----------
+
+
+def normal_form_rings(field):
+    """The Golod ring, Koszul rings over seeded quotients of k[x,y,z] and
+    over k[x,y], and a trivial extension whose eps-slot ring R/(x) is a
+    proper quotient of the base."""
+    quotients = list(seeded_quotients(field))
+    yield build_ring_dg(quotients[0])
+    for R in quotients[1:3]:
+        yield build_koszul_dg(R, [R.variables()[-1]])
+    R = make_graded_ring(field, ["x", "y"])
+    x, y = R.variables()
+    yield build_koszul_dg(R, [x, R.mul(x, y)])
+    yield build_trivial_extension(R, 1, ["x"])
+
+
+def exercise_ring(A):
+    """Products, cones, shifts, towers and Hom over A: the ring axioms, a
+    residue tower and Hom out of it, Koszul and seeded perfect modules and
+    their projective dimensions."""
+    A.check_axioms()
+    res = semifree_resolution(residue_dg_module(A), window_lo=-2)
+    H = hom_semifree_into_dg(res.sf, free_over(A))
+    for i in H.support()[-3:]:
+        H.cohomology(i)
+    x = A.base.variables()[0]
+    modules = [koszul_dg_module(A, [x]), koszul_dg_module(A, [x, x])]
+    modules += [random_perfect_module(A, Random(seed)) for seed in range(2)]
+    for M in modules:
+        proj_dim(M)
+
+
+def assert_normal(a):
+    """Every coefficient of a is nonzero and a normal form of its slot."""
+    for sym, p in a.coeffs.items():
+        assert p, (sym, a)
+        assert a.ring.slot_ring(sym).normal_form(p) == p, (sym, a)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_linear_aelem_operations_equal_the_normalizing_constructor(
+    monkeypatch, field
+):
+    """add, negate and scale_int combine stored normal forms without
+    normalizing: each result equals AElem(...), which normalizes every
+    coefficient in its slot's ring, applied to the raw combination.  Every
+    element that mul and d return is made of normal forms, and some of
+    those products needed the normalization (in the eps-slot ring R/(x)
+    among others), so the checks reach that case."""
+    seen = {"add": 0, "negate": 0, "scale_int": 0, "reduced products": 0}
+    inner = {name: getattr(AElem, name)
+             for name in ("add", "negate", "scale_int", "mul", "d")}
+
+    def add(self, other):
+        out = inner["add"](self, other)
+        raw = dict(self.coeffs)
+        for sym, p in other.coeffs.items():
+            raw[sym] = raw[sym] + p if sym in raw else p
+        assert out.coeffs == AElem(self.ring, raw).coeffs
+        seen["add"] += 1
+        return out
+
+    def negate(self):
+        out = inner["negate"](self)
+        raw = {sym: -p for sym, p in self.coeffs.items()}
+        assert out.coeffs == AElem(self.ring, raw).coeffs
+        seen["negate"] += 1
+        return out
+
+    def scale_int(self, n):
+        out = inner["scale_int"](self, n)
+        c = self.ring.base.field.from_int(n)
+        raw = {sym: p.scale(c) for sym, p in self.coeffs.items()}
+        assert out.coeffs == AElem(self.ring, raw).coeffs
+        seen["scale_int"] += 1
+        return out
+
+    def product(name):
+        def checked(self, *args):
+            out = inner[name](self, *args)
+            assert_normal(out)
+            A = self.ring
+            if name == "mul" and any(
+                A.slot_ring(s).normal_form(p) != p
+                for s, p in _raw_product(self, args[0]).items()
+            ):
+                seen["reduced products"] += 1
+            return out
+        return checked
+
+    monkeypatch.setattr(AElem, "add", add)
+    monkeypatch.setattr(AElem, "negate", negate)
+    monkeypatch.setattr(AElem, "scale_int", scale_int)
+    monkeypatch.setattr(AElem, "mul", product("mul"))
+    monkeypatch.setattr(AElem, "d", product("d"))
+    for A in normal_form_rings(field):
+        exercise_ring(A)
+        # sums that cancel, and a scale by a multiple of the characteristic
+        one = A.from_base(A.base.one())
+        assert one.add(one.negate()).is_zero()
+        assert one.scale_int(32003).is_zero() == (field == "Fp:32003")
+    assert min(seen.values()) > 0, seen
+    assert seen["add"] > 20 and seen["negate"] > 100, seen
+
+
+def _raw_product(a, b):
+    """The coefficients of a * b before any normalization."""
+    A = a.ring
+    acc = {}
+    for sa, pa in a.coeffs.items():
+        for sb, pb in b.coeffs.items():
+            hit = A.mul_basis(sa, sb)
+            if hit is not None:
+                term = pa * pb if hit[1] > 0 else -(pa * pb)
+                acc[hit[0]] = acc[hit[0]] + term if hit[0] in acc else term
+    return acc
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_underlying_differentials_are_normal_forms(monkeypatch, field):
+    """underlying() builds its differentials without normalizing them.
+    Each one equals, entry for entry, the same columns normalized in the
+    base ring, holds no zero entry, and on the slots of free generators
+    holds normal forms of the slot's ring (R/(x) on an eps-slot)."""
+    inner = DGModule.underlying
+    checked = {"matrices": 0, "quotient-slot entries": 0}
+
+    def underlying(self):
+        fresh = self._underlying is None
+        u = inner(self)
+        if fresh:
+            for c, d in u.diffs.items():
+                again = GradedMatrix(d.target, d.source, d.cols, normalize=True)
+                assert d.cols == again.cols, (self, c)
+                slots = self.slots_by_degree()[c + 1]
+                for col in d.cols:
+                    for r, e in col.items():
+                        assert e, (self, c)
+                        j, sym = slots[r]
+                        if self.gens[j].kind != "free":
+                            continue
+                        ring = self.A.slot_ring(sym)
+                        assert ring.normal_form(e) == e, (self, c, sym)
+                        checked["quotient-slot entries"] += ring is not self.A.base
+                checked["matrices"] += 1
+        return u
+
+    monkeypatch.setattr(DGModule, "underlying", underlying)
+    for A in normal_form_rings(field):
+        exercise_ring(A)
+    assert checked["matrices"] > 100, checked
+    assert checked["quotient-slot entries"] > 0, checked

@@ -4,6 +4,7 @@ Finite values asserted here were recomputed by hand (Koszul homology and
 Bass/Betti tables over the small fixtures) before freezing; the infinite
 cases were checked against the growth of the minimal resolutions.
 """
+import hashlib
 import json
 from random import Random
 
@@ -15,10 +16,12 @@ from dgdim.cli import main
 import dgdim.complexes as complexes_module
 from dgdim.core import make_graded_ring
 from dgdim.dg import (
+    ProductDGRing,
     build_koszul_dg,
     build_ring_dg,
     build_split_trivial_extension,
     build_trivial_extension,
+    certify_termination,
     direct_sum_dg,
     factor_residue_module,
     free_dg_module,
@@ -295,17 +298,122 @@ def koszul_ladder_ring(d, n, field="Q"):
     return build_koszul_dg(base, [base.parse(e) for e in ["x"] + ["x*" + m for m in monos]])
 
 
-@pytest.mark.parametrize("d,n", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)])
-def test_bass_numbers_of_koszul_ladder_rings(d, n):
+LADDER_A = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("d,n,field", [
+    # the Q entries keep their ids from before the second field
+    pytest.param(d, n, field, id="-".join(
+        ["%d-%d" % (d, n)] + ([] if field == "Q" else [field])))
+    for field in FIELDS for d, n in LADDER_A
+])
+def test_bass_numbers_of_koszul_ladder_rings(d, n, field):
     """Koszul self-duality over the polynomial ring P = k[x, y_1..y_d]
     gives RHom_A(k, A) = RHom_P(k, P) up to shift for A = K(P; f_1..f_r),
     so mu^i(A) is 1 at i = dim P - r = d - n and 0 everywhere else in the
-    window the injective-dimension query scans."""
-    A = koszul_ladder_ring(d, n)
+    window the injective-dimension query scans.  Over both fields; the
+    residue tower behind the Bass numbers stops at its window."""
+    A = koszul_ladder_ring(d, n, field)
     assert A.dimension() == d and ring_amplitude(A) == n
     rep = inj_dim(ring_free_module(A))
     assert rep.value == d - n
     assert rep.certificate["bass"] == {str(d - n): 1}
+
+
+def bass_window_rings(field):
+    """The Golod ring, ladder A through (2, 2) and a trivial extension."""
+    yield golod_xy(field)
+    for d, n in LADDER_A:
+        yield koszul_ladder_ring(d, n, field)
+    yield build_trivial_extension(make_graded_ring(field, ["x", "y"]), 1, ["x"])
+
+
+def bass_answers(A):
+    """The inj_dim report of A and the Bass numbers over the window it
+    scans, mu^i for inf - amp - 1 <= i <= dim H0 + sup + amp + 2."""
+    M = ring_free_module(A)
+    amp = ring_amplitude(A)
+    lo, hi = M.inf_h() - amp - 1, A.dimension() + M.sup_h() + amp + 2
+    return json.dumps(inj_dim(M).to_json()), bass_numbers(M, lo, hi)[0]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_bass_numbers_need_no_termination_certificate(monkeypatch, field):
+    """The residue tower of the Bass numbers stops at its window and leaves
+    the below-floor scan to certify_termination, which bass_numbers never
+    calls: its window makes every degree it reads trusted.  Running the
+    certificate on each of those towers changes no Bass number and no
+    injective-dimension report."""
+    inner = dimensions_module.semifree_resolution
+    pending = []
+
+    def recorded(M, *args, **kwargs):
+        res = inner(M, *args, **kwargs)
+        pending.append(res.pending is not None)
+        return res
+
+    monkeypatch.setattr(dimensions_module, "semifree_resolution", recorded)
+    plain = [bass_answers(A) for A in bass_window_rings(field)]
+    assert any(pending), pending
+    outcomes = set()
+
+    def certified(M, *args, **kwargs):
+        res = inner(M, *args, **kwargs)
+        out = certify_termination(res)
+        if res.pending is not None:
+            outcomes.add(out.terminated)
+            assert out.sf.known_lo is (None if out.terminated else res.sf.known_lo)
+        return out
+
+    monkeypatch.setattr(dimensions_module, "semifree_resolution", certified)
+    assert [bass_answers(A) for A in bass_window_rings(field)] == plain
+    assert outcomes == {False}
+
+
+# Computed while semifree_resolution still ran the below-floor scan itself
+# on every windowed tower.
+SEEDED_DIMENSION_DIGEST = "0d19151eebeb8215"
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_proj_and_flat_reports_on_the_seeded_corpus_are_pinned(monkeypatch, field):
+    """proj_dim and flat_dim certify their towers' termination: their
+    reports over the 50 seeded corpus modules, the amplitude-zero test
+    modules of the connected families, finite and infinite, and k over
+    Koszul rings on regular sequences hash to the digest pinned before the
+    scan moved into certify_termination.  The last ones are finished
+    towers whose cocones keep slots below the floor, so the scan settles
+    towers both ways here."""
+    inner = dimensions_module.certify_termination
+    outcomes = set()
+
+    def recorded(res):
+        out = inner(res)
+        if res.pending is not None:
+            outcomes.add(out.terminated)
+        return out
+
+    monkeypatch.setattr(dimensions_module, "certify_termination", recorded)
+    fams = corpus.standard_families(field)
+    rng = Random(0)
+    reports = []
+    for n in range(50):
+        M = corpus.random_perfect_module(fams[n % 3], rng)
+        reports.append([proj_dim(M).to_json(), flat_dim(M).to_json()])
+    for A in fams:
+        if isinstance(A, ProductDGRing):
+            continue
+        for label, M in corpus.amplitude_zero_test_family(A):
+            reports.append([label, proj_dim(M).to_json(), flat_dim(M).to_json()])
+    for names in (["x", "y"], ["x", "y", "z"]):
+        R = make_graded_ring(field, names)
+        M = residue_dg_module(build_koszul_dg(R, R.variables()))
+        reports.append([proj_dim(M).to_json(), flat_dim(M).to_json()])
+    assert outcomes == {True, False}
+    text = json.dumps(reports, sort_keys=True)
+    assert text.count('"infinity"') >= 4 and text.count('"betti"') >= 20
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == SEEDED_DIMENSION_DIGEST
 
 
 # ---------- regular sequences ----------
