@@ -21,7 +21,6 @@ the two.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core.freemod import Column, GradedFreeModule, GradedMatrix
@@ -213,11 +212,16 @@ def cohomology_data(C: PresentedComplex, i: int) -> CohomologyData:
 # ---------- minimal free resolutions ----------
 
 
-@dataclass
 class ResolutionCertificate:
-    complex: PresentedComplex
-    terminated: bool
-    betti: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
+    def __init__(
+        self,
+        complex: PresentedComplex,
+        terminated: bool,
+        betti: Optional[Dict[int, Tuple[int, ...]]] = None,
+    ):
+        self.complex = complex
+        self.terminated = terminated
+        self.betti = {} if betti is None else betti
 
 
 def minimal_free_resolution_module(M: GradedModule, cutoff: int) -> ResolutionCertificate:

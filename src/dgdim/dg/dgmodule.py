@@ -97,6 +97,25 @@ class DGGen:
 Slot = Tuple[int, str]  # (generator index, basis symbol)
 
 
+def _basis_times(A: DGRing, b: str, alpha: AElem) -> Dict[str, Poly]:
+    """The nonzero coefficients of b alpha, for a basis element b of A."""
+    acc: Dict[str, Poly] = {}
+    for sa, p in alpha.coeffs.items():
+        hit = A.mul_basis(b, sa)
+        if hit is None:
+            continue
+        sym, sign = hit
+        term = p if sign > 0 else -p
+        acc[sym] = acc[sym] + term if sym in acc else term
+    out: Dict[str, Poly] = {}
+    for sym, p in acc.items():
+        if A.slot_extra[sym]:
+            p = A.slot_ring(sym).normal_form(p)
+        if p:
+            out[sym] = p
+    return out
+
+
 class DGModule:
     def __init__(
         self,
@@ -143,18 +162,19 @@ class DGModule:
             return self.A.slot_extra.get(sym, ())
         return tuple(self.A.h0_extra) + g.rels
 
-    def _slot_relation_block(self, j: int, sym: str) -> GradedMatrix:
-        """The nonzero relations of one slot, as a one-row matrix."""
-        R = self.A.base
-        rels = [R.normal_form(r) for r in self.slot_relations(j, sym)]
-        rels = [r for r in rels if not r.is_zero()]
-        tw = self.slot_twist(j, sym)
-        return GradedMatrix(
-            GradedFreeModule(R, [tw]),
-            GradedFreeModule(R, [tw + r.degree() for r in rels]),
-            [{0: r} for r in rels],
-            normalize=False,
-        )
+    def _normal_slot_relations(self, j: int, sym: str) -> Tuple[Poly, ...]:
+        """The nonzero base-ring normal forms of slot_relations(j, sym),
+        memoized on the DG-ring: a free slot's by its symbol, an h0 slot's
+        by its generator's relations (shifts and twists keep them)."""
+        g = self.gens[j]
+        key = sym if g.kind == "free" else g.rels
+        memo = self.A._normal_slot_relations
+        out = memo.get(key)
+        if out is None:
+            nf = self.A.base.normal_form
+            out = tuple(q for q in map(nf, self.slot_relations(j, sym)) if q)
+            memo[key] = out
+        return out
 
     def slots_by_degree(self) -> Dict[int, List[Slot]]:
         """Slots by cohomological degree, each list in (generator, ring
@@ -207,9 +227,12 @@ class DGModule:
 
     def expand_slot_d(self, j: int, b: str) -> Dict[Slot, Poly]:
         """Coefficients of d[b g_j] on the slots of the target degree, each
-        a nonzero normal form: every term is a normal form of the ring
-        data or a product normalized by AElem.mul, and their sums stay
-        normal (see dgring.py)."""
+        a nonzero normal form.  b alpha is read off the multiplication
+        table: b times a basis element is a signed basis element, so each
+        coefficient of alpha, a normal form in the base ring, moves to its
+        target slot unchanged, and only a slot whose ring is a proper
+        quotient of the base (the eps-slot of a trivial extension) needs
+        it normalized.  Sums of normal forms stay normal (see dgring.py)."""
         A = self.A
         gj = self.gens[j]
         out: Dict[Slot, Poly] = {}
@@ -231,7 +254,6 @@ class DGModule:
             put((j, sym), coef if sgn_first > 0 else -coef)
         row = self.diff.get(j)
         if row:
-            b_elem = None if b == A.unit else AElem(A, {b: A.base.one()})
             bdeg = A.cohdeg[b]
             for i, alpha in row.items():
                 gi = self.gens[i]
@@ -240,8 +262,8 @@ class DGModule:
                     if ((gj.sigma + gi.sigma + 1) * bdeg) % 2
                     else 1
                 )
-                prod = alpha if b_elem is None else b_elem.mul(alpha)
-                for sym, p in prod.coeffs.items():
+                prod = alpha.coeffs if b == A.unit else _basis_times(A, b, alpha)
+                for sym, p in prod.items():
                     if gi.kind == "h0" and sym != A.unit:
                         continue
                     put((i, sym), p if sign > 0 else -p)
@@ -257,12 +279,15 @@ class DGModule:
         covers: Dict[int, GradedFreeModule] = {}
         rels: Dict[int, GradedMatrix] = {}
         for c, lst in table.items():
-            covers[c] = GradedFreeModule(
-                R, [self.slot_twist(j, sym) for (j, sym) in lst]
-            )
-            rels[c] = GradedMatrix.block_diagonal(
-                covers[c], [self._slot_relation_block(j, sym) for (j, sym) in lst]
-            )
+            degs = [self.slot_twist(j, sym) for (j, sym) in lst]
+            covers[c] = GradedFreeModule(R, degs)
+            rel_cols: List[Dict[int, Poly]] = []
+            rel_degs: List[int] = []
+            for row, (j, sym) in enumerate(lst):
+                for r in self._normal_slot_relations(j, sym):
+                    rel_cols.append({row: r})
+                    rel_degs.append(degs[row] + r.degree())
+            rels[c] = GradedMatrix.from_columns(covers[c], rel_degs, rel_cols)
         diffs: Dict[int, GradedMatrix] = {}
         for c, lst in sorted(table.items()):
             tgt_list = table.get(c + 1)

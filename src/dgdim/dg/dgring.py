@@ -28,7 +28,7 @@ d_table is normalized into the target slots once, when the ring is built.
 DG-rings, like their base rings, are immutable once built; the derived
 invariants memoized on a DGRing (its amplitude, sequential depth and
 Gorenstein test, the resolutions of its residue field, the DG-ring of its
-H^0) rely on that.
+H^0, the normal forms of its modules' slot relations) rely on that.
 """
 from __future__ import annotations
 
@@ -77,6 +77,9 @@ class DGRing:
         self._gorenstein = None
         self._residue_resolutions: dict = {}
         self._h0_dg: Optional["DGRing"] = None
+        # memo of dgmodule.py: the nonzero normal forms of the relations of
+        # a free slot (by symbol) and of an h0 slot (by generator relations)
+        self._normal_slot_relations: Dict[object, Tuple[Poly, ...]] = {}
 
     # -- structure ---------------------------------------------------------
 

@@ -22,7 +22,6 @@ cohomology and the Gorenstein test need a connected DG-ring.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -97,7 +96,6 @@ def _connected(A: AnyRing, what: str) -> None:
 # ---------- reports ----------
 
 
-@dataclass
 class DimensionReport:
     """Outcome of a projective/flat/injective dimension computation.
 
@@ -105,13 +103,23 @@ class DimensionReport:
     cutoff is the resolution floor that was used (None: untruncated).
     """
 
-    kind: str
-    value: Optional[int]
-    infinite: bool = False
-    acyclic: bool = False
-    cutoff: Optional[int] = None
-    certificate: dict = field(default_factory=dict)
-    reduction: str = ""
+    def __init__(
+        self,
+        kind: str,
+        value: Optional[int],
+        infinite: bool = False,
+        acyclic: bool = False,
+        cutoff: Optional[int] = None,
+        certificate: Optional[dict] = None,
+        reduction: str = "",
+    ):
+        self.kind = kind
+        self.value = value
+        self.infinite = infinite
+        self.acyclic = acyclic
+        self.cutoff = cutoff
+        self.certificate = {} if certificate is None else certificate
+        self.reduction = reduction
 
     @property
     def finite(self) -> bool:
@@ -385,13 +393,20 @@ def inj_dim(M: AnyModule) -> DimensionReport:
 # ---------- regular sequences and depth ----------
 
 
-@dataclass
 class RegSeqReport:
-    regular: bool
-    length: int
-    first_failure: Optional[int]
-    base_inf: Optional[int]
-    koszul_infs: List[Optional[int]]
+    def __init__(
+        self,
+        regular: bool,
+        length: int,
+        first_failure: Optional[int],
+        base_inf: Optional[int],
+        koszul_infs: List[Optional[int]],
+    ):
+        self.regular = regular
+        self.length = length
+        self.first_failure = first_failure
+        self.base_inf = base_inf
+        self.koszul_infs = koszul_infs
 
 
 def is_regular_sequence(A: AnyRing, elements: Sequence) -> RegSeqReport:
@@ -469,12 +484,14 @@ def default_sequence_pool(A: DGRing) -> List[Poly]:
     return pool
 
 
-@dataclass
 class DepthReport:
-    value: int
-    sequence: List[str]
-    pool_size: int
-    exhaustive: bool
+    def __init__(
+        self, value: int, sequence: List[str], pool_size: int, exhaustive: bool
+    ):
+        self.value = value
+        self.sequence = sequence
+        self.pool_size = pool_size
+        self.exhaustive = exhaustive
 
     def to_json(self) -> dict:
         return {
@@ -549,11 +566,11 @@ def sequential_depth(X: Union[AnyRing, DGModule]) -> DepthReport:
 # ---------- local cohomology ----------
 
 
-@dataclass
 class LocalCohomologyReport:
-    amplitude: int
-    degrees: List[int]
-    route: str
+    def __init__(self, amplitude: int, degrees: List[int], route: str):
+        self.amplitude = amplitude
+        self.degrees = degrees
+        self.route = route
 
 
 def _ambient_dg_module(X: DGModule, P_ring: GradedRing) -> DGModule:
@@ -642,13 +659,20 @@ def is_local_cohen_macaulay(A: AnyRing) -> bool:
 # ---------- dualizing modules ----------
 
 
-@dataclass
 class DualizingReport:
-    module: DGModule
-    shift: int
-    normalized_inf: int
-    injdim: DimensionReport
-    biduality_ok: bool
+    def __init__(
+        self,
+        module: DGModule,
+        shift: int,
+        normalized_inf: int,
+        injdim: DimensionReport,
+        biduality_ok: bool,
+    ):
+        self.module = module
+        self.shift = shift
+        self.normalized_inf = normalized_inf
+        self.injdim = injdim
+        self.biduality_ok = biduality_ok
 
 
 def is_gorenstein(A: AnyRing) -> bool:

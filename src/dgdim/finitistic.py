@@ -23,7 +23,6 @@ reads Tor/Ext tables off the minimal resolution.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
@@ -53,20 +52,32 @@ from .dimensions import (
 )
 
 
-@dataclass
 class FinitisticReport:
     """Small values and/or the FPD interval, depending on the producing op."""
 
-    fpd: Optional[int] = None
-    ffd: Optional[int] = None
-    fid: Optional[int] = None
-    depth_certificate: Optional[dict] = None
-    small_witness: Optional[dict] = None
-    interval: Optional[Tuple[int, int]] = None
-    gorenstein_case: bool = False
-    witness_case: bool = False
-    fpd_value: Optional[int] = None
-    witnesses: List[dict] = field(default_factory=list)
+    def __init__(
+        self,
+        fpd: Optional[int] = None,
+        ffd: Optional[int] = None,
+        fid: Optional[int] = None,
+        depth_certificate: Optional[dict] = None,
+        small_witness: Optional[dict] = None,
+        interval: Optional[Tuple[int, int]] = None,
+        gorenstein_case: bool = False,
+        witness_case: bool = False,
+        fpd_value: Optional[int] = None,
+        witnesses: Optional[List[dict]] = None,
+    ):
+        self.fpd = fpd
+        self.ffd = ffd
+        self.fid = fid
+        self.depth_certificate = depth_certificate
+        self.small_witness = small_witness
+        self.interval = interval
+        self.gorenstein_case = gorenstein_case
+        self.witness_case = witness_case
+        self.fpd_value = fpd_value
+        self.witnesses = [] if witnesses is None else witnesses
 
     def to_json(self) -> dict:
         out: dict = {}
@@ -216,21 +227,32 @@ def gorenstein_projdim_bound_check(A: AnyRing, modules: Sequence[DGModule]) -> d
     }
 
 
-@dataclass
 class WitnessRecipe:
     """Localization datum for a module with projdim = target, sup = 0 and
     inf >= inf(A); verified only when the engine could actually compute the
     projective dimension."""
 
-    target: int
-    prime: Optional[str]
-    sequence: List[str]
-    inverted: Optional[str]
-    koszul_description: str
-    verified: bool
-    module: Optional[object] = None
-    projdim: Optional[int] = None
-    notes: str = ""
+    def __init__(
+        self,
+        target: int,
+        prime: Optional[str],
+        sequence: List[str],
+        inverted: Optional[str],
+        koszul_description: str,
+        verified: bool,
+        module: Optional[object] = None,
+        projdim: Optional[int] = None,
+        notes: str = "",
+    ):
+        self.target = target
+        self.prime = prime
+        self.sequence = sequence
+        self.inverted = inverted
+        self.koszul_description = koszul_description
+        self.verified = verified
+        self.module = module
+        self.projdim = projdim
+        self.notes = notes
 
     def to_json(self) -> dict:
         return {
@@ -398,17 +420,28 @@ def ffd_witness(A: AnyRing, n: int) -> DGModule:
 # ---------- Hochschild tables ----------
 
 
-@dataclass
 class HochschildReport:
-    label: str
-    enveloping: GradedRing
-    threshold: int
-    terminated: bool
-    resolution_length: int
-    betti: Dict[int, Tuple[int, ...]]
-    hh_lower: Dict[int, dict]
-    hh_upper: Dict[int, dict]
-    hh0_matches: bool
+    def __init__(
+        self,
+        label: str,
+        enveloping: GradedRing,
+        threshold: int,
+        terminated: bool,
+        resolution_length: int,
+        betti: Dict[int, Tuple[int, ...]],
+        hh_lower: Dict[int, dict],
+        hh_upper: Dict[int, dict],
+        hh0_matches: bool,
+    ):
+        self.label = label
+        self.enveloping = enveloping
+        self.threshold = threshold
+        self.terminated = terminated
+        self.resolution_length = resolution_length
+        self.betti = betti
+        self.hh_lower = hh_lower
+        self.hh_upper = hh_upper
+        self.hh0_matches = hh0_matches
 
     def to_json(self) -> dict:
         return {

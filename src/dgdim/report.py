@@ -6,7 +6,6 @@ JSON document is dumped with sorted keys and fixed separators.
 """
 import hashlib
 import json
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from . import __version__
@@ -32,19 +31,24 @@ def digest_of(payload) -> str:
     return hashlib.sha256(canonical_json_bytes(payload)).hexdigest()[:16]
 
 
-@dataclass
 class CheckResult:
     """One verified claim: outcome plus the certificate that backs it."""
 
-    check_id: str
-    claim: str
-    outcome: str
-    details: dict = field(default_factory=dict)
-    reproduce: Optional[dict] = None
-
-    def __post_init__(self):
-        if self.outcome not in _OUTCOMES:
-            raise ValueError("unknown outcome %r" % self.outcome)
+    def __init__(
+        self,
+        check_id: str,
+        claim: str,
+        outcome: str,
+        details: Optional[dict] = None,
+        reproduce: Optional[dict] = None,
+    ):
+        if outcome not in _OUTCOMES:
+            raise ValueError("unknown outcome %r" % outcome)
+        self.check_id = check_id
+        self.claim = claim
+        self.outcome = outcome
+        self.details = {} if details is None else details
+        self.reproduce = reproduce
 
     @property
     def digest(self) -> str:
@@ -63,12 +67,18 @@ class CheckResult:
         return out
 
 
-@dataclass
 class VerificationReport:
-    title: str
-    options: dict = field(default_factory=dict)
-    results: List[CheckResult] = field(default_factory=list)
-    wall_time: float = 0.0
+    def __init__(
+        self,
+        title: str,
+        options: Optional[dict] = None,
+        results: Optional[List[CheckResult]] = None,
+        wall_time: float = 0.0,
+    ):
+        self.title = title
+        self.options = {} if options is None else options
+        self.results = [] if results is None else results
+        self.wall_time = wall_time
 
     def add(self, result: CheckResult) -> CheckResult:
         self.results.append(result)

@@ -6,7 +6,6 @@ execution then turns each entry of the query list into one check result.
 """
 import json
 import os
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .core import GradedRing, make_graded_ring
@@ -88,16 +87,26 @@ class ScenarioError(Exception):
         super().__init__(message)
 
 
-@dataclass
 class Scenario:
-    label: str
-    raw: dict
-    options: dict
-    rings: Dict[str, GradedRing] = field(default_factory=dict)
-    dg_rings: dict = field(default_factory=dict)
-    modules: dict = field(default_factory=dict)
-    queries: List[dict] = field(default_factory=list)
-    deps: Dict[str, List[str]] = field(default_factory=dict)
+    def __init__(
+        self,
+        label: str,
+        raw: dict,
+        options: dict,
+        rings: Optional[Dict[str, GradedRing]] = None,
+        dg_rings: Optional[dict] = None,
+        modules: Optional[dict] = None,
+        queries: Optional[List[dict]] = None,
+        deps: Optional[Dict[str, List[str]]] = None,
+    ):
+        self.label = label
+        self.raw = raw
+        self.options = options
+        self.rings = {} if rings is None else rings
+        self.dg_rings = {} if dg_rings is None else dg_rings
+        self.modules = {} if modules is None else modules
+        self.queries = [] if queries is None else queries
+        self.deps = {} if deps is None else deps
 
 
 def _check_options(opts: dict) -> dict:

@@ -14,7 +14,7 @@ from dgdim.complexes import (
     minimal_free_resolution_module,
     prune_complex,
 )
-from dgdim.core import GradedMatrix, GradedModule, make_graded_ring
+from dgdim.core import GradedFreeModule, GradedMatrix, GradedModule, make_graded_ring
 from dgdim.corpus import random_perfect_module, standard_families
 from dgdim.dg import (
     AElem,
@@ -652,6 +652,13 @@ def test_linear_aelem_operations_equal_the_normalizing_constructor(
         one = A.from_base(A.base.one())
         assert one.add(one.negate()).is_zero()
         assert one.scale_int(32003).is_zero() == (field == "Fp:32003")
+        # products that leave the normal forms, which expand_slot_d no
+        # longer forms through mul: two variables, and a variable times a
+        # basis element (x eps is zero in the eps-slot ring R/(x))
+        xs = [A.from_base(v) for v in A.base.variables()]
+        for a in xs + [AElem(A, {b: A.base.one()}) for b in A.basis]:
+            for x in xs:
+                a.mul(x)
     assert min(seen.values()) > 0, seen
     assert seen["add"] > 20 and seen["negate"] > 100, seen
 
@@ -703,3 +710,63 @@ def test_underlying_differentials_are_normal_forms(monkeypatch, field):
         exercise_ring(A)
     assert checked["matrices"] > 100, checked
     assert checked["quotient-slot entries"] > 0, checked
+
+
+def _slot_relation_block(M, j, sym):
+    """One slot's nonzero normalized relations as a one-row matrix, each
+    relation normalized afresh in the base ring."""
+    R = M.A.base
+    rels = [R.normal_form(r) for r in M.slot_relations(j, sym)]
+    rels = [r for r in rels if r]
+    tw = M.slot_twist(j, sym)
+    return GradedMatrix(
+        GradedFreeModule(R, [tw]),
+        GradedFreeModule(R, [tw + r.degree() for r in rels]),
+        [{0: r} for r in rels],
+    )
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_relation_matrices_are_block_diagonal_in_the_slots(monkeypatch, field):
+    """underlying() builds each degree's relation matrix in one pass, from
+    slot relations normalized once per DG-ring.  It equals, column for
+    column, the block-diagonal matrix of one-row blocks, one per slot in
+    slot order, each holding the slot's relations normalized afresh.  The
+    rings are those of normal_form_rings (the eps-slot ring R/(x) among
+    them); the modules include h0 modules whose extra relations need
+    normalizing or vanish in the base ring, shifted and twisted."""
+    inner = DGModule.underlying
+    checked = {"matrices": 0, "free-slot relations": 0, "h0 relations": 0}
+
+    def underlying(self):
+        fresh = self._underlying is None
+        u = inner(self)
+        if fresh:
+            R = self.A.base
+            for c, lst in self.slots_by_degree().items():
+                cover = GradedFreeModule(R, [self.slot_twist(j, s) for j, s in lst])
+                want = GradedMatrix.block_diagonal(
+                    cover, [_slot_relation_block(self, j, s) for j, s in lst]
+                )
+                got = u.rels.get(c, GradedMatrix.zero(cover, want.source))
+                assert got.target == cover and got.source == want.source, (self, c)
+                assert got.cols == want.cols, (self, c)
+                for col in want.cols:
+                    (r,) = col
+                    kind = self.gens[lst[r][0]].kind
+                    checked["h0 relations" if kind == "h0" else "free-slot relations"] += 1
+                checked["matrices"] += 1
+        return u
+
+    monkeypatch.setattr(DGModule, "underlying", underlying)
+    for A in normal_form_rings(field):
+        exercise_ring(A)
+        R = A.base
+        x, y = R.variables()[:2]
+        # x^2 and xy vanish in the Golod ring; x^2 + y^2 reduces there
+        N = h0_cyclic_dg_module(A, [R.ambient.parse("x^2 + y^2"), x * x, x * y])
+        for M in (N, shift_dg(N, 1), twist_dg(shift_dg(N, -2), 3)):
+            semifree_resolution(M, window_lo=-2)
+            direct_sum_dg(M, residue_dg_module(A)).underlying()
+    assert checked["matrices"] > 100, checked
+    assert checked["free-slot relations"] > 0 and checked["h0 relations"] > 0, checked
