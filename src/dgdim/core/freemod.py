@@ -62,16 +62,6 @@ class GradedFreeModule:
     def dim_in_degree(self, t: int) -> int:
         return sum(self.ring.hilbert_function(t - d) for d in self.degrees)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedFreeModule)
-            and self.ring == other.ring
-            and self.degrees == other.degrees
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.degrees))
-
     def __repr__(self):
         return "Free(%s)" % (list(self.degrees),)
 
@@ -173,27 +163,6 @@ class GradedMatrix:
             [self.apply_to_vector(col) for col in other.cols],
             normalize=False,
         )
-
-    def add(self, other: "GradedMatrix") -> "GradedMatrix":
-        nf = self.ring.normal_form
-        cols = []
-        for a, b in zip(self.cols, other.cols):
-            col = dict(a)
-            for i, e in b.items():
-                if i in col:
-                    s = nf(col[i] + e)
-                    if s:
-                        col[i] = s
-                    else:
-                        del col[i]
-                else:
-                    col[i] = e
-            cols.append(col)
-        return GradedMatrix(self.target, self.source, cols, normalize=False)
-
-    def negate(self) -> "GradedMatrix":
-        cols = [{i: -e for i, e in col.items()} for col in self.cols]
-        return GradedMatrix(self.target, self.source, cols, normalize=False)
 
     def twist(self, n: int) -> "GradedMatrix":
         return GradedMatrix(

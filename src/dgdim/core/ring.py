@@ -236,12 +236,6 @@ class GradedRing:
     def key(self):
         return self._key
 
-    def __eq__(self, other):
-        return isinstance(other, GradedRing) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
     def __repr__(self):
         rel = ", ".join(str(g) for g in self.gb)
         return "GradedRing(%r mod [%s])" % (self.ambient, rel)

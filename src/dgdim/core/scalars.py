@@ -16,39 +16,17 @@ _P_MAX = 2 ** 31
 
 
 class Field:
-    """Common interface; use Rationals() or PrimeField(p)."""
+    """The operations both fields share; use Rationals() or PrimeField(p),
+    which define zero, one, from_int, add, neg, mul, inv, is_zero and
+    format."""
 
     tag: str
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def is_zero(self, a):
-        return a == self.zero()
 
     def parse(self, text: str):
         """Parse 'n' or 'n/d' (decimal integers)."""
@@ -60,9 +38,6 @@ class Field:
                 raise ValueError("zero denominator in scalar %r" % text)
             return self.div(self.from_int(int(num)), d)
         return self.from_int(int(text))
-
-    def format(self, a) -> str:
-        raise NotImplementedError
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.tag == other.tag

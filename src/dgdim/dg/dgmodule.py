@@ -527,13 +527,14 @@ def multiplication_map(M: DGModule, a: Poly) -> DGMap:
     a sits in cohomological degree zero and is central, so the diagonal
     coefficients commute with the differential on the nose; the source is
     twisted to make every entry homogeneous."""
-    A = M.A
     deg = 0 if a.is_zero() else a.degree()
     src = twist_dg(M, -deg)
     entries: Dict[int, Dict[int, AElem]] = {}
     if not a.is_zero():
+        # one element for every entry: nothing mutates an AElem's coeffs
+        elem = M.A.from_base(a)
         for j in range(len(M.gens)):
-            entries[j] = {j: A.from_base(a)}
+            entries[j] = {j: elem}
     return DGMap(src, M, entries)
 
 

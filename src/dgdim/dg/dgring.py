@@ -162,7 +162,7 @@ class DGRing:
                     x = AElem(self, {a: one})
                     y = AElem(self, {b: one})
                     z = AElem(self, {c: one})
-                    if (x.mul(y)).mul(z) != x.mul(y.mul(z)):
+                    if (x.mul(y)).mul(z).coeffs != x.mul(y.mul(z)).coeffs:
                         raise AssertionError(
                             "associativity fails on %s,%s,%s" % (a, b, c)
                         )
@@ -173,7 +173,7 @@ class DGRing:
                 lhs = x.mul(y).d()
                 sign = -1 if self.cohdeg[a] % 2 else 1
                 rhs = x.d().mul(y).add(x.mul(y.d()).scale_int(sign))
-                if lhs != rhs:
+                if lhs.coeffs != rhs.coeffs:
                     raise AssertionError("Leibniz fails on %s,%s" % (a, b))
         for a in self.basis:
             x = AElem(self, {a: one})
@@ -271,19 +271,6 @@ class AElem:
                 else:
                     acc[tgt] = term
         return AElem(A, acc)
-
-    def key(self):
-        return tuple(sorted((s, str(p)) for s, p in self.coeffs.items()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AElem)
-            and self.ring == other.ring
-            and self.key() == other.key()
-        )
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         if not self.coeffs:

@@ -90,11 +90,6 @@ class VerificationReport:
             out[r.outcome] += 1
         return out
 
-    @property
-    def ok(self) -> bool:
-        c = self.counts()
-        return c[FAIL] == 0 and c[INDETERMINATE] == 0
-
     def exit_code(self) -> int:
         c = self.counts()
         if c[FAIL]:

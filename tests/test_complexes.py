@@ -40,6 +40,7 @@ from dgdim.dg import (
     cone_dg,
     direct_sum_dg,
     free_dg_module,
+    h0_cyclic_dg_module,
     hom_semifree_into_dg,
     koszul_dg_module,
     multiplication_map,
@@ -585,6 +586,71 @@ def test_hom_semifree_matches_oracle(field):
             C = hom_semifree_into_dg(SF, M)
             C.validate()
             assert_h_matches_oracle(C, trusted_degrees(C), range(-4, 3))
+
+
+# ---------- validation against the relations ----------
+
+
+def _relations(R, F, entries):
+    """The one-row relation matrix on the rank-one cover F with these
+    entries."""
+    source = GradedFreeModule(R, [F.degrees[0] + e.degree() for e in entries])
+    return GradedMatrix(F, source, [{0: e} for e in entries])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_validate_rejects_relations_that_escape(field):
+    """R(-1) --x--> R over k[x, y]: the relation y at degree -1 maps to xy,
+    which is a relation at degree 0 only when one is declared there."""
+    R = make_graded_ring(field, ["x", "y"])
+    x, y = R.variables()
+    F = {-1: GradedFreeModule(R, (1,)), 0: GradedFreeModule(R, (0,))}
+    d = {-1: GradedMatrix(F[0], F[-1], [{0: x}])}
+    rels = {-1: _relations(R, F[-1], [y])}
+    with pytest.raises(ValueError, match="relations escape at degree -1"):
+        PresentedComplex(R, F, d, rels, check=True)
+    rels[0] = _relations(R, F[0], [R.mul(x, y) + R.mul(y, y)])
+    with pytest.raises(ValueError, match="relations escape at degree -1"):
+        PresentedComplex(R, F, d, rels, check=True)
+    rels[0] = _relations(R, F[0], [R.mul(y, y), R.mul(x, y)])
+    PresentedComplex(R, F, d, rels, check=True)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_validate_rejects_d_squared_nonzero_modulo_relations(field):
+    """R(-2) --x--> R(-1) --y--> R over k[x, y]: d^2 = xy vanishes modulo
+    the relation x at degree 0, but not modulo y^2."""
+    R = make_graded_ring(field, ["x", "y"])
+    x, y = R.variables()
+    F = {-2: GradedFreeModule(R, (2,)), -1: GradedFreeModule(R, (1,)),
+         0: GradedFreeModule(R, (0,))}
+    d = {-2: GradedMatrix(F[-1], F[-2], [{0: x}]),
+         -1: GradedMatrix(F[0], F[-1], [{0: y}])}
+    with pytest.raises(ValueError, match="d\\^2 nonzero modulo relations at -2"):
+        PresentedComplex(R, F, d, {0: _relations(R, F[0], [R.mul(y, y)])},
+                         check=True)
+    PresentedComplex(R, F, d, {0: _relations(R, F[0], [x])}, check=True)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_validate_accepts_the_cone_on_a_cyclic_h0_module(monkeypatch, field):
+    """The cone of x + 2y on k[x, y]/(x^2, xy): every relation of its
+    underlying complex maps into the relations, which validate checks by
+    division (the h0-cyclic cone of tests/fixtures/reach/all-kinds.json)."""
+    R = make_graded_ring(field, ["x", "y"])
+    x, y = R.variables()
+    H = h0_cyclic_dg_module(build_ring_dg(R), [R.mul(x, x), R.mul(x, y)])
+    C = cone_dg(multiplication_map(H, R.parse("x + 2*y"))).underlying()
+    seen = []
+    inner = syz_module.SyzygyEngine.contains
+
+    def contains(self, col):
+        seen.append(inner(self, col))
+        return seen[-1]
+
+    monkeypatch.setattr(syz_module.SyzygyEngine, "contains", contains)
+    C.validate()
+    assert seen and all(seen)
 
 
 # ---------- the vanishing test ----------

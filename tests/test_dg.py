@@ -20,6 +20,7 @@ from dgdim.dg import (
     AElem,
     DGMap,
     DGModule,
+    DGRing,
     ProductDGRing,
     build_koszul_dg,
     build_ring_dg,
@@ -69,6 +70,43 @@ def test_koszul_ring_axioms():
     A = koszul_xy()
     A.check_axioms()
     assert sorted(A.cohdeg.values()) == [-2, -1, -1, 0]
+
+
+def _mutant(A, flip=(), d=None):
+    """A with the sign of each product in flip negated and these entries of
+    its differential table replaced."""
+    mul = dict(A.mul_table)
+    for pair in flip:
+        sym, sign = mul[pair]
+        mul[pair] = (sym, -sign)
+    return DGRing(A.base, A.kind, A.basis, A.cohdeg, A.twist, mul,
+                  {**A.d_table, **(d or {})}, A.slot_extra, A.h0_extra)
+
+
+def test_check_axioms_rejects_broken_tables():
+    """Each mutant of a Koszul DG-ring's tables breaks one axiom, which
+    check_axioms reports: a sign flipped in one order of a product breaks
+    graded commutativity; flipped in both orders it breaks the Leibniz rule,
+    and so does a wrong differential; flipped in both orders of a product
+    with a degree -2 factor it breaks associativity."""
+    A = koszul_xy()
+    _, y = A.base.variables()
+    B = build_koszul_dg(make_graded_ring("Q", ["x", "y", "z"]), ["x", "y", "z"])
+    one_order = [("e{0}", "e{1}")]
+    both_orders = [("e{0}", "e{1}"), ("e{1}", "e{0}")]
+    cases = [
+        (_mutant(A, flip=one_order), "commutativity fails on e{0},e{1}"),
+        (_mutant(A, flip=both_orders), "Leibniz fails"),
+        (_mutant(A, d={"e{0}": {"1": y}}), "Leibniz fails"),
+        (_mutant(B, flip=[("e{0}", "e{1,2}"), ("e{1,2}", "e{0}")]),
+         "associativity fails"),
+    ]
+    for C, message in cases:
+        with pytest.raises(AssertionError) as err:
+            C.check_axioms()
+        assert str(err.value).startswith(message)
+    for good in (A, B, _mutant(A), _mutant(B)):
+        good.check_axioms()
 
 
 def test_koszul_rejects_unit_ideal():
@@ -172,6 +210,24 @@ def test_multiplication_map_validates():
     x, _ = A.base.variables()
     f = multiplication_map(koszul_dg_module(A, [x]), x)
     cone_dg(f, check=True)
+
+
+def test_multiplication_map_normalizes_its_element_once(monkeypatch):
+    """Every diagonal entry of a multiplication map is the one element
+    a = x^2 + y^2, normalized once to y^2 in k[x, y]/(x^2)."""
+    R = make_graded_ring("Q", ["x", "y"], ["x^2"])
+    M = free_dg_module(build_ring_dg(R), [(0, 0), (-1, 1), (0, 2)])
+    a = R.ambient.parse("x^2 + y^2")
+    calls = []
+    inner = type(R).normal_form
+    monkeypatch.setattr(type(R), "normal_form",
+                        lambda self, p: calls.append(p) or inner(self, p))
+    f = multiplication_map(M, a)
+    assert len(calls) == 1
+    assert sorted(f.entries) == [0, 1, 2]
+    assert all(list(row) == [j] for j, row in f.entries.items())
+    assert len({id(row[j]) for j, row in f.entries.items()}) == 1
+    assert f.entries[0][0].coeffs == {"1": R.parse("y^2")}
 
 
 def test_cone_check_rejects_a_map_that_does_not_commute_with_d():
@@ -749,7 +805,9 @@ def test_relation_matrices_are_block_diagonal_in_the_slots(monkeypatch, field):
                     cover, [_slot_relation_block(self, j, s) for j, s in lst]
                 )
                 got = u.rels.get(c, GradedMatrix.zero(cover, want.source))
-                assert got.target == cover and got.source == want.source, (self, c)
+                assert got.ring is R and got.source.ring is R, (self, c)
+                assert got.target.degrees == cover.degrees, (self, c)
+                assert got.source.degrees == want.source.degrees, (self, c)
                 assert got.cols == want.cols, (self, c)
                 for col in want.cols:
                     (r,) = col
