@@ -4,18 +4,21 @@ indexing.
 The differential d^i: C^i -> C^{i+1} raises degree by one and d o d = 0.
 There is one complex type, PresentedComplex; a free complex is one without
 relations.  Free complexes come from minimal resolutions of modules and
-from reducing semifree DG-modules to H^0; pruning (free complexes only)
-makes them minimal.  Complexes with relations come from Hom and tensor of
-a free complex into a module and from the underlying complexes of
+from reducing semifree DG-modules to H^0.  Three operations act on free
+complexes only: pruning makes them minimal, dual_complex takes Hom into the
+ring and base_change tensors with a cyclic quotient R/(extra).  Tor and Ext
+against a cyclic module R/I come from those two by base-change adjunction:
+F tensor_R R/I is F over R/I, and Hom_R(F, R/I) is the dual of that over
+R/I.  Complexes with relations come only from the underlying complexes of
 DG-modules.  One routine computes the cohomology of all of them: it reads
 the minimal generators of each H^i off the degreewise Nakayama count of
 core.freemod (GradedMatrix.minimal_columns, which minimal presentations
-share), and presents H^i as a module only when that is asked for.
+share).  Cohomology is only ever counted, never presented as a module.
 
 A complex may carry a certified lower end known_lo (None = unbounded):
 components at or below it were truncated away.  Truncated complexes arise
 from resolutions that were cut off, never from constructors.  A complex
-may also carry an upper end known_hi, since Hom out of a truncated free
+may also carry an upper end known_hi, since the dual of a truncated free
 complex is truncated from above; cohomology is trusted strictly between
 the two.
 """
@@ -25,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core.freemod import Column, GradedFreeModule, GradedMatrix
 from .core.module import GradedModule, cancel_units
+from .core.poly import Poly
 from .core.ring import GradedRing
 from .core.syz import syzygy_engine, syzygy_matrix
 
@@ -49,7 +53,7 @@ class PresentedComplex:
     answer comes from the count of minimal generators of the cycle
     generators modulo the columns of D_{i-1} and Q_i.  cohomology_vanishes
     stops at the first one kept, cohomology keeps them all.  No Groebner
-    basis beyond the cycles' own is built until H^i is read as a module.
+    basis beyond the cycles' own is built.
     """
 
     def __init__(
@@ -129,7 +133,7 @@ class PresentedComplex:
         return _vanishes(self, i)
 
 
-# ---------- pruning (Gaussian cancellation of unit entries) ----------
+# ---------- operations on free complexes ----------
 
 
 def prune_complex(C: PresentedComplex) -> PresentedComplex:
@@ -166,6 +170,50 @@ def prune_complex(C: PresentedComplex) -> PresentedComplex:
     )
 
 
+def dual_complex(F: PresentedComplex) -> PresentedComplex:
+    """Hom_R(F, R) for a bounded-or-truncated free complex F over R.  Its
+    degree-n cover is the dual of F^{-n}, every twist negated, and d^n is
+    -(-1)^n times the transpose of d_F^{-n-1}; the window is flipped, so a
+    truncation of F from below truncates the dual from above."""
+    if F.rels:
+        raise ValueError("the dual needs a free complex, without relations")
+    ring = F.ring
+    covers = {
+        -j: GradedFreeModule(ring, [-d for d in m.degrees]) for j, m in F.covers.items()
+    }
+    diffs: Dict[int, GradedMatrix] = {}
+    for j, dF in F.diffs.items():  # F^j -> F^{j+1} dualizes to d^n, n = -j - 1
+        n = -j - 1
+        cols: List[Column] = [{} for _ in range(dF.target.rank)]
+        for a, col in enumerate(dF.cols):
+            for b, e in col.items():
+                cols[b][a] = e if n % 2 else -e
+        diffs[n] = GradedMatrix(covers[n + 1], covers[n], cols, normalize=False)
+    return PresentedComplex(
+        ring,
+        covers,
+        diffs,
+        known_lo=None if F.known_hi is None else -F.known_hi,
+        known_hi=None if F.known_lo is None else -F.known_lo,
+    )
+
+
+def base_change(F: PresentedComplex, extra: Sequence[Poly]) -> PresentedComplex:
+    """F tensor_R R/(extra) for a free complex F over R: the same covers over
+    the quotient ring, every differential entry taken modulo extra, and the
+    same window.  With no nonzero extra the ring is R itself."""
+    if F.rels:
+        raise ValueError("base change needs a free complex, without relations")
+    ring = F.ring.quotient(extra)
+    covers = {i: GradedFreeModule(ring, m.degrees) for i, m in F.covers.items()}
+    diffs = {
+        i: GradedMatrix(covers[i + 1], covers[i], d.cols) for i, d in F.diffs.items()
+    }
+    return PresentedComplex(
+        ring, covers, diffs, known_lo=F.known_lo, known_hi=F.known_hi
+    )
+
+
 # ---------- cohomology ----------
 
 
@@ -174,35 +222,21 @@ class CohomologyData:
 
     representatives are the cycle generators whose classes minimally
     generate H^i, in ascending index order, and generator_degrees their
-    degrees.  module, H^i presented on those generators, is built on first
-    read: its relations are the generator-block heads of the syzygies of
-    [generators | image blocks].
+    degrees.
     """
 
     def __init__(
-        self, degree: int, gens: GradedMatrix, image: Sequence[GradedMatrix]
+        self,
+        degree: int,
+        representatives: List[Column],
+        generator_degrees: Tuple[int, ...],
     ):
         self.degree = degree
-        self.representatives: List[Column] = list(gens.cols)
-        self.generator_degrees: Tuple[int, ...] = gens.source.degrees
-        self._gens = gens
-        self._image = image
-        self._module: Optional[GradedModule] = None
+        self.representatives = representatives
+        self.generator_degrees = generator_degrees
 
     def is_zero(self) -> bool:
         return len(self.generator_degrees) == 0
-
-    @property
-    def module(self) -> GradedModule:
-        if self._module is None:
-            K = self._gens
-            if self.is_zero():
-                self._module = GradedModule.free(K.ring, ())
-            else:
-                S = syzygy_matrix(_hstack(K.target, [K, *self._image]))
-                cols, degs = _first_block(S, K.source.rank)
-                self._module = GradedModule(GradedMatrix.from_columns(K.source, degs, cols))
-        return self._module
 
 
 def cohomology_data(C: PresentedComplex, i: int) -> CohomologyData:
@@ -331,9 +365,7 @@ def _vanishes(P: PresentedComplex, i: int) -> bool:
     if K is not None and K.minimal_columns(_image_blocks(P, i), limit=1):
         P._nonzero.add(i)
         return False
-    P._cohomology_cache[i] = CohomologyData(
-        i, GradedMatrix.from_columns(P.cover(i), [], []), []
-    )
+    P._cohomology_cache[i] = CohomologyData(i, [], ())
     return True
 
 
@@ -341,90 +373,14 @@ def _cohomology(P: PresentedComplex, i: int) -> CohomologyData:
     """H^i(P), cached on P; the one cohomology routine.  Its minimal
     generators are the cycle generators that GradedMatrix.minimal_columns
     keeps modulo the image; no Groebner basis beyond the cycles' own is
-    built until the module is read."""
+    built."""
     cached = P._cohomology_cache.get(i)
     if cached is not None:
         return cached
-    blocks = _image_blocks(P, i)
     K = _cycles(P, i)
-    kept = [] if K is None else K.minimal_columns(blocks)
-    gens = GradedMatrix.from_columns(
-        P.cover(i), [K.source.degrees[j] for j in kept], [K.cols[j] for j in kept]
+    kept = [] if K is None else K.minimal_columns(_image_blocks(P, i))
+    data = CohomologyData(
+        i, [K.cols[j] for j in kept], tuple(K.source.degrees[j] for j in kept)
     )
-    data = CohomologyData(i, gens, blocks)
     P._cohomology_cache[i] = data
     return data
-
-
-def _times_identity(
-    target: GradedFreeModule, source: GradedFreeModule, E: Sequence[Column], ng: int
-) -> GradedMatrix:
-    """E tensor the identity of rank ng, E given by its sparse columns:
-    entry (a, b) of E on the diagonal of the ng x ng block in row block a
-    and column block b."""
-    cols = [{a * ng + s: e for a, e in col.items()} for col in E for s in range(ng)]
-    return GradedMatrix(target, source, cols, normalize=False)
-
-
-def hom_free_into_module(F: PresentedComplex, N: GradedModule) -> PresentedComplex:
-    """Hom(F, N) for a bounded-or-truncated free complex F, component n being
-    the maps F^{-n} -> N; the n-th cover is a sum of twists of N's cover."""
-    if F.rels:
-        raise ValueError("Hom into a module needs a free complex, without relations")
-    ring = F.ring
-    mp = N.minimal()
-    g_deg = mp.generator_degrees
-    Q = mp.matrix
-    covers: Dict[int, GradedFreeModule] = {}
-    rels: Dict[int, GradedMatrix] = {}
-    for j in F.support():
-        n = -j
-        f_deg = F.cover(j).degrees
-        degs = [g - d for d in f_deg for g in g_deg]
-        covers[n] = GradedFreeModule(ring, degs)
-        rels[n] = GradedMatrix.block_diagonal(
-            covers[n], [Q.twist(d) for d in f_deg]
-        )
-    diffs: Dict[int, GradedMatrix] = {}
-    for n in sorted(covers):
-        if (n + 1) not in covers:
-            continue
-        dF = F.diff(-n - 1)  # F^{-n-1} -> F^{-n}
-        if not dF.is_zero():
-            # -(-1)^n times the transpose of dF
-            E: List[Column] = [{} for _ in range(dF.target.rank)]
-            for a, col in enumerate(dF.cols):
-                for b, e in col.items():
-                    E[b][a] = e if n % 2 else -e
-            diffs[n] = _times_identity(covers[n + 1], covers[n], E, len(g_deg))
-    hi = None if F.known_lo is None else -F.known_lo
-    return PresentedComplex(ring, covers, diffs, rels, known_lo=None, known_hi=hi)
-
-
-def tensor_free_with_module(F: PresentedComplex, N: GradedModule) -> PresentedComplex:
-    """F tensor N: component n is a sum of twists of N indexed by F^n."""
-    if F.rels:
-        raise ValueError("tensor with a module needs a free complex, without relations")
-    ring = F.ring
-    mp = N.minimal()
-    g_deg = mp.generator_degrees
-    Q = mp.matrix
-    covers: Dict[int, GradedFreeModule] = {}
-    rels: Dict[int, GradedMatrix] = {}
-    for n in F.support():
-        f_deg = F.cover(n).degrees
-        degs = [g + d for d in f_deg for g in g_deg]
-        covers[n] = GradedFreeModule(ring, degs)
-        rels[n] = GradedMatrix.block_diagonal(
-            covers[n], [Q.twist(-d) for d in f_deg]
-        )
-    diffs: Dict[int, GradedMatrix] = {}
-    for n in sorted(covers):
-        if (n + 1) not in covers:
-            continue
-        dF = F.diff(n)
-        if not dF.is_zero():
-            diffs[n] = _times_identity(covers[n + 1], covers[n], dF.cols, len(g_deg))
-    return PresentedComplex(
-        ring, covers, diffs, rels, known_lo=F.known_lo, known_hi=None
-    )

@@ -4,10 +4,10 @@ A free module is a tuple of generator degrees: F = R(-d_1) + ... + R(-d_r),
 the i-th generator sitting in internal degree d_i.  A GradedMatrix represents
 a degree-zero map source -> target, column j giving the image of the j-th
 source generator; entry (i, j) is homogeneous of degree src_deg(j) -
-tgt_deg(i) (or zero).  The matrices of resolutions, Hom and tensor
-complexes are mostly zero, so a GradedMatrix keeps only its nonzero
-entries: one sparse column {row index: normal form} per source generator,
-and every product, sum and elimination walks those entries alone.
+tgt_deg(i) (or zero).  The matrices of resolutions and of the underlying
+complexes of DG-modules are mostly zero, so a GradedMatrix keeps only its
+nonzero entries: one sparse column {row index: normal form} per source
+generator, and every product, sum and elimination walks those entries alone.
 
 Degreewise ranks, kernels and cokernel dimensions come from one exact
 elimination routine, _Span: a sparse echelon basis into which the degree-t
@@ -47,10 +47,6 @@ class GradedFreeModule:
     def rank(self) -> int:
         return len(self.degrees)
 
-    def twist(self, n: int) -> "GradedFreeModule":
-        """F(n): generator degrees shifted down by n."""
-        return GradedFreeModule(self.ring, tuple(d - n for d in self.degrees))
-
     def basis_in_degree(self, t: int) -> List[Tuple[tuple, int]]:
         """[(monomial, generator index)] spanning the degree-t piece."""
         out = []
@@ -71,7 +67,7 @@ class GradedMatrix:
 
     cols[j] is the image of the j-th source generator: a dict {row index:
     entry} holding the nonzero entries only, each a normal form.  The
-    dicts may be shared between matrices (twist, _hstack) and are never
+    dicts may be shared between matrices (_hstack) and are never
     changed once the matrix is built.
     """
 
@@ -136,23 +132,6 @@ class GradedMatrix:
         source = GradedFreeModule(target.ring, col_degrees)
         return GradedMatrix(target, source, cols, normalize=False)
 
-    @staticmethod
-    def block_diagonal(
-        target: GradedFreeModule, blocks: Sequence["GradedMatrix"]
-    ) -> "GradedMatrix":
-        """The blocks placed corner to corner: block k takes the rows and
-        columns that follow those of blocks 0..k-1, and target must have as
-        many rows as the blocks together."""
-        cols: List[Column] = []
-        top = 0
-        for b in blocks:
-            cols.extend({i + top: e for i, e in col.items()} for col in b.cols)
-            top += b.target.rank
-        source = GradedFreeModule(
-            target.ring, [d for b in blocks for d in b.source.degrees]
-        )
-        return GradedMatrix(target, source, cols, normalize=False)
-
     def compose(self, other: "GradedMatrix") -> "GradedMatrix":
         """self o other  (apply other first)."""
         if other.target.degrees != self.source.degrees:
@@ -162,11 +141,6 @@ class GradedMatrix:
             other.source,
             [self.apply_to_vector(col) for col in other.cols],
             normalize=False,
-        )
-
-    def twist(self, n: int) -> "GradedMatrix":
-        return GradedMatrix(
-            self.target.twist(n), self.source.twist(n), self.cols, normalize=False
         )
 
     def is_zero(self) -> bool:

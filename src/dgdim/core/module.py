@@ -3,9 +3,8 @@
 minimal_presentation prunes a presentation until every relation entry lies in
 the irrelevant maximal ideal and the relation columns are irredundant; by
 graded Nakayama the surviving generators are a minimal generating set.
-It is reached through GradedModule.minimal(): by Hom and tensor into a
-module, by each step of a minimal free resolution, and when a cohomology
-group is read as a module.
+It is reached through GradedModule.minimal(), by each step of a minimal
+free resolution.
 
 Unit entries go first, by cancel_units: the one Gaussian-cancellation loop
 of the program.  A presentation is its one-differential case; prune_complex
@@ -166,12 +165,6 @@ class GradedModule:
         self._minimal: MinimalPresentation | None = None
 
     @staticmethod
-    def free(ring: GradedRing, degrees: Sequence[int]) -> "GradedModule":
-        target = GradedFreeModule(ring, degrees)
-        source = GradedFreeModule(ring, ())
-        return GradedModule(GradedMatrix.zero(target, source))
-
-    @staticmethod
     def cyclic(ring: GradedRing, relations: Sequence[Poly]) -> "GradedModule":
         """R/(relations) as a module, generator in degree 0."""
         target = GradedFreeModule(ring, (0,))
@@ -185,9 +178,6 @@ class GradedModule:
         if self._minimal is None:
             self._minimal = minimal_presentation(self.presentation)
         return self._minimal
-
-    def hilbert_function(self, t: int) -> int:
-        return self.presentation.coker_dim_in_degree(t)
 
     def __repr__(self):
         return "GradedModule(gens %s)" % (list(self.minimal().generator_degrees),)

@@ -156,12 +156,15 @@ class GradedRing:
         return self.normal_form(a * b)
 
     def quotient(self, extra: Sequence[Poly]) -> "GradedRing":
-        """R/(extra) over the same ambient ring, relations in the order given.
+        """R/(extra) over the same ambient ring, relations in the order given;
+        R itself when no extra is nonzero.
 
         Memoized on this ring, keyed on the terms of the nonzero extras in
         their order: equal extras return the same ring object, so its own
         memos are shared by every caller."""
         extra = [p for p in extra if p]
+        if not extra:
+            return self
         key = tuple(p.terms_key() for p in extra)
         ring = self._quotients.get(key)
         if ring is None:

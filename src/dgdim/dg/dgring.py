@@ -86,16 +86,13 @@ class DGRing:
     def slot_ring(self, sym: str) -> GradedRing:
         r = self._slot_rings.get(sym)
         if r is None:
-            extra = self.slot_extra.get(sym, ())
-            r = self.base.quotient(extra) if extra else self.base
+            r = self.base.quotient(self.slot_extra.get(sym, ()))
             self._slot_rings[sym] = r
         return r
 
     def h0_ring(self) -> GradedRing:
         if self._h0 is None:
-            self._h0 = (
-                self.base.quotient(self.h0_extra) if self.h0_extra else self.base
-            )
+            self._h0 = self.base.quotient(self.h0_extra)
         return self._h0
 
     def dimension(self) -> int:

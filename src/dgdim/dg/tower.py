@@ -242,7 +242,7 @@ def reduce_to_h0(
         q = A.base.normal_form(p)
         if not q.is_zero():
             rels.append(q)
-    ring = A.base.quotient(rels) if rels else A.base
+    ring = A.base.quotient(rels)
     by_deg: Dict[int, List[int]] = {}
     for j, g in enumerate(SF.gens):
         by_deg.setdefault(g.cohdeg, []).append(j)

@@ -28,11 +28,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .complexes import (
     PresentedComplex,
     cohomology_data,
-    hom_free_into_module,
+    dual_complex,
     prune_complex,
     trusted_degree,
 )
-from .core.module import GradedModule
 from .core.poly import Poly
 from .core.ring import GradedRing
 from .dg import (
@@ -632,7 +631,7 @@ def local_cohomology_amplitude(
             "resolution over the ambient polynomial ring failed to stop"
         )
     F = prune_complex(reduce_to_h0(res.sf))
-    H = hom_free_into_module(F, GradedModule.free(P_ring, [0]))
+    H = dual_complex(F)
     degs: List[int] = []
     if F.support():
         lo, hi = -max(F.support()), -min(F.support())

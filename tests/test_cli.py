@@ -487,6 +487,35 @@ def test_cli_rejects_an_unsupported_hochschild_map(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("expect,code", [(None, 0), (True, 1)],
+                         ids=["no-expect", "expect-true"])
+def test_hochschild_of_a_singular_target_is_not_smooth(expect, code, tmp_path,
+                                                        capsys):
+    """k -> k[x, y]/(x^2): the diagonal's resolution does not terminate
+    within threshold + 2 steps, so it is longer than the threshold and the
+    vanishing check answers false.  The query passes without an expect, and
+    fails (exit 1) with expect true, reporting its tables and the missing
+    smoothness certificate either way."""
+    query = {"op": "hochschild", "source": "k", "target": "B"}
+    if expect is not None:
+        query["expect"] = expect
+    doc = {
+        "schema": "dgdim-scenario/1",
+        "rings": {"k": {"variables": []},
+                  "B": {"variables": ["x", "y"], "relations": ["x^2"]}},
+        "queries": [query],
+    }
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(doc))
+    assert main(["run", str(p), "--format", "json"]) == code
+    (result,) = json.loads(capsys.readouterr().out)["results"]
+    assert result["outcome"] == ("pass" if code == 0 else "fail")
+    details = result["details"]
+    assert details["value"] is False
+    assert details["smooth-certificate"] is False
+    assert details["hh"]["1"] == {"rank": 2, "twists": [1, 1]}
+
+
 @pytest.mark.parametrize("query,code", [
     ({"op": "proj-dim", "module": "F"}, 0),
     ({"op": "flat-dim", "module": "F"}, 0),
@@ -713,7 +742,12 @@ def test_verify_work_counts(monkeypatch, capsys):
     degreewise count of its minimal generators, the run built 586 module
     Groebner bases and 500 minimal presentations.  Before the Bass numbers'
     residue towers stopped at their window, with no termination scan below
-    the floor, it built 343 module Groebner bases."""
+    the floor, it built 343 module Groebner bases.  Before the Hochschild
+    tables were read off the diagonal's resolution base changed to E/I and
+    its dual, in place of Hom and tensor into E/I presented by its
+    relations, the run built 28 ideal Groebner bases (the two rings E/I
+    add one each), 30 minimal presentations and 341 module Groebner
+    bases."""
     import dgdim.core.syz as syz_module
     from dgdim.core.module import minimal_presentation
     from dgdim.core.ring import groebner_basis
@@ -735,11 +769,11 @@ def test_verify_work_counts(monkeypatch, capsys):
     assert main(["verify", "--seed", "0", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
     assert counts == {
-        "groebner_basis": 28,
+        "groebner_basis": 30,
         "semifree_resolution": 220,
         "flat_dim": 82,
-        "minimal_presentation": 30,
-        "module GBs": 341,
+        "minimal_presentation": 25,
+        "module GBs": 333,
     }
 
 

@@ -1,10 +1,10 @@
-"""Complexes: resolutions, pruning, cohomology, Hom and tensor into a module.
+"""Complexes: resolutions, pruning, duals, base change and cohomology.
 
 Cones, Koszul complexes and Hom out of a semifree module are built with the
 DG constructors over a ring viewed as a DG-ring, the way the queries build
-them.  Ext and Tor are the cohomology of Hom and tensor from a minimal free
-resolution into a module.  Cohomology modules computed through the
-Groebner machinery are checked in every internal degree against
+them.  Tor and Ext against a cyclic module R/I are the cohomology of the
+base change of a minimal free resolution to R/I and of its dual.  The
+minimal generators of each cohomology group are checked against
 brute-force rank counts, for free complexes and for complexes of presented
 modules alike.
 """
@@ -19,11 +19,11 @@ import dgdim.dg.tower as tower_module
 import dgdim.dimensions as dimensions_module
 from dgdim.complexes import (
     PresentedComplex,
+    base_change,
     cohomology_data,
-    hom_free_into_module,
+    dual_complex,
     minimal_free_resolution_module,
     prune_complex,
-    tensor_free_with_module,
 )
 from dgdim.core import (
     GradedFreeModule,
@@ -92,19 +92,29 @@ def h_dim(C, i, t):
 
 
 def assert_h_matches_oracle(C, degrees, t_range):
+    """The minimal generators of each H^i agree with the rank oracle in
+    every internal degree t of t_range.  H^i is zero below its lowest
+    generator degree d, its degree-d piece has a basis of the generators of
+    degree d, and above d the generators of degree t are independent in
+    H^i_t."""
     for i in degrees:
-        mod = C.cohomology(i).module
+        degs = C.cohomology(i).generator_degrees
+        low = min(degs, default=None)
         for t in t_range:
-            assert mod.hilbert_function(t) == h_dim(C, i, t), (i, t)
+            dim = h_dim(C, i, t)
+            if low is None or t <= low:
+                assert dim == degs.count(t), (i, t)
+            else:
+                assert dim >= degs.count(t), (i, t)
 
 
-def assert_residue_field_power(module, ring, rank=1):
-    """module = k^rank in degree 0: rank in degree 0 and nothing from there
+def assert_residue_field_power(C, i, ring, rank=1):
+    """H^i(C) = k^rank in degree 0: rank in degree 0 and nothing from there
     up to the largest variable degree, so every variable kills it."""
-    assert module.hilbert_function(0) == rank
+    assert h_dim(C, i, 0) == rank
     top = max(v.degree() for v in ring.variables())
     for t in range(1, top + 1):
-        assert module.hilbert_function(t) == 0, t
+        assert h_dim(C, i, t) == 0, t
 
 
 def trusted_degrees(C):
@@ -129,12 +139,12 @@ def test_cone_of_multiplication_by_x():
     assert h0.generator_degrees == (0,)
     # H^0 = R/(x), one dimension in each degree (the powers of y)
     for t in range(0, 5):
-        assert h0.module.hilbert_function(t) == 1
+        assert h_dim(C, 0, t) == 1
     h1 = C.cohomology(-1)
     # kernel of x on R(-1) is generated by y * e, internal degree 2
     assert h1.generator_degrees == (2,)
     for t in range(0, 6):
-        assert h1.module.hilbert_function(t) == (1 if t >= 2 else 0)
+        assert h_dim(C, -1, t) == (1 if t >= 2 else 0)
     assert_h_matches_oracle(C, [-2, -1, 0, 1], range(0, 6))
 
 
@@ -166,7 +176,8 @@ def test_resolution_of_k_over_polynomial_ring():
         assert d.min_entry_degree_is_positive()
     # resolves k: H^0 = k, H^{-1} = H^{-2} = 0
     assert_h_matches_oracle(F, [-2, -1, 0], range(0, 5))
-    assert_residue_field_power(cohomology_data(F, 0).module, R)
+    assert cohomology_data(F, 0).generator_degrees == (0,)
+    assert_residue_field_power(F, 0, R)
     assert cohomology_data(F, -1).is_zero()
     assert cohomology_data(F, -2).is_zero()
 
@@ -187,7 +198,8 @@ def test_resolution_of_k_over_dual_numbers_is_periodic():
 
 def test_resolution_of_free_module_is_itself():
     R = make_graded_ring("Q", ["x", "y"], ["x^2"])
-    M = GradedModule.free(R, (0, 3))
+    free = GradedFreeModule(R, (0, 3))
+    M = GradedModule(GradedMatrix.zero(free, GradedFreeModule(R, ())))
     cert = minimal_free_resolution_module(M, cutoff=3)
     assert cert.terminated
     assert cert.complex.support() == [0]
@@ -225,7 +237,7 @@ def test_tensor_of_koszul_complexes_is_koszul_on_both():
     assert T.cohomology(-1).is_zero()
     h0 = T.cohomology(0)
     assert h0.generator_degrees == (0,)
-    assert_residue_field_power(h0.module, R)
+    assert_residue_field_power(T, 0, R)
     assert_h_matches_oracle(T, [-2, -1, 0], range(0, 5))
 
 
@@ -236,7 +248,7 @@ def test_tensor_koszul_sign_gives_d_squared_zero():
     assert [K.cover(-i).rank for i in range(0, 4)] == [1, 3, 3, 1]
     for i in [-3, -2, -1]:
         assert K.cohomology(i).is_zero()
-    assert_residue_field_power(K.cohomology(0).module, R)
+    assert_residue_field_power(K, 0, R)
 
 
 def test_hom_from_ring_is_identity():
@@ -265,7 +277,7 @@ def test_hom_of_koszul_into_ring():
     h1 = H.cohomology(1)
     assert h1.generator_degrees == (-1,)
     for t in range(-1, 4):
-        assert h1.module.hilbert_function(t) == (1 if t >= -1 else 0)
+        assert h_dim(H, 1, t) == (1 if t >= -1 else 0)
 
 
 def test_hom_differential_sign_convention():
@@ -275,8 +287,9 @@ def test_hom_differential_sign_convention():
     x = R.parse("x")
     c = {-1: GradedFreeModule(R, (1,)), 0: GradedFreeModule(R, (0,))}
     Kx = PresentedComplex(R, c, {-1: GradedMatrix(c[0], c[-1], [{0: x}])}, check=True)
-    H = hom_free_into_module(Kx, GradedModule.free(R, (0,)))
+    H = dual_complex(Kx)
     assert H.diff(0).cols == ({0: -x},)
+    assert {n: H.cover(n).degrees for n in H.support()} == {0: (0,), 1: (-1,)}
 
 
 # ---------- pruning ----------
@@ -400,22 +413,21 @@ def _with_relations():
     R = make_graded_ring("Q", ["x"], [])
     F0 = GradedFreeModule(R, (0,))
     Q = GradedMatrix(F0, GradedFreeModule(R, (1,)), [{0: R.parse("x")}])
-    return PresentedComplex(R, {0: F0}, {}, {0: Q}, check=True), GradedModule.free(R, (0,))
+    return PresentedComplex(R, {0: F0}, {}, {0: Q}, check=True)
 
 
 @pytest.mark.parametrize(
     "operation",
     [
-        lambda C, N: prune_complex(C),
-        hom_free_into_module,
-        tensor_free_with_module,
+        prune_complex,
+        dual_complex,
+        lambda C: base_change(C, C.ring.variables()),
     ],
-    ids=["prune_complex", "hom_free_into_module", "tensor_free_with_module"],
+    ids=["prune_complex", "dual_complex", "base_change"],
 )
 def test_free_complex_operations_reject_relations(operation):
-    C, N = _with_relations()
     with pytest.raises(ValueError, match="without relations"):
-        operation(C, N)
+        operation(_with_relations())
 
 
 # ---------- long exact sequence of a cone ----------
@@ -443,38 +455,51 @@ def test_cone_long_exact_sequence_rank_bookkeeping():
 # ---------- Ext and Tor ----------
 
 
+def tor(M, extra, cutoff):
+    """The complex whose H^{-n} is Tor_n(M, R/(extra)): the minimal free
+    resolution of M, base changed to R/(extra)."""
+    return base_change(minimal_free_resolution_module(M, cutoff).complex, extra)
+
+
+def ext(M, extra, cutoff):
+    """The complex whose H^n is Ext^n(M, R/(extra)): the dual, over
+    R/(extra), of tor(M, extra, cutoff)."""
+    return dual_complex(tor(M, extra, cutoff))
+
+
 def test_tor_of_hypersurface_sections_over_polynomial_ring():
     A = make_graded_ring("Q", ["x", "y"], [])
-    M = GradedModule.cyclic(A, [A.parse("x")])
-    N = GradedModule.cyclic(A, [A.parse("x")])
-    T = tensor_free_with_module(minimal_free_resolution_module(M, 4).complex, N)
-    tor = {n: T.cohomology(-n) for n in range(0, 3)}
-    assert tor[0].generator_degrees == (0,)
-    assert tor[1].generator_degrees == (1,)
-    assert tor[2].is_zero()
+    x = A.parse("x")
+    T = tor(GradedModule.cyclic(A, [x]), [x], 4)
+    assert T.ring.relations == (x,)
+    tor_n = {n: T.cohomology(-n) for n in range(0, 3)}
+    assert tor_n[0].generator_degrees == (0,)
+    assert tor_n[1].generator_degrees == (1,)
+    assert tor_n[2].is_zero()
     # Tor_1 = k[y](-1): one dimension in each internal degree >= 1
     for t in range(0, 5):
-        assert tor[1].module.hilbert_function(t) == (1 if t >= 1 else 0)
-        assert tor[0].module.hilbert_function(t) == (1 if t >= 0 else 0)
+        assert h_dim(T, -1, t) == (1 if t >= 1 else 0)
+        assert h_dim(T, 0, t) == (1 if t >= 0 else 0)
 
 
 def test_tor_is_balanced():
     A = make_graded_ring("Q", ["x", "y"], ["x^2*y"])
-    M = GradedModule.cyclic(A, [A.parse("x^2")])
-    N = GradedModule.cyclic(A, [A.parse("y"), A.parse("x^3")])
-    t1 = tensor_free_with_module(minimal_free_resolution_module(M, 5).complex, N)
-    t2 = tensor_free_with_module(minimal_free_resolution_module(N, 5).complex, M)
+    I = [A.parse("x^2")]
+    J = [A.parse("y"), A.parse("x^3")]
+    t1 = tor(GradedModule.cyclic(A, I), J, 5)
+    t2 = tor(GradedModule.cyclic(A, J), I, 5)
     for n in range(0, 4):
+        assert sorted(t1.cohomology(-n).generator_degrees) == sorted(
+            t2.cohomology(-n).generator_degrees
+        )
         for t in range(0, 6):
-            assert t1.cohomology(-n).module.hilbert_function(t) == (
-                t2.cohomology(-n).module.hilbert_function(t)
-            )
+            assert h_dim(t1, -n, t) == h_dim(t2, -n, t), (n, t)
 
 
 def test_ext_of_k_with_k_over_polynomial_ring():
     A = make_graded_ring("Q", ["x", "y"], [])
-    k = GradedModule.cyclic(A, [A.parse("x"), A.parse("y")])
-    H = hom_free_into_module(minimal_free_resolution_module(k, 5).complex, k)
+    m = [A.parse("x"), A.parse("y")]
+    H = ext(GradedModule.cyclic(A, m), m, 5)
     assert H.cohomology(0).generator_degrees == (0,)
     assert tuple(sorted(H.cohomology(1).generator_degrees)) == (-1, -1)
     assert H.cohomology(2).generator_degrees == (-2,)
@@ -483,8 +508,8 @@ def test_ext_of_k_with_k_over_polynomial_ring():
 
 def test_ext_of_k_over_dual_numbers_never_stops():
     R = make_graded_ring("Q", ["x"], ["x^2"])
-    k = GradedModule.cyclic(R, [R.parse("x")])
-    H = hom_free_into_module(minimal_free_resolution_module(k, 6).complex, k)
+    m = [R.parse("x")]
+    H = ext(GradedModule.cyclic(R, m), m, 6)
     for n in range(0, 5):
         assert H._trust(n)
         assert H.cohomology(n).generator_degrees == (-n,)
@@ -492,23 +517,63 @@ def test_ext_of_k_over_dual_numbers_never_stops():
 
 def test_ext_degree_zero_is_hom():
     A = make_graded_ring("Q", ["x", "y"], [])
-    M = GradedModule.cyclic(A, [A.parse("x")])
-    ext0 = hom_free_into_module(minimal_free_resolution_module(M, 3).complex, M).cohomology(0)
+    I = [A.parse("x")]
+    H = ext(GradedModule.cyclic(A, I), I, 3)
     # Hom(A/x, A/x) = A/x: generator in degree 0
-    assert ext0.generator_degrees == (0,)
+    assert H.cohomology(0).generator_degrees == (0,)
     for t in range(0, 4):
-        assert ext0.module.hilbert_function(t) == 1
+        assert h_dim(H, 0, t) == 1
+
+
+def test_dual_and_base_change_keep_entries_and_flip_the_window():
+    """Over k[x, y]/(x^2), base change to R/(y) of the truncated resolution
+    of k keeps its covers and window and reduces each entry mod y; the dual
+    negates the twists, transposes each differential with the sign
+    -(-1)^n and puts the window's lower end, negated, at its top."""
+    R = make_graded_ring("Q", ["x", "y"], ["x^2"])
+    x, y = R.variables()
+    F = minimal_free_resolution_module(GradedModule.cyclic(R, [x, y]), 2).complex
+    T = base_change(F, [y])
+    assert base_change(F, []).ring is R and T.ring is R.quotient([y])
+    assert (T.known_lo, T.known_hi) == (F.known_lo, None) == (-3, None)
+    assert {i: T.cover(i).degrees for i in T.support()} == {
+        i: F.cover(i).degrees for i in F.support()
+    }
+    for i, d in F.diffs.items():
+        want = [{r: T.ring.normal_form(e) for r, e in col.items()} for col in d.cols]
+        assert list(T.diff(i).cols) == [
+            {r: e for r, e in col.items() if e} for col in want
+        ], i
+    H = dual_complex(T)
+    assert (H.known_lo, H.known_hi) == (None, 3)
+    for j in F.support():
+        assert H.cover(-j).degrees == tuple(-d for d in F.cover(j).degrees)
+    for j, d in T.diffs.items():
+        n = -j - 1
+        for a, col in enumerate(d.cols):
+            for b, e in col.items():
+                assert H.diff(n).cols[b][a] == (e if n % 2 else -e), (n, a, b)
+    # dualizing twice gives T back with every differential negated, and
+    # the window back where it was
+    HH = dual_complex(H)
+    assert (HH.known_lo, HH.known_hi) == (T.known_lo, T.known_hi)
+    assert {i: HH.cover(i).degrees for i in HH.support()} == {
+        i: T.cover(i).degrees for i in T.support()
+    }
+    assert {i: d.cols for i, d in HH.diffs.items()} == {
+        i: tuple({r: -e for r, e in col.items()} for col in d.cols)
+        for i, d in T.diffs.items()
+    }
 
 
 def test_tables_refuse_degrees_past_a_truncated_resolution():
     R = make_graded_ring("Q", ["x"], ["x^2"])
-    k = GradedModule.cyclic(R, [R.parse("x")])
-    F = minimal_free_resolution_module(k, 2).complex
-    reach = -F.known_lo
-    H = hom_free_into_module(F, k)
+    m = [R.parse("x")]
+    T = tor(GradedModule.cyclic(R, m), m, 2)
+    reach = -T.known_lo
+    H = dual_complex(T)
     assert H._trust(reach - 1) and not H._trust(reach)
     assert H.cohomology(reach - 1).generator_degrees
-    T = tensor_free_with_module(F, k)
     assert T._trust(1 - reach) and not T._trust(-reach)
     assert T.cohomology(1 - reach).generator_degrees
 
@@ -551,16 +616,38 @@ def koszul_ring(field):
     return build_koszul_dg(R, [x, R.mul(x, y)])
 
 
-@pytest.mark.parametrize("field", FIELDS)
-def test_free_with_module_matches_oracle(field):
+def base_changed_cases(field):
+    """Tor and Ext of k against R/(y) and against k over the Golod ring:
+    free complexes over the quotient rings."""
     R = golod_ring(field)
     x, y = R.variables()
     F = minimal_free_resolution_module(GradedModule.cyclic(R, [x, y]), 3).complex
-    for N in (GradedModule.cyclic(R, [y]), GradedModule.cyclic(R, [x, y])):
-        for C in (hom_free_into_module(F, N), tensor_free_with_module(F, N)):
-            assert C.rels
-            C.validate()
-            assert_h_matches_oracle(C, trusted_degrees(C), range(-5, 6))
+    for extra in ([y], [x, y]):
+        T = base_change(F, extra)
+        yield T
+        yield dual_complex(T)
+
+
+def h0_cyclic_hom_cases(field):
+    """Hom out of the residue tower over the Golod ring into its h0-cyclic
+    modules R/(y) and k: complexes with relations."""
+    A = build_ring_dg(golod_ring(field))
+    x, y = A.base.variables()
+    SF = semifree_resolution(residue_dg_module(A), window_lo=-3).sf
+    for extra in ([y], [x, y]):
+        yield hom_semifree_into_dg(SF, h0_cyclic_dg_module(A, extra))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_base_change_and_dual_match_oracle(field):
+    for C in base_changed_cases(field):
+        assert not C.rels
+        C.validate()
+        assert_h_matches_oracle(C, trusted_degrees(C), range(-5, 6))
+    for C in h0_cyclic_hom_cases(field):
+        assert C.rels
+        C.validate()
+        assert_h_matches_oracle(C, trusted_degrees(C), range(-5, 6))
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -569,7 +656,7 @@ def test_dg_module_underlying_matches_oracle(field):
         _, y = A.base.variables()
         k = residue_dg_module(A)
         assert_residue_field_power(
-            direct_sum_dg(k, k).cohomology(0).module, A.base, rank=2
+            direct_sum_dg(k, k).underlying(), 0, A.base, rank=2
         )
         for M in (direct_sum_dg(k, koszul_dg_module(A, [y])), direct_sum_dg(k, k)):
             C = M.underlying()
@@ -680,12 +767,10 @@ def vanishing_cases(field):
                 one = part.A.base.one()
                 cone = cone_dg(multiplication_map(part, one), check=False)
                 yield cone, cone.underlying()
-    R = golod_ring(field)
-    x, y = R.variables()
-    F = minimal_free_resolution_module(GradedModule.cyclic(R, [x, y]), 3).complex
-    for N in (GradedModule.cyclic(R, [y]), GradedModule.cyclic(R, [x, y])):
-        for C in (hom_free_into_module(F, N), tensor_free_with_module(F, N)):
-            yield C, C
+    for C in base_changed_cases(field):
+        yield C, C
+    for C in h0_cyclic_hom_cases(field):
+        yield C, C
     for A in (build_ring_dg(golod_ring(field)), koszul_ring(field)):
         SF = semifree_resolution(residue_dg_module(A), window_lo=-2).sf
         for _, T in amplitude_zero_test_family(A):
@@ -695,29 +780,31 @@ def vanishing_cases(field):
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_vanishing_test_matches_rank_oracle(field):
-    seen = {True: 0, False: 0}
+    seen = {True: 0, False: 0, "with relations": 0}
     for X, C in vanishing_cases(field):
         if not C.support():
             continue
+        seen["with relations"] += bool(C.rels)
         for i in trusted_degrees(C):
             got = X.cohomology_vanishes(i)
             assert got == vanishes_by_oracle(C, i), (X, i)
             assert X.cohomology(i).is_zero() == got, (X, i)
             if complexes_module._cycles(C, i) is not None:
                 seen[got] += 1
-    # both answers are exercised on degrees that have cycles
+    # both answers are exercised on degrees that have cycles, and on
+    # complexes with relations
     assert seen[True] >= 20 and seen[False] >= 20, seen
+    assert seen["with relations"] >= 2, seen
 
 
 # ---------- minimal generators of cohomology ----------
 
 
-def presentation_route_degrees(C, i):
+def presentation_route_degrees(C, i, K):
     """Sorted minimal generator degrees of H^i(C), the way a presentation
-    gets them: the cycle-block heads of syz([K | D_{i-1} | Q_i]) present
-    H^i on the cycle generators K, and its minimal presentation keeps a
-    minimal generating set."""
-    K = complexes_module._cycles(C, i)
+    gets them from generators K of H^i (columns of a matrix into the cover
+    at i): the K-block heads of syz([K | D_{i-1} | Q_i]) present H^i on K,
+    and its minimal presentation keeps a minimal generating set."""
     if K is None:
         return []
     blocks = [K] + [B for B in (C.diffs.get(i - 1), C.rels.get(i)) if B is not None]
@@ -761,8 +848,8 @@ def recorded_complexes(monkeypatch, module, names, run):
 
 def generator_cases(monkeypatch, field):
     """Presented complexes whose cohomology the queries read: those of the
-    vanishing test (seeded corpora, Hom and tensor over the Golod ring, Hom
-    out of semifree resolutions), the cocone of every stage of the residue
+    vanishing test (seeded corpora, base changes and duals over the Golod
+    ring, Hom out of semifree resolutions), the cocone of every stage of the residue
     towers over the Golod and Koszul rings, and the Hochschild complexes."""
     import dgdim.finitistic as finitistic_module
 
@@ -778,7 +865,7 @@ def generator_cases(monkeypatch, field):
                  (golod_ring(field), golod_ring(field))):
         yield from recorded_complexes(
             monkeypatch, finitistic_module,
-            ["tensor_free_with_module", "hom_free_into_module"],
+            ["base_change", "dual_complex"],
             lambda: finitistic_module.hochschild_table(A, B),
         )
 
@@ -789,20 +876,23 @@ def test_cohomology_generators_match_the_presentation_route(monkeypatch, field):
     generators, in the same degrees, as a minimal presentation of H^i on
     all cycle generators; and H^i presented on the kept ones has no
     redundant generator."""
-    seen = 0
+    seen = {"groups": 0, "with relations": 0}
     for C in generator_cases(monkeypatch, field):
         if not C.support():
             continue
+        seen["with relations"] += bool(C.rels)
         for i in trusted_degrees(C):
             data = C.cohomology(i)
             if data.is_zero():
                 continue
-            seen += 1
-            assert sorted(data.generator_degrees) == presentation_route_degrees(C, i), i
-            mp = data.module.minimal()
-            assert mp.survivors == list(range(len(data.generator_degrees))), i
-            assert list(mp.generator_degrees) == list(data.generator_degrees), i
-    assert seen >= 40, seen
+            seen["groups"] += 1
+            want = presentation_route_degrees(C, i, complexes_module._cycles(C, i))
+            assert sorted(data.generator_degrees) == want, i
+            kept = GradedMatrix.from_columns(
+                C.cover(i), data.generator_degrees, data.representatives
+            )
+            assert presentation_route_degrees(C, i, kept) == want, i
+    assert seen["groups"] >= 40 and seen["with relations"] >= 2, seen
 
 
 def count_work(monkeypatch):

@@ -284,3 +284,93 @@ def test_hochschild_identity_map():
 def test_hochschild_rejects_general_maps():
     with pytest.raises(ValueError):
         hochschild_table(make_graded_ring("Q", ["x"]), make_graded_ring("Q", ["x", "y"]))
+
+
+# target: (variables, relations), then the twists of HH_i and of HH^i for
+# each i listed, hh0-is-the-ring, smooth-certificate and resolution-length,
+# as tabulated when Tor and Ext were the cohomology of tensor and Hom into
+# the diagonal presented by its relations
+HOCHSCHILD_PINS = {
+    "k[x,y], deg y = 2": (
+        ({"x": 1, "y": 2}, []),
+        [[0], [1, 2], [3], [], [], []],
+        [[0], [-2, -1], [-3], [], [], []],
+        True, True, 2,
+    ),
+    "k[x,y,z], degrees 1, 2, 3": (
+        ({"x": 1, "y": 2, "z": 3}, []),
+        [[0], [1, 2, 3], [3, 4, 5], [6], [], [], [], []],
+        [[0], [-3, -2, -1], [-5, -4, -3], [-6], [], [], [], []],
+        True, True, 3,
+    ),
+    "k[x,y]/(x^2)": (
+        (["x", "y"], ["x^2"]),
+        [[0], [1, 1], [2, 3], [3, 4]],
+        [[0], [-1, 0], [-2, -1], [-3, -2]],
+        True, False, 5,
+    ),
+    "k[x]/(x^3)": (
+        (["x"], ["x^3"]),
+        [[0], [1]],
+        [[0], [0]],
+        True, False, 3,
+    ),
+    "k[x,y]/(xy), weights 1, 2": (
+        ({"x": 1, "y": 2}, ["x*y"]),
+        [[0], [1, 2], [3], [6]],
+        [[0], [0, 0], [-3], [-3]],
+        True, False, 5,
+    ),
+}
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+@pytest.mark.parametrize("target", sorted(HOCHSCHILD_PINS))
+def test_hochschild_tables_of_weighted_and_singular_targets(field, target):
+    """hochschild_table(k, B), pinned: every twist list sorted, the order
+    it had when Hom and tensor into the diagonal gave the cycles from a
+    syzygy matrix sorted by degree.  Over the singular targets the diagonal
+    does not resolve within threshold + 2 steps."""
+    (variables, relations), lower, upper, hh0, smooth, length = (
+        HOCHSCHILD_PINS[target]
+    )
+    B = make_graded_ring(field, variables, relations)
+    rep = hochschild_table(make_graded_ring(field, []), B)
+    assert [rep.hh_lower[i]["twists"] for i in sorted(rep.hh_lower)] == lower
+    assert [rep.hh_upper[i]["twists"] for i in sorted(rep.hh_upper)] == upper
+    for table in (rep.hh_lower, rep.hh_upper):
+        assert all(d["rank"] == len(d["twists"]) for d in table.values())
+    assert (rep.hh0_matches, rep.terminated, rep.resolution_length) == (
+        hh0, smooth, length
+    )
+
+
+def _local_cohomology_rings(field):
+    R = make_graded_ring(field, ["x", "y"])
+    x, y = R.variables()
+    return {
+        "k[x,y]/(x^2, xy)": build_ring_dg(
+            make_graded_ring(field, ["x", "y"], ["x^2", "x*y"])
+        ),
+        "k[x,y]/(xy), weights 1, 2": build_ring_dg(
+            make_graded_ring(field, {"x": 1, "y": 2}, ["x*y"])
+        ),
+        "K(k[x,y]; x, xy)": build_koszul_dg(R, [x, R.mul(x, y)]),
+        "k[x,y] + (k[x,y]/(x))[1]": build_trivial_extension(R, 1, [x]),
+    }
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+def test_local_cohomology_degrees_pinned(field):
+    """The degrees of the derived torsion, as tabulated when Ext into the
+    ambient polynomial ring P was Hom into P as a module."""
+    got = {
+        name: dimensions_module.local_cohomology_amplitude(A).degrees
+        for name, A in _local_cohomology_rings(field).items()
+    }
+    assert got == {
+        "k[x,y]/(x^2, xy)": [0, 1],
+        "k[x,y]/(xy), weights 1, 2": [1],
+        "K(k[x,y]; x, xy)": [0, 1],
+        "k[x,y] + (k[x,y]/(x))[1]": [0, 2],
+    }

@@ -43,7 +43,6 @@ ALLOWED = {
     "field_rank": "test oracle: degreewise rank",
     "GradedMatrix.matrix_in_degree": "test oracle: degreewise linear algebra",
     "GradedFreeModule.basis_in_degree": "test oracle: matrix_in_degree's basis",
-    "GradedMatrix.kernel_dim_in_degree": "test oracle: degreewise linear algebra",
     "GradedMatrix.min_entry_degree_is_positive": "test oracle: minimality",
     "DGModule.cohomology_support": "test oracle: the full cohomology scan",
     "DGRing.check_axioms": "test oracle: the DG-ring axioms",
