@@ -124,6 +124,8 @@ def test_trivial_extension_axioms_and_profile():
     A.check_axioms()
     M = free_over(A)
     assert M.cohomology_support() == [-1, 0]
+    assert M.cohomology(0).generator_degrees == (0,)
+    assert M.cohomology(-1).generator_degrees == (0,)
     U = M.underlying()
     assert [h_dim(U, 0, t) for t in range(3)] == [1, 2, 3]
     assert [h_dim(U, -1, t) for t in range(3)] == [1, 1, 1]
@@ -145,6 +147,7 @@ def test_koszul_self_cohomology():
     A = koszul_xy()
     M = free_over(A)
     assert M.cohomology_support() == [-1, 0]
+    assert M.cohomology(0).generator_degrees == (0,)
     U = M.underlying()
     assert [h_dim(U, 0, t) for t in range(4)] == [1, 1, 1, 1]
     data = M.cohomology(-1)
@@ -158,6 +161,7 @@ def test_regular_koszul_is_concentrated():
     A = build_koszul_dg(R, [x, y])
     M = free_over(A)
     assert M.cohomology_support() == [0]
+    assert M.cohomology(0).generator_degrees == (0,)
     assert [h_dim(M.underlying(), 0, t) for t in range(2)] == [1, 0]
 
 
@@ -180,6 +184,10 @@ def test_koszul_ring_matches_iterated_cones():
     assert ring_side.cohomology_support() == cone_side.cohomology_support()
     a, b = ring_side.underlying(), cone_side.underlying()
     for s in ring_side.cohomology_support():
+        assert (
+            ring_side.cohomology(s).generator_degrees
+            == cone_side.cohomology(s).generator_degrees
+        ), s
         for t in range(5):
             assert h_dim(a, s, t) == h_dim(b, s, t), (s, t)
 
@@ -250,6 +258,8 @@ def test_shift_moves_support():
 
 def test_twist_moves_internal_degrees():
     A = koszul_xy()
+    assert free_over(A).cohomology(0).generator_degrees == (0,)
+    assert twist_dg(free_over(A), 1).cohomology(0).generator_degrees == (-1,)
     plain = free_over(A).underlying()
     twisted = twist_dg(free_over(A), 1).underlying()
     assert h_dim(plain, 0, -1) == 0
@@ -571,6 +581,7 @@ def test_h0_cyclic_restriction_has_h0_only():
     A = koszul_xy()
     M = h0_cyclic_dg_module(A, [])
     assert M.cohomology_support() == [0]
+    assert M.cohomology(0).generator_degrees == (0,)
     assert [h_dim(M.underlying(), 0, t) for t in range(3)] == [1, 1, 1]
 
 
