@@ -293,15 +293,15 @@ def _check_dualizing(opts) -> Tuple[bool, dict]:
         infR = R.inf_h()
         dim = A.dimension()
         inj_ok = rep.injdim.value == infR + dim
-        sf = semifree_resolution(R).sf
+        res = semifree_resolution(R)
         samples = []
         for _ in range(3):
             recipe = random_recipe(A, rng, rng.randrange(1, 4))
             M = apply_recipe(recipe, free_start(A))
             infM = M.inf_h()
-            tensor = apply_recipe(recipe, tensor_start(sf))
+            tensor = apply_recipe(recipe, tensor_start(res.sf))
             inf_tensor = tensor.inf_h()
-            H = hom_semifree_into_dg(sf, M)
+            H = hom_semifree_into_dg(res, M)
             inf_hom = None
             for i in range(min(H.support(), default=0),
                            max(H.support(), default=0) + 1):

@@ -17,10 +17,13 @@ share).  Cohomology is only ever counted, never presented as a module.
 
 A complex may carry a certified lower end known_lo (None = unbounded):
 components at or below it were truncated away.  Truncated complexes arise
-from resolutions that were cut off, never from constructors.  A complex
-may also carry an upper end known_hi, since the dual of a truncated free
-complex is truncated from above; cohomology is trusted strictly between
-the two.
+only from resolutions that were cut off: the reduction of a semifree
+resolution takes the window the resolution carries, and a minimal free
+resolution of a module that did not terminate within its cutoff has
+known_lo set (None exactly when it terminated).  A complex may also carry
+an upper end known_hi, since the dual of a truncated free complex, and Hom
+out of a truncated semifree resolution, are truncated from above;
+cohomology is trusted strictly between the two.
 """
 from __future__ import annotations
 
@@ -246,51 +249,33 @@ def cohomology_data(C: PresentedComplex, i: int) -> CohomologyData:
 # ---------- minimal free resolutions ----------
 
 
-class ResolutionCertificate:
-    def __init__(
-        self,
-        complex: PresentedComplex,
-        terminated: bool,
-        betti: Optional[Dict[int, Tuple[int, ...]]] = None,
-    ):
-        self.complex = complex
-        self.terminated = terminated
-        self.betti = {} if betti is None else betti
-
-
-def minimal_free_resolution_module(M: GradedModule, cutoff: int) -> ResolutionCertificate:
-    """Iterated-syzygy minimal resolution of a module, placed in degrees <= 0."""
+def minimal_free_resolution_module(M: GradedModule, cutoff: int) -> PresentedComplex:
+    """Iterated-syzygy minimal resolution of a module, placed in degrees <= 0.
+    Its known_lo is None exactly when it terminated; otherwise it stopped
+    after cutoff + 1 steps, and its cohomology is trusted only above its
+    lowest component."""
     ring = M.ring
     mp = M.minimal()
     if mp.rank == 0:
-        empty = PresentedComplex(ring, {}, {})
-        return ResolutionCertificate(empty, True)
+        return PresentedComplex(ring, {}, {})
     comps: Dict[int, GradedFreeModule] = {0: GradedFreeModule(ring, mp.generator_degrees)}
     diffs: Dict[int, GradedMatrix] = {}
     current = mp.matrix  # F^{-1} -> F^0, already minimal and irredundant
     step = 0
-    terminated = False
-    while True:
-        if current.source.rank == 0:
-            terminated = True
-            break
+    while current.source.rank:
         step += 1
         comps[-step] = current.source
         diffs[-step] = current
         if step > cutoff:
-            break
+            return PresentedComplex(ring, comps, diffs, known_lo=-step)
         S = syzygy_matrix(current)
         if S.source.rank == 0:
-            terminated = True
             break
         S_min = GradedModule(S).minimal()
         if len(S_min.survivors) != S.target.rank:
             raise AssertionError("unit entry inside a minimal resolution step")
         current = S_min.matrix
-    lo = None if terminated else -step
-    cplx = PresentedComplex(ring, comps, diffs, known_lo=lo)
-    betti = {i: tuple(sorted(cplx.cover(i).degrees)) for i in cplx.support()}
-    return ResolutionCertificate(cplx, terminated, betti)
+    return PresentedComplex(ring, comps, diffs)
 
 
 # ---------- complexes of presented modules ----------

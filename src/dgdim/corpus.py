@@ -165,11 +165,9 @@ def direct_ext_projdim(M: DGModule) -> Optional[int]:
     None when nothing survives (the acyclic case)."""
     A = M.A
     res = semifree_resolution(M)
-    if not res.terminated:
-        raise RuntimeError("direct search wants a finite resolution")
     best: Optional[int] = None
     for _, T in amplitude_zero_test_family(A):
-        H = hom_semifree_into_dg(res.sf, T)
+        H = hom_semifree_into_dg(res, T)
         supp = H.support()
         if not supp:
             continue
@@ -236,15 +234,11 @@ def redundant_presentation(M: GradedModule, rng: Random) -> GradedModule:
     return GradedModule(GradedMatrix.from_columns(target, col_degs, cols))
 
 
-def betti_signature(betti: Dict[int, Sequence[int]]) -> Dict[int, Tuple[int, ...]]:
-    """Order-free view of a Betti table: sorted degree tuples per index."""
-    return {i: tuple(sorted(degs)) for i, degs in betti.items() if len(degs)}
-
-
 # resolution_signature compares minimal resolutions through this many steps
 _SIGNATURE_CUTOFF = 8
 
 
 def resolution_signature(M: GradedModule) -> Dict[int, Tuple[int, ...]]:
-    cert = minimal_free_resolution_module(M, cutoff=_SIGNATURE_CUTOFF)
-    return betti_signature(cert.betti)
+    """Order-free view of the Betti table: sorted degree tuples per index."""
+    F = minimal_free_resolution_module(M, cutoff=_SIGNATURE_CUTOFF)
+    return {i: tuple(sorted(F.cover(i).degrees)) for i in F.support()}

@@ -24,9 +24,10 @@ sigma += n, alpha *= (-1)^n).  All slot coefficients live in the slot's
 coefficient ring; d^2 = 0 is checked modulo the slot relations.
 
 Cohomology is that of the underlying presented complex, over the slot
-support above known_lo.  inf_h scans it upward and sup_h downward, each
-stopping at the first nonzero degree; cohomology_support tests every
-degree.
+support.  inf_h scans it upward and sup_h downward, each stopping at the
+first nonzero degree; cohomology_support tests every degree.  A DG-module
+carries no trust window: only a cut-off semifree resolution does (see
+tower.py), and the readers of a resolution take the window from it.
 
 Hom out of a semifree module is the underlying complex of a DG-module.
 Let SF have free generators e_j (cohdeg a_j, twist s_j, parity sigma_j)
@@ -122,7 +123,6 @@ class DGModule:
         dgring: DGRing,
         gens: Sequence[DGGen],
         diff: Dict[int, Dict[int, AElem]],
-        known_lo: Optional[int] = None,
         check: bool = True,
         label: str = "",
     ):
@@ -134,7 +134,6 @@ class DGModule:
             if kept:
                 clean[j] = kept
         self.diff = clean
-        self.known_lo = known_lo
         self.label = label
         self._slots_by_deg: Optional[Dict[int, List[Slot]]] = None
         self._underlying: Optional[PresentedComplex] = None
@@ -306,9 +305,7 @@ class DGModule:
             diffs[c] = GradedMatrix(
                 covers[c + 1], covers[c], cols, normalize=False
             )
-        self._underlying = PresentedComplex(
-            R, covers, diffs, rels, known_lo=self.known_lo
-        )
+        self._underlying = PresentedComplex(R, covers, diffs, rels)
         return self._underlying
 
     # -- cohomology ---------------------------------------------------------
@@ -320,28 +317,24 @@ class DGModule:
         return self.underlying().cohomology_vanishes(i)
 
     def _scan_range(self) -> range:
-        """The certified degrees of the slot support, ascending: H vanishes
-        outside the support, and degrees at or below known_lo are not
-        certified."""
+        """The degrees of the slot support, ascending: H vanishes outside
+        it."""
         s = self.support()
-        if not s:
-            return range(0)
-        lo = s[0] if self.known_lo is None else max(s[0], self.known_lo + 1)
-        return range(lo, s[-1] + 1)
+        return range(s[0], s[-1] + 1) if s else range(0)
 
     def cohomology_support(self) -> List[int]:
-        """Cohomological degrees with nonzero H, inside the certified range."""
+        """Cohomological degrees with nonzero H."""
         return [i for i in self._scan_range() if not self.cohomology_vanishes(i)]
 
     def sup_h(self) -> Optional[int]:
-        """Top nonzero certified degree, scanning down to the first one."""
+        """Top nonzero degree, scanning down to the first one."""
         return next(
             (i for i in reversed(self._scan_range()) if not self.cohomology_vanishes(i)),
             None,
         )
 
     def inf_h(self) -> Optional[int]:
-        """Bottom nonzero certified degree, scanning up to the first one."""
+        """Bottom nonzero degree, scanning up to the first one."""
         return next(
             (i for i in self._scan_range() if not self.cohomology_vanishes(i)),
             None,
@@ -392,19 +385,12 @@ def shift_dg(M: DGModule, n: int) -> DGModule:
         j: {i: a.scale_int(sign) for i, a in row.items()}
         for j, row in M.diff.items()
     }
-    return DGModule(
-        M.A,
-        gens,
-        diff,
-        known_lo=None if M.known_lo is None else M.known_lo - n,
-        check=False,
-        label=M.label,
-    )
+    return DGModule(M.A, gens, diff, check=False, label=M.label)
 
 
 def twist_dg(M: DGModule, t: int) -> DGModule:
     gens = [DGGen(g.cohdeg, g.twist - t, g.kind, g.rels, g.sigma) for g in M.gens]
-    return DGModule(M.A, gens, M.diff, known_lo=M.known_lo, check=False, label=M.label)
+    return DGModule(M.A, gens, M.diff, check=False, label=M.label)
 
 
 # ---------- maps and cones ----------
@@ -451,24 +437,21 @@ def cone_dg(f: DGMap, check: bool = True) -> DGModule:
                 tgt_row[i] = tgt_row[i].add(beta)
             else:
                 tgt_row[i] = beta
-    lo = None
-    cands = [
-        v
-        for v in (Y.known_lo, None if X.known_lo is None else X.known_lo - 1)
-        if v is not None
-    ]
-    if cands:
-        lo = max(cands)
-    return DGModule(A, gens, diff, known_lo=lo, check=check)
+    return DGModule(A, gens, diff, check=check)
 
 
 # ---------- Hom from a semifree module ----------
 
 
-def hom_semifree_into_dg(SF: DGModule, M: DGModule) -> PresentedComplex:
-    """Hom_A(SF, M) as a presented complex over the base ring; SF must have
-    free generators only.  Component n holds the maps of degree n: the
-    underlying complex of the DG-module H of the module docstring."""
+def hom_semifree_into_dg(res, M: DGModule) -> PresentedComplex:
+    """Hom_A(SF, M) as a presented complex over the base ring, for the
+    semifree module SF = res.sf of a SemifreeResolution res (see tower.py);
+    SF must have free generators only.  Component n holds the maps of
+    degree n: the underlying complex of the DG-module H of the module
+    docstring.  A cut-off resolution, faithful above res.known_lo, leaves
+    Hom trusted below min slot(M) - res.known_lo; a target without slots
+    gets no window."""
+    SF = res.sf
     A = SF.A
     if M.A != A:
         raise ValueError("modules over different DG-rings")
@@ -495,13 +478,9 @@ def hom_semifree_into_dg(SF: DGModule, M: DGModule) -> PresentedComplex:
                     beta.negate() if odd else beta
                 )
     u = DGModule(A, gens, diff, check=False).underlying()
-    # a truncated SF corrupts high Hom degrees, a truncated M low ones
-    sf_lo, m_lo = SF.min_slot_cohdeg(), M.min_slot_cohdeg()
-    lo = None if M.known_lo is None or sf_lo is None else M.known_lo - sf_lo
-    hi = None if SF.known_lo is None or m_lo is None else m_lo - SF.known_lo
-    return PresentedComplex(
-        A.base, u.covers, u.diffs, u.rels, known_lo=lo, known_hi=hi
-    )
+    m_lo = M.min_slot_cohdeg()
+    hi = None if res.known_lo is None or m_lo is None else m_lo - res.known_lo
+    return PresentedComplex(A.base, u.covers, u.diffs, u.rels, known_hi=hi)
 
 
 # ---------- stock constructions ----------
@@ -516,9 +495,7 @@ def direct_sum_dg(M: DGModule, N: DGModule) -> DGModule:
     diff = {j: dict(row) for j, row in M.diff.items()}
     for j, row in N.diff.items():
         diff[j + m] = {i + m: a for i, a in row.items()}
-    los = [x for x in (M.known_lo, N.known_lo) if x is not None]
-    lo = max(los) if los else None
-    return DGModule(M.A, gens, diff, known_lo=lo, check=False)
+    return DGModule(M.A, gens, diff, check=False)
 
 
 def multiplication_map(M: DGModule, a: Poly) -> DGMap:

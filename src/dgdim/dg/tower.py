@@ -7,8 +7,9 @@ of the eventual resolution the stage positions strictly decrease, which is
 also asserted).  The free generators accumulated along the way, with the
 glue entries among them, form a semifree module SF quasi-isomorphic to the
 input down to a controllable degree: if the process is stopped while
-cohomology survives at degree s after k stages, SF carries known_lo = s-k+1
-and matches the input from s-k+2 up.
+cohomology survives at degree s after k stages, SF matches the input from
+s-k+2 up, and the resolution, not SF, carries known_lo = s-k+1.  The
+resolution is the one carrier of a trust window; DG-modules have none.
 
 Each stage's scan starts at the degree the previous stage covered.  Say a
 stage covers the top nonzero H^s(N) by P.  The generators of P sit at s
@@ -29,7 +30,7 @@ no claim below it.  It stops once no cohomology is left at or above its
 floor, and it reads the end state for termination only where that costs
 nothing: no slots left, or the floor at or below the bottom slot.
 Otherwise the resolution keeps its final cocone and carries the window
-bound as known_lo.  Whether the cocone has cohomology below the floor is
+bound as its known_lo.  Whether the cocone has cohomology below the floor is
 a separate question, asked only by certify_termination, the one function
 that runs that scan; a caller that only reads the window (the Bass
 numbers) never pays for it.
@@ -54,28 +55,32 @@ from .dgmodule import (
 class SemifreeResolution:
     """Semifree replacement of a DG-module.
 
-    sf         -- DGModule with free generators only, faithful above its
-                  known_lo (None: a quasi-isomorphism)
-    stages     -- per stage: dict with position (cohdeg in sf), twists
-    terminated -- True when the tower is known to have stopped because
-                  nothing was left
-    pending    -- (final cocone, floor) of a windowed tower whose
-                  termination only the scan of certify_termination can
-                  decide, else None
+    sf       -- DGModule with free generators only
+    stages   -- per stage: dict with position (cohdeg in sf), twists
+    known_lo -- None when sf is a quasi-isomorphism, the tower having
+                stopped because nothing was left; otherwise sf is faithful
+                strictly above known_lo only
+    pending  -- (final cocone, floor) of a windowed tower whose
+                termination only the scan of certify_termination can
+                decide, else None
     """
 
-    def __init__(self, sf, stages, terminated, pending=None):
+    def __init__(self, sf, stages, known_lo=None, pending=None):
         self.sf = sf
         self.stages = stages
-        self.terminated = terminated
+        self.known_lo = known_lo
         self.pending = pending
+
+    @property
+    def terminated(self) -> bool:
+        return self.known_lo is None
 
 
 def certify_termination(res: SemifreeResolution) -> SemifreeResolution:
     """The resolution with its termination decided: when the final cocone
     of a windowed tower has no cohomology at any slot degree below the
     floor, nothing was left and the tower is finished, so the result is
-    terminated with known_lo None.  Otherwise res itself.
+    the same sf and stages with no window.  Otherwise res itself.
 
     This is the only place the below-floor scan runs.  It scans downward
     from the floor; a leftover class usually sits just underneath it, so
@@ -88,10 +93,7 @@ def certify_termination(res: SemifreeResolution) -> SemifreeResolution:
     for s in range(floor - 1, N.min_slot_cohdeg() - 1, -1):
         if not N.cohomology_vanishes(s):
             return res
-    sf = res.sf
-    # the same generators and differential, already validated
-    full = DGModule(sf.A, sf.gens, sf.diff, known_lo=None, check=False)
-    return SemifreeResolution(full, res.stages, True)
+    return SemifreeResolution(res.sf, res.stages)
 
 
 def _stage(
@@ -141,13 +143,13 @@ def semifree_resolution(
 
     window_lo=None asks for exact termination and raises RuntimeError when
     the tower does not stop within max_stages.  A windowed result is
-    terminated only when its end state shows it without a scan; otherwise
-    sf.known_lo is the window bound, and certify_termination decides
-    termination by scanning below the floor."""
+    terminated only when its end state shows it without a scan: no slot
+    below the floor.  Otherwise its known_lo is the window bound, and
+    certify_termination decides termination by scanning below the floor."""
     if all(g.kind == "free" for g in M.gens):
         # already semifree: with only free generators over a non-positive
         # ring, ordering by descending cohomological degree is a filtration
-        return SemifreeResolution(M, [], M.known_lo is None)
+        return SemifreeResolution(M, [])
     m = len(M.gens)
     N = M
     k = 0
@@ -196,43 +198,24 @@ def semifree_resolution(
         }
         if inner:
             sf_diff[j - m] = inner
-    # trust window for the extracted resolution
-    terminated = False
-    lo_sf: Optional[int] = None
-    pending = None
-    if window_lo is not None:
-        floor_eff = window_lo + k - 1
-        if N.known_lo is not None:
-            floor_eff = max(floor_eff, N.known_lo + 1)
-        mn = N.min_slot_cohdeg()
-        if N.known_lo is None and (mn is None or floor_eff <= mn):
-            # no slot below the floor: the tower is finished
-            terminated = True
-        else:
-            lo_sf = floor_eff - k
-            if N.known_lo is None:
-                pending = (N, floor_eff)
-    else:
-        if N.known_lo is None:
-            terminated = True
-        else:
-            lo_sf = N.known_lo + 1 - k
-    if M.known_lo is not None:
-        cand = M.known_lo + 1
-        lo_sf = cand if lo_sf is None else max(lo_sf, cand)
-        terminated = False
-    sf = DGModule(M.A, sf_gens, sf_diff, known_lo=lo_sf, check=False)
+    sf = DGModule(M.A, sf_gens, sf_diff, check=False)
     sf.underlying().validate()
-    return SemifreeResolution(sf, stages, terminated, pending)
+    mn = N.min_slot_cohdeg()
+    if floor_now is None or mn is None or floor_now <= mn:
+        # no slot below the floor: the tower is finished
+        return SemifreeResolution(sf, stages)
+    return SemifreeResolution(sf, stages, floor_now - k, (N, floor_now))
 
 
 def reduce_to_h0(
-    SF: DGModule, extra_relations: Sequence[Poly] = ()
+    res: SemifreeResolution, extra_relations: Sequence[Poly] = ()
 ) -> PresentedComplex:
-    """(H^0(A)/extra) tensor_A SF for a semifree SF: the free complex over
-    that quotient ring on the generators, differential the unit-slot
-    coefficients of the glue.  With no extra relations the ring is H^0(A)
-    itself: quotients are memoized, so it is the object h0_ring() returns."""
+    """(H^0(A)/extra) tensor_A SF for the semifree SF = res.sf: the free
+    complex over that quotient ring on the generators, differential the
+    unit-slot coefficients of the glue, with the window of res.  With no
+    extra relations the ring is H^0(A) itself: quotients are memoized, so
+    it is the object h0_ring() returns."""
+    SF = res.sf
     A = SF.A
     for g in SF.gens:
         if g.kind != "free":
@@ -263,4 +246,4 @@ def reduce_to_h0(
             for j in lst
         ]
         diffs[c] = GradedMatrix(covers[c + 1], covers[c], cols)
-    return PresentedComplex(ring, covers, diffs, known_lo=SF.known_lo, check=True)
+    return PresentedComplex(ring, covers, diffs, known_lo=res.known_lo, check=True)

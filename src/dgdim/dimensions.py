@@ -80,13 +80,6 @@ def ring_amplitude(A: AnyRing) -> int:
     return A._amplitude
 
 
-def ring_inf(A: DGRing) -> int:
-    val = free_dg_module(A, [(0, 0)]).inf_h()
-    if val is None:
-        raise ValueError("the zero DG-ring has no inf")
-    return val
-
-
 def _connected(A: AnyRing, what: str) -> None:
     if isinstance(A, ProductDGRing):
         raise ValueError(what + " needs a graded-local (connected) DG-ring")
@@ -197,7 +190,7 @@ def proj_dim(M: AnyModule) -> DimensionReport:
     cap = A.dimension() - infM
     floor = -(cap + 2)
     res = certify_termination(semifree_resolution(M, window_lo=floor))
-    F = prune_complex(reduce_to_h0(res.sf))
+    F = prune_complex(reduce_to_h0(res))
     trace = "semifree tower (%d stages), reduction to H^0, pruned" % len(
         res.stages
     )
@@ -270,7 +263,7 @@ def flat_dim(M: AnyModule) -> DimensionReport:
     tor_tables: Dict[str, Dict[str, List[int]]] = {}
     deepest: Optional[int] = None
     for label, gens in test_ideal_family(A):
-        F = reduce_to_h0(res.sf, gens)
+        F = reduce_to_h0(res, gens)
         table: Dict[str, List[int]] = {}
         lo = min(F.support(), default=0)
         hi = max(F.support(), default=0)
@@ -336,7 +329,7 @@ def bass_numbers(
     if res is None:
         res = semifree_resolution(residue_dg_module(A), window_lo=window)
         A._residue_resolutions[window] = res
-    H = hom_semifree_into_dg(res.sf, M)
+    H = hom_semifree_into_dg(res, M)
     mus: Dict[int, int] = {}
     for i in range(scan_lo, scan_hi + 1):
         if not H._trust(i):
@@ -425,9 +418,9 @@ def _cone_inf(K: DGModule, t: Optional[int], a: Poly) -> Optional[int]:
     test.  For a zero or positive-degree a the long exact sequence of the
     cone gives H^j(K) = 0 below t - 1 and H^{t-1}(K) = ker(a on H^t M),
     while H^t(K) maps onto coker(a on H^t M), nonzero by Nakayama.  So
-    inf(K) is t - 1 when H^{t-1}(K) is nonzero and t otherwise.  A unit a,
-    a truncated cone or an acyclic M takes the full scan instead."""
-    if t is None or K.known_lo is not None or (a and a.degree() == 0):
+    inf(K) is t - 1 when H^{t-1}(K) is nonzero and t otherwise.  A unit a
+    or an acyclic M takes the full scan instead."""
+    if t is None or (a and a.degree() == 0):
         return K.inf_h()
     return t if K.cohomology_vanishes(t - 1) else t - 1
 
@@ -607,7 +600,7 @@ def _ambient_dg_module(X: DGModule, P_ring: GradedRing) -> DGModule:
             }
             if row:
                 diff[slot_index[src]] = row
-    return DGModule(RP, gens, diff, known_lo=X.known_lo, check=True)
+    return DGModule(RP, gens, diff, check=True)
 
 
 def local_cohomology_amplitude(
@@ -626,11 +619,7 @@ def local_cohomology_amplitude(
     amb = _ambient_dg_module(X, P_ring)
     nslots = sum(len(s) for s in amb.slots_by_degree().values())
     res = semifree_resolution(amb, max_stages=v + nslots + 8)
-    if not res.terminated:
-        raise RuntimeError(
-            "resolution over the ambient polynomial ring failed to stop"
-        )
-    F = prune_complex(reduce_to_h0(res.sf))
+    F = prune_complex(reduce_to_h0(res))
     H = dual_complex(F)
     degs: List[int] = []
     if F.support():
@@ -698,15 +687,15 @@ def dualizing_dg_module(A: AnyRing) -> DualizingReport:
             "dualizing construction implemented only when A has finite "
             "self-injective dimension"
         )
-    dim = A.dimension()
-    s = ring_inf(A) + dim
-    R = shift_dg(free_dg_module(A, [(0, 0)]), s)
+    Afree = free_dg_module(A, [(0, 0)])
+    infA = Afree.inf_h()
+    s = infA + A.dimension()
+    R = shift_dg(Afree, s)
     inj = inj_dim(R)
     # biduality: RHom(R, R) must have the cohomology of A itself
-    H = hom_semifree_into_dg(R, R)
-    Afree = free_dg_module(A, [(0, 0)])
+    H = hom_semifree_into_dg(SemifreeResolution(R, []), R)
     ok = True
-    for c in range(ring_inf(A) - 1, 2):
+    for c in range(infA - 1, 2):
         want = Afree.cohomology(c).generator_degrees
         got = H.cohomology(c).generator_degrees
         if want != got:

@@ -514,10 +514,9 @@ def hochschild_table(A: GradedRing, B: GradedRing) -> HochschildReport:
     label = hochschild_map(A, B)
     E, diag = (B, []) if label == _IDENTITY_MAP else _doubled_ring(B)
     threshold = E.dimension()
-    cert = minimal_free_resolution_module(
+    F = minimal_free_resolution_module(
         GradedModule.cyclic(E, diag), cutoff=threshold + 2
     )
-    F = cert.complex
     length = -min(F.support()) if F.support() else 0
     T = base_change(F, diag)
     H = dual_complex(T)
@@ -545,9 +544,9 @@ def hochschild_table(A: GradedRing, B: GradedRing) -> HochschildReport:
         label=label,
         enveloping=E,
         threshold=threshold,
-        terminated=cert.terminated,
+        terminated=F.known_lo is None,
         resolution_length=length,
-        betti=dict(cert.betti),
+        betti={i: tuple(sorted(F.cover(i).degrees)) for i in F.support()},
         hh_lower=hh_lower,
         hh_upper=hh_upper,
         hh0_matches=matches,

@@ -6,7 +6,7 @@ execution then turns each entry of the query list into one check result.
 """
 import json
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .core import GradedRing, make_graded_ring
 from .dg import (
@@ -97,7 +97,6 @@ class Scenario:
         dg_rings: Optional[dict] = None,
         modules: Optional[dict] = None,
         queries: Optional[List[dict]] = None,
-        deps: Optional[Dict[str, List[str]]] = None,
     ):
         self.label = label
         self.raw = raw
@@ -106,7 +105,6 @@ class Scenario:
         self.dg_rings = {} if dg_rings is None else dg_rings
         self.modules = {} if modules is None else modules
         self.queries = [] if queries is None else queries
-        self.deps = {} if deps is None else deps
 
 
 def _check_options(opts: dict) -> dict:
@@ -148,7 +146,6 @@ def _build_rings(scn: Scenario, decls: dict) -> None:
                 "ring %r: the relations generate the unit ideal, so it is "
                 "the zero ring" % name
             )
-        scn.deps[name] = []
 
 
 def _integer(x: object, key: str, what: str) -> int:
@@ -215,14 +212,12 @@ def _build_dg_rings(scn: Scenario, decls: dict) -> None:
             if kind == "ring":
                 base = _need(decl, "base", what)
                 scn.dg_rings[name] = build_ring_dg(_ring_ref(scn, base, what))
-                scn.deps[name] = [base]
             elif kind == "koszul":
                 base = _need(decl, "base", what)
                 scn.dg_rings[name] = build_koszul_dg(
                     _ring_ref(scn, base, what),
                     [str(e) for e in _need(decl, "elements", what)],
                 )
-                scn.deps[name] = [base]
             elif kind == "trivial-extension":
                 base = _need(decl, "base", what)
                 scn.dg_rings[name] = build_trivial_extension(
@@ -231,13 +226,11 @@ def _build_dg_rings(scn: Scenario, decls: dict) -> None:
                     [str(e) for e in decl.get("relations", ())],
                     _integer(decl.get("twist", 0), "twist", what),
                 )
-                scn.deps[name] = [base]
             elif kind == "product":
                 factors = _need(decl, "factors", what)
                 scn.dg_rings[name] = ProductDGRing(
                     [_dg_ref(scn, f, what) for f in factors]
                 )
-                scn.deps[name] = list(factors)
             elif kind == "split-trivial-extension":
                 base = _need(decl, "base", what)
                 tail = _need(decl, "tail", what)
@@ -246,7 +239,6 @@ def _build_dg_rings(scn: Scenario, decls: dict) -> None:
                     _ring_ref(scn, tail, what),
                     _integer(_need(decl, "shift", what), "shift", what),
                 )
-                scn.deps[name] = [base, tail]
             else:
                 raise ScenarioError("%s has unknown kind %r" % (what, kind))
         except ScenarioError:
@@ -281,7 +273,6 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                     scn.modules[name] = product_free_module(A, placements)
                 else:
                     scn.modules[name] = free_dg_module(A, placements)
-                scn.deps[name] = [ring]
             elif kind == "koszul":
                 ring = _need(decl, "ring", what)
                 A = _dg_ref(scn, ring, what)
@@ -294,13 +285,11 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                     scn.modules[name] = koszul_dg_module(
                         A, [str(e) for e in elems]
                     )
-                scn.deps[name] = [ring]
             elif kind == "residue":
                 ring = _need(decl, "ring", what)
                 scn.modules[name] = residue_dg_module(
                     _not_product(_dg_ref(scn, ring, what), what)
                 )
-                scn.deps[name] = [ring]
             elif kind == "factor-residue":
                 ring = _need(decl, "ring", what)
                 A = _dg_ref(scn, ring, what)
@@ -313,7 +302,6 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                         % (what, index, ring, len(A.factors))
                     )
                 scn.modules[name] = factor_residue_module(A, index)
-                scn.deps[name] = [ring]
             elif kind == "h0-cyclic":
                 ring = _need(decl, "ring", what)
                 A = _not_product(_dg_ref(scn, ring, what), what)
@@ -321,7 +309,6 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                 for p in rels:
                     p.degree()  # an inhomogeneous element raises ValueError
                 scn.modules[name] = h0_cyclic_dg_module(A, rels)
-                scn.deps[name] = [ring]
             elif kind == "shift":
                 of = _need(decl, "of", what)
                 M = _module_ref(scn, of, what)
@@ -330,7 +317,6 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                     shift_product(M, n) if isinstance(M, ProductDGModule)
                     else shift_dg(M, n)
                 )
-                scn.deps[name] = [of]
             elif kind == "twist":
                 of = _need(decl, "of", what)
                 M = _module_ref(scn, of, what)
@@ -339,13 +325,11 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                     twist_product(M, t) if isinstance(M, ProductDGModule)
                     else twist_dg(M, t)
                 )
-                scn.deps[name] = [of]
             elif kind == "cone-mult":
                 of = _need(decl, "of", what)
                 M = _not_product(_module_ref(scn, of, what), what)
                 a = M.A.base.parse(str(_need(decl, "element", what)))
                 scn.modules[name] = cone_dg(multiplication_map(M, a))
-                scn.deps[name] = [of]
             elif kind == "sum":
                 of = _need(decl, "of", what)
                 other = _need(decl, "and", what)
@@ -353,13 +337,11 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                     _not_product(_module_ref(scn, of, what), what),
                     _not_product(_module_ref(scn, other, what), what),
                 )
-                scn.deps[name] = [of, other]
             elif kind == "presented":
                 ring = _need(decl, "ring", what)
                 scn.modules[name] = _module_from_generators(
                     _not_product(_dg_ref(scn, ring, what), what), decl, what
                 )
-                scn.deps[name] = [ring]
             else:
                 raise ScenarioError("module %r has unknown kind %r" % (name, kind))
         except ScenarioError:
@@ -438,15 +420,29 @@ def load_scenario(path: str, overrides: Optional[dict] = None) -> Scenario:
 # ---------- execution ----------
 
 
-def _closure(scn: Scenario, names: List[str]) -> List[str]:
-    seen: List[str] = []
+# the declaration keys that name another declaration
+_REFERENCE_KEYS = ("base", "tail", "ring", "of", "and", "factors")
+
+
+def _closure(scn: Scenario, names: List[str]) -> Set[str]:
+    """The names, with every name their declarations refer to, read off
+    the raw declarations; a name may be declared in several sections (a
+    DG-ring and a module may share one), and all of them count."""
+    seen: Set[str] = set()
     todo = list(names)
     while todo:
         n = todo.pop()
         if n in seen:
             continue
-        seen.append(n)
-        todo.extend(scn.deps.get(n, []))
+        seen.add(n)
+        for section in ("rings", "dg_rings", "modules"):
+            decl = scn.raw.get(section, {}).get(n, {})
+            for key in _REFERENCE_KEYS:
+                ref = decl.get(key)
+                if isinstance(ref, list):
+                    todo.extend(ref)
+                elif ref is not None:
+                    todo.append(ref)
     return seen
 
 
@@ -456,7 +452,7 @@ def _sub_scenario(scn: Scenario, q: dict) -> dict:
     for key in ("module", "ring", "source", "target"):
         if key in q:
             names.append(q[key])
-    keep = set(_closure(scn, names))
+    keep = _closure(scn, names)
     out = {"schema": SCHEMA, "options": dict(scn.raw.get("options", {}))}
     for section in ("rings", "dg_rings", "modules"):
         decls = {

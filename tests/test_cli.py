@@ -161,6 +161,23 @@ def test_expect_mismatch_fails_with_minimal_reproduction():
     assert rerun.results[0].details["value"] == 1
 
 
+def test_reproduction_keeps_every_declaration_of_a_shared_name():
+    """A DG-ring and a module may share a name: the reproduction keeps both
+    declarations and all that either refers to, so it loads and fails the
+    same way, and it still drops what the query does not reach."""
+    doc = small_doc(
+        rings={"R": {"variables": ["x", "y"]}, "S": {"variables": ["z"]}},
+        modules={"A": {"kind": "free", "ring": "A", "generators": [[0, 0]]}},
+        queries=[{"op": "proj-dim", "module": "A", "expect": 9}],
+    )
+    sub = run_scenario(parse_scenario(doc)).results[0].reproduce
+    assert sub["rings"] == {"R": doc["rings"]["R"]}
+    assert (sub["dg_rings"], sub["modules"]) == (doc["dg_rings"], doc["modules"])
+    rerun = run_scenario(parse_scenario(sub))
+    assert rerun.exit_code() == 1
+    assert rerun.results[0].details["value"] == 0
+
+
 def test_cutoff_exhaustion_reported_as_indeterminate(monkeypatch):
     import dgdim.scenario as scenario_module
 

@@ -44,6 +44,7 @@ from dgdim.dg import (
     hom_semifree_into_dg,
     koszul_dg_module,
     multiplication_map,
+    reduce_to_h0,
     residue_dg_module,
     semifree_resolution,
     shift_dg,
@@ -189,9 +190,8 @@ def test_cone_shifts_and_signs():
 def test_resolution_of_k_over_polynomial_ring():
     R = make_graded_ring("Q", ["x", "y"], [])
     k = GradedModule.cyclic(R, [R.parse("x"), R.parse("y")])
-    cert = minimal_free_resolution_module(k, cutoff=6)
-    assert cert.terminated
-    F = cert.complex
+    F = minimal_free_resolution_module(k, cutoff=6)
+    assert F.known_lo is None
     assert F.support() == [-2, -1, 0]
     assert F.cover(0).degrees == (0,)
     assert tuple(sorted(F.cover(-1).degrees)) == (1, 1)
@@ -209,9 +209,7 @@ def test_resolution_of_k_over_polynomial_ring():
 def test_resolution_of_k_over_dual_numbers_is_periodic():
     R = make_graded_ring("Q", ["x"], ["x^2"])
     k = GradedModule.cyclic(R, [R.parse("x")])
-    cert = minimal_free_resolution_module(k, cutoff=5)
-    assert not cert.terminated
-    F = cert.complex
+    F = minimal_free_resolution_module(k, cutoff=5)
     assert F.support() == [-6, -5, -4, -3, -2, -1, 0]
     for i in range(0, 7):
         assert F.cover(-i).degrees == (i,)
@@ -224,10 +222,10 @@ def test_resolution_of_free_module_is_itself():
     R = make_graded_ring("Q", ["x", "y"], ["x^2"])
     free = GradedFreeModule(R, (0, 3))
     M = GradedModule(GradedMatrix.zero(free, GradedFreeModule(R, ())))
-    cert = minimal_free_resolution_module(M, cutoff=3)
-    assert cert.terminated
-    assert cert.complex.support() == [0]
-    assert cert.complex.cover(0).degrees == (0, 3)
+    F = minimal_free_resolution_module(M, cutoff=3)
+    assert F.known_lo is None
+    assert F.support() == [0]
+    assert F.cover(0).degrees == (0, 3)
 
 
 def test_betti_numbers_do_not_depend_on_presentation():
@@ -241,8 +239,10 @@ def test_betti_numbers_do_not_depend_on_presentation():
             tgt, [1, 2, 3], [{0: R.parse("x")}, {0: R.parse("x*y")}, {0: R.parse("x*y^2")}]
         )
     )
-    b1 = minimal_free_resolution_module(lean, cutoff=4).betti
-    b2 = minimal_free_resolution_module(fat, cutoff=4).betti
+    b1, b2 = (
+        {i: F.cover(i).degrees for i in F.support()}
+        for F in (minimal_free_resolution_module(N, cutoff=4) for N in (lean, fat))
+    )
     assert b1 == b2 == {0: (0,), -1: (1,)}
 
 
@@ -280,7 +280,7 @@ def test_hom_from_ring_is_identity():
     A = build_ring_dg(R)
     C = cone_dg(multiplication_map(free_dg_module(A, [(0, 1)]), R.parse("x")))
     U = C.underlying()
-    H = hom_semifree_into_dg(free_dg_module(A, [(0, 0)]), C)
+    H = hom_semifree_into_dg(semifree_resolution(free_dg_module(A, [(0, 0)])), C)
     assert H.support() == U.support()
     for i in U.support():
         assert H.cover(i).degrees == U.cover(i).degrees
@@ -292,7 +292,8 @@ def test_hom_of_koszul_into_ring():
     R = make_graded_ring("Q", ["x", "y"], [])
     A = build_ring_dg(R)
     H = hom_semifree_into_dg(
-        koszul_dg_module(A, [R.parse("x")]), free_dg_module(A, [(0, 0)])
+        semifree_resolution(koszul_dg_module(A, [R.parse("x")])),
+        free_dg_module(A, [(0, 0)]),
     )
     assert H.support() == [0, 1]
     assert H.cover(1).degrees == (-1,)
@@ -482,7 +483,7 @@ def test_cone_long_exact_sequence_rank_bookkeeping():
 def tor(M, extra, cutoff):
     """The complex whose H^{-n} is Tor_n(M, R/(extra)): the minimal free
     resolution of M, base changed to R/(extra)."""
-    return base_change(minimal_free_resolution_module(M, cutoff).complex, extra)
+    return base_change(minimal_free_resolution_module(M, cutoff), extra)
 
 
 def ext(M, extra, cutoff):
@@ -556,7 +557,7 @@ def test_dual_and_base_change_keep_entries_and_flip_the_window():
     -(-1)^n and puts the window's lower end, negated, at its top."""
     R = make_graded_ring("Q", ["x", "y"], ["x^2"])
     x, y = R.variables()
-    F = minimal_free_resolution_module(GradedModule.cyclic(R, [x, y]), 2).complex
+    F = minimal_free_resolution_module(GradedModule.cyclic(R, [x, y]), 2)
     T = base_change(F, [y])
     assert base_change(F, []).ring is R and T.ring is R.quotient([y])
     assert (T.known_lo, T.known_hi) == (F.known_lo, None) == (-3, None)
@@ -607,22 +608,18 @@ def test_tables_refuse_degrees_past_a_truncated_resolution():
 
 def test_truncated_complex_refuses_uncertified_degrees():
     # k over the dual numbers, resolved by a semifree tower cut off after
-    # three steps: the cut leaves cohomology at the bottom degree, and only
-    # H^0 = k survives inside the certified range
+    # three steps: the cut leaves cohomology at the bottom degree, which
+    # the resolution's window excludes, and only H^0 = k survives inside
+    # it; the reduction to H^0 takes the window from the resolution
     R = make_graded_ring("Q", ["x"], ["x^2"])
-    M = semifree_resolution(residue_dg_module(build_ring_dg(R)), window_lo=-2).sf
-    assert M.known_lo == min(M.support()) == -3
-    assert not M.underlying().cohomology_vanishes(M.known_lo)
-    assert M.cohomology_support() == [0]
-
-
-def test_shift_moves_certified_window():
-    R = make_graded_ring("Q", ["x"], ["x^2"])
-    M = semifree_resolution(residue_dg_module(build_ring_dg(R)), window_lo=-1).sf
-    assert M.known_lo is not None
-    S = shift_dg(M, 3)
-    assert S.known_lo == M.known_lo - 3
-    assert S.support() == [i - 3 for i in M.support()]
+    res = semifree_resolution(residue_dg_module(build_ring_dg(R)), window_lo=-2)
+    assert not res.terminated and res.pending is not None
+    assert res.known_lo == min(res.sf.support()) == -3
+    assert res.sf.cohomology_support() == [res.known_lo, 0]
+    assert [i for i in res.sf.cohomology_support() if i > res.known_lo] == [0]
+    F = reduce_to_h0(res)
+    assert F.known_lo == res.known_lo
+    assert not F._trust(res.known_lo) and F._trust(res.known_lo + 1)
 
 
 # ---------- complexes of presented modules ----------
@@ -645,7 +642,7 @@ def base_changed_cases(field):
     free complexes over the quotient rings."""
     R = golod_ring(field)
     x, y = R.variables()
-    F = minimal_free_resolution_module(GradedModule.cyclic(R, [x, y]), 3).complex
+    F = minimal_free_resolution_module(GradedModule.cyclic(R, [x, y]), 3)
     for extra in ([y], [x, y]):
         T = base_change(F, extra)
         yield T
@@ -657,9 +654,9 @@ def h0_cyclic_hom_cases(field):
     modules R/(y) and k: complexes with relations."""
     A = build_ring_dg(golod_ring(field))
     x, y = A.base.variables()
-    SF = semifree_resolution(residue_dg_module(A), window_lo=-3).sf
+    res = semifree_resolution(residue_dg_module(A), window_lo=-3)
     for extra in ([y], [x, y]):
-        yield hom_semifree_into_dg(SF, h0_cyclic_dg_module(A, extra))
+        yield hom_semifree_into_dg(res, h0_cyclic_dg_module(A, extra))
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -692,9 +689,9 @@ def test_dg_module_underlying_matches_oracle(field):
 @pytest.mark.parametrize("field", FIELDS)
 def test_hom_semifree_matches_oracle(field):
     for A in (build_ring_dg(golod_ring(field)), koszul_ring(field)):
-        SF = semifree_resolution(residue_dg_module(A), window_lo=-2).sf
+        res = semifree_resolution(residue_dg_module(A), window_lo=-2)
         for M in (residue_dg_module(A), free_dg_module(A, [(0, 0)])):
-            C = hom_semifree_into_dg(SF, M)
+            C = hom_semifree_into_dg(res, M)
             C.validate()
             assert_h_matches_oracle(C, trusted_degrees(C), range(-4, 3))
 
@@ -796,9 +793,9 @@ def vanishing_cases(field):
     for C in h0_cyclic_hom_cases(field):
         yield C, C
     for A in (build_ring_dg(golod_ring(field)), koszul_ring(field)):
-        SF = semifree_resolution(residue_dg_module(A), window_lo=-2).sf
+        res = semifree_resolution(residue_dg_module(A), window_lo=-2)
         for _, T in amplitude_zero_test_family(A):
-            C = hom_semifree_into_dg(SF, T)
+            C = hom_semifree_into_dg(res, T)
             yield C, C
 
 

@@ -362,7 +362,8 @@ def test_bass_numbers_need_no_termination_certificate(monkeypatch, field):
         out = certify_termination(res)
         if res.pending is not None:
             outcomes.add(out.terminated)
-            assert out.sf.known_lo is (None if out.terminated else res.sf.known_lo)
+            assert out.known_lo is (None if out.terminated else res.known_lo)
+            assert out.sf is res.sf
         return out
 
     monkeypatch.setattr(dimensions_module, "semifree_resolution", certified)

@@ -14,7 +14,6 @@ import sys
 
 import pytest
 
-from dgdim.complexes import ResolutionCertificate
 from dgdim.dimensions import (
     DepthReport,
     DimensionReport,
@@ -49,9 +48,8 @@ FIELDS = {
                        "hh0_matches"],
     CheckResult: ["check_id", "claim", "outcome", "details", "reproduce"],
     VerificationReport: ["title", "options", "results", "wall_time"],
-    ResolutionCertificate: ["complex", "terminated", "betti"],
     Scenario: ["label", "raw", "options", "rings", "dg_rings", "modules",
-               "queries", "deps"],
+               "queries"],
 }
 
 
@@ -82,10 +80,9 @@ def test_defaults_are_the_declared_values():
     assert (check.details, check.reproduce) == ({}, None)
     report = VerificationReport("title")
     assert (report.options, report.results, report.wall_time) == ({}, [], 0.0)
-    assert ResolutionCertificate(None, True).betti == {}
     scen = Scenario("label", {}, {})
-    assert [scen.rings, scen.dg_rings, scen.modules, scen.queries, scen.deps] == [
-        {}, {}, {}, [], {}]
+    assert [scen.rings, scen.dg_rings, scen.modules, scen.queries] == [
+        {}, {}, {}, []]
 
 
 def _containers(record, make):
@@ -100,9 +97,8 @@ def _containers(record, make):
     (FinitisticReport, FinitisticReport, ["witnesses"]),
     (CheckResult, lambda: CheckResult("id", "claim", PASS), ["details"]),
     (VerificationReport, lambda: VerificationReport("t"), ["options", "results"]),
-    (ResolutionCertificate, lambda: ResolutionCertificate(None, True), ["betti"]),
     (Scenario, lambda: Scenario("label", None, None),
-     ["rings", "dg_rings", "modules", "queries", "deps"]),
+     ["rings", "dg_rings", "modules", "queries"]),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else "")
 def test_every_instance_gets_its_own_default_containers(record, make, names):
     found = _containers(record, make)
