@@ -162,7 +162,9 @@ def direct_ext_projdim(M: DGModule) -> Optional[int]:
     each amplitude-zero test module, and take the top nonvanishing degree.
     Each Hom complex is scanned from its top down to the first nonzero
     degree, and never at or below the best degree found so far.  Returns
-    None when nothing survives (the acyclic case)."""
+    None when nothing survives (the acyclic case).  It runs on
+    M.over_model(), with the test modules of that module's ring."""
+    M = M.over_model()
     A = M.A
     res = semifree_resolution(M)
     best: Optional[int] = None

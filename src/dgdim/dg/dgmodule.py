@@ -29,6 +29,14 @@ first nonzero degree; cohomology_support tests every degree.  A DG-module
 carries no trust window: only a cut-off semifree resolution does (see
 tower.py), and the readers of a resolution take the window from it.
 
+A module whose generators are all free is semifree (the differential only
+raises the generator degree, A being non-positive), so along the
+regular-element model A -> A' of dgring.py its derived base change is
+A' (x)_A M: the same generators, each differential entry pushed along the
+symbol map.  over_model builds it once; inf_h and sup_h, and the dimension
+queries, scan it in place of M.  Whatever reads M's own slots (cohomology
+representatives, the tower, Hom into M) stays on M.
+
 Hom out of a semifree module is the underlying complex of a DG-module.
 Let SF have free generators e_j (cohdeg a_j, twist s_j, parity sigma_j)
 and M generators g_i (cohdeg c_i, twist t_i, parity tau_i).  A map of
@@ -137,6 +145,7 @@ class DGModule:
         self.label = label
         self._slots_by_deg: Optional[Dict[int, List[Slot]]] = None
         self._underlying: Optional[PresentedComplex] = None
+        self._over_model: Optional["DGModule"] = None
         if check:
             self._check_shape()
             u = self.underlying()
@@ -308,6 +317,28 @@ class DGModule:
         self._underlying = PresentedComplex(R, covers, diffs, rels)
         return self._underlying
 
+    # -- the regular-element model -----------------------------------------
+
+    def over_model(self) -> "DGModule":
+        """A' (x)_A M over the model (A', phi) = A.regular_model() when every
+        generator of M is free, else M itself; memoized on M."""
+        if self._over_model is None:
+            model = self.A.regular_model()
+            if model is None or any(g.kind != "free" for g in self.gens):
+                self._over_model = self
+            else:
+                B, phi = model
+                diff = {
+                    j: {
+                        i: AElem(B, {phi[s]: p for s, p in a.coeffs.items() if s in phi})
+                        for i, a in row.items()
+                    }
+                    for j, row in self.diff.items()
+                }
+                self._over_model = DGModule(B, self.gens, diff, check=False,
+                                            label=self.label)
+        return self._over_model
+
     # -- cohomology ---------------------------------------------------------
 
     def cohomology(self, i: int) -> CohomologyData:
@@ -327,16 +358,18 @@ class DGModule:
         return [i for i in self._scan_range() if not self.cohomology_vanishes(i)]
 
     def sup_h(self) -> Optional[int]:
-        """Top nonzero degree, scanning down to the first one."""
+        """Top nonzero degree, scanning the model down to the first one."""
+        M = self.over_model()
         return next(
-            (i for i in reversed(self._scan_range()) if not self.cohomology_vanishes(i)),
+            (i for i in reversed(M._scan_range()) if not M.cohomology_vanishes(i)),
             None,
         )
 
     def inf_h(self) -> Optional[int]:
-        """Bottom nonzero degree, scanning up to the first one."""
+        """Bottom nonzero degree, scanning the model up to the first one."""
+        M = self.over_model()
         return next(
-            (i for i in self._scan_range() if not self.cohomology_vanishes(i)),
+            (i for i in M._scan_range() if not M.cohomology_vanishes(i)),
             None,
         )
 
@@ -503,15 +536,13 @@ def multiplication_map(M: DGModule, a: Poly) -> DGMap:
 
     a sits in cohomological degree zero and is central, so the diagonal
     coefficients commute with the differential on the nose; the source is
-    twisted to make every entry homogeneous."""
-    deg = 0 if a.is_zero() else a.degree()
-    src = twist_dg(M, -deg)
-    entries: Dict[int, Dict[int, AElem]] = {}
-    if not a.is_zero():
-        # one element for every entry: nothing mutates an AElem's coeffs
-        elem = M.A.from_base(a)
-        for j in range(len(M.gens)):
-            entries[j] = {j: elem}
+    twisted to make every entry homogeneous.  The twist is the degree of a
+    as given, so an a that reduces to zero keeps it; a is normalized once,
+    into the one element every entry shares (nothing mutates an AElem's
+    coeffs)."""
+    src = twist_dg(M, -(a.degree() or 0))
+    elem = M.A.from_base(a)
+    entries = {j: {j: elem} for j in range(len(M.gens))} if elem else {}
     return DGMap(src, M, entries)
 
 
@@ -521,10 +552,11 @@ def koszul_dg_module(A: DGRing, elements: Sequence, check: bool = True) -> DGMod
     With no elements this is the free module of rank one; each further
     element a replaces M by cone(M(-|a|) --a--> M), the same as tensoring
     with the two-term complex A --a--> A.  Zero entries are allowed and
-    contribute a split shifted copy."""
+    contribute a split shifted copy.  An element given as a string is
+    parsed in the ambient polynomial ring, so one that reduces to zero keeps
+    its degree (see multiplication_map)."""
     M = free_dg_module(A, [(0, 0)])
     for a in elements:
-        p = a if isinstance(a, Poly) else A.base.parse(str(a))
-        p = A.base.normal_form(p)
+        p = a if isinstance(a, Poly) else A.base.ambient.parse(str(a))
         M = cone_dg(multiplication_map(M, p), check=check)
     return M

@@ -28,7 +28,25 @@ d_table is normalized into the target slots once, when the ring is built.
 DG-rings, like their base rings, are immutable once built; the derived
 invariants memoized on a DGRing (its amplitude, sequential depth and
 Gorenstein test, the resolutions of its residue field, the DG-ring of its
-H^0, the normal forms of its modules' slot relations) rely on that.
+H^0, the normal forms of its modules' slot relations, its regular-element
+model) rely on that.
+
+The regular-element model.  Let f be regular on the base R.  Then
+K(R; f) -> R/(f) is a quasi-isomorphism of DG-rings, and tensoring it with
+the bounded free complex K(R; g_1..g_m) keeps it one, so
+
+    K(R; f, g_1..g_m) -> K(R/(f); g_1..g_m)
+
+is a quasi-isomorphism (Bruns-Herzog, Cohen-Macaulay Rings, 1.6).  It
+sends an exterior symbol that avoids f to the model's symbol on the same
+elements, with sign +, and every other symbol to zero.  A quasi-isomorphism
+of DG-rings induces an equivalence of derived categories that keeps the
+cohomology and its internal grading, so every derived invariant (proj, flat
+and injective dimension, amplitude, sequential depth, the FPD interval) can
+be computed on the model, which has half the exterior basis.  Over a
+polynomial base every nonzero element is regular, so the model eliminates
+the first nonzero element there; over a quotient base no element is
+eliminated, since that needs a regularity test.
 """
 from __future__ import annotations
 
@@ -71,12 +89,14 @@ class DGRing:
         self.d_table = {s: AElem(self, v).coeffs for s, v in d_table.items()}
         # memos of dimensions.py: ring_amplitude(A), sequential_depth(A),
         # is_gorenstein(A), and the residue-field resolution of bass_numbers
-        # by window floor; of finitistic.py: the DG-ring of H^0(A)
+        # by window floor; of finitistic.py: the DG-ring of H^0(A); of
+        # regular_model: (model, symbol map), False when there is none
         self._amplitude = None
         self._depth = None
         self._gorenstein = None
         self._residue_resolutions: dict = {}
         self._h0_dg: Optional["DGRing"] = None
+        self._model = None
         # memo of dgmodule.py: the nonzero normal forms of the relations of
         # a free slot (by symbol) and of an h0 slot (by generator relations)
         self._normal_slot_relations: Dict[object, Tuple[Poly, ...]] = {}
@@ -101,6 +121,19 @@ class DGRing:
 
     def from_base(self, p: Poly) -> "AElem":
         return AElem(self, {self.unit: p})
+
+    def regular_model(self) -> Optional[Tuple["DGRing", Dict[str, str]]]:
+        """(A', phi) for a Koszul DG-ring over a polynomial base with a
+        nonzero element: A' eliminates the first nonzero element (see the
+        module docstring), and phi maps each symbol of A that survives to
+        its symbol of A' (the others go to zero).  None for every other
+        DG-ring, at the cost of one comparison when A is not Koszul.
+        Built once and memoized on A."""
+        if self.kind != "koszul":
+            return None
+        if self._model is None:
+            self._model = _koszul_model(self) or False
+        return self._model or None
 
     def mul_basis(self, a: str, b: str) -> Optional[Tuple[str, int]]:
         return self.mul_table.get((a, b))
@@ -305,18 +338,20 @@ def _subset_symbol(S: Tuple[int, ...]) -> str:
     return "e{%s}" % ",".join(str(i) for i in S)
 
 
-def build_koszul_dg(base: GradedRing, elements: Sequence[Poly]) -> DGRing:
+def build_koszul_dg(base: GradedRing, elements: Sequence) -> DGRing:
     """Koszul complex K(base; a_1..a_l) as a DG-ring.
 
     Each a_i must be homogeneous of positive degree (so H^0 is again a
-    connected graded quotient).
+    connected graded quotient).  Its internal degree is read off it as
+    given, a string parsed in the ambient polynomial ring, before it is
+    reduced into the base: an element that reduces to zero keeps its
+    degree, and only a literal 0 gets twist 0.
     """
-    polys = [base.parse(p) if isinstance(p, str) else p for p in elements]
-    elems = [base.normal_form(p) for p in polys]
-    for p in elems:
-        if p.is_zero():
-            continue
-        if p.degree() is None or p.degree() <= 0:
+    given = [base.ambient.parse(p) if isinstance(p, str) else p for p in elements]
+    degs = [p.degree() or 0 for p in given]
+    elems = [base.normal_form(p) for p in given]
+    for p, d in zip(elems, degs):
+        if p and d <= 0:
             raise ValueError("Koszul elements must be homogeneous of positive degree")
     l = len(elems)
     subsets: List[Tuple[int, ...]] = []
@@ -327,9 +362,7 @@ def build_koszul_dg(base: GradedRing, elements: Sequence[Poly]) -> DGRing:
     basis = [_subset_symbol(S) for S in subsets]
     by_sym = {_subset_symbol(S): S for S in subsets}
     cohdeg = {_subset_symbol(S): -len(S) for S in subsets}
-    twist = {
-        _subset_symbol(S): sum(elems[i].degree() or 0 for i in S) for S in subsets
-    }
+    twist = {_subset_symbol(S): sum(degs[i] for i in S) for S in subsets}
     mul_table: Dict[Tuple[str, str], Tuple[str, int]] = {}
     for S in subsets:
         for T in subsets:
@@ -369,6 +402,27 @@ def build_koszul_dg(base: GradedRing, elements: Sequence[Poly]) -> DGRing:
         elems,
         label="K(%s)" % ", ".join(str(p) for p in elems),
     )
+
+
+def _koszul_model(A: DGRing) -> Optional[Tuple[DGRing, Dict[str, str]]]:
+    """The model K(R/(f); g_1..g_m) of A = K(R; .., f, g_1..g_m) over a
+    polynomial ring R, f the first nonzero element, and the symbol map.
+    The g_i are A's elements as built, so each keeps its internal degree
+    when it reduces to zero modulo f.  None over a quotient base or when
+    every element is zero."""
+    elems = A.h0_extra
+    first = next((i for i, p in enumerate(elems) if p), None)
+    if A.base.gb or first is None:
+        return None
+    rest = [i for i in range(len(elems)) if i != first]
+    model = build_koszul_dg(
+        A.base.quotient([elems[first]]), [elems[i] for i in rest]
+    )
+    phi: Dict[str, str] = {}
+    for mask in range(1 << len(rest)):
+        T = tuple(j for j in range(len(rest)) if mask >> j & 1)
+        phi[_subset_symbol(tuple(rest[j] for j in T))] = _subset_symbol(T)
+    return model, phi
 
 
 def build_trivial_extension(

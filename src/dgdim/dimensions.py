@@ -19,6 +19,10 @@ residue field sits in internal degree zero.  Over a product ring the
 dimension queries work one factor at a time and take the maximum, as
 localization at the idempotents says; depth, regular sequences, local
 cohomology and the Gorenstein test need a connected DG-ring.
+
+The dimension queries and the depth search run on DGModule.over_model,
+the regular-element model of dgring.py, which keeps every answer; the
+reports still name A, its pool and its witnesses.
 """
 from __future__ import annotations
 
@@ -182,6 +186,7 @@ def proj_dim(M: AnyModule) -> DimensionReport:
     """
     if isinstance(M, ProductDGModule):
         return _combine_parts("proj", [proj_dim(p) for p in M.parts])
+    M = M.over_model()
     A = M.A
     infM = M.inf_h()
     if infM is None:
@@ -252,6 +257,7 @@ def flat_dim(M: AnyModule) -> DimensionReport:
     """
     if isinstance(M, ProductDGModule):
         return _combine_parts("flat", [flat_dim(p) for p in M.parts])
+    M = M.over_model()
     A = M.A
     infM = M.inf_h()
     if infM is None:
@@ -348,6 +354,7 @@ def inj_dim(M: AnyModule) -> DimensionReport:
     """
     if isinstance(M, ProductDGModule):
         return _combine_parts("inj", [inj_dim(p) for p in M.parts])
+    M = M.over_model()
     A = M.A
     infM = M.inf_h()
     supM = M.sup_h()
@@ -543,7 +550,9 @@ def sequential_depth(X: Union[AnyRing, DGModule]) -> DepthReport:
         return False
 
     if cap > 0 and target is not None:
-        dfs([], M)
+        # the search runs on the model, through A's pool: each cone's
+        # multiplication map reduces the element into the model's base
+        dfs([], M.over_model())
     value = len(best)
     if value > A.dimension():
         raise AssertionError("depth exceeded dim H^0, which cannot happen")

@@ -328,7 +328,9 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
             elif kind == "cone-mult":
                 of = _need(decl, "of", what)
                 M = _not_product(_module_ref(scn, of, what), what)
-                a = M.A.base.parse(str(_need(decl, "element", what)))
+                # parsed unreduced, so an element that is zero in the base
+                # keeps its degree
+                a = M.A.base.ambient.parse(str(_need(decl, "element", what)))
                 scn.modules[name] = cone_dg(multiplication_map(M, a))
             elif kind == "sum":
                 of = _need(decl, "of", what)
