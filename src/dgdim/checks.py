@@ -176,7 +176,9 @@ def _check_fpd_collapses(opts) -> Tuple[bool, dict]:
 def _corpus_sweep(field: str, seed: int) -> dict:
     """One pass over the seeded 50-module corpus; records violations of the
     global bound through dim H0 - inf and, over the connected rings, of the
-    depth-sensitive bound, in separate lists.
+    depth-sensitive bound, in separate lists.  A module whose flat and
+    projective dimensions differ is a global violation too: the two are
+    computed apart, by Tor against k and by pruning, and must agree.
 
     Memoized for the last (field, seed): the two bound checks run back to
     back and read the same sweep, so they copy what they report."""
@@ -203,6 +205,11 @@ def _corpus_sweep(field: str, seed: int) -> dict:
             bad_global.append({"module": n, "reason": "dimension not finite"})
             continue
         checked += 1
+        if fd.value != pd.value:
+            bad_global.append(
+                {"module": n, "reason": "flat and projective dimensions differ",
+                 "flatdim": fd.value, "projdim": pd.value}
+            )
         cap = A.dimension() - inf
         slack = cap - pd.value
         if slack < 0:

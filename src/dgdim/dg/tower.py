@@ -37,11 +37,10 @@ numbers) never pays for it.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..complexes import PresentedComplex
 from ..core.freemod import GradedFreeModule, GradedMatrix
-from ..core.poly import Poly
 from .dgring import AElem
 from .dgmodule import (
     DGMap,
@@ -207,25 +206,17 @@ def semifree_resolution(
     return SemifreeResolution(sf, stages, floor_now - k, (N, floor_now))
 
 
-def reduce_to_h0(
-    res: SemifreeResolution, extra_relations: Sequence[Poly] = ()
-) -> PresentedComplex:
-    """(H^0(A)/extra) tensor_A SF for the semifree SF = res.sf: the free
-    complex over that quotient ring on the generators, differential the
-    unit-slot coefficients of the glue, with the window of res.  With no
-    extra relations the ring is H^0(A) itself: quotients are memoized, so
-    it is the object h0_ring() returns."""
+def reduce_to_h0(res: SemifreeResolution) -> PresentedComplex:
+    """H^0(A) tensor_A SF for the semifree SF = res.sf: the free complex over
+    H^0(A) on the generators, differential the unit-slot coefficients of the
+    glue, with the window of res.  complexes.base_change takes it on to a
+    quotient of H^0(A)."""
     SF = res.sf
     A = SF.A
     for g in SF.gens:
         if g.kind != "free":
             raise ValueError("reduction needs a semifree module")
-    rels = list(A.h0_extra)
-    for p in extra_relations:
-        q = A.base.normal_form(p)
-        if not q.is_zero():
-            rels.append(q)
-    ring = A.base.quotient(rels)
+    ring = A.h0_ring()
     by_deg: Dict[int, List[int]] = {}
     for j, g in enumerate(SF.gens):
         by_deg.setdefault(g.cohdeg, []).append(j)

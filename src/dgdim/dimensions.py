@@ -1,7 +1,7 @@
 """Derived homological dimensions of DG-modules.
 
 Everything here reduces to two computable functors: the reduction
-(H^0(A)/I) (x)_A -, with I zero or a test ideal, and derived Hom from (a
+(H^0(A)/I) (x)_A -, with I zero or the maximal ideal, and derived Hom from (a
 semifree replacement of) the residue field.  Finite
 answers come with the pruned table that exhibits them; infinite answers
 come with the bound rule that certifies them, since a finite value would
@@ -26,11 +26,11 @@ reports still name A, its pool and its witnesses.
 """
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .complexes import (
     PresentedComplex,
+    base_change,
     cohomology_data,
     dual_complex,
     prune_complex,
@@ -175,6 +175,22 @@ def _betti_table(F: PresentedComplex) -> Dict[str, List[int]]:
 # ---------- projective dimension ----------
 
 
+def _capped_resolution(
+    M: DGModule,
+) -> Optional[Tuple[int, int, SemifreeResolution]]:
+    """(cap, floor, res), or None for an acyclic M.  A finite projective or
+    flat dimension is at most cap = dim H^0(A) - inf(M), so res, the
+    resolution of M over its model, is windowed at floor = -(cap + 2) and
+    has its termination certified."""
+    M = M.over_model()
+    infM = M.inf_h()
+    if infM is None:
+        return None
+    cap = M.A.dimension() - infM
+    floor = -(cap + 2)
+    return cap, floor, certify_termination(semifree_resolution(M, window_lo=floor))
+
+
 def proj_dim(M: AnyModule) -> DimensionReport:
     """Projective dimension, read off the minimal reduction.
 
@@ -186,15 +202,11 @@ def proj_dim(M: AnyModule) -> DimensionReport:
     """
     if isinstance(M, ProductDGModule):
         return _combine_parts("proj", [proj_dim(p) for p in M.parts])
-    M = M.over_model()
-    A = M.A
-    infM = M.inf_h()
-    if infM is None:
+    capped = _capped_resolution(M)
+    if capped is None:
         return DimensionReport("proj", None, acyclic=True,
                                reduction="module is acyclic")
-    cap = A.dimension() - infM
-    floor = -(cap + 2)
-    res = certify_termination(semifree_resolution(M, window_lo=floor))
+    cap, floor, res = capped
     F = prune_complex(reduce_to_h0(res))
     trace = "semifree tower (%d stages), reduction to H^0, pruned" % len(
         res.stages
@@ -235,63 +247,42 @@ def proj_dim(M: AnyModule) -> DimensionReport:
 # ---------- flat dimension ----------
 
 
-def test_ideal_family(A: DGRing) -> List[Tuple[str, List[Poly]]]:
-    """Quotients of H^0(A) by variable subsets: the finite test family for
-    Tor computations (the full subset is the residue field)."""
-    out: List[Tuple[str, List[Poly]]] = []
-    vars_ = A.base.variables()
-    for r in range(len(vars_) + 1):
-        for S in combinations(range(len(vars_)), r):
-            gens = [vars_[i] for i in S]
-            label = "H0/(%s)" % ",".join(str(g) for g in gens)
-            out.append((label, gens))
-    return out
-
-
 def flat_dim(M: AnyModule) -> DimensionReport:
-    """Flat dimension via Tor against the variable-subset quotients.
+    """Flat dimension via Tor against the residue field k: the cohomology
+    of k tensor F, for F the unpruned reduction of the resolution.
 
-    For finitely generated cohomology this agrees with proj_dim, and the
-    infinite case is certified the same way; the point of the separate
-    computation is that the Tor tables are their own witness.
+    On the minimal complex behind proj_dim, k tensor F has zero
+    differential and F/IF vanishes below its lowest component for every
+    ideal I, so no cyclic test module has deeper Tor than k and the value
+    is proj_dim's; the two are computed apart, by base change here and by
+    pruning there.  The infinite case is certified by the same bound.
     """
     if isinstance(M, ProductDGModule):
         return _combine_parts("flat", [flat_dim(p) for p in M.parts])
-    M = M.over_model()
-    A = M.A
-    infM = M.inf_h()
-    if infM is None:
+    capped = _capped_resolution(M)
+    if capped is None:
         return DimensionReport("flat", None, acyclic=True,
                                reduction="module is acyclic")
-    cap = A.dimension() - infM
-    floor = -(cap + 2)
-    res = certify_termination(semifree_resolution(M, window_lo=floor))
-    tor_tables: Dict[str, Dict[str, List[int]]] = {}
-    deepest: Optional[int] = None
-    for label, gens in test_ideal_family(A):
-        F = reduce_to_h0(res, gens)
-        table: Dict[str, List[int]] = {}
-        lo = min(F.support(), default=0)
-        hi = max(F.support(), default=0)
-        for c in range(lo, hi + 1):
-            if not trusted_degree(c, F.known_lo):
-                continue
-            data = cohomology_data(F, c)
+    cap, floor, res = capped
+    gens = res.sf.A.base.variables()
+    T = base_change(reduce_to_h0(res), gens)
+    table: Dict[str, List[int]] = {}
+    for c in T.support():
+        if trusted_degree(c, T.known_lo):
+            data = cohomology_data(T, c)
             if not data.is_zero():
                 table[str(c)] = list(data.generator_degrees)
-                if deepest is None or c < deepest:
-                    deepest = c
-        tor_tables[label] = table
-    trace = "semifree tower (%d stages), tensor against %d test quotients" % (
-        len(res.stages), len(tor_tables)
+    tor_tables = {"H0/(%s)" % ",".join(str(g) for g in gens): table}
+    trace = "semifree tower (%d stages), tensor against the residue field" % len(
+        res.stages
     )
     if res.terminated:
-        if deepest is None:
+        if not table:
             return DimensionReport("flat", None, acyclic=True,
                                    cutoff=floor, reduction=trace)
         return DimensionReport(
             "flat",
-            -deepest,
+            -min(map(int, table)),
             cutoff=floor,
             certificate={"tor": tor_tables},
             reduction=trace,

@@ -768,7 +768,9 @@ def test_verify_work_counts(monkeypatch, capsys):
     regular-element model of the two Koszul fixtures, it built 30 ideal
     Groebner bases (the model's base rings, quotients by x, add three; the
     test quotients of H^0, fewer on the model, save two) and 333 module
-    Groebner bases."""
+    Groebner bases.  Before flat_dim took Tor against the residue field
+    alone, in place of every variable-subset quotient of H^0, it built 31
+    ideal Groebner bases and 279 module Groebner bases."""
     import dgdim.core.syz as syz_module
     from dgdim.core.module import minimal_presentation
     from dgdim.core.ring import groebner_basis
@@ -790,11 +792,11 @@ def test_verify_work_counts(monkeypatch, capsys):
     assert main(["verify", "--seed", "0", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
     assert counts == {
-        "groebner_basis": 31,
+        "groebner_basis": 30,
         "semifree_resolution": 220,
         "flat_dim": 82,
         "minimal_presentation": 25,
-        "module GBs": 279,
+        "module GBs": 226,
     }
 
 
@@ -818,6 +820,36 @@ def test_filtered_bound_check_matches_the_full_suite(
            if r["outcome"] != "skipped"]
     assert [r["id"] for r in ran] == [check_id]
     assert ran == [r for r in full if r["id"] == check_id]
+
+
+def test_global_bound_check_reads_the_flat_dimension(monkeypatch):
+    """The corpus sweep compares flat_dim with proj_dim: a flat dimension
+    off by one on a single module is a global violation with its own
+    reason, and the check fails."""
+    from functools import lru_cache
+
+    import dgdim.checks as checks_module
+
+    inner = checks_module.flat_dim
+    calls = [0]
+
+    def off_by_one(M):
+        rep = inner(M)
+        calls[0] += 1
+        if calls[0] == 7:
+            rep.value += 1
+        return rep
+
+    monkeypatch.setattr(checks_module, "flat_dim", off_by_one)
+    # a fresh memo, so the sweep runs here and the shared one stays clean
+    monkeypatch.setattr(checks_module, "_corpus_sweep",
+                        lru_cache(maxsize=1)(checks_module._corpus_sweep.__wrapped__))
+    res = run_check("global-projdim-bound")
+    assert res.outcome == "fail"
+    (bad,) = res.details["violations"]
+    assert bad["module"] == 6
+    assert bad["reason"] == "flat and projective dimensions differ"
+    assert bad["flatdim"] == bad["projdim"] + 1
 
 
 def test_verify_builds_matrices_from_normal_forms_only(monkeypatch, capsys):

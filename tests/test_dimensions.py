@@ -6,6 +6,7 @@ cases were checked against the growth of the minimal resolutions.
 """
 import hashlib
 import json
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -14,8 +15,10 @@ from test_complexes import h_dim
 from dgdim import checks, corpus
 from dgdim.cli import main
 import dgdim.complexes as complexes_module
+from dgdim.complexes import base_change, cohomology_data, trusted_degree
 from dgdim.core import make_graded_ring
 from dgdim.dg import (
+    ProductDGModule,
     ProductDGRing,
     build_koszul_dg,
     build_ring_dg,
@@ -27,6 +30,7 @@ from dgdim.dg import (
     free_dg_module,
     koszul_dg_module,
     product_koszul_module,
+    reduce_to_h0,
     residue_dg_module,
     shift_dg,
 )
@@ -195,10 +199,111 @@ def test_flatdim_infinite_residue():
     assert not rep.finite
 
 
-def test_flatdim_bounded_by_projdim():
-    A = koszul_xy()
-    K = koszul_dg_module(A, ["y"])
-    assert flat_dim(K).value <= proj_dim(K).value
+def test_flatdim_equals_projdim():
+    """Flat and projective dimension agree, finite or infinite, on modules
+    over every fixture ring."""
+    modules = []
+    for A in (ring_xy(), koszul_xy(), koszul_xyz(), dual_numbers(), golod_xy()):
+        x = A.base.variables()[-1]
+        modules += [
+            ring_free_module(A),
+            residue_dg_module(A),
+            koszul_dg_module(A, [x]),
+            shift_dg(koszul_dg_module(A, [x, A.base.mul(x, x)]), 1),
+        ]
+    A = split_product()
+    modules += [factor_residue_module(A, 0), factor_residue_module(A, 1)]
+    for i, M in enumerate(modules):
+        assert flat_dim(M).to_json()["value"] == proj_dim(M).to_json()["value"], i
+
+
+def trusted_tor(T):
+    """Degree -> twists of the cohomology of T in its trusted degrees."""
+    table = {}
+    for c in T.support():
+        if trusted_degree(c, T.known_lo):
+            data = cohomology_data(T, c)
+            if not data.is_zero():
+                table[c] = sorted(data.generator_degrees)
+    return table
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_residue_field_is_the_deepest_test_quotient(field):
+    """The 2^e variable-subset quotients H^0/(S) as an oracle on the
+    seeded corpus: no Tor against H^0/(S) sits deeper than Tor against k,
+    and on a terminated resolution the Tor table against k is proj_dim's
+    Betti table, twist for twist."""
+    fams = corpus.standard_families(field)
+    compared = 0
+    for seed in range(3):
+        rng = Random(seed)
+        for n in range(50):
+            M = corpus.random_perfect_module(fams[n % 3], rng)
+            if isinstance(M, ProductDGModule):
+                continue
+            _, _, res = dimensions_module._capped_resolution(M)
+            F = reduce_to_h0(res)
+            gens = res.sf.A.base.variables()
+            residue = trusted_tor(base_change(F, gens))
+            deepest = min(residue)
+            for r in range(len(gens)):
+                for S in combinations(gens, r):
+                    tor = trusted_tor(base_change(F, list(S)))
+                    assert min(tor, default=deepest) >= deepest, (seed, n, S)
+            if res.terminated:
+                betti = proj_dim(M).certificate["betti"]
+                assert residue == {
+                    int(c): sorted(tw) for c, tw in betti.items()
+                }, (seed, n)
+                compared += 1
+    assert compared == 102
+
+
+def power_series(num, den, n):
+    """The first n coefficients of num/den, for coefficient lists with
+    den[0] == 1."""
+    out = []
+    for i in range(n):
+        a = num[i] if i < len(num) else 0
+        a -= sum(den[j] * out[i - j] for j in range(1, min(i, len(den) - 1) + 1))
+        out.append(a)
+    return out
+
+
+def poly_power(p, e):
+    out = [1]
+    for _ in range(e):
+        out = [
+            sum(out[j] * p[i - j] for j in range(len(out)) if 0 <= i - j < len(p))
+            for i in range(len(out) + len(p) - 1)
+        ]
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("names,rels,den", [
+    # complete intersections: Tate's series (1+t)^e / (1-t^2)^c
+    (["x", "y"], ["x^2"], poly_power([1, 0, -1], 1)),
+    (["x", "y"], ["x^2", "y^2"], poly_power([1, 0, -1], 2)),
+    (["x", "y"], ["x^2", "y^3"], poly_power([1, 0, -1], 2)),
+    (["x", "y", "z"], ["x^2", "y^2"], poly_power([1, 0, -1], 2)),
+    # Golod: (1+t)^2 / (1 - 2t^2 - t^3), from dim H_1 = 2 and dim H_2 = 1 of
+    # the Koszul complex
+    (["x", "y"], ["x^2", "x*y"], [1, 0, -2, -1]),
+])
+def test_residue_tor_follows_the_poincare_series(names, rels, den, field):
+    """The Betti numbers of k over k[x..]/J, read off the trusted degrees
+    of flat_dim's Tor table against k, are the coefficients of the closed
+    Poincare series (Tate 1957 for complete intersections, Golod's bound
+    attained for the Golod ring)."""
+    R = make_graded_ring(field, names, rels)
+    rep = flat_dim(residue_dg_module(build_ring_dg(R)))
+    (table,) = rep.certificate["tor-trusted"].values()
+    n = len(table)
+    assert n >= 3 and sorted(map(int, table)) == list(range(1 - n, 1))
+    betti = [len(table[str(-i)]) for i in range(n)]
+    assert betti == power_series(poly_power([1, 1], len(names)), den, n)
 
 
 # ---------- injective dimension and Bass numbers ----------
@@ -372,9 +477,26 @@ def test_bass_numbers_need_no_termination_certificate(monkeypatch, field):
     assert outcomes == {False}
 
 
-# Computed while semifree_resolution still ran the below-floor scan itself
-# on every windowed tower.
-SEEDED_DIMENSION_DIGEST = "0d19151eebeb8215"
+# Computed before flat_dim took Tor against the residue field alone, on
+# reports restricted as residue_tor_report does, so the change left them
+# alone.  The digest of the full reports, pinned while semifree_resolution
+# still ran the below-floor scan itself on every windowed tower, was
+# 0d19151eebeb8215; it hashed a Tor table for every variable-subset
+# quotient and each flat report's reduction trace.
+SEEDED_DIMENSION_DIGEST = "1a54a7bbaee89681"
+
+
+def residue_tor_report(rep):
+    """A flat report's JSON with its Tor tables cut down to the one against
+    the residue field, whose label names every variable and so is the
+    longest, and without its reduction trace."""
+    out = {k: v for k, v in rep.items() if k != "reduction-trace"}
+    cert = out["certificate"] = dict(rep["certificate"])
+    for key in ("tor", "tor-trusted"):
+        if key in cert:
+            label = max(cert[key], key=len)
+            cert[key] = {label: cert[key][label]}
+    return out
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -382,10 +504,10 @@ def test_proj_and_flat_reports_on_the_seeded_corpus_are_pinned(monkeypatch, fiel
     """proj_dim and flat_dim certify their towers' termination: their
     reports over the 50 seeded corpus modules, the amplitude-zero test
     modules of the connected families, finite and infinite, and k over
-    Koszul rings on regular sequences hash to the digest pinned before the
-    scan moved into certify_termination.  The last ones are finished
-    towers whose cocones keep slots below the floor, so the scan settles
-    towers both ways here."""
+    Koszul rings on regular sequences hash to the digest pinned before
+    flat_dim dropped its variable-subset quotients.  The last ones are
+    finished towers whose cocones keep slots below the floor, so the scan
+    settles towers both ways here."""
     inner = dimensions_module.certify_termination
     outcomes = set()
 
@@ -395,22 +517,23 @@ def test_proj_and_flat_reports_on_the_seeded_corpus_are_pinned(monkeypatch, fiel
             outcomes.add(out.terminated)
         return out
 
+    def both(M):
+        return [proj_dim(M).to_json(), residue_tor_report(flat_dim(M).to_json())]
+
     monkeypatch.setattr(dimensions_module, "certify_termination", recorded)
     fams = corpus.standard_families(field)
     rng = Random(0)
     reports = []
     for n in range(50):
-        M = corpus.random_perfect_module(fams[n % 3], rng)
-        reports.append([proj_dim(M).to_json(), flat_dim(M).to_json()])
+        reports.append(both(corpus.random_perfect_module(fams[n % 3], rng)))
     for A in fams:
         if isinstance(A, ProductDGRing):
             continue
         for label, M in corpus.amplitude_zero_test_family(A):
-            reports.append([label, proj_dim(M).to_json(), flat_dim(M).to_json()])
+            reports.append([label] + both(M))
     for names in (["x", "y"], ["x", "y", "z"]):
         R = make_graded_ring(field, names)
-        M = residue_dg_module(build_koszul_dg(R, R.variables()))
-        reports.append([proj_dim(M).to_json(), flat_dim(M).to_json()])
+        reports.append(both(residue_dg_module(build_koszul_dg(R, R.variables()))))
     assert outcomes == {True, False}
     text = json.dumps(reports, sort_keys=True)
     assert text.count('"infinity"') >= 4 and text.count('"betti"') >= 20
