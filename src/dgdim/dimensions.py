@@ -1,11 +1,14 @@
 """Derived homological dimensions of DG-modules.
 
 Everything here reduces to two computable functors: the reduction
-(H^0(A)/I) (x)_A -, with I zero or the maximal ideal, and derived Hom from (a
-semifree replacement of) the residue field.  Finite
-answers come with the pruned table that exhibits them; infinite answers
-come with the bound rule that certifies them, since a finite value would
-have to show up inside the computed window.
+H^0(A) (x)_A - of a semifree resolution, pruned to a minimal complex F of
+free H^0(A)-modules, and derived Hom from (a semifree replacement of) the
+residue field k.  Projective and flat dimension are both read off F: the
+two agree for finitely generated cohomology, and k (x) F has zero
+differential, so F's Betti table is Tor against k.  Finite answers come
+with the table that exhibits them; infinite answers come with the bound
+rule that certifies them, since a finite value would have to show up
+inside the computed window.
 
 Each cohomology scan stops where the theory settles its answer: inf and
 sup stop at the first nonzero degree, the inf of a Koszul cone over a
@@ -28,14 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .complexes import (
-    PresentedComplex,
-    base_change,
-    cohomology_data,
-    dual_complex,
-    prune_complex,
-    trusted_degree,
-)
+from .complexes import dual_complex, prune_complex, trusted_degree
 from .core.poly import Poly
 from .core.ring import GradedRing
 from .dg import (
@@ -165,141 +161,95 @@ def _combine_parts(kind: str, parts: List[DimensionReport]) -> DimensionReport:
     )
 
 
-def _betti_table(F: PresentedComplex) -> Dict[str, List[int]]:
-    return {
-        str(c): list(F.cover(c).degrees)
-        for c in F.support()
-    }
+# ---------- projective and flat dimension ----------
 
 
-# ---------- projective dimension ----------
+# kind -> (certificate key, label of its table, bound rule).  Flat
+# certifies F's Betti table as Tor against H0/(x,y,...), which is k.
+_FREE_KINDS = {
+    "proj": (
+        "betti",
+        None,
+        "finite projective dimension obeys projdim <= dim H0 - inf = %d; "
+        "the minimal tower still carries cohomology below floor %d",
+    ),
+    "flat": (
+        "tor",
+        "H0/(%s)",
+        "finite flat dimension of finitely generated cohomology equals the "
+        "projective dimension and obeys the same bound dim H0 - inf = %d; "
+        "the tower persists below floor %d",
+    ),
+}
 
 
-def _capped_resolution(
-    M: DGModule,
-) -> Optional[Tuple[int, int, SemifreeResolution]]:
-    """(cap, floor, res), or None for an acyclic M.  A finite projective or
-    flat dimension is at most cap = dim H^0(A) - inf(M), so res, the
-    resolution of M over its model, is windowed at floor = -(cap + 2) and
-    has its termination certified."""
+def _free_dimension(kind: str, M: AnyModule) -> DimensionReport:
+    """Projective or flat dimension, read off the minimal reduction.
+
+    The reduction of a minimal semifree resolution, pruned, is a minimal
+    complex F of free H^0(A)-modules; the dimension is minus its lowest
+    component.  A finite value obeys the bound dim H^0(A) - inf(M), so res
+    is windowed at floor = -(cap + 2) and has its termination certified;
+    once the minimal tower persists below the floor the dimension is
+    infinite, and the covers in the trusted degrees are recorded.
+    """
+    if isinstance(M, ProductDGModule):
+        return _combine_parts(kind, [_free_dimension(kind, p) for p in M.parts])
     M = M.over_model()
     infM = M.inf_h()
     if infM is None:
-        return None
+        return DimensionReport(kind, None, acyclic=True,
+                               reduction="module is acyclic")
     cap = M.A.dimension() - infM
     floor = -(cap + 2)
-    return cap, floor, certify_termination(semifree_resolution(M, window_lo=floor))
-
-
-def proj_dim(M: AnyModule) -> DimensionReport:
-    """Projective dimension, read off the minimal reduction.
-
-    The reduction of a minimal semifree resolution is a minimal complex of
-    free H^0(A)-modules; the dimension is minus its lowest component.  A
-    finite value obeys projdim <= dim H^0(A) - inf(M), so once the minimal
-    tower persists past that bound the dimension is infinite and the floor
-    is recorded in the certificate.
-    """
-    if isinstance(M, ProductDGModule):
-        return _combine_parts("proj", [proj_dim(p) for p in M.parts])
-    capped = _capped_resolution(M)
-    if capped is None:
-        return DimensionReport("proj", None, acyclic=True,
-                               reduction="module is acyclic")
-    cap, floor, res = capped
+    res = certify_termination(semifree_resolution(M, window_lo=floor))
     F = prune_complex(reduce_to_h0(res))
-    trace = "semifree tower (%d stages), reduction to H^0, pruned" % len(
-        res.stages
-    )
-    if res.terminated:
-        supp = F.support()
-        if not supp:
-            return DimensionReport("proj", None, acyclic=True,
-                                   cutoff=floor, reduction=trace)
-        value = -min(supp)
-        return DimensionReport(
-            "proj",
-            value,
-            cutoff=floor,
-            certificate={"betti": _betti_table(F)},
-            reduction=trace,
-        )
-    trusted = {
+    key, label, rule = _FREE_KINDS[kind]
+    table = {
         str(c): list(F.cover(c).degrees)
         for c in F.support()
         if trusted_degree(c, F.known_lo)
     }
-    rule = (
-        "finite projective dimension obeys projdim <= dim H0 - inf = %d; "
-        "the minimal tower still carries cohomology below floor %d"
-        % (cap, floor)
+    certified = table if label is None else {
+        label % ",".join(str(g) for g in F.ring.variables()): table
+    }
+    trace = "semifree tower (%d stages), reduction to H^0, pruned" % len(
+        res.stages
     )
+    if not res.terminated:
+        return DimensionReport(
+            kind,
+            None,
+            infinite=True,
+            cutoff=floor,
+            certificate={key + "-trusted": certified,
+                         "rule": rule % (cap, floor)},
+            reduction=trace,
+        )
+    if not table:
+        return DimensionReport(kind, None, acyclic=True,
+                               cutoff=floor, reduction=trace)
     return DimensionReport(
-        "proj",
-        None,
-        infinite=True,
+        kind,
+        -min(map(int, table)),
         cutoff=floor,
-        certificate={"betti-trusted": trusted, "rule": rule},
+        certificate={key: certified},
         reduction=trace,
     )
 
 
-# ---------- flat dimension ----------
+def proj_dim(M: AnyModule) -> DimensionReport:
+    """Projective dimension: minus the lowest component of the minimal
+    reduction, with its Betti table (_free_dimension)."""
+    return _free_dimension("proj", M)
 
 
 def flat_dim(M: AnyModule) -> DimensionReport:
-    """Flat dimension via Tor against the residue field k: the cohomology
-    of k tensor F, for F the unpruned reduction of the resolution.
-
-    On the minimal complex behind proj_dim, k tensor F has zero
-    differential and F/IF vanishes below its lowest component for every
-    ideal I, so no cyclic test module has deeper Tor than k and the value
-    is proj_dim's; the two are computed apart, by base change here and by
-    pruning there.  The infinite case is certified by the same bound.
-    """
-    if isinstance(M, ProductDGModule):
-        return _combine_parts("flat", [flat_dim(p) for p in M.parts])
-    capped = _capped_resolution(M)
-    if capped is None:
-        return DimensionReport("flat", None, acyclic=True,
-                               reduction="module is acyclic")
-    cap, floor, res = capped
-    gens = res.sf.A.base.variables()
-    T = base_change(reduce_to_h0(res), gens)
-    table: Dict[str, List[int]] = {}
-    for c in T.support():
-        if trusted_degree(c, T.known_lo):
-            data = cohomology_data(T, c)
-            if not data.is_zero():
-                table[str(c)] = list(data.generator_degrees)
-    tor_tables = {"H0/(%s)" % ",".join(str(g) for g in gens): table}
-    trace = "semifree tower (%d stages), tensor against the residue field" % len(
-        res.stages
-    )
-    if res.terminated:
-        if not table:
-            return DimensionReport("flat", None, acyclic=True,
-                                   cutoff=floor, reduction=trace)
-        return DimensionReport(
-            "flat",
-            -min(map(int, table)),
-            cutoff=floor,
-            certificate={"tor": tor_tables},
-            reduction=trace,
-        )
-    rule = (
-        "finite flat dimension of finitely generated cohomology equals the "
-        "projective dimension and obeys the same bound dim H0 - inf = %d; "
-        "the tower persists below floor %d" % (cap, floor)
-    )
-    return DimensionReport(
-        "flat",
-        None,
-        infinite=True,
-        cutoff=floor,
-        certificate={"tor-trusted": tor_tables, "rule": rule},
-        reduction=trace,
-    )
+    """Flat dimension, which for finitely generated cohomology is the
+    projective dimension (Avramov-Foxby 1991): the same minimal complex,
+    whose Betti table is Tor against the residue field k
+    (_free_dimension)."""
+    return _free_dimension("flat", M)
 
 
 # ---------- injective dimension ----------

@@ -39,7 +39,6 @@ from .dg import (
 from .dimensions import (
     AnyRing,
     _connected,
-    flat_dim,
     is_gorenstein,
     proj_dim,
     ring_amplitude,
@@ -192,7 +191,8 @@ def _gorenstein_with_h0(A: DGRing) -> bool:
 
 def gorenstein_projdim_bound_check(A: AnyRing, modules: Sequence[DGModule]) -> dict:
     """Sharpened bound projdim(M) <= dim H0 - amp - inf(M) for every
-    finite-flat-dimension module; failures are hard errors."""
+    finite-flat-dimension module, which is every module of finite
+    projective dimension (dimensions.flat_dim); failures are hard errors."""
     _connected(A, "the sharpened Gorenstein bound")
     if not _gorenstein_with_h0(A):
         raise ValueError("the sharpened bound needs A and H0(A) Gorenstein")
@@ -201,17 +201,16 @@ def gorenstein_projdim_bound_check(A: AnyRing, modules: Sequence[DGModule]) -> d
     entries: List[dict] = []
     skipped = 0
     for M in modules:
-        fl = flat_dim(M)
-        if not fl.finite:
+        rep = proj_dim(M)
+        if not rep.finite:
             skipped += 1
             continue
-        rep = proj_dim(M)
         inf_m = M.inf_h()
         bound = dim - amp - inf_m
-        if not rep.finite or rep.value > bound:
+        if rep.value > bound:
             raise RuntimeError(
-                "sharpened Gorenstein bound failed: projdim %s > %d"
-                % (rep.value if rep.finite else "infinity", bound)
+                "sharpened Gorenstein bound failed: projdim %d > %d"
+                % (rep.value, bound)
             )
         entries.append({"projdim": rep.value, "inf": inf_m, "bound": bound})
     return {

@@ -113,19 +113,60 @@ def _check_options(opts: dict) -> dict:
         if k not in merged:
             raise ScenarioError("unknown option %r" % k)
         merged[k] = v
+    _typed(merged["field"], str, "field", "options")
     w = merged["window"]
+    # type-strict, as _typed is: a JSON boolean is not a degree
     if (not isinstance(w, (list, tuple)) or len(w) != 2
-            or not all(isinstance(x, int) for x in w) or w[0] > w[1]
+            or not all(type(x) is int for x in w) or w[0] > w[1]
             or w[1] - w[0] > 64):
         raise ScenarioError("window must be [lo, hi] with lo <= hi, span <= 64")
     merged["window"] = list(w)
     return merged
 
 
-def _need(decl: dict, key: str, what: str) -> object:
+# the JSON type of every key a declaration, query or the document has
+_KEY_TYPES = {
+    "options": dict, "rings": dict, "dg_rings": dict, "modules": dict,
+    "queries": list, "differential": dict,
+    "variables": list, "relations": list, "elements": list, "factors": list,
+    "generators": list,
+    "kind": str, "op": str, "base": str, "tail": str, "ring": str, "of": str,
+    "and": str, "module": str, "source": str, "target": str, "element": str,
+    "shift": int, "twist": int, "by": int, "index": int, "n": int,
+}
+_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer"}
+_REQUIRED = object()
+
+
+def _typed(x: object, want: type, key: str, what: str):
+    """x, when its JSON type is want; type-strict, so a boolean is not an
+    integer and a float such as 1.5 is not one either."""
+    if type(x) is not want:
+        raise ScenarioError(
+            "%s: %s must be %s, not %r" % (what, key, _TYPE_NAMES[want], x)
+        )
+    return x
+
+
+def _need(decl: dict, key: str, what: str, default: object = _REQUIRED):
+    """decl[key], of the JSON type _KEY_TYPES gives the key; a missing key
+    is bad input unless it has a default."""
     if key not in decl:
-        raise ScenarioError("%s is missing %r" % (what, key))
-    return decl[key]
+        if default is _REQUIRED:
+            raise ScenarioError("%s is missing %r" % (what, key))
+        return default
+    return _typed(decl[key], _KEY_TYPES[key], key, what)
+
+
+def _declarations(doc: dict, section: str) -> Dict[str, dict]:
+    """The declarations of one section, each an object."""
+    decls = _need(doc, section, "scenario", {})
+    for name, decl in decls.items():
+        if type(decl) is not dict:
+            raise ScenarioError("scenario: %s: %r must be an object, not %r"
+                                % (section, name, decl))
+    return decls
 
 
 def _build_rings(scn: Scenario, decls: dict) -> None:
@@ -134,8 +175,8 @@ def _build_rings(scn: Scenario, decls: dict) -> None:
         try:
             scn.rings[name] = make_graded_ring(
                 fieldtag,
-                _need(decl, "variables", "ring %r" % name),
-                decl.get("relations", ()),
+                _variables(decl, "ring %r" % name),
+                [str(e) for e in _need(decl, "relations", "ring %r" % name, ())],
             )
         except ScenarioError:
             raise
@@ -148,12 +189,23 @@ def _build_rings(scn: Scenario, decls: dict) -> None:
             )
 
 
-def _integer(x: object, key: str, what: str) -> int:
-    """x, when it is a JSON integer; anything else, a float such as 1.5
-    included, is bad input naming the key."""
-    if type(x) is not int:
-        raise ScenarioError("%s: %s must be an integer, not %r" % (what, key, x))
+def _pair(x: object, key: str, what: str) -> list:
+    """x, when it is a JSON array of two entries."""
+    if type(x) is not list or len(x) != 2:
+        raise ScenarioError("%s: each %s must be an array of two, not %r"
+                            % (what, key, x))
     return x
+
+
+def _variables(decl: dict, what: str) -> List[Tuple[str, int]]:
+    """The declared variables as (name, degree) pairs: each a name, of
+    degree 1, or a [name, degree] array."""
+    out = []
+    for v in _need(decl, "variables", what):
+        name, deg = _pair(v, "variable", what) if type(v) is list else (v, 1)
+        out.append((_typed(name, str, "variable", what),
+                    _typed(deg, int, "variable degree", what)))
+    return out
 
 
 def _check_expect(x: object, op: str, what: str) -> None:
@@ -173,9 +225,11 @@ def _check_expect(x: object, op: str, what: str) -> None:
 
 def _placements(decl: dict, what: str) -> List[Tuple[int, int]]:
     """The declared generators as (position, twist) pairs of integers."""
+    pairs = [_pair(g, "generator", what) for g in _need(decl, "generators", what)]
     return [
-        (_integer(c, "generator position", what), _integer(t, "generator twist", what))
-        for c, t in _need(decl, "generators", what)
+        (_typed(c, int, "generator position", what),
+         _typed(t, int, "generator twist", what))
+        for c, t in pairs
     ]
 
 
@@ -222,14 +276,15 @@ def _build_dg_rings(scn: Scenario, decls: dict) -> None:
                 base = _need(decl, "base", what)
                 scn.dg_rings[name] = build_trivial_extension(
                     _ring_ref(scn, base, what),
-                    _integer(_need(decl, "shift", what), "shift", what),
-                    [str(e) for e in decl.get("relations", ())],
-                    _integer(decl.get("twist", 0), "twist", what),
+                    _need(decl, "shift", what),
+                    [str(e) for e in _need(decl, "relations", what, ())],
+                    _need(decl, "twist", what, 0),
                 )
             elif kind == "product":
                 factors = _need(decl, "factors", what)
                 scn.dg_rings[name] = ProductDGRing(
-                    [_dg_ref(scn, f, what) for f in factors]
+                    [_dg_ref(scn, _typed(f, str, "factor", what), what)
+                     for f in factors]
                 )
             elif kind == "split-trivial-extension":
                 base = _need(decl, "base", what)
@@ -237,7 +292,7 @@ def _build_dg_rings(scn: Scenario, decls: dict) -> None:
                 scn.dg_rings[name] = build_split_trivial_extension(
                     _ring_ref(scn, base, what),
                     _ring_ref(scn, tail, what),
-                    _integer(_need(decl, "shift", what), "shift", what),
+                    _need(decl, "shift", what),
                 )
             else:
                 raise ScenarioError("%s has unknown kind %r" % (what, kind))
@@ -253,7 +308,7 @@ def _module_from_generators(A, decl: dict, what: str):
     for j, row in _need(decl, "differential", what).items():
         diff[int(j)] = {
             int(i): A.from_base(A.base.parse(str(expr)))
-            for i, expr in row.items()
+            for i, expr in _typed(row, dict, "differential row", what).items()
         }
     if any(not 0 <= k < len(gens) for j, row in diff.items() for k in (j, *row)):
         raise ScenarioError("%s: differential names an undeclared generator" % what)
@@ -279,7 +334,8 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                 elems = _need(decl, "elements", what)
                 if isinstance(A, ProductDGRing):
                     scn.modules[name] = product_koszul_module(
-                        A, [[str(x) for x in row] for row in elems]
+                        A, [[str(x) for x in _typed(row, list, "elements row", what)]
+                            for row in elems]
                     )
                 else:
                     scn.modules[name] = koszul_dg_module(
@@ -295,7 +351,7 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
                 A = _dg_ref(scn, ring, what)
                 if not isinstance(A, ProductDGRing):
                     raise ScenarioError("%s needs a product DG-ring" % what)
-                index = _integer(_need(decl, "index", what), "index", what)
+                index = _need(decl, "index", what)
                 if not 0 <= index < len(A.factors):
                     raise ScenarioError(
                         "%s: index %d is not a factor of %r, which has %d"
@@ -305,14 +361,15 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
             elif kind == "h0-cyclic":
                 ring = _need(decl, "ring", what)
                 A = _not_product(_dg_ref(scn, ring, what), what)
-                rels = [A.base.parse(str(e)) for e in decl.get("elements", ())]
+                elems = _need(decl, "elements", what, ())
+                rels = [A.base.parse(str(e)) for e in elems]
                 for p in rels:
                     p.degree()  # an inhomogeneous element raises ValueError
                 scn.modules[name] = h0_cyclic_dg_module(A, rels)
             elif kind == "shift":
                 of = _need(decl, "of", what)
                 M = _module_ref(scn, of, what)
-                n = _integer(_need(decl, "by", what), "by", what)
+                n = _need(decl, "by", what)
                 scn.modules[name] = (
                     shift_product(M, n) if isinstance(M, ProductDGModule)
                     else shift_dg(M, n)
@@ -320,7 +377,7 @@ def _build_modules(scn: Scenario, decls: dict) -> None:
             elif kind == "twist":
                 of = _need(decl, "of", what)
                 M = _module_ref(scn, of, what)
-                t = _integer(_need(decl, "by", what), "by", what)
+                t = _need(decl, "by", what)
                 scn.modules[name] = (
                     twist_product(M, t) if isinstance(M, ProductDGModule)
                     else twist_dg(M, t)
@@ -369,7 +426,7 @@ def _check_queries(scn: Scenario, queries: List[dict]) -> None:
             _dg_ref(scn, _need(q, "ring", what), what)
         elif op == "bass-witness":
             A = _dg_ref(scn, _need(q, "ring", what), what)
-            n = _integer(_need(q, "n", what), "n", what)
+            n = _need(q, "n", what)
             dim = A.dimension()
             if not 0 <= n <= dim:
                 raise ScenarioError(
@@ -395,13 +452,13 @@ def parse_scenario(doc: dict, label: str = "scenario",
         raise ScenarioError(
             "expected schema %r, found %r" % (SCHEMA, doc.get("schema"))
         )
-    options = _check_options(dict(doc.get("options", {}),
+    options = _check_options(dict(_need(doc, "options", "scenario", {}),
                                   **(overrides or {})))
     scn = Scenario(label=label, raw=doc, options=options)
-    _build_rings(scn, doc.get("rings", {}))
-    _build_dg_rings(scn, doc.get("dg_rings", {}))
-    _build_modules(scn, doc.get("modules", {}))
-    _check_queries(scn, doc.get("queries", []))
+    _build_rings(scn, _declarations(doc, "rings"))
+    _build_dg_rings(scn, _declarations(doc, "dg_rings"))
+    _build_modules(scn, _declarations(doc, "modules"))
+    _check_queries(scn, _need(doc, "queries", "scenario", []))
     return scn
 
 

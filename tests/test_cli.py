@@ -135,7 +135,8 @@ def test_scenario_rejects_bad_differential_at_parse_stage():
     "options",
     [{"cutoff": 0}, {"cutoff": "four"}, {"window": [3, -3]},
      {"window": [0]}, {"seed": "zero"}, {"colour": 1},
-     {"cutoff": 12}, {"seed": 0}],
+     {"cutoff": 12}, {"seed": 0}, {"window": [False, True]},
+     {"window": [0, True]}],
 )
 def test_scenario_rejects_out_of_range_options(options):
     with pytest.raises(ScenarioError):
@@ -428,6 +429,70 @@ def test_cli_rejects_scenario_numbers_that_are_not_integers(
     assert owner in captured.err
     assert "%s must be an integer, not %r" % (key, value) in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def _shaped_doc(section, name, value):
+    """small_doc with one entry replaced: section/name set to value, or the
+    whole section when name is None."""
+    doc = small_doc()
+    doc["dg_rings"]["B"] = {"kind": "ring", "base": "R"}
+    if name is None:
+        doc[section] = value
+    else:
+        doc[section][name] = value
+    return doc
+
+
+@pytest.mark.parametrize("section,name,value,needs", [
+    ("modules", "X", {"kind": "free", "ring": "B", "generators": [5]},
+     "generator must be an array of two"),
+    ("modules", "X", {"kind": "free", "ring": "B", "generators": 5},
+     "generators must be an array"),
+    ("modules", "X", {"kind": "presented", "ring": "B", "generators": [[0, 0]],
+                      "differential": [1]}, "differential must be an object"),
+    ("modules", "X", {"kind": "presented", "ring": "B", "generators": [[0, 0]],
+                      "differential": {"0": 1}},
+     "differential row must be an object"),
+    ("modules", "M", {"kind": "koszul", "ring": "A", "elements": 3},
+     "elements must be an array"),
+    ("modules", "M", {"kind": "koszul", "ring": "A", "elements": "x"},
+     "elements must be an array"),
+    ("dg_rings", "A", {"kind": "koszul", "base": "R", "elements": 3},
+     "elements must be an array"),
+    ("dg_rings", "P", {"kind": "product", "factors": [["A"]]},
+     "factor must be a string"),
+    ("rings", "R", {"variables": 5}, "variables must be an array"),
+    ("rings", "R", {"variables": [5]}, "variable must be a string"),
+    ("rings", "R", {"variables": ["x", "y"], "relations": "x"},
+     "relations must be an array"),
+    ("modules", None, [1], "modules must be an object"),
+    ("modules", "M", 5, "'M' must be an object"),
+    ("queries", None, [{"op": "proj-dim", "module": ["M"]}],
+     "module must be a string"),
+    ("options", None, [1], "options must be an object"),
+    ("options", None, {"field": 5}, "field must be a string"),
+], ids=["generator-not-a-pair", "generators-not-an-array",
+        "differential-not-an-object", "differential-row-not-an-object",
+        "module-elements-number", "module-elements-string",
+        "dg-ring-elements-number", "factor-not-a-string",
+        "variables-not-an-array", "variable-not-a-string",
+        "relations-not-an-array", "modules-not-an-object",
+        "declaration-not-an-object", "query-module-not-a-string",
+        "options-not-an-object", "field-not-a-string"])
+def test_cli_rejects_scenario_values_of_the_wrong_json_type(
+    section, name, value, needs, tmp_path, capsys
+):
+    """A declaration key, section or option of the wrong JSON type is bad
+    input (exit 3) in one error line naming the key, not a traceback, and
+    an array is not read as the string it was meant to be or the other way
+    round."""
+    p = tmp_path / "bad-shape.json"
+    p.write_text(json.dumps(_shaped_doc(section, name, value)))
+    assert main(["run", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    (line,) = captured.err.strip().splitlines()
+    assert line.startswith("error: ") and needs in line
 
 
 def test_h0_cyclic_scenario_module_parses_its_elements():
@@ -770,7 +835,11 @@ def test_verify_work_counts(monkeypatch, capsys):
     test quotients of H^0, fewer on the model, save two) and 333 module
     Groebner bases.  Before flat_dim took Tor against the residue field
     alone, in place of every variable-subset quotient of H^0, it built 31
-    ideal Groebner bases and 279 module Groebner bases."""
+    ideal Groebner bases and 279 module Groebner bases.  Before flat_dim
+    read the pruned minimal complex of proj_dim, and the corpus sweep
+    stopped comparing the two, it built 30 ideal Groebner bases (the
+    residue quotients k of the base change add three), 220 semifree
+    resolutions and 226 module Groebner bases over 82 flat_dim calls."""
     import dgdim.core.syz as syz_module
     from dgdim.core.module import minimal_presentation
     from dgdim.core.ring import groebner_basis
@@ -792,11 +861,11 @@ def test_verify_work_counts(monkeypatch, capsys):
     assert main(["verify", "--seed", "0", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
     assert counts == {
-        "groebner_basis": 30,
-        "semifree_resolution": 220,
-        "flat_dim": 82,
+        "groebner_basis": 27,
+        "semifree_resolution": 154,
+        "flat_dim": 0,
         "minimal_presentation": 25,
-        "module GBs": 226,
+        "module GBs": 223,
     }
 
 
@@ -820,36 +889,6 @@ def test_filtered_bound_check_matches_the_full_suite(
            if r["outcome"] != "skipped"]
     assert [r["id"] for r in ran] == [check_id]
     assert ran == [r for r in full if r["id"] == check_id]
-
-
-def test_global_bound_check_reads_the_flat_dimension(monkeypatch):
-    """The corpus sweep compares flat_dim with proj_dim: a flat dimension
-    off by one on a single module is a global violation with its own
-    reason, and the check fails."""
-    from functools import lru_cache
-
-    import dgdim.checks as checks_module
-
-    inner = checks_module.flat_dim
-    calls = [0]
-
-    def off_by_one(M):
-        rep = inner(M)
-        calls[0] += 1
-        if calls[0] == 7:
-            rep.value += 1
-        return rep
-
-    monkeypatch.setattr(checks_module, "flat_dim", off_by_one)
-    # a fresh memo, so the sweep runs here and the shared one stays clean
-    monkeypatch.setattr(checks_module, "_corpus_sweep",
-                        lru_cache(maxsize=1)(checks_module._corpus_sweep.__wrapped__))
-    res = run_check("global-projdim-bound")
-    assert res.outcome == "fail"
-    (bad,) = res.details["violations"]
-    assert bad["module"] == 6
-    assert bad["reason"] == "flat and projective dimensions differ"
-    assert bad["flatdim"] == bad["projdim"] + 1
 
 
 def test_verify_builds_matrices_from_normal_forms_only(monkeypatch, capsys):

@@ -59,6 +59,7 @@ ALLOWED = {
     "RegSeqReport.__init__": "built by is_regular_sequence",
     "gorenstein_projdim_bound_check": "wrapped by bench/tracer.py",
     "ffd_witness": "wrapped by bench/tracer.py",
+    "cohomology_data": "wrapped by bench/tracer.py",
 }
 
 CHILD = r"""
