@@ -264,12 +264,25 @@ def bass_numbers(
     through k.  So Ext^i = Ext^i/m Ext^i, and mu^i, its k-dimension, is
     its number of minimal generators: the cycle generators of Hom(SF, M)
     at degree i that stay independent modulo the image.  No presentation
-    of Ext^i is built."""
+    of Ext^i is built.
+
+    The residue tower SF is windowed at w = mslot - scan_hi, where mslot
+    is the lowest slot degree of M, and that is as deep as the scan needs.
+    The tower adds a stage for every position >= w - 1, and its positions
+    strictly decrease (asserted in semifree_resolution), so continuing it
+    gives a semifree resolution F of k containing SF, with F/SF free on
+    generators at positions <= w - 2.  A map of degree n sends a generator
+    at position p into M^(p+n), and M^j = 0 for j < mslot; so
+    Hom(F/SF, M)^n = 0 for n <= mslot - w + 1.  Hom(-, M) of the
+    degreewise split 0 -> SF -> F -> F/SF -> 0 gives a long exact
+    sequence, so H^n Hom(SF, M) = Ext^n(k, M) for n <= mslot - w = scan_hi.
+    This is the rule known_hi = mslot - known_lo of hom_semifree_into_dg
+    (the tower reports known_lo = w - 1), which the guard below checks."""
     A = M.A
     mslot = M.min_slot_cohdeg()
     if mslot is None:
         return {}, None
-    window = mslot - scan_hi - 2
+    window = mslot - scan_hi
     # memoized on A by window: a Gorenstein test and the dualizing module
     # it guards ask for the same resolution
     res = A._residue_resolutions.get(window)

@@ -975,7 +975,11 @@ def test_golod_query_work_counts(monkeypatch, field):
     145 (Q) / 144 (Fp) S-pair reductions, 86 _Span inserts and 1,625 (Q) /
     1,688 (Fp) GradedRing.normal_form calls.  Before the slot relations
     were normalized once per DG-ring, not on every underlying() build,
-    there were 337 (Q) / 353 (Fp) normal_form calls."""
+    there were 337 (Q) / 353 (Fp) normal_form calls.  Before the residue
+    tower was windowed at mslot - scan_hi, two stages shallower, the query
+    built 10 module Groebner bases over 7 tower stages, with 102 (Q) /
+    100 (Fp) S-pair reductions, 85 _Span inserts and 325 (Q) / 341 (Fp)
+    normal_form calls."""
     A = build_ring_dg(golod_ring(field))
     counts = count_work(monkeypatch)
     inserts = [0]
@@ -997,12 +1001,12 @@ def test_golod_query_work_counts(monkeypatch, field):
     assert rep.infinite
     assert counts == {
         "presentations": 0,
-        "module GBs": 10,
-        "tower stages": 7,
-        "S-pairs": {"Q": 102, "Fp:32003": 100}[field],
+        "module GBs": 8,
+        "tower stages": 5,
+        "S-pairs": {"Q": 59, "Fp:32003": 58}[field],
     }
-    assert inserts[0] == 85
-    assert normal_forms[0] == {"Q": 325, "Fp:32003": 341}[field]
+    assert inserts[0] == 51
+    assert normal_forms[0] == 124
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -18,6 +18,7 @@ import dgdim.complexes as complexes_module
 from dgdim.complexes import base_change, cohomology_data, trusted_degree
 from dgdim.core import make_graded_ring
 from dgdim.dg import (
+    DGMap,
     ProductDGModule,
     ProductDGRing,
     build_koszul_dg,
@@ -25,13 +26,16 @@ from dgdim.dg import (
     build_split_trivial_extension,
     build_trivial_extension,
     certify_termination,
+    cone_dg,
     direct_sum_dg,
     factor_residue_module,
     free_dg_module,
+    hom_semifree_into_dg,
     koszul_dg_module,
     product_koszul_module,
     reduce_to_h0,
     residue_dg_module,
+    semifree_resolution,
     shift_dg,
 )
 import dgdim.dimensions as dimensions_module
@@ -79,10 +83,10 @@ def golod_xy(field="Q"):
     return build_ring_dg(make_graded_ring(field, ["x", "y"], ["x^2", "x*y"]))
 
 
-def split_product():
+def split_product(field="Q"):
     # (k[x] x k) |x k[1], realized as k[x] x (k |x k[1])
     return build_split_trivial_extension(
-        make_graded_ring("Q", ["x"]), make_graded_ring("Q", []), 1
+        make_graded_ring(field, ["x"]), make_graded_ring(field, []), 1
     )
 
 
@@ -199,11 +203,17 @@ def test_flatdim_infinite_residue():
     assert not rep.finite
 
 
-def test_flatdim_equals_projdim():
-    """Flat and projective dimension agree, finite or infinite, on modules
-    over every fixture ring."""
+@pytest.mark.parametrize("field", FIELDS)
+def test_flat_tor_table_matches_the_unpruned_reduction(monkeypatch, field):
+    """flat_dim's Tor table against k, read off the pruned minimal complex,
+    is the cohomology of the unpruned reduction of the same tower base
+    changed to k, in the trusted degrees, finite or infinite, on modules
+    over every fixture ring.  Over the split product each factor is
+    checked on its own."""
+    towers = recorded_certified_towers(monkeypatch)
     modules = []
-    for A in (ring_xy(), koszul_xy(), koszul_xyz(), dual_numbers(), golod_xy()):
+    for A in (ring_xy(field), koszul_xy(field), koszul_xyz(field),
+              dual_numbers(field), golod_xy(field)):
         x = A.base.variables()[-1]
         modules += [
             ring_free_module(A),
@@ -211,10 +221,43 @@ def test_flatdim_equals_projdim():
             koszul_dg_module(A, [x]),
             shift_dg(koszul_dg_module(A, [x, A.base.mul(x, x)]), 1),
         ]
-    A = split_product()
-    modules += [factor_residue_module(A, 0), factor_residue_module(A, 1)]
+    A = split_product(field)
+    for i in (0, 1):
+        modules += factor_residue_module(A, i).parts
     for i, M in enumerate(modules):
-        assert flat_dim(M).to_json()["value"] == proj_dim(M).to_json()["value"], i
+        rep = flat_dim(M)
+        if M.inf_h() is None:  # acyclic: no tower
+            assert rep.acyclic and not towers, i
+            continue
+        (res,) = towers
+        towers.clear()
+        assert rep.finite == res.terminated, i
+        assert flat_tor_table(rep) == residue_tor_of_the_reduction(res), i
+
+
+def contractible_summand(A):
+    """cone(1: F -> F) on the rank-one free module F: acyclic, with one
+    unit entry that only the pruning step removes from the reduction."""
+    F = free_dg_module(A, [(0, 0)])
+    return cone_dg(DGMap(F, F, {0: {0: A.from_base(A.base.one())}}))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_pruning_removes_a_contractible_summand(field):
+    """M and M + cone(1) have the same projective and flat reports.  The
+    semifree towers of these modules are minimal, so without the summand
+    prune_complex finds no unit entry; with it, the reduction has one, and
+    a pruning step that keeps it reports an extra Betti number."""
+    R = make_graded_ring(field, ["x", "y"])
+    rings = [build_ring_dg(R), build_koszul_dg(R, ["x", "x*y"]),
+             build_trivial_extension(R, 1, ["x"])]
+    for A in rings:
+        C = contractible_summand(A)
+        for M in (free_dg_module(A, [(0, 0)]), koszul_dg_module(A, ["y"]),
+                  koszul_dg_module(A, ["x", "y"])):
+            for query in (proj_dim, flat_dim):
+                alone = query(M).to_json()
+                assert query(direct_sum_dg(M, C)).to_json() == alone, alone
 
 
 def trusted_tor(T):
@@ -228,6 +271,33 @@ def trusted_tor(T):
     return table
 
 
+def recorded_certified_towers(monkeypatch):
+    """A list that collects every tower dimensions.certify_termination
+    returns."""
+    inner = dimensions_module.certify_termination
+    towers = []
+
+    def recorded(res):
+        towers.append(inner(res))
+        return towers[-1]
+
+    monkeypatch.setattr(dimensions_module, "certify_termination", recorded)
+    return towers
+
+
+def residue_tor_of_the_reduction(res):
+    """Tor against k from the tower alone: the trusted cohomology of the
+    unpruned reduction base changed to k."""
+    return trusted_tor(base_change(reduce_to_h0(res), res.sf.A.base.variables()))
+
+
+def flat_tor_table(rep):
+    """flat_dim's Tor table against k, degree -> sorted twists."""
+    key = "tor" if rep.finite else "tor-trusted"
+    (table,) = rep.certificate[key].values()
+    return {int(c): sorted(tw) for c, tw in table.items()}
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_residue_field_is_the_deepest_test_quotient(monkeypatch, field):
     """The 2^e variable-subset quotients H^0/(S) as an oracle, on the tower
@@ -238,14 +308,7 @@ def test_residue_field_is_the_deepest_test_quotient(monkeypatch, field):
     The modules are the seeded corpus, whose towers terminate, and the
     amplitude-zero test modules of the connected families and k over the
     Golod ring, most of whose towers do not."""
-    inner = dimensions_module.certify_termination
-    towers = []
-
-    def recorded(res):
-        towers.append(inner(res))
-        return towers[-1]
-
-    monkeypatch.setattr(dimensions_module, "certify_termination", recorded)
+    towers = recorded_certified_towers(monkeypatch)
     fams = corpus.standard_families(field)
     modules = []
     for seed in range(3):
@@ -271,9 +334,7 @@ def test_residue_field_is_the_deepest_test_quotient(monkeypatch, field):
             for S in combinations(gens, r):
                 tor = trusted_tor(base_change(F, list(S)))
                 assert min(tor, default=deepest) >= deepest, (label, S)
-        key = "tor" if res.terminated else "tor-trusted"
-        (table,) = rep.certificate[key].values()
-        assert residue == {int(c): sorted(tw) for c, tw in table.items()}, label
+        assert residue == flat_tor_table(rep), label
         outcomes[res.terminated] += 1
     # the 102 corpus towers and 4 of the 9 others terminate
     assert outcomes == {True: 102 + 4, False: 5}
@@ -517,6 +578,54 @@ def test_bass_numbers_need_no_termination_certificate(monkeypatch, field):
     monkeypatch.setattr(dimensions_module, "semifree_resolution", certified)
     assert [bass_answers(A) for A in bass_window_rings(field)] == plain
     assert outcomes == {False}
+
+
+def sharp_window_rings(field):
+    """(name, ring): the Golod ring, a complete intersection, two Koszul
+    DG-rings and a trivial extension."""
+    R = make_graded_ring(field, ["x", "y"])
+    yield "golod", golod_xy(field)
+    yield "ci", build_ring_dg(make_graded_ring(field, ["x", "y"], ["x^2", "y^2"]))
+    yield "koszul x, xy", build_koszul_dg(R, ["x", "x*y"])
+    yield "koszul x^2, y^2", build_koszul_dg(R, ["x^2", "y^2"])
+    yield "trivial extension", build_trivial_extension(R, 1, ["x"])
+
+
+def hom_counts(M, window, lo, hi, trusted=True):
+    """dim_k of H^i Hom(SF, M) for lo <= i <= hi, with SF the residue tower
+    windowed at window, built here without bass_numbers or its guard."""
+    res = semifree_resolution(residue_dg_module(M.A), window_lo=window)
+    H = hom_semifree_into_dg(res, M)
+    assert all(H._trust(i) for i in range(lo, hi + 1)) == trusted
+    return {i: len(H.cohomology(i).generator_degrees) for i in range(lo, hi + 1)}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_the_bass_window_is_exactly_sharp(monkeypatch, field):
+    """bass_numbers windows the residue tower at mslot - scan_hi.  There the
+    Bass numbers in degrees -3..3 equal those from towers 2 and 6 degrees
+    deeper; one degree shallower the guard raises, and the unguarded Hom
+    gives a wrong mu^3 on the Golod ring, the complete intersection and the
+    trivial extension (the Koszul rings happen to survive it)."""
+    lo, hi = -3, 3
+    for name, A in sharp_window_rings(field):
+        M = free_dg_module(A, [(0, 0)])
+        window = M.min_slot_cohdeg() - hi
+        mus = bass_numbers(M, lo, hi)[0]
+        assert mus[0] == 1, name
+        for deeper in (2, 6):
+            assert hom_counts(M, window - deeper, lo, hi) == mus, (name, deeper)
+        shallow = hom_counts(M, window + 1, lo, hi, trusted=False)
+        assert (shallow != mus) == (not name.startswith("koszul")), name
+    inner = dimensions_module.semifree_resolution
+
+    def shallower(M, window_lo):
+        return inner(M, window_lo=window_lo + 1)
+
+    monkeypatch.setattr(dimensions_module, "semifree_resolution", shallower)
+    for name, A in sharp_window_rings(field):  # fresh rings: no memo
+        with pytest.raises(RuntimeError, match="Bass window fell short"):
+            bass_numbers(free_dg_module(A, [(0, 0)]), lo, hi)
 
 
 # Computed before flat_dim took Tor against the residue field alone, on

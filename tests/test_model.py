@@ -228,7 +228,9 @@ def rings_with_a_zero_element(field):
 
 def bass_twists(M, lo, hi):
     """The internal degrees of the minimal generators of Ext^i(k, M) for
-    lo <= i <= hi, from Hom out of the residue tower."""
+    lo <= i <= hi, from Hom out of the residue tower.  The tower is windowed
+    two degrees deeper than bass_numbers' mslot - hi on purpose: it is kept
+    as an oracle that does not share the production window."""
     window = M.min_slot_cohdeg() - hi - 2
     res = semifree_resolution(residue_dg_module(M.A), window_lo=window)
     H = hom_semifree_into_dg(res, M)
