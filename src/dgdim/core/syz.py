@@ -94,7 +94,6 @@ class ModuleGB:
         self.ambient = ambient
         self.field = ambient.field
         self.twists = tuple(twists)
-        self.ncols = len(columns)
         self.order = _ModuleOrder(ambient, twists)
         # gb entries: (vector, history dict colindex -> Poly)
         self.gb: List[Tuple[Vec, Dict[int, Poly]]] = []
@@ -113,21 +112,19 @@ class ModuleGB:
         work = dict(vec)
         remainder: Vec = {}
         quotients: Dict[int, Dict[tuple, object]] = {}
-        leads = [(lt, g) for lt, (g, _) in zip(self._leads, self.gb)]
+        leads = self._leads
         while work:
             term = self.order.leading(work)
             mono, pos = term
             coeff = work[term]
-            hit = None
-            for k, ((lm, lp), g) in enumerate(leads):
+            for k, (lm, lp) in enumerate(leads):
                 if lp == pos and ambient.mono_divides(lm, mono):
-                    hit = (k, lm, g)
                     break
-            if hit is None:
+            else:
                 del work[term]
                 remainder[term] = coeff
                 continue
-            k, lm, g = hit
+            g = self.gb[k][0]
             lc = g[(lm, pos)]
             qmono = ambient.mono_div(mono, lm)
             qcoeff = field.div(coeff, lc)
@@ -255,21 +252,10 @@ class ModuleGB:
             self.syzygies.append(translated)
         # an empty translation is the zero syzygy: skip
 
-    # -- public operations ---------------------------------------------------
-
-    def reduce_vector(self, col: Column) -> Tuple[Vec, Dict[int, Poly]]:
-        """Remainder of a sparse column vector plus its expression data.
-
-        Returns (remainder vector, quotients on ORIGINAL column indices).
-        Positions index the target basis.
-        """
-        remainder, quots = self._reduce(_column_to_vec(col))
-        rel = {k: q for k, q in quots.items() if q}
-        return remainder, self._history_of(rel)
-
 
 class SyzygyEngine:
-    """Syzygies and division for a matrix over a graded quotient ring R.
+    """Syzygies and image membership for a matrix over a graded quotient
+    ring R.
 
     Augments the columns with J-multiples of the target basis so that module
     computations over the ambient polynomial ring answer questions over R.
@@ -325,25 +311,13 @@ class SyzygyEngine:
         )
         return self._syz
 
-    def divide(self, col: Column) -> Optional[Column]:
-        """Express the sparse column col = M*q over R; returns q, sparse, or
-        None when col is not in the image."""
-        nf = self.ring.normal_form
-        remainder, expressed = self.gbm.reduce_vector(
-            {i: nf(p) for i, p in col.items()}
-        )
-        if remainder:
-            return None
-        q = {}
-        for j, p in expressed.items():
-            if j < self.n_original:
-                p = nf(p)
-                if p:
-                    q[j] = p
-        return q
-
     def contains(self, col: Column) -> bool:
-        return self.divide(col) is not None
+        """Whether the sparse column col lies in the image of M over R."""
+        nf = self.ring.normal_form
+        remainder, _ = self.gbm._reduce(
+            _column_to_vec({i: nf(p) for i, p in col.items()})
+        )
+        return not remainder
 
 
 _syz_cache: dict = {}

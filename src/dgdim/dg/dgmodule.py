@@ -132,7 +132,6 @@ class DGModule:
         gens: Sequence[DGGen],
         diff: Dict[int, Dict[int, AElem]],
         check: bool = True,
-        label: str = "",
     ):
         self.A = dgring
         self.gens = tuple(gens)
@@ -142,7 +141,6 @@ class DGModule:
             if kept:
                 clean[j] = kept
         self.diff = clean
-        self.label = label
         self._slots_by_deg: Optional[Dict[int, List[Slot]]] = None
         self._underlying: Optional[PresentedComplex] = None
         self._over_model: Optional["DGModule"] = None
@@ -240,26 +238,22 @@ class DGModule:
         coefficient of alpha, a normal form in the base ring, moves to its
         target slot unchanged, and only a slot whose ring is a proper
         quotient of the base (the eps-slot of a trivial extension) needs
-        it normalized.  Sums of normal forms stay normal (see dgring.py)."""
+        it normalized.
+
+        No two terms land in the same slot, so each is assigned, not added.
+        The d_A b term lands on g_j.  Each alpha[j][i] lands on g_i with
+        i != j: alpha[j][j] would sit in cohomological degree 1, and A is
+        non-positive (_check_shape rejects it on outside input, and no
+        internal constructor makes one).  Within one term the symbols of
+        d_A b, and of b alpha, are distinct."""
         A = self.A
         gj = self.gens[j]
         out: Dict[Slot, Poly] = {}
-
-        def put(slot: Slot, p: Poly):
-            if slot in out:
-                q = out[slot] + p
-                if q:
-                    out[slot] = q
-                else:
-                    del out[slot]
-            else:
-                out[slot] = p
-
         sgn_first = -1 if gj.sigma % 2 else 1
         for sym, coef in A.d_basis(b).items():
             if gj.kind == "h0" and sym != A.unit:
                 continue
-            put((j, sym), coef if sgn_first > 0 else -coef)
+            out[(j, sym)] = coef if sgn_first > 0 else -coef
         row = self.diff.get(j)
         if row:
             bdeg = A.cohdeg[b]
@@ -274,7 +268,7 @@ class DGModule:
                 for sym, p in prod.items():
                     if gi.kind == "h0" and sym != A.unit:
                         continue
-                    put((i, sym), p if sign > 0 else -p)
+                    out[(i, sym)] = p if sign > 0 else -p
         return out
 
     # -- underlying presented complex --------------------------------------
@@ -335,8 +329,7 @@ class DGModule:
                     }
                     for j, row in self.diff.items()
                 }
-                self._over_model = DGModule(B, self.gens, diff, check=False,
-                                            label=self.label)
+                self._over_model = DGModule(B, self.gens, diff, check=False)
         return self._over_model
 
     # -- cohomology ---------------------------------------------------------
@@ -378,8 +371,7 @@ class DGModule:
         return None if lo is None else self.sup_h() - lo
 
     def __repr__(self):
-        name = self.label or "DGModule"
-        return "%s(%s)" % (name, list(self.gens))
+        return "DGModule(%s)" % list(self.gens)
 
 
 # ---------- constructors ----------
@@ -391,20 +383,16 @@ def free_dg_module(A: DGRing, placements: Sequence[Tuple[int, int]]) -> DGModule
     return DGModule(A, gens, {}, check=False)
 
 
-def h0_cyclic_dg_module(
-    A: DGRing, rels: Sequence[Poly] = (), label: str = ""
-) -> DGModule:
+def h0_cyclic_dg_module(A: DGRing, rels: Sequence[Poly] = ()) -> DGModule:
     """Cyclic H^0(A)-module on one generator at cohomological degree 0 and
     internal degree 0, restricted to A along the augmentation."""
     gens = [DGGen(0, 0, "h0", rels=tuple(rels))]
-    return DGModule(A, gens, {}, check=False, label=label)
+    return DGModule(A, gens, {}, check=False)
 
 
 def residue_dg_module(A: DGRing) -> DGModule:
     """The residue field H^0/(irrelevant ideal) as a DG-module."""
-    return h0_cyclic_dg_module(
-        A, rels=[v for v in A.base.variables()], label="k"
-    )
+    return h0_cyclic_dg_module(A, rels=A.base.variables())
 
 
 def shift_dg(M: DGModule, n: int) -> DGModule:
@@ -413,17 +401,15 @@ def shift_dg(M: DGModule, n: int) -> DGModule:
     if n == 0:
         return M
     gens = [g.shifted(n) for g in M.gens]
-    sign = -1 if n % 2 else 1
-    diff = {
-        j: {i: a.scale_int(sign) for i, a in row.items()}
-        for j, row in M.diff.items()
+    diff = M.diff if n % 2 == 0 else {
+        j: {i: a.negate() for i, a in row.items()} for j, row in M.diff.items()
     }
-    return DGModule(M.A, gens, diff, check=False, label=M.label)
+    return DGModule(M.A, gens, diff, check=False)
 
 
 def twist_dg(M: DGModule, t: int) -> DGModule:
     gens = [DGGen(g.cohdeg, g.twist - t, g.kind, g.rels, g.sigma) for g in M.gens]
-    return DGModule(M.A, gens, M.diff, check=False, label=M.label)
+    return DGModule(M.A, gens, M.diff, check=False)
 
 
 # ---------- maps and cones ----------
@@ -458,18 +444,12 @@ def cone_dg(f: DGMap, check: bool = True) -> DGModule:
     A = Y.A
     ny = len(Y.gens)
     gens = list(Y.gens) + [g.shifted(1) for g in X.gens]
-    diff: Dict[int, Dict[int, AElem]] = {}
-    for j, row in Y.diff.items():
-        diff[j] = dict(row)
+    diff: Dict[int, Dict[int, AElem]] = {j: dict(row) for j, row in Y.diff.items()}
     for j, row in X.diff.items():
-        diff[ny + j] = {ny + i: a.scale_int(-1) for i, a in row.items()}
+        diff[ny + j] = {ny + i: a.negate() for i, a in row.items()}
+    # the glue hits generators of Y only, X's shifted rows those of X only
     for j, row in f.entries.items():
-        tgt_row = diff.setdefault(ny + j, {})
-        for i, beta in row.items():
-            if i in tgt_row:
-                tgt_row[i] = tgt_row[i].add(beta)
-            else:
-                tgt_row[i] = beta
+        diff.setdefault(ny + j, {}).update(row)
     return DGModule(A, gens, diff, check=check)
 
 

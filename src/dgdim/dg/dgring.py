@@ -19,11 +19,11 @@ slot's ring.
 Only products and outside input are normalized: AElem(...) itself, mul and
 d, whose coefficient products can leave the normal forms.  A k-linear
 combination of normal forms is a normal form (no term of either lies in
-the leading-term ideal, so no term of the sum does), so add, negate and
-scale_int combine the stored coefficients directly and only drop those
-that cancel to zero.  A normal form in a slot's quotient ring is also one
-in the base ring, whose leading-term ideal the quotient's contains.  The
-d_table is normalized into the target slots once, when the ring is built.
+the leading-term ideal, so no term of the sum does), so add and negate
+combine the stored coefficients directly and only drop those that cancel
+to zero.  A normal form in a slot's quotient ring is also one in the base
+ring, whose leading-term ideal the quotient's contains.  The d_table is
+normalized into the target slots once, when the ring is built.
 
 DG-rings, like their base rings, are immutable once built; the derived
 invariants memoized on a DGRing (its amplitude, sequential depth and
@@ -70,7 +70,6 @@ class DGRing:
         d_table: Dict[str, Dict[str, Poly]],
         slot_extra: Dict[str, Tuple[Poly, ...]],
         h0_extra: Sequence[Poly],
-        label: str = "",
     ):
         self.base = base
         self.kind = kind
@@ -80,7 +79,6 @@ class DGRing:
         self.mul_table = dict(mul_table)
         self.slot_extra = {s: tuple(slot_extra.get(s, ())) for s in basis}
         self.h0_extra = tuple(h0_extra)
-        self.label = label or kind
         self.unit = "1"
         if self.unit not in self.basis:
             raise ValueError("basis must contain the unit symbol '1'")
@@ -161,7 +159,7 @@ class DGRing:
         return hash(self.key())
 
     def __repr__(self):
-        return "DGRing(%s over %r)" % (self.label, self.base)
+        return "DGRing(%s %s over %r)" % (self.kind, list(self.basis), self.base)
 
     # -- axioms (exercised by the test-suite, not on every construction) ----
 
@@ -201,8 +199,9 @@ class DGRing:
                 x = AElem(self, {a: one})
                 y = AElem(self, {b: one})
                 lhs = x.mul(y).d()
-                sign = -1 if self.cohdeg[a] % 2 else 1
-                rhs = x.d().mul(y).add(x.mul(y.d()).scale_int(sign))
+                odd = self.cohdeg[a] % 2
+                second = x.mul(y.d())
+                rhs = x.d().mul(y).add(second.negate() if odd else second)
                 if lhs.coeffs != rhs.coeffs:
                     raise AssertionError("Leibniz fails on %s,%s" % (a, b))
         for a in self.basis:
@@ -261,16 +260,6 @@ class AElem:
     def negate(self) -> "AElem":
         return AElem._normal(self.ring, {s: -p for s, p in self.coeffs.items()})
 
-    def scale_int(self, n: int) -> "AElem":
-        if n == 1:
-            return self
-        if n == -1:
-            return self.negate()
-        c = self.ring.base.field.from_int(n)
-        return AElem._normal(
-            self.ring, {s: p.scale(c) for s, p in self.coeffs.items()}
-        )
-
     def mul(self, other: "AElem") -> "AElem":
         A = self.ring
         acc: Dict[str, Poly] = {}
@@ -328,7 +317,6 @@ def build_ring_dg(base: GradedRing) -> DGRing:
         {},
         {},
         [],
-        label="base",
     )
 
 
@@ -400,7 +388,6 @@ def build_koszul_dg(base: GradedRing, elements: Sequence) -> DGRing:
         d_table,
         {},
         elems,
-        label="K(%s)" % ", ".join(str(p) for p in elems),
     )
 
 
@@ -454,6 +441,5 @@ def build_trivial_extension(
         {},
         {"eps": rels},
         [],
-        label="R(+)C[%d]" % shift,
     )
 

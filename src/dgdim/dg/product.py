@@ -32,13 +32,12 @@ class ProductDGRing:
         if not factors:
             raise ValueError("empty product")
         self.factors = tuple(factors)
-        self.label = " x ".join(f.label for f in self.factors)
 
     def dimension(self) -> int:
         return max(f.dimension() for f in self.factors)
 
     def __repr__(self):
-        return "ProductDGRing(%s)" % (self.label,)
+        return "ProductDGRing(%s)" % " x ".join(map(repr, self.factors))
 
 
 def build_split_trivial_extension(
@@ -87,7 +86,7 @@ def factor_residue_module(ring: ProductDGRing, index: int) -> ProductDGModule:
     restriction along the projection, zero on every other factor."""
     parts = [
         residue_dg_module(f) if i == index
-        else DGModule(f, [], {}, check=False, label="0")
+        else DGModule(f, [], {}, check=False)
         for i, f in enumerate(ring.factors)
     ]
     return ProductDGModule(ring, parts)

@@ -119,29 +119,24 @@ def _stage(
     entries: Dict[int, Dict[int, AElem]] = {}
     slots = M.slots_by_degree()[s]
     for t, rep in enumerate(data.representatives):
-        row: Dict[int, AElem] = {}
+        by_gen: Dict[int, dict] = {}
         for idx in sorted(rep):
             i, sym = slots[idx]
-            p = rep[idx]
-            if i in row:
-                row[i] = row[i].add(AElem(A, {sym: p}))
-            else:
-                row[i] = AElem(A, {sym: p})
-        if row:
-            entries[t] = row
+            by_gen.setdefault(i, {})[sym] = rep[idx]
+        entries[t] = {i: AElem(A, coeffs) for i, coeffs in by_gen.items()}
     cone = cone_dg(DGMap(P, M, entries), check=False)
     return s, cone, tuple(data.generator_degrees)
 
 
 def semifree_resolution(
-    M: DGModule,
-    window_lo: Optional[int] = None,
-    max_stages: Optional[int] = None,
+    M: DGModule, window_lo: Optional[int] = None
 ) -> SemifreeResolution:
     """Resolve M by a semifree DG-module, faithfully above window_lo.
 
     window_lo=None asks for exact termination and raises RuntimeError when
-    the tower does not stop within max_stages.  A windowed result is
+    the tower does not stop within v + n + 8 stages, for v the ambient
+    variables of A and n the slots of M.  A windowed tower gets
+    max(4, top slot degree - window_lo + 6) stages.  A windowed result is
     terminated only when its end state shows it without a scan: no slot
     below the floor.  Otherwise its known_lo is the window bound, and
     certify_termination decides termination by scanning below the floor."""
@@ -154,13 +149,12 @@ def semifree_resolution(
     k = 0
     stages: List[dict] = []
     prev_pos: Optional[int] = None
-    if max_stages is None:
-        if window_lo is not None:
-            top = M.max_slot_cohdeg()
-            span = 4 if top is None else top - window_lo + 6
-            max_stages = max(4, span)
-        else:
-            max_stages = 48
+    if window_lo is None:
+        slots = sum(map(len, M.slots_by_degree().values()))
+        max_stages = M.A.base.ambient.nvars + slots + 8
+    else:
+        top = M.max_slot_cohdeg()
+        max_stages = max(4, 4 if top is None else top - window_lo + 6)
     floor_now = None
     ceiling: Optional[int] = None
     while True:
@@ -187,11 +181,11 @@ def semifree_resolution(
     # extract the free block and shift it back to the source's frame
     total = len(N.gens)
     sf_gens = [N.gens[t].shifted(k - 1) for t in range(m, total)]
-    sign = -1 if (k - 1) % 2 else 1
+    odd = (k - 1) % 2
     sf_diff: Dict[int, Dict[int, AElem]] = {}
     for j in range(m, total):
         inner = {
-            i - m: a.scale_int(sign)
+            i - m: a.negate() if odd else a
             for i, a in N.diff.get(j, {}).items()
             if i >= m
         }

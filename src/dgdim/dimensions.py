@@ -522,10 +522,9 @@ def sequential_depth(X: Union[AnyRing, DGModule]) -> DepthReport:
 
 
 class LocalCohomologyReport:
-    def __init__(self, amplitude: int, degrees: List[int], route: str):
+    def __init__(self, amplitude: int, degrees: List[int]):
         self.amplitude = amplitude
         self.degrees = degrees
-        self.route = route
 
 
 def _ambient_dg_module(X: DGModule, P_ring: GradedRing) -> DGModule:
@@ -579,9 +578,7 @@ def local_cohomology_amplitude(
     _connected(A, "local cohomology")
     P_ring = GradedRing(A.base.ambient, [])
     v = P_ring.dimension()
-    amb = _ambient_dg_module(X, P_ring)
-    nslots = sum(len(s) for s in amb.slots_by_degree().values())
-    res = semifree_resolution(amb, max_stages=v + nslots + 8)
+    res = semifree_resolution(_ambient_dg_module(X, P_ring))
     F = prune_complex(reduce_to_h0(res))
     H = dual_complex(F)
     degs: List[int] = []
@@ -593,12 +590,7 @@ def local_cohomology_amplitude(
     if not degs:
         raise ValueError("acyclic input has no local cohomology")
     rgamma = sorted(v - j for j in degs)
-    return LocalCohomologyReport(
-        amplitude=rgamma[-1] - rgamma[0],
-        degrees=rgamma,
-        route="Ext into the ambient free module of rank one, degrees "
-        "flipped by graded duality at v = %d" % v,
-    )
+    return LocalCohomologyReport(amplitude=rgamma[-1] - rgamma[0], degrees=rgamma)
 
 
 def is_local_cohen_macaulay(A: AnyRing) -> bool:

@@ -5,8 +5,9 @@ A name in a package's __all__ that only its own module and the package
 __init__ mention is a dead export: nothing in src/dgdim or bench reads it,
 so it can go, or leave __all__ and stay a module-level name.  Tests do not
 count as readers.  A module-level import that its own module never reads
-is dead too.  Dead functions and methods are found at run time, by
-tests/test_reach.py.
+is dead too, and so is an attribute that a class assigns on self and
+nothing in src/dgdim or bench reads.  Dead functions and methods are found
+at run time, by tests/test_reach.py.
 """
 import ast
 import importlib
@@ -77,3 +78,112 @@ def test_every_module_level_import_is_read():
                 continue
             unread += ["%s: %s" % (path.name, b) for b in bound if b not in read]
     assert unread == []
+
+
+# class.attribute -> why it stays although nothing in src/ or bench/ reads it
+UNREAD_ATTRIBUTES = {
+    **{"RegSeqReport." + name: "built only by the bench-held "
+       "is_regular_sequence, ROADMAP item 7"
+       for name in ("regular", "length", "first_failure", "base_inf",
+                    "koszul_infs")},
+    "DualizingReport.shift": "read by tests",
+    "DualizingReport.normalized_inf": "read by tests",
+    "ScenarioError.line": "the position of a JSON syntax error",
+    "ScenarioError.column": "the position of a JSON syntax error",
+}
+
+
+class _AttributeScan(ast.NodeVisitor):
+    """The attributes that classes assign on self, and the reads of each
+    attribute name by receiving class.
+
+    The receiver of a read is the enclosing class for self, the annotated
+    class for a parameter annotated with one of the known classes, and
+    unknown (None) otherwise; an unknown receiver counts for every class.
+    __repr__ bodies are skipped, and a read inside an assignment to, or a
+    keyword argument of, the same name is a copy, not a read."""
+
+    def __init__(self, classes):
+        self.classes = classes
+        self.cls = None
+        self.types = {}
+        self.copying = frozenset()
+        self.assigned = set()
+        self.reads = {}
+
+    def visit_ClassDef(self, node):
+        outer, self.cls = self.cls, node.name
+        self.generic_visit(node)
+        self.cls = outer
+
+    def visit_FunctionDef(self, node):
+        if node.name == "__repr__":
+            return
+        outer = self.types
+        self.types = dict(outer)
+        for arg in node.args.args + node.args.kwonlyargs:
+            ann = arg.annotation
+            name = getattr(ann, "id", getattr(ann, "value", None))
+            if name in self.classes:
+                self.types[arg.arg] = name
+        self.generic_visit(node)
+        self.types = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _copy(self, names, node):
+        outer, self.copying = self.copying, self.copying | set(names)
+        self.visit(node)
+        self.copying = outer
+
+    def _assign(self, targets, value):
+        names = []
+        for target in targets:
+            if isinstance(target, ast.Attribute):
+                names.append(target.attr)
+                if getattr(target.value, "id", None) == "self" and self.cls:
+                    self.assigned.add("%s.%s" % (self.cls, target.attr))
+            self.visit(target)
+        if value is not None:
+            self._copy(names, value)
+
+    def visit_Assign(self, node):
+        self._assign(node.targets, node.value)
+
+    def visit_AnnAssign(self, node):
+        self._assign([node.target], node.value)
+
+    def visit_AugAssign(self, node):
+        self._assign([node.target], node.value)
+
+    def visit_keyword(self, node):
+        self._copy([node.arg] if node.arg else [], node.value)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load) and node.attr not in self.copying:
+            name = getattr(node.value, "id", None)
+            owner = self.cls if name == "self" else self.types.get(name)
+            self.reads.setdefault(node.attr, set()).add(owner)
+        self.generic_visit(node)
+
+
+def test_every_attribute_set_on_self_is_read():
+    """An attribute that a class of src/dgdim assigns on self and nothing in
+    src/dgdim or bench reads is dead data, unless UNREAD_ATTRIBUTES names
+    it with the reason it stays.  Tests do not count as readers."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    classes = {node.name for path in PROGRAM for node in ast.walk(trees[path])
+               if isinstance(node, ast.ClassDef)}
+    program = _AttributeScan(classes)
+    readers = _AttributeScan(classes)
+    for path, tree in trees.items():
+        (program if path in PROGRAM else readers).visit(tree)
+    reads = program.reads
+    for name, owners in readers.reads.items():
+        reads.setdefault(name, set()).update(owners)
+    unread = sorted(
+        qualified for qualified in program.assigned
+        if not reads.get(qualified.split(".")[1], set())
+        & {None, qualified.split(".")[0]}
+    )
+    assert unread == sorted(UNREAD_ATTRIBUTES)

@@ -48,6 +48,7 @@ ALLOWED = {
     "DGRing.check_axioms": "test oracle: the DG-ring axioms",
     "AElem.mul": "test oracle: the products check_axioms checks",
     "AElem.d": "test oracle: the differentials check_axioms checks",
+    "AElem.add": "test oracle: the sums check_axioms checks",
     "DGRing.__hash__": "DGRing.__eq__ has readers, and a class with __eq__ "
                        "but no __hash__ is unhashable",
     "fpd_example_pair": "the paper's attaining family; a verify check is to "

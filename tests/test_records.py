@@ -34,7 +34,7 @@ FIELDS = {
     RegSeqReport: ["regular", "length", "first_failure", "base_inf",
                    "koszul_infs"],
     DepthReport: ["value", "sequence", "pool_size", "exhaustive"],
-    LocalCohomologyReport: ["amplitude", "degrees", "route"],
+    LocalCohomologyReport: ["amplitude", "degrees"],
     DualizingReport: ["module", "shift", "normalized_inf", "injdim",
                       "biduality_ok"],
     FinitisticReport: ["fpd", "ffd", "fid", "depth_certificate",
