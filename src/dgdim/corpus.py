@@ -17,8 +17,6 @@ from .core import GradedFreeModule, GradedMatrix, GradedModule, GradedRing, Poly
 from .dg import (
     DGModule,
     DGRing,
-    ProductDGModule,
-    ProductDGRing,
     build_koszul_dg,
     build_ring_dg,
     build_split_trivial_extension,
@@ -28,6 +26,7 @@ from .dg import (
     h0_cyclic_dg_module,
     hom_semifree_into_dg,
     multiplication_map,
+    per_factor,
     residue_dg_module,
     shift_dg,
     twist_dg,
@@ -138,10 +137,7 @@ def random_perfect_module(A, rng: Random, steps: Optional[int] = None):
     product ring each factor gets its own independent build."""
     if steps is None:
         steps = rng.randrange(2, 5)
-    if isinstance(A, ProductDGRing):
-        parts = [_random_connected_module(f, rng, steps) for f in A.factors]
-        return ProductDGModule(A, parts)
-    return _random_connected_module(A, rng, steps)
+    return per_factor(_random_connected_module, A, rng, steps)
 
 
 # ---------- independent projective-dimension oracle ----------

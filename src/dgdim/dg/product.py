@@ -10,14 +10,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core.ring import GradedRing
-from .dgmodule import (
-    DGModule,
-    free_dg_module,
-    koszul_dg_module,
-    residue_dg_module,
-    shift_dg,
-    twist_dg,
-)
+from .dgmodule import DGModule, koszul_dg_module, residue_dg_module
 from .dgring import DGRing, build_ring_dg, build_trivial_extension
 
 
@@ -72,13 +65,15 @@ class ProductDGModule:
         return min(vals) if vals else None
 
 
-def product_free_module(
-    ring: ProductDGRing, placements: Sequence
-) -> ProductDGModule:
-    """Free module with the same generator placements over every factor."""
-    return ProductDGModule(
-        ring, [free_dg_module(f, placements) for f in ring.factors]
-    )
+def per_factor(build, X, *args):
+    """build(X, *args), taken one factor at a time when X is a product
+    DG-ring or a module over one: the product of build(factor, *args) or
+    of build(part, *args)."""
+    if isinstance(X, ProductDGRing):
+        return ProductDGModule(X, [build(f, *args) for f in X.factors])
+    if isinstance(X, ProductDGModule):
+        return ProductDGModule(X.A, [build(p, *args) for p in X.parts])
+    return build(X, *args)
 
 
 def factor_residue_module(ring: ProductDGRing, index: int) -> ProductDGModule:
@@ -108,10 +103,3 @@ def product_koszul_module(
         parts.append(koszul_dg_module(fac, [row[i] for row in rows]))
     return ProductDGModule(ring, parts)
 
-
-def shift_product(M: ProductDGModule, n: int) -> ProductDGModule:
-    return ProductDGModule(M.A, [shift_dg(p, n) for p in M.parts])
-
-
-def twist_product(M: ProductDGModule, t: int) -> ProductDGModule:
-    return ProductDGModule(M.A, [twist_dg(p, t) for p in M.parts])

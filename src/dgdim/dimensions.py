@@ -47,7 +47,7 @@ from .dg import (
     free_dg_module,
     hom_semifree_into_dg,
     multiplication_map,
-    product_free_module,
+    per_factor,
     reduce_to_h0,
     residue_dg_module,
     semifree_resolution,
@@ -62,9 +62,7 @@ AnyModule = Union[DGModule, ProductDGModule]
 
 
 def ring_free_module(A: AnyRing):
-    if isinstance(A, ProductDGRing):
-        return product_free_module(A, [(0, 0)])
-    return free_dg_module(A, [(0, 0)])
+    return per_factor(free_dg_module, A, [(0, 0)])
 
 
 def ring_amplitude(A: AnyRing) -> int:

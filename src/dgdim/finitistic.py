@@ -30,11 +30,11 @@ from .core import GradedModule, GradedRing, Poly, PolyRing
 from .dg import (
     DGModule,
     DGRing,
+    ProductDGModule,
     ProductDGRing,
     build_ring_dg,
     factor_residue_module,
     koszul_dg_module,
-    product_koszul_module,
 )
 from .dimensions import (
     AnyRing,
@@ -322,7 +322,8 @@ def bass_witness_recipe(A: AnyRing, n: int) -> WitnessRecipe:
 
     n = 0 returns the ring itself, verified.  Over a product the
     localization becomes a projection onto a ring direct factor, so the
-    Koszul witness there is computed and verified.  Over a connected ring
+    witness is the Koszul complex on a regular sequence of length n of one
+    factor, zero on the others, computed and verified.  Over a connected ring
     with n >= 1 the construction needs a genuine element inverted, which
     is inhomogeneous; the recipe is emitted unverified.
     """
@@ -345,16 +346,14 @@ def bass_witness_recipe(A: AnyRing, n: int) -> WitnessRecipe:
         )
     if isinstance(A, ProductDGRing):
         for i, fac in enumerate(A.factors):
-            names = fac.base.ambient.names
-            if not names:
+            seq = sequential_depth(fac).sequence[:n]
+            if len(seq) < n:
                 continue
-            v = names[0]
-            seq = [v] + ["%s^%d" % (v, j) for j in range(2, n + 1)]
-            rows = [
-                tuple(seq[j] if t == i else "0" for t in range(len(A.factors)))
-                for j in range(n)
-            ]
-            M = product_koszul_module(A, rows)
+            K = koszul_dg_module(fac, seq)
+            M = ProductDGModule(A, [
+                K if j == i else DGModule(f, [], {}, check=False)
+                for j, f in enumerate(A.factors)
+            ])
             rep = proj_dim(M)
             return WitnessRecipe(
                 target=n,
@@ -362,13 +361,15 @@ def bass_witness_recipe(A: AnyRing, n: int) -> WitnessRecipe:
                 sequence=seq,
                 inverted="the factor idempotent",
                 koszul_description="K(factor %d; %s) extended by zero" % (i, ", ".join(seq)),
-                verified=rep.finite and rep.value == n,
+                verified=(rep.finite and rep.value == n and K.sup_h() == 0
+                          and M.inf_h() >= ring_free_module(A).inf_h()),
                 module=M,
                 projdim=rep.value if rep.finite else None,
                 notes="projection onto a ring direct factor replaces the localization",
             )
         raise ValueError(
-            "recipe unavailable at desk scale: no product factor with variables"
+            "recipe unavailable at desk scale: no product factor with a "
+            "regular sequence of length %d" % n
         )
     H0 = A.h0_ring()
     found = _monomial_prime_of_height(H0, n - 1)

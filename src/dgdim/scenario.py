@@ -3,6 +3,8 @@
 A scenario is validated and built up front, in declaration order, so a bad
 differential or an undeclared name is rejected before any query runs; query
 execution then turns each entry of the query list into one check result.
+Each declaration kind and query op is one table entry that lists the keys
+it reads (_KINDS, _OPS), so any other key is bad input.
 """
 import json
 import os
@@ -21,13 +23,11 @@ from .dg import (
     h0_cyclic_dg_module,
     koszul_dg_module,
     multiplication_map,
-    product_free_module,
+    per_factor,
     product_koszul_module,
     residue_dg_module,
     shift_dg,
-    shift_product,
     twist_dg,
-    twist_product,
     DGGen,
     DGModule,
     ProductDGModule,
@@ -61,19 +61,6 @@ _DEFAULT_OPTIONS = {
     "field": "Q",
     "window": [-8, 8],
 }
-
-_QUERY_OPS = (
-    "proj-dim",
-    "flat-dim",
-    "inj-dim",
-    "cohomology",
-    "depth",
-    "small-finitistic",
-    "fpd-interval",
-    "bass-witness",
-    "hochschild",
-)
-
 
 class ScenarioError(Exception):
     """Input-stage failure; carries line/column when the JSON itself is bad."""
@@ -169,26 +156,6 @@ def _declarations(doc: dict, section: str) -> Dict[str, dict]:
     return decls
 
 
-def _build_rings(scn: Scenario, decls: dict) -> None:
-    fieldtag = scn.options["field"]
-    for name, decl in decls.items():
-        try:
-            scn.rings[name] = make_graded_ring(
-                fieldtag,
-                _variables(decl, "ring %r" % name),
-                [str(e) for e in _need(decl, "relations", "ring %r" % name, ())],
-            )
-        except ScenarioError:
-            raise
-        except (ValueError, KeyError) as exc:
-            raise ScenarioError("ring %r: %s" % (name, exc))
-        if scn.rings[name].is_zero_ring:
-            raise ScenarioError(
-                "ring %r: the relations generate the unit ideal, so it is "
-                "the zero ring" % name
-            )
-
-
 def _pair(x: object, key: str, what: str) -> list:
     """x, when it is a JSON array of two entries."""
     if type(x) is not list or len(x) != 2:
@@ -208,19 +175,12 @@ def _variables(decl: dict, what: str) -> List[Tuple[str, int]]:
     return out
 
 
-def _check_expect(x: object, op: str, what: str) -> None:
-    """An expect must be a value the op reports (see _run_query): a JSON
-    boolean for bass-witness and hochschild, a JSON integer, "infinity" or
-    "-infinity" for the dimensions, and a JSON integer for the other ops."""
-    if op in ("bass-witness", "hochschild"):
-        ok, want = type(x) is bool, "a boolean"
-    elif op in ("proj-dim", "flat-dim", "inj-dim"):
-        ok = type(x) is int or x in ("infinity", "-infinity")
-        want = 'an integer, "infinity" or "-infinity"'
-    else:
-        ok, want = type(x) is int, "an integer"
-    if not ok:
-        raise ScenarioError("%s: expect must be %s, not %r" % (what, want, x))
+def _strings(decl: dict, key: str, what: str,
+             default: object = _REQUIRED) -> List[str]:
+    """decl[key], an array of polynomials, each a JSON string ("relations"
+    holds relations, "elements" elements)."""
+    return [_typed(x, str, key[:-1], what)
+            for x in _need(decl, key, what, default)]
 
 
 def _placements(decl: dict, what: str) -> List[Tuple[int, int]]:
@@ -233,22 +193,43 @@ def _placements(decl: dict, what: str) -> List[Tuple[int, int]]:
     ]
 
 
-def _ring_ref(scn: Scenario, name: str, what: str) -> GradedRing:
-    if name not in scn.rings:
-        raise ScenarioError("%s refers to undeclared ring %r" % (what, name))
-    return scn.rings[name]
+# the section each reference key names a declaration of
+_REFS = {
+    "base": "rings", "tail": "rings", "source": "rings", "target": "rings",
+    "ring": "dg_rings", "factors": "dg_rings",
+    "of": "modules", "and": "modules", "module": "modules",
+}
+# the declaration sections, in build order, and what each declares
+_SECTIONS = {"rings": "ring", "dg_rings": "DG-ring", "modules": "module"}
 
 
-def _dg_ref(scn: Scenario, name: str, what: str):
-    if name not in scn.dg_rings:
-        raise ScenarioError("%s refers to undeclared DG-ring %r" % (what, name))
-    return scn.dg_rings[name]
+def _declared(scn: Scenario, section: str) -> dict:
+    """What the scenario has built of one section, by name."""
+    return {"rings": scn.rings, "dg_rings": scn.dg_rings,
+            "modules": scn.modules}[section]
 
 
-def _module_ref(scn: Scenario, name: str, what: str):
-    if name not in scn.modules:
-        raise ScenarioError("%s refers to undeclared module %r" % (what, name))
-    return scn.modules[name]
+def _ref(scn: Scenario, decl: dict, key: str, what: str):
+    """What decl[key] names in the section _REFS gives the key; factors
+    name a list of DG-rings."""
+    section = _REFS[key]
+    declared = _declared(scn, section)
+    names = _need(decl, key, what)
+    found = []
+    for name in names if key == "factors" else [names]:
+        if _typed(name, str, "factor", what) not in declared:
+            raise ScenarioError("%s refers to undeclared %s %r"
+                                % (what, _SECTIONS[section], name))
+        found.append(declared[name])
+    return found if key == "factors" else found[0]
+
+
+def _only(decl: dict, keys: Tuple[str, ...], what: str) -> None:
+    """Reject a key of decl outside keys: no entry reads it, so a misspelt
+    key would otherwise be dropped without a word."""
+    for key in decl:
+        if key not in keys:
+            raise ScenarioError("%s has unknown key %r" % (what, key))
 
 
 def _not_product(x, what: str):
@@ -258,56 +239,67 @@ def _not_product(x, what: str):
     return x
 
 
-def _build_dg_rings(scn: Scenario, decls: dict) -> None:
-    for name, decl in decls.items():
-        what = "DG-ring %r" % name
-        kind = _need(decl, "kind", what)
-        try:
-            if kind == "ring":
-                base = _need(decl, "base", what)
-                scn.dg_rings[name] = build_ring_dg(_ring_ref(scn, base, what))
-            elif kind == "koszul":
-                base = _need(decl, "base", what)
-                scn.dg_rings[name] = build_koszul_dg(
-                    _ring_ref(scn, base, what),
-                    [str(e) for e in _need(decl, "elements", what)],
-                )
-            elif kind == "trivial-extension":
-                base = _need(decl, "base", what)
-                scn.dg_rings[name] = build_trivial_extension(
-                    _ring_ref(scn, base, what),
-                    _need(decl, "shift", what),
-                    [str(e) for e in _need(decl, "relations", what, ())],
-                    _need(decl, "twist", what, 0),
-                )
-            elif kind == "product":
-                factors = _need(decl, "factors", what)
-                scn.dg_rings[name] = ProductDGRing(
-                    [_dg_ref(scn, _typed(f, str, "factor", what), what)
-                     for f in factors]
-                )
-            elif kind == "split-trivial-extension":
-                base = _need(decl, "base", what)
-                tail = _need(decl, "tail", what)
-                scn.dg_rings[name] = build_split_trivial_extension(
-                    _ring_ref(scn, base, what),
-                    _ring_ref(scn, tail, what),
-                    _need(decl, "shift", what),
-                )
-            else:
-                raise ScenarioError("%s has unknown kind %r" % (what, kind))
-        except ScenarioError:
-            raise
-        except (ValueError, KeyError) as exc:
-            raise ScenarioError("%s: %s" % (what, exc))
+def _ring(scn: Scenario, decl: dict, what: str) -> GradedRing:
+    ring = make_graded_ring(scn.options["field"], _variables(decl, what),
+                            _strings(decl, "relations", what, ()))
+    if ring.is_zero_ring:
+        raise ScenarioError("%s: the relations generate the unit ideal, so "
+                            "it is the zero ring" % what)
+    return ring
 
 
-def _module_from_generators(A, decl: dict, what: str):
+def _koszul_module(scn: Scenario, decl: dict, what: str):
+    A = _ref(scn, decl, "ring", what)
+    if not isinstance(A, ProductDGRing):
+        return koszul_dg_module(A, _strings(decl, "elements", what))
+    rows = [_typed(row, list, "elements row", what)
+            for row in _need(decl, "elements", what)]
+    return product_koszul_module(
+        A, [[_typed(x, str, "element", what) for x in row] for row in rows])
+
+
+def _factor_residue(scn: Scenario, decl: dict, what: str):
+    A = _ref(scn, decl, "ring", what)
+    if not isinstance(A, ProductDGRing):
+        raise ScenarioError("%s needs a product DG-ring" % what)
+    index = _need(decl, "index", what)
+    if not 0 <= index < len(A.factors):
+        raise ScenarioError("%s: index %d is not a factor of %r, which has %d"
+                            % (what, index, decl["ring"], len(A.factors)))
+    return factor_residue_module(A, index)
+
+
+def _h0_cyclic(scn: Scenario, decl: dict, what: str):
+    A = _not_product(_ref(scn, decl, "ring", what), what)
+    rels = [A.base.parse(e) for e in _strings(decl, "elements", what, ())]
+    for p in rels:
+        p.degree()  # an inhomogeneous element raises ValueError
+    return h0_cyclic_dg_module(A, rels)
+
+
+def _cone_mult(scn: Scenario, decl: dict, what: str):
+    M = _not_product(_ref(scn, decl, "of", what), what)
+    # parsed unreduced, so an element that is zero in the base keeps its
+    # degree
+    a = M.A.base.ambient.parse(_need(decl, "element", what))
+    return cone_dg(multiplication_map(M, a))
+
+
+def _generator_index(key: str, what: str) -> int:
+    if not key.isdecimal():
+        raise ScenarioError("%s: differential key %r is not a generator index"
+                            % (what, key))
+    return int(key)
+
+
+def _presented(scn: Scenario, decl: dict, what: str):
+    A = _not_product(_ref(scn, decl, "ring", what), what)
     gens = [DGGen(c, t) for c, t in _placements(decl, what)]
     diff: Dict[int, Dict[int, object]] = {}
     for j, row in _need(decl, "differential", what).items():
-        diff[int(j)] = {
-            int(i): A.from_base(A.base.parse(str(expr)))
+        diff[_generator_index(j, what)] = {
+            _generator_index(i, what): A.from_base(A.base.parse(
+                _typed(expr, str, "differential entry", what)))
             for i, expr in _typed(row, dict, "differential row", what).items()
         }
     if any(not 0 <= k < len(gens) for j, row in diff.items() for k in (j, *row)):
@@ -315,98 +307,144 @@ def _module_from_generators(A, decl: dict, what: str):
     return DGModule(A, gens, diff, check=True)
 
 
-def _build_modules(scn: Scenario, decls: dict) -> None:
+# section -> kind -> (the keys a declaration of the kind may carry, its
+# builder); a ring has no kind
+_KINDS = {
+    "rings": {None: (("variables", "relations"), _ring)},
+    "dg_rings": {
+        "ring": (("base",), lambda scn, d, what:
+                 build_ring_dg(_ref(scn, d, "base", what))),
+        "koszul": (("base", "elements"), lambda scn, d, what: build_koszul_dg(
+            _ref(scn, d, "base", what), _strings(d, "elements", what))),
+        "trivial-extension": (
+            ("base", "shift", "relations", "twist"),
+            lambda scn, d, what: build_trivial_extension(
+                _ref(scn, d, "base", what), _need(d, "shift", what),
+                _strings(d, "relations", what, ()), _need(d, "twist", what, 0))),
+        "product": (("factors",), lambda scn, d, what:
+                    ProductDGRing(_ref(scn, d, "factors", what))),
+        "split-trivial-extension": (
+            ("base", "tail", "shift"),
+            lambda scn, d, what: build_split_trivial_extension(
+                _ref(scn, d, "base", what), _ref(scn, d, "tail", what),
+                _need(d, "shift", what))),
+    },
+    "modules": {
+        "free": (("ring", "generators"), lambda scn, d, what: per_factor(
+            free_dg_module, _ref(scn, d, "ring", what), _placements(d, what))),
+        "koszul": (("ring", "elements"), _koszul_module),
+        "residue": (("ring",), lambda scn, d, what: residue_dg_module(
+            _not_product(_ref(scn, d, "ring", what), what))),
+        "factor-residue": (("ring", "index"), _factor_residue),
+        "h0-cyclic": (("ring", "elements"), _h0_cyclic),
+        "shift": (("of", "by"), lambda scn, d, what: per_factor(
+            shift_dg, _ref(scn, d, "of", what), _need(d, "by", what))),
+        "twist": (("of", "by"), lambda scn, d, what: per_factor(
+            twist_dg, _ref(scn, d, "of", what), _need(d, "by", what))),
+        "cone-mult": (("of", "element"), _cone_mult),
+        "sum": (("of", "and"), lambda scn, d, what: direct_sum_dg(
+            _not_product(_ref(scn, d, "of", what), what),
+            _not_product(_ref(scn, d, "and", what), what))),
+        "presented": (("ring", "generators", "differential"), _presented),
+    },
+}
+
+
+def _build(scn: Scenario, section: str, decls: Dict[str, dict]) -> None:
+    """Build one section's declarations in declaration order, each by the
+    entry of its kind."""
+    kinds = _KINDS[section]
     for name, decl in decls.items():
-        kind = _need(decl, "kind", "module %r" % name)
-        what = "module %r (kind %r)" % (name, kind)
+        what = "%s %r" % (_SECTIONS[section], name)
+        keys = ()
+        kind = None
+        if section != "rings":
+            kind = _need(decl, "kind", what)
+            if kind not in kinds:
+                raise ScenarioError("%s has unknown kind %r" % (what, kind))
+            what = "%s (kind %r)" % (what, kind)
+            keys = ("kind",)
+        keys += kinds[kind][0]
+        # every reference is present and typed before any is looked up
+        for key in keys:
+            if key in _REFS:
+                _need(decl, key, what)
         try:
-            if kind == "free":
-                ring = _need(decl, "ring", what)
-                A = _dg_ref(scn, ring, what)
-                placements = _placements(decl, what)
-                if isinstance(A, ProductDGRing):
-                    scn.modules[name] = product_free_module(A, placements)
-                else:
-                    scn.modules[name] = free_dg_module(A, placements)
-            elif kind == "koszul":
-                ring = _need(decl, "ring", what)
-                A = _dg_ref(scn, ring, what)
-                elems = _need(decl, "elements", what)
-                if isinstance(A, ProductDGRing):
-                    scn.modules[name] = product_koszul_module(
-                        A, [[str(x) for x in _typed(row, list, "elements row", what)]
-                            for row in elems]
-                    )
-                else:
-                    scn.modules[name] = koszul_dg_module(
-                        A, [str(e) for e in elems]
-                    )
-            elif kind == "residue":
-                ring = _need(decl, "ring", what)
-                scn.modules[name] = residue_dg_module(
-                    _not_product(_dg_ref(scn, ring, what), what)
-                )
-            elif kind == "factor-residue":
-                ring = _need(decl, "ring", what)
-                A = _dg_ref(scn, ring, what)
-                if not isinstance(A, ProductDGRing):
-                    raise ScenarioError("%s needs a product DG-ring" % what)
-                index = _need(decl, "index", what)
-                if not 0 <= index < len(A.factors):
-                    raise ScenarioError(
-                        "%s: index %d is not a factor of %r, which has %d"
-                        % (what, index, ring, len(A.factors))
-                    )
-                scn.modules[name] = factor_residue_module(A, index)
-            elif kind == "h0-cyclic":
-                ring = _need(decl, "ring", what)
-                A = _not_product(_dg_ref(scn, ring, what), what)
-                elems = _need(decl, "elements", what, ())
-                rels = [A.base.parse(str(e)) for e in elems]
-                for p in rels:
-                    p.degree()  # an inhomogeneous element raises ValueError
-                scn.modules[name] = h0_cyclic_dg_module(A, rels)
-            elif kind == "shift":
-                of = _need(decl, "of", what)
-                M = _module_ref(scn, of, what)
-                n = _need(decl, "by", what)
-                scn.modules[name] = (
-                    shift_product(M, n) if isinstance(M, ProductDGModule)
-                    else shift_dg(M, n)
-                )
-            elif kind == "twist":
-                of = _need(decl, "of", what)
-                M = _module_ref(scn, of, what)
-                t = _need(decl, "by", what)
-                scn.modules[name] = (
-                    twist_product(M, t) if isinstance(M, ProductDGModule)
-                    else twist_dg(M, t)
-                )
-            elif kind == "cone-mult":
-                of = _need(decl, "of", what)
-                M = _not_product(_module_ref(scn, of, what), what)
-                # parsed unreduced, so an element that is zero in the base
-                # keeps its degree
-                a = M.A.base.ambient.parse(str(_need(decl, "element", what)))
-                scn.modules[name] = cone_dg(multiplication_map(M, a))
-            elif kind == "sum":
-                of = _need(decl, "of", what)
-                other = _need(decl, "and", what)
-                scn.modules[name] = direct_sum_dg(
-                    _not_product(_module_ref(scn, of, what), what),
-                    _not_product(_module_ref(scn, other, what), what),
-                )
-            elif kind == "presented":
-                ring = _need(decl, "ring", what)
-                scn.modules[name] = _module_from_generators(
-                    _not_product(_dg_ref(scn, ring, what), what), decl, what
-                )
-            else:
-                raise ScenarioError("module %r has unknown kind %r" % (name, kind))
-        except ScenarioError:
-            raise
+            _declared(scn, section)[name] = kinds[kind][1](scn, decl, what)
         except (ValueError, KeyError) as exc:
             raise ScenarioError("%s: %s" % (what, exc))
+        # after the build, so a fault it finds is reported first
+        _only(decl, keys, what)
+
+
+def _connected(q: dict, what: str, A) -> None:
+    _not_product(A, what)
+
+
+def _witness_target(q: dict, what: str, A) -> None:
+    n = _need(q, "n", what)
+    dim = A.dimension()
+    if not 0 <= n <= dim:
+        raise ScenarioError(
+            "%s: n = %d lies outside 0 <= n <= dim H0 = %d" % (what, n, dim)
+        )
+
+
+def _cohomology(scn: Scenario, q: dict, M) -> dict:
+    """The ranks of H^i(M) over the window; over a product, summed over
+    the parts."""
+    lo, hi = scn.options["window"]
+    parts = M.parts if isinstance(M, ProductDGModule) else [M]
+    ranks = {}
+    for i in range(lo, hi + 1):
+        rank = sum(len(p.cohomology(i).generator_degrees) for p in parts)
+        if rank:
+            ranks[str(i)] = rank
+    return {"ranks": ranks, "window": [lo, hi], "value": sum(ranks.values())}
+
+
+def _with_value(report, attr: str) -> dict:
+    """The report's JSON, with its attribute attr as the query's value."""
+    return dict(report.to_json(), value=getattr(report, attr))
+
+
+def _hochschild(scn: Scenario, q: dict, src: GradedRing, tgt: GradedRing) -> dict:
+    rep = hochschild_table(src, tgt)
+    return dict(rep.to_json(), value=hochschild_vanishing_check(rep))
+
+
+# what an expect may be: the values its op reports
+_BOOLEAN = ("a boolean", lambda x: type(x) is bool)
+_INTEGER = ("an integer", lambda x: type(x) is int)
+_DIMENSION = ('an integer, "infinity" or "-infinity"',
+              lambda x: type(x) is int or x in ("infinity", "-infinity"))
+
+# op -> (the keys a query of the op may carry besides op and expect, the
+# domain of its expect, a parse-time check of the query or None, its run);
+# a check takes the query, its label and the declarations its reference
+# keys name, a run the scenario, the query and those declarations.  The
+# runs name the library functions in their bodies, so they call whatever
+# the module binds at run time.
+_OPS = {
+    "proj-dim": (("module",), _DIMENSION, None, lambda scn, q, M:
+                 {"value": proj_dim(M).to_json()["value"]}),
+    "flat-dim": (("module",), _DIMENSION, None, lambda scn, q, M:
+                 {"value": flat_dim(M).to_json()["value"]}),
+    "inj-dim": (("module",), _DIMENSION, None, lambda scn, q, M:
+                {"value": inj_dim(M).to_json()["value"]}),
+    "cohomology": (("module",), _INTEGER, None, _cohomology),
+    "depth": (("ring",), _INTEGER, _connected,
+              lambda scn, q, A: {"value": sequential_depth(A).value}),
+    "small-finitistic": (("ring",), _INTEGER, _connected, lambda scn, q, A:
+                         _with_value(small_finitistic_dims(A), "fpd")),
+    "fpd-interval": (("ring",), _INTEGER, None, lambda scn, q, A:
+                     _with_value(fpd_bounds(A), "fpd_value")),
+    "bass-witness": (("ring", "n"), _BOOLEAN, _witness_target, lambda scn, q, A:
+                     _with_value(bass_witness_recipe(A, q["n"]), "verified")),
+    "hochschild": (("source", "target"), _BOOLEAN,
+                   lambda q, what, src, tgt: hochschild_map(src, tgt),
+                   _hochschild),
+}
 
 
 def _check_queries(scn: Scenario, queries: List[dict]) -> None:
@@ -415,32 +453,20 @@ def _check_queries(scn: Scenario, queries: List[dict]) -> None:
         if not isinstance(q, dict):
             raise ScenarioError("%s is not an object" % what)
         op = _need(q, "op", what)
-        if op not in _QUERY_OPS:
+        if op not in _OPS:
             raise ScenarioError("%s has unknown op %r" % (what, op))
         what = "%s (op %r)" % (what, op)
-        if op in ("proj-dim", "flat-dim", "inj-dim", "cohomology"):
-            _module_ref(scn, _need(q, "module", what), what)
-        elif op in ("depth", "small-finitistic"):
-            _not_product(_dg_ref(scn, _need(q, "ring", what), what), what)
-        elif op == "fpd-interval":
-            _dg_ref(scn, _need(q, "ring", what), what)
-        elif op == "bass-witness":
-            A = _dg_ref(scn, _need(q, "ring", what), what)
-            n = _need(q, "n", what)
-            dim = A.dimension()
-            if not 0 <= n <= dim:
-                raise ScenarioError(
-                    "%s: n = %d lies outside 0 <= n <= dim H0 = %d" % (what, n, dim)
-                )
-        elif op == "hochschild":
-            src = _ring_ref(scn, _need(q, "source", what), what)
-            tgt = _ring_ref(scn, _need(q, "target", what), what)
+        keys, (want, allowed), check, _ = _OPS[op]
+        subjects = [_ref(scn, q, key, what) for key in keys if key in _REFS]
+        if check is not None:
             try:
-                hochschild_map(src, tgt)
+                check(q, what, *subjects)
             except ValueError as exc:
                 raise ScenarioError("%s: %s" % (what, exc))
-        if "expect" in q:
-            _check_expect(q["expect"], op, what)
+        if "expect" in q and not allowed(q["expect"]):
+            raise ScenarioError("%s: expect must be %s, not %r"
+                                % (what, want, q["expect"]))
+        _only(q, ("op", "expect") + keys, what)
         scn.queries.append(q)
 
 
@@ -455,10 +481,10 @@ def parse_scenario(doc: dict, label: str = "scenario",
     options = _check_options(dict(_need(doc, "options", "scenario", {}),
                                   **(overrides or {})))
     scn = Scenario(label=label, raw=doc, options=options)
-    _build_rings(scn, _declarations(doc, "rings"))
-    _build_dg_rings(scn, _declarations(doc, "dg_rings"))
-    _build_modules(scn, _declarations(doc, "modules"))
+    for section in _SECTIONS:
+        _build(scn, section, _declarations(doc, section))
     _check_queries(scn, _need(doc, "queries", "scenario", []))
+    _only(doc, ("schema", "options", *_SECTIONS, "queries"), "scenario")
     return scn
 
 
@@ -479,10 +505,6 @@ def load_scenario(path: str, overrides: Optional[dict] = None) -> Scenario:
 # ---------- execution ----------
 
 
-# the declaration keys that name another declaration
-_REFERENCE_KEYS = ("base", "tail", "ring", "of", "and", "factors")
-
-
 def _closure(scn: Scenario, names: List[str]) -> Set[str]:
     """The names, with every name their declarations refer to, read off
     the raw declarations; a name may be declared in several sections (a
@@ -494,9 +516,9 @@ def _closure(scn: Scenario, names: List[str]) -> Set[str]:
         if n in seen:
             continue
         seen.add(n)
-        for section in ("rings", "dg_rings", "modules"):
+        for section in _SECTIONS:
             decl = scn.raw.get(section, {}).get(n, {})
-            for key in _REFERENCE_KEYS:
+            for key in _REFS:
                 ref = decl.get(key)
                 if isinstance(ref, list):
                     todo.extend(ref)
@@ -507,13 +529,9 @@ def _closure(scn: Scenario, names: List[str]) -> Set[str]:
 
 def _sub_scenario(scn: Scenario, q: dict) -> dict:
     """The smallest scenario that still reproduces one query."""
-    names: List[str] = []
-    for key in ("module", "ring", "source", "target"):
-        if key in q:
-            names.append(q[key])
-    keep = _closure(scn, names)
+    keep = _closure(scn, [q[key] for key in _REFS if key in q])
     out = {"schema": SCHEMA, "options": dict(scn.raw.get("options", {}))}
-    for section in ("rings", "dg_rings", "modules"):
+    for section in _SECTIONS:
         decls = {
             k: v for k, v in scn.raw.get(section, {}).items() if k in keep
         }
@@ -523,67 +541,14 @@ def _sub_scenario(scn: Scenario, q: dict) -> dict:
     return out
 
 
-def _value_json(report) -> object:
-    return report.to_json()["value"]
-
-
 def _run_query(scn: Scenario, idx: int, q: dict) -> CheckResult:
     op = q["op"]
+    keys, _, _, run = _OPS[op]
+    refs = [key for key in keys if key in _REFS]
     check_id = "query-%d-%s" % (idx, op)
-    if op in ("proj-dim", "flat-dim", "inj-dim", "cohomology"):
-        subject = q["module"]
-    elif op == "hochschild":
-        subject = "%s -> %s" % (q["source"], q["target"])
-    else:
-        subject = q["ring"]
-    claim = "%s(%s)" % (op, subject)
-    details: dict = {}
+    claim = "%s(%s)" % (op, " -> ".join(q[key] for key in refs))
     try:
-        if op == "proj-dim":
-            details["value"] = _value_json(proj_dim(scn.modules[q["module"]]))
-        elif op == "flat-dim":
-            details["value"] = _value_json(flat_dim(scn.modules[q["module"]]))
-        elif op == "inj-dim":
-            details["value"] = _value_json(inj_dim(scn.modules[q["module"]]))
-        elif op == "cohomology":
-            M = scn.modules[q["module"]]
-            lo, hi = scn.options["window"]
-            ranks = {}
-            for i in range(lo, hi + 1):
-                if isinstance(M, ProductDGModule):
-                    rank = sum(
-                        len(p.cohomology(i).generator_degrees)
-                        for p in M.parts
-                    )
-                else:
-                    rank = len(M.cohomology(i).generator_degrees)
-                if rank:
-                    ranks[str(i)] = rank
-            details["ranks"] = ranks
-            details["window"] = [lo, hi]
-            details["value"] = sum(ranks.values())
-        elif op == "depth":
-            details["value"] = sequential_depth(scn.dg_rings[q["ring"]]).value
-        elif op == "small-finitistic":
-            rep = small_finitistic_dims(scn.dg_rings[q["ring"]])
-            details.update(rep.to_json())
-            details["value"] = rep.fpd
-        elif op == "fpd-interval":
-            rep = fpd_bounds(scn.dg_rings[q["ring"]])
-            details.update(rep.to_json())
-            details["value"] = rep.fpd_value
-        elif op == "bass-witness":
-            rec = bass_witness_recipe(scn.dg_rings[q["ring"]], q["n"])
-            details.update(rec.to_json())
-            details["value"] = rec.verified
-        elif op == "hochschild":
-            rep = hochschild_table(
-                scn.rings[q["source"]], scn.rings[q["target"]]
-            )
-            details.update(rep.to_json())
-            details["value"] = hochschild_vanishing_check(rep)
-        else:  # pragma: no cover - _check_queries filters these
-            raise ScenarioError("unknown op %r" % op)
+        details = run(scn, q, *[_ref(scn, q, key, claim) for key in refs])
     except RuntimeError as exc:
         return CheckResult(
             check_id, claim, INDETERMINATE,

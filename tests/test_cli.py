@@ -495,6 +495,84 @@ def test_cli_rejects_scenario_values_of_the_wrong_json_type(
     assert line.startswith("error: ") and needs in line
 
 
+def _misspelt(section, name, key, value):
+    """small_doc with one key that no entry reads: on a declaration, on
+    query name, or on the document when section is None."""
+    doc = small_doc()
+    if section is None:
+        doc[key] = value
+    elif section == "queries":
+        doc["queries"][name][key] = value
+    else:
+        doc[section][name][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("section,name,key,value,what", [
+    (None, None, "querys", [], "scenario"),
+    ("rings", "R", "relation", ["x^2"], "ring 'R'"),
+    ("dg_rings", "A", "element", ["y"], "DG-ring 'A' (kind 'koszul')"),
+    ("modules", "M", "rings", "A", "module 'M' (kind 'koszul')"),
+    ("queries", 0, "expct", 7, "query 0 (op 'proj-dim')"),
+], ids=["document", "ring", "dg-ring", "module", "query"])
+def test_cli_rejects_a_key_no_entry_reads(section, name, key, value, what,
+                                          tmp_path, capsys):
+    """A misspelt key is bad input (exit 3, one line naming it), where it
+    used to be dropped: a ring's misspelt relations left k[x, y] free, and
+    a misspelt expect was never compared, so both queries passed."""
+    code, err = run_doc(_misspelt(section, name, key, value), tmp_path, capsys)
+    assert code == 3
+    assert err.strip().splitlines() == [
+        "error: %s has unknown key %r" % (what, key)]
+
+
+@pytest.mark.parametrize("section,name,value,needs", [
+    ("rings", "R", {"variables": ["x", "y"], "relations": [1.5]},
+     "ring 'R': relation must be a string, not 1.5"),
+    ("rings", "R", {"variables": ["x", "y"], "relations": [True]},
+     "ring 'R': relation must be a string, not True"),
+    ("rings", "R", {"variables": ["x", "y"], "relations": [2]},
+     "ring 'R': relation must be a string, not 2"),
+    ("dg_rings", "A", {"kind": "koszul", "base": "R", "elements": ["x", 2]},
+     "DG-ring 'A' (kind 'koszul'): element must be a string, not 2"),
+    ("modules", "M", {"kind": "koszul", "ring": "A", "elements": [1.5]},
+     "module 'M' (kind 'koszul'): element must be a string, not 1.5"),
+    ("modules", "X", {"kind": "koszul", "ring": "P", "elements": [["x", 1]]},
+     "module 'X' (kind 'koszul'): element must be a string, not 1"),
+    ("modules", "X", {"kind": "h0-cyclic", "ring": "B", "elements": [True]},
+     "module 'X' (kind 'h0-cyclic'): element must be a string, not True"),
+    ("modules", "X", {"kind": "presented", "ring": "B",
+                      "generators": [[0, 0], [-1, 1]],
+                      "differential": {"1": {"0": 2}}},
+     "module 'X' (kind 'presented'): differential entry must be a string, "
+     "not 2"),
+    ("modules", "X", {"kind": "presented", "ring": "B",
+                      "generators": [[0, 0], [-1, 1]],
+                      "differential": {"one": {"0": "x"}}},
+     "module 'X' (kind 'presented'): differential key 'one' is not a "
+     "generator index"),
+    ("modules", "X", {"kind": "presented", "ring": "B",
+                      "generators": [[0, 0], [-1, 1]],
+                      "differential": {"1": {"-0": "x"}}},
+     "module 'X' (kind 'presented'): differential key '-0' is not a "
+     "generator index"),
+], ids=["relation-float", "relation-boolean", "relation-integer",
+        "dg-ring-element-integer", "module-element-float",
+        "product-element-integer", "h0-cyclic-element-boolean",
+        "differential-entry-integer", "differential-key-word",
+        "differential-key-signed"])
+def test_cli_rejects_polynomials_that_are_not_strings(section, name, value,
+                                                      needs, tmp_path, capsys):
+    """A polynomial entry must be a JSON string and a differential key a
+    decimal generator index: str() used to read 2 as the unit, 1.5 and
+    true as parse errors about int() or a variable 'True'."""
+    doc = _shaped_doc(section, name, value)
+    doc["dg_rings"]["P"] = {"kind": "product", "factors": ["A", "B"]}
+    code, err = run_doc(doc, tmp_path, capsys)
+    assert code == 3
+    assert err.strip().splitlines() == ["error: " + needs]
+
+
 def test_h0_cyclic_scenario_module_parses_its_elements():
     """k[x, y]/(x) is the cyclic module the elements declare: proj dim 1."""
     doc = small_doc(queries=[{"op": "proj-dim", "module": "X", "expect": 1}])

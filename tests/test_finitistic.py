@@ -11,6 +11,7 @@ import pytest
 import dgdim.dimensions as dimensions_module
 from dgdim.core import make_graded_ring
 from dgdim.dg import (
+    ProductDGRing,
     build_koszul_dg,
     build_ring_dg,
     build_split_trivial_extension,
@@ -200,6 +201,31 @@ def test_bass_recipe_idempotent_factor():
     assert rec.verified
     assert rec.projdim == 1
     assert "factor 0" in rec.prime
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+def test_bass_recipe_over_a_product_is_a_regular_koszul_witness(field):
+    """Over k[y, z] x k[x]/(x^2) the n = 2 witness is K(factor 0; y, z),
+    zero on the other factor: projdim 2, sup 0 and inf 0 = inf(A).  It used
+    to put K(factor; 0, 0) on the other factor, whose inf is -2, and still
+    call the module verified, having checked the projdim alone."""
+    A = ProductDGRing([
+        build_ring_dg(make_graded_ring(field, ["y", "z"])),
+        build_ring_dg(make_graded_ring(field, ["x"], ["x^2"])),
+    ])
+    rec = bass_witness_recipe(A, 2)
+    assert (rec.verified, rec.projdim, rec.sequence) == (True, 2, ["y", "z"])
+    assert rec.koszul_description == "K(factor 0; y, z) extended by zero"
+    assert [p.inf_h() for p in rec.module.parts] == [0, None]
+    assert (rec.module.parts[0].sup_h(), rec.module.inf_h()) == (0, 0)
+
+
+def test_bass_recipe_over_a_product_needs_a_long_enough_sequence():
+    """No factor of k[x, y]/(x^2, xy) x k has a regular element, so no
+    Koszul witness of projdim 1 lives on one factor."""
+    A = ProductDGRing([golod_xy(), build_ring_dg(make_graded_ring("Q", []))])
+    with pytest.raises(ValueError, match="recipe unavailable at desk scale"):
+        bass_witness_recipe(A, 1)
 
 
 def test_bass_recipe_unverified_over_connected_ring():

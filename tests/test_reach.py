@@ -131,3 +131,32 @@ def test_every_function_is_entered_by_a_workload():
     assert dead == [], "never entered:\n" + "\n".join(dead)
     # every allow-list entry names a function that exists and is not entered
     assert sorted(set(ALLOWED) - set(never)) == []
+
+
+# The scenario tables hold their entries as lambdas as well as defs, and
+# the profile hook above only matches defs, so an entry that no workload
+# runs would stay hidden; the fixture covers every entry instead.
+
+
+def test_the_fixture_declares_every_kind_and_queries_every_op():
+    from dgdim import scenario
+
+    doc = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    for section in ("dg_rings", "modules"):
+        kinds = {decl["kind"] for decl in doc[section].values()}
+        assert kinds == set(scenario._KINDS[section]), section
+    assert {q["op"] for q in doc["queries"]} == set(scenario._OPS)
+
+
+def test_every_key_an_entry_lists_has_a_type():
+    """Every key a kind or op lists has a JSON type in _KEY_TYPES, and
+    every typed key is one that an entry lists, that a declaration or query
+    always carries (kind, op) or that names a section of the document."""
+    from dgdim import scenario
+
+    tables = [*scenario._KINDS.values(), scenario._OPS]
+    listed = {key for table in tables for entry in table.values()
+              for key in entry[0]}
+    assert sorted(listed - set(scenario._KEY_TYPES)) == []
+    always = {"kind", "op", "options", "queries", *scenario._SECTIONS}
+    assert sorted(set(scenario._KEY_TYPES) - listed - always) == []
