@@ -10,11 +10,12 @@ are reported as certified intervals
 
 together with whatever collapses the instance admits: a Gorenstein ring
 collapses to the lower endpoint, a witness module with
-projdim + inf = dim H0(A) collapses to the upper one.  Witness recipes
-follow the localization construction; genuine localization is inhomogeneous
-and stays outside the graded engine, so recipes are only *verified* when
-the localization degenerates (n = 0) or is an idempotent projection onto a
-ring direct factor.
+projdim + inf = dim H0(A) collapses to the upper one.  A witness of
+projective dimension n is computed and *verified* for every n up to the
+depth of some factor of A (the Koszul complex on a regular sequence of
+length n; n = 0 is the ring).  Past the depth of a connected A the
+construction needs a genuine localization, which is inhomogeneous and stays
+outside the graded engine, so that recipe is emitted unverified.
 
 The Hochschild section resolves the diagonal over the enveloping ring
 B (x)_A B for the flat desk-scale maps (identity, or base field k -> B) and
@@ -97,22 +98,16 @@ def small_finitistic_dims(A: AnyRing) -> FinitisticReport:
     sequence and the Koszul witness attaining the value."""
     _connected(A, "small finitistic dimensions")
     depth = sequential_depth(A)
-    amp = ring_amplitude(A)
-    value = depth.value - amp
-    if depth.sequence:
-        W = koszul_dg_module(A, list(depth.sequence), check=False)
-        label = "K(A; %s)" % ", ".join(depth.sequence)
-    else:
-        W = ring_free_module(A)
-        label = "A"
-    rep = proj_dim(W)
-    winf = W.inf_h()
+    value = depth.value - ring_amplitude(A)
+    rec = bass_witness_recipe(A, depth.value)
+    winf = rec.module.inf_h()
+    finite = rec.projdim is not None
     witness = {
-        "module": label,
-        "projdim": rep.value if rep.finite else None,
+        "module": rec.koszul_description,
+        "projdim": rec.projdim,
         "inf": winf,
-        "value": (rep.value + winf) if rep.finite else None,
-        "attains": rep.finite and rep.value + winf == value,
+        "value": rec.projdim + winf if finite else None,
+        "attains": finite and rec.projdim + winf == value,
     }
     return FinitisticReport(
         fpd=value,
@@ -130,8 +125,9 @@ def fpd_bounds(A: AnyRing) -> FinitisticReport:
     Koszul complex and the free module over a connected ring) are scored
     by projdim + inf.  A witness reaching the upper endpoint collapses the
     interval upward; otherwise, for connected A with A and H0(A) both
-    Gorenstein, the interval collapses to the lower endpoint.  The Gorenstein collapse is a local statement, so it is never
-    applied to a product.
+    Gorenstein, the interval collapses to the lower endpoint.  The
+    Gorenstein collapse is a local statement, so it is never applied to a
+    product.
     """
     dim = A.dimension()
     amp = ring_amplitude(A)
@@ -285,8 +281,7 @@ def _monomial_prime_of_height(
     dim = H0.dimension()
     for size in range(len(names) + 1):
         for subset in itertools.combinations(names, size):
-            rels = list(H0.relations) + [ambient.parse(v) for v in subset]
-            RS = GradedRing(ambient, rels)
+            RS = H0.quotient([ambient.parse(v) for v in subset])
             if RS.is_zero_ring or not _is_variable_generated(RS):
                 continue
             if dim - RS.dimension() != height:
@@ -294,25 +289,18 @@ def _monomial_prime_of_height(
             # parameter sequence: subset variables that each drop the
             # dimension of H0 by one more step
             seq: List[str] = []
-            prefix = list(H0.relations)
-            level = dim
             for v in subset:
                 if len(seq) == height:
                     break
-                cand = GradedRing(ambient, prefix + [ambient.parse(v)])
-                if not cand.is_zero_ring and cand.dimension() == level - 1:
+                cand = H0.quotient([ambient.parse(u) for u in seq + [v]])
+                if not cand.is_zero_ring and cand.dimension() == dim - len(seq) - 1:
                     seq.append(v)
-                    prefix.append(ambient.parse(v))
-                    level -= 1
             if len(seq) != height:
                 continue
             for s in names:
-                if s in subset:
+                if s in subset or RS.normal_form(ambient.parse(s)).is_zero():
                     continue
-                if RS.normal_form(ambient.parse(s)).is_zero():
-                    continue
-                with_s = GradedRing(ambient, rels + [ambient.parse(s)])
-                if not with_s.is_zero_ring:
+                if not RS.quotient([ambient.parse(s)]).is_zero_ring:
                     return subset, tuple(seq), s
     return None
 
@@ -320,12 +308,14 @@ def _monomial_prime_of_height(
 def bass_witness_recipe(A: AnyRing, n: int) -> WitnessRecipe:
     """Recipe for a module with sup = 0, inf >= inf(A) and projdim = n.
 
-    n = 0 returns the ring itself, verified.  Over a product the
-    localization becomes a projection onto a ring direct factor, so the
-    witness is the Koszul complex on a regular sequence of length n of one
-    factor, zero on the others, computed and verified.  Over a connected ring
-    with n >= 1 the construction needs a genuine element inverted, which
-    is inhomogeneous; the recipe is emitted unverified.
+    n = 0 gives the ring itself.  Otherwise the witness is K(F; first n
+    elements of seq.depth(F)) on the first factor F (A itself when connected)
+    with a depth sequence that long, zero on the others; it needs no
+    localization, so it is computed and verified (projdim n, sup 0, inf >=
+    inf(A)).  A connected A with seq.depth(A) < n has no finitely generated
+    witness, since its projdim + inf >= n - amp(A) would exceed the small fpd
+    seq.depth(A) - amp(A); the localization it needs inverts an element,
+    which is inhomogeneous, so that recipe is emitted unverified.
     """
     dim = A.dimension()
     if not 0 <= n <= dim:
@@ -344,55 +334,60 @@ def bass_witness_recipe(A: AnyRing, n: int) -> WitnessRecipe:
             projdim=rep.value,
             notes="the ring itself is its own degree-zero witness",
         )
-    if isinstance(A, ProductDGRing):
-        for i, fac in enumerate(A.factors):
-            seq = sequential_depth(fac).sequence[:n]
-            if len(seq) < n:
-                continue
-            K = koszul_dg_module(fac, seq)
-            M = ProductDGModule(A, [
-                K if j == i else DGModule(f, [], {}, check=False)
-                for j, f in enumerate(A.factors)
-            ])
-            rep = proj_dim(M)
-            return WitnessRecipe(
-                target=n,
-                prime="idempotent of factor %d" % i,
-                sequence=seq,
-                inverted="the factor idempotent",
-                koszul_description="K(factor %d; %s) extended by zero" % (i, ", ".join(seq)),
-                verified=(rep.finite and rep.value == n and K.sup_h() == 0
-                          and M.inf_h() >= ring_free_module(A).inf_h()),
-                module=M,
-                projdim=rep.value if rep.finite else None,
-                notes="projection onto a ring direct factor replaces the localization",
-            )
+    product = isinstance(A, ProductDGRing)
+    for i, F in enumerate(A.factors if product else [A]):
+        seq = sequential_depth(F).sequence[:n]
+        if len(seq) < n:
+            continue
+        K = koszul_dg_module(F, seq, check=False)
+        M = ProductDGModule(A, [
+            K if G is F else DGModule(G, [], {}, check=False) for G in A.factors
+        ]) if product else K
+        rep = proj_dim(M)
+        # inf(A) = -amp(A), since H(A) tops out at H0(A) != 0
+        return WitnessRecipe(
+            target=n,
+            prime="idempotent of factor %d" % i if product else None,
+            sequence=seq,
+            inverted="the factor idempotent" if product else None,
+            koszul_description=(
+                "K(factor %d; %s) extended by zero" % (i, ", ".join(seq))
+                if product else "K(A; %s)" % ", ".join(seq)
+            ),
+            verified=(rep.finite and rep.value == n and K.sup_h() == 0
+                      and M.inf_h() >= -ring_amplitude(A)),
+            module=M,
+            projdim=rep.value if rep.finite else None,
+            notes=(
+                "projection onto a ring direct factor replaces the localization"
+                if product else "a regular sequence needs no localization"
+            ),
+        )
+    if product:
         raise ValueError(
             "recipe unavailable at desk scale: no product factor with a "
             "regular sequence of length %d" % n
         )
-    H0 = A.h0_ring()
-    found = _monomial_prime_of_height(H0, n - 1)
+    found = _monomial_prime_of_height(A.h0_ring(), n - 1)
     if found is None:
         raise ValueError(
             "recipe unavailable at desk scale: no monomial prime of height %d "
             "with a proper complement" % (n - 1)
         )
     subset, seq, s = found
-    prime_label = "(" + ", ".join(subset) + ")" if subset else "(0)"
+    depth, amp = sequential_depth(A).value, ring_amplitude(A)
     return WitnessRecipe(
         target=n,
-        prime=prime_label,
+        prime="(" + ", ".join(subset) + ")" if subset else "(0)",
         sequence=list(seq),
         inverted=s,
-        koszul_description="K(A_%s; %s)" % (s, ", ".join(seq) if seq else ""),
+        koszul_description="K(A_%s; %s)" % (s, ", ".join(seq)),
         verified=False,
-        module=None,
-        projdim=None,
         notes=(
             "inverting %s is inhomogeneous (A[T]/(1 - %s T)) and leaves the "
-            "graded engine; emitted unverified with the local-CM membership "
-            "of the prime assumed from the family structure" % (s, s)
+            "graded engine; emitted unverified, since a finitely generated "
+            "witness would have projdim + inf >= %d > %d = seq.depth(A) - "
+            "amp(A), the small fpd" % (s, s, n - amp, depth - amp)
         ),
     )
 

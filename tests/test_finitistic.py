@@ -9,6 +9,7 @@ import os
 import pytest
 
 import dgdim.dimensions as dimensions_module
+import dgdim.finitistic as finitistic
 from dgdim.core import make_graded_ring
 from dgdim.dg import (
     ProductDGRing,
@@ -20,10 +21,12 @@ from dgdim.dg import (
     shift_dg,
 )
 from dgdim.dimensions import (
+    DepthReport,
     flat_dim,
     is_local_cohen_macaulay,
     ring_amplitude,
     ring_free_module,
+    sequential_depth,
 )
 from dgdim.finitistic import (
     bass_witness_recipe,
@@ -228,13 +231,78 @@ def test_bass_recipe_over_a_product_needs_a_long_enough_sequence():
         bass_witness_recipe(A, 1)
 
 
-def test_bass_recipe_unverified_over_connected_ring():
+def test_bass_recipe_verified_over_connected_ring():
+    """Over K(k[x, y]; x, xy), of depth 1, the n = 1 witness is K(A; y):
+    no element is inverted, and the module is computed and verified."""
     rec = bass_witness_recipe(koszul_xy(), 1)
+    assert (rec.verified, rec.projdim, rec.sequence) == (True, 1, ["y"])
+    assert (rec.prime, rec.inverted) == (None, None)
+    assert rec.koszul_description == "K(A; y)"
+
+
+def _witness_rings(field):
+    R = make_graded_ring(field, ["x", "y"])
+    S = make_graded_ring(field, ["x", "y", "z"])
+    return {
+        "K(k[x,y]; x, xy)": build_koszul_dg(R, ["x", "x*y"]),
+        "K(k[x,y,z]; x, xy, xz)": build_koszul_dg(S, ["x", "x*y", "x*z"]),
+        "k[x,y,z]": build_ring_dg(S),
+        "k[x,y] + (k[x,y]/(x))[1]": build_trivial_extension(R, 1, ["x"]),
+        "k[x,y]/(x^2, xy)": build_ring_dg(
+            make_graded_ring(field, ["x", "y"], ["x^2", "x*y"])
+        ),
+    }
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+@pytest.mark.parametrize("name, n", [
+    ("K(k[x,y]; x, xy)", 1),
+    ("K(k[x,y,z]; x, xy, xz)", 1),
+    ("K(k[x,y,z]; x, xy, xz)", 2),
+    ("k[x,y,z]", 1),
+    ("k[x,y,z]", 2),
+    ("k[x,y,z]", 3),
+    ("k[x,y] + (k[x,y]/(x))[1]", 1),
+])
+def test_bass_witness_up_to_the_depth_is_verified(field, name, n):
+    """For 1 <= n <= seq.depth(A) the Koszul complex on the first n
+    elements of the depth sequence has projdim n, sup 0 and inf = inf(A)."""
+    A = _witness_rings(field)[name]
+    rec = bass_witness_recipe(A, n)
+    assert (rec.verified, rec.projdim, len(rec.sequence)) == (True, n, n)
+    assert rec.sequence == sequential_depth(A).sequence[:n]
+    assert rec.module.sup_h() == 0
+    assert rec.module.inf_h() == ring_free_module(A).inf_h()
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+@pytest.mark.parametrize("name, n", [
+    ("k[x,y] + (k[x,y]/(x))[1]", 2),
+    ("k[x,y]/(x^2, xy)", 1),
+])
+def test_bass_witness_past_the_depth_is_a_localization_recipe(field, name, n):
+    """Past seq.depth(A) no finitely generated witness exists, so the
+    recipe inverts an element and stays unverified, with the reason."""
+    A = _witness_rings(field)[name]
+    assert sequential_depth(A).value < n
+    rec = bass_witness_recipe(A, n)
+    assert (rec.verified, rec.module, rec.projdim) == (False, None, None)
+    assert rec.inverted is not None
+    assert "inhomogeneous" in rec.notes and "small fpd" in rec.notes
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+def test_bass_witness_on_a_non_regular_sequence_is_not_verified(field, monkeypatch):
+    """x is not regular on k[x,y]/(x^2, xy): K(A; x) has H^-1 = (0 : x)
+    nonzero, so its inf is -1 < 0 = inf(A) and the witness must not be
+    verified, whatever its projective dimension."""
+    A = _witness_rings(field)["k[x,y]/(x^2, xy)"]
+    monkeypatch.setattr(
+        finitistic, "sequential_depth", lambda F: DepthReport(1, ["x"], 1, True)
+    )
+    rec = bass_witness_recipe(A, 1)
+    assert rec.module.inf_h() == -1
     assert not rec.verified
-    assert rec.prime == "(0)"
-    assert rec.inverted == "y"
-    assert rec.sequence == []
-    assert "inhomogeneous" in rec.notes
 
 
 def test_bass_recipe_prime_choice_on_quotient():
@@ -261,9 +329,19 @@ def test_ffd_witness_from_verified_recipe():
     assert flat_dim(W).value == 1
 
 
+def test_ffd_witness_from_a_connected_ring():
+    W = ffd_witness(koszul_xyz(), 2)
+    assert flat_dim(W).value == 1
+
+
 def test_ffd_witness_unavailable():
+    """k[x,y,z]/(x^2, xy, xz) has depth 0 and dim 2: no verified projective
+    witness of dimension 1 exists to reuse."""
+    A = build_ring_dg(
+        make_graded_ring("Q", ["x", "y", "z"], ["x^2", "x*y", "x*z"])
+    )
     with pytest.raises(ValueError):
-        ffd_witness(koszul_xyz(), 2)
+        ffd_witness(A, 2)
 
 
 # ---------- Hochschild ----------
