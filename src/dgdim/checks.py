@@ -33,7 +33,7 @@ from .dg import (
     koszul_dg_module,
     product_koszul_module,
 )
-from .dg.tower import semifree_resolution
+from .dg.tower import SemifreeResolution
 from .dimensions import (
     dualizing_dg_module,
     is_local_cohen_macaulay,
@@ -293,7 +293,7 @@ def _check_dualizing(opts) -> Tuple[bool, dict]:
         infR = R.inf_h()
         dim = A.dimension()
         inj_ok = rep.injdim.value == infR + dim
-        res = semifree_resolution(R)
+        res = SemifreeResolution(R, [])
         samples = []
         for _ in range(3):
             recipe = random_recipe(A, rng, rng.randrange(1, 4))

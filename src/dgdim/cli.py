@@ -118,6 +118,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _emit(report, args.format)
 
     if args.command == "verify":
+        if not any(args.filter in cid for cid in check_ids()):
+            print("error: --filter %r selects no check; run `dgdim explain` "
+                  "for the list" % args.filter, file=sys.stderr)
+            return 3
         report = verify_builtin_suite(args.filter,
                                       options=_given(args, "field", "seed"))
         return _emit(report, args.format)

@@ -3,17 +3,18 @@ indexing.
 
 The differential d^i: C^i -> C^{i+1} raises degree by one and d o d = 0.
 There is one complex type, PresentedComplex; a free complex is one without
-relations.  Free complexes come from minimal resolutions of modules and
-from reducing semifree DG-modules to H^0.  Three operations act on free
-complexes only: pruning makes them minimal, dual_complex takes Hom into the
-ring and base_change tensors with a cyclic quotient R/(extra).  Tor and Ext
-against a cyclic module R/I come from those two by base-change adjunction:
-F tensor_R R/I is F over R/I, and Hom_R(F, R/I) is the dual of that over
-R/I.  Complexes with relations come only from the underlying complexes of
-DG-modules.  One routine computes the cohomology of all of them: it reads
-the minimal generators of each H^i off the degreewise Nakayama count of
-core.freemod (GradedMatrix.minimal_columns, which minimal presentations
-share).  Cohomology is only ever counted, never presented as a module.
+relations.  Free complexes come from reducing semifree DG-modules to H^0
+and, for GradedModule inputs, from iterated-syzygy minimal resolutions.
+Three operations act on free complexes only: pruning makes them minimal,
+dual_complex takes Hom into the ring and base_change tensors with a cyclic
+quotient R/(extra).  Tor and Ext against a cyclic module R/I come from
+those two by base-change adjunction: F tensor_R R/I is F over R/I, and
+Hom_R(F, R/I) is the dual of that over R/I.  Complexes with relations come
+only from the underlying complexes of DG-modules.  One routine computes the
+cohomology of all of them: it reads the minimal generators of each H^i off
+the degreewise Nakayama count of core.freemod
+(GradedMatrix.minimal_columns, which minimal presentations share).
+Cohomology is only ever counted, never presented as a module.
 
 A complex may carry a certified lower end known_lo (None = unbounded):
 components at or below it were truncated away.  Truncated complexes arise
@@ -253,7 +254,9 @@ def minimal_free_resolution_module(M: GradedModule, cutoff: int) -> PresentedCom
     """Iterated-syzygy minimal resolution of a module, placed in degrees <= 0.
     Its known_lo is None exactly when it terminated; otherwise it stopped
     after cutoff + 1 steps, and its cohomology is trusted only above its
-    lowest component."""
+    lowest component.  It serves GradedModule inputs (the Betti presentation
+    check) and is the tests' reference for the semifree tower, on which every
+    DG-module resolves; bench/tracer.py wraps it."""
     ring = M.ring
     mp = M.minimal()
     if mp.rank == 0:

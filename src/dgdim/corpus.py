@@ -31,7 +31,7 @@ from .dg import (
     shift_dg,
     twist_dg,
 )
-from .dg.tower import semifree_resolution
+from .dg.tower import certify_termination, semifree_resolution
 
 
 @lru_cache(maxsize=2)
@@ -159,10 +159,16 @@ def direct_ext_projdim(M: DGModule) -> Optional[int]:
     Each Hom complex is scanned from its top down to the first nonzero
     degree, and never at or below the best degree found so far.  Returns
     None when nothing survives (the acyclic case).  It runs on
-    M.over_model(), with the test modules of that module's ring."""
+    M.over_model(), with the test modules of that module's ring, windowed
+    as proj_dim is."""
     M = M.over_model()
     A = M.A
-    res = semifree_resolution(M)
+    infM = M.inf_h()
+    if infM is None:
+        return None
+    res = certify_termination(
+        semifree_resolution(M, window_lo=infM - A.dimension() - 2)
+    )
     best: Optional[int] = None
     for _, T in amplitude_zero_test_family(A):
         H = hom_semifree_into_dg(res, T)

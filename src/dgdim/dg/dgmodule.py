@@ -200,10 +200,6 @@ class DGModule:
         s = self.support()
         return s[0] if s else None
 
-    def max_slot_cohdeg(self) -> Optional[int]:
-        s = self.support()
-        return s[-1] if s else None
-
     # -- shape checks -------------------------------------------------------
 
     def _check_shape(self) -> None:

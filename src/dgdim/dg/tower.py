@@ -25,8 +25,14 @@ cohomology above s, and the next stage scans down from s instead of from
 its top slot degree.  No cohomology is carried from one stage to the next:
 the ceiling alone keeps every degree above s from being read again.
 
-A windowed tower (window_lo given) is faithful above window_lo and makes
-no claim below it.  It stops once no cohomology is left at or above its
+Every tower is windowed: faithful above window_lo, no claim below it.  Each
+caller cites a bound for its window: two degrees below dim H^0(A) - inf M
+for a projective dimension (the Ext-search oracle and the Hochschild
+diagonal too), two below the syzygy bound v - (bottom slot) over a
+polynomial ring in v variables for local cohomology, and as deep as their
+scan reads for the Bass numbers.  The ceiling makes the positions decrease
+while the floor rises by one per stage, so at most top slot - window_lo + 2
+stages run.  A tower stops once no cohomology is left at or above its
 floor, and it reads the end state for termination only where that costs
 nothing: no slots left, or the floor at or below the bottom slot.
 Otherwise the resolution keeps its final cocone and carries the window
@@ -59,9 +65,8 @@ class SemifreeResolution:
     known_lo -- None when sf is a quasi-isomorphism, the tower having
                 stopped because nothing was left; otherwise sf is faithful
                 strictly above known_lo only
-    pending  -- (final cocone, floor) of a windowed tower whose
-                termination only the scan of certify_termination can
-                decide, else None
+    pending  -- (final cocone, floor) of a tower whose termination only
+                the scan of certify_termination can decide, else None
     """
 
     def __init__(self, sf, stages, known_lo=None, pending=None):
@@ -77,9 +82,9 @@ class SemifreeResolution:
 
 def certify_termination(res: SemifreeResolution) -> SemifreeResolution:
     """The resolution with its termination decided: when the final cocone
-    of a windowed tower has no cohomology at any slot degree below the
-    floor, nothing was left and the tower is finished, so the result is
-    the same sf and stages with no window.  Otherwise res itself.
+    of a tower has no cohomology at any slot degree below the floor,
+    nothing was left and the tower is finished, so the result is the same
+    sf and stages with no window.  Otherwise res itself.
 
     This is the only place the below-floor scan runs.  It scans downward
     from the floor; a leftover class usually sits just underneath it, so
@@ -96,7 +101,7 @@ def certify_termination(res: SemifreeResolution) -> SemifreeResolution:
 
 
 def _stage(
-    M: DGModule, floor: Optional[int], ceiling: Optional[int]
+    M: DGModule, floor: int, ceiling: Optional[int]
 ) -> Optional[Tuple[int, DGModule, Tuple[int, ...]]]:
     """Cover the top nonzero certified H^s(M) with floor <= s <= ceiling by
     a free module P, one generator per minimal generator of H^s(M), and
@@ -107,7 +112,7 @@ def _stage(
     (certification cut, slot support and floor combined)."""
     scan = M._scan_range()
     hi = scan.stop - 1 if ceiling is None else min(scan.stop - 1, ceiling)
-    lo = scan.start if floor is None else max(scan.start, floor)
+    lo = max(scan.start, floor)
     data = next(
         (d for d in map(M.cohomology, range(hi, lo - 1, -1)) if not d.is_zero()), None
     )
@@ -128,18 +133,11 @@ def _stage(
     return s, cone, tuple(data.generator_degrees)
 
 
-def semifree_resolution(
-    M: DGModule, window_lo: Optional[int] = None
-) -> SemifreeResolution:
-    """Resolve M by a semifree DG-module, faithfully above window_lo.
-
-    window_lo=None asks for exact termination and raises RuntimeError when
-    the tower does not stop within v + n + 8 stages, for v the ambient
-    variables of A and n the slots of M.  A windowed tower gets
-    max(4, top slot degree - window_lo + 6) stages.  A windowed result is
-    terminated only when its end state shows it without a scan: no slot
-    below the floor.  Otherwise its known_lo is the window bound, and
-    certify_termination decides termination by scanning below the floor."""
+def semifree_resolution(M: DGModule, window_lo: int) -> SemifreeResolution:
+    """Resolve M by a semifree DG-module, faithfully above window_lo.  The
+    result is terminated only when its end state shows it without a scan:
+    no slot below the floor.  Otherwise its known_lo is the window bound,
+    and certify_termination decides termination by scanning below it."""
     if all(g.kind == "free" for g in M.gens):
         # already semifree: with only free generators over a non-positive
         # ring, ordering by descending cohomological degree is a filtration
@@ -149,25 +147,13 @@ def semifree_resolution(
     k = 0
     stages: List[dict] = []
     prev_pos: Optional[int] = None
-    if window_lo is None:
-        slots = sum(map(len, M.slots_by_degree().values()))
-        max_stages = M.A.base.ambient.nvars + slots + 8
-    else:
-        top = M.max_slot_cohdeg()
-        max_stages = max(4, 4 if top is None else top - window_lo + 6)
-    floor_now = None
     ceiling: Optional[int] = None
     while True:
-        if window_lo is not None:
-            # only cohomology at s with s - k > window_lo - 2 forces a stage
-            floor_now = window_lo + k - 1
+        # only cohomology at s with s - k > window_lo - 2 forces a stage
+        floor_now = window_lo + k - 1
         stage = _stage(N, floor_now, ceiling)
         if stage is None:
             break
-        if k >= max_stages:
-            raise RuntimeError(
-                "semifree tower did not stabilize after %d stages" % k
-            )
         position, cone, twists = stage
         N = shift_dg(cone, -1)  # the cocone of the covering map
         # H(N) = 0 above the covered position (see the module docstring)
@@ -194,7 +180,7 @@ def semifree_resolution(
     sf = DGModule(M.A, sf_gens, sf_diff, check=False)
     sf.underlying().validate()
     mn = N.min_slot_cohdeg()
-    if floor_now is None or mn is None or floor_now <= mn:
+    if mn is None or floor_now <= mn:
         # no slot below the floor: the tower is finished
         return SemifreeResolution(sf, stages)
     return SemifreeResolution(sf, stages, floor_now - k, (N, floor_now))

@@ -533,11 +533,9 @@ def _ambient_dg_module(X: DGModule, P_ring: GradedRing) -> DGModule:
     base_rels = tuple(A.base.relations)
     slot_index: Dict[Tuple[int, str], int] = {}
     gens: List[DGGen] = []
-    order: List[Tuple[int, str]] = []
     for c in sorted(X.slots_by_degree()):
         for (j, sym) in X.slots_by_degree()[c]:
             slot_index[(j, sym)] = len(gens)
-            order.append((j, sym))
             gens.append(
                 DGGen(
                     X.slot_cohdeg(j, sym),
@@ -569,14 +567,18 @@ def local_cohomology_amplitude(
     """Amplitude of the derived torsion (local cohomology) of X at the
     irrelevant ideal, through graded duality over the ambient polynomial
     ring: H^j_m(X) is nonzero exactly when Ext^{v-j}_P(X, P) is, where v
-    is the number of ambient variables."""
+    is the number of ambient variables.  The tower is windowed two degrees
+    below the syzygy bound v - inf <= v - (bottom slot) over P."""
     if isinstance(X, (DGRing, ProductDGRing)):
         X = ring_free_module(X)
     A = X.A
     _connected(A, "local cohomology")
     P_ring = GradedRing(A.base.ambient, [])
     v = P_ring.dimension()
-    res = semifree_resolution(_ambient_dg_module(X, P_ring))
+    window = X.min_slot_cohdeg() - v - 2
+    res = certify_termination(
+        semifree_resolution(_ambient_dg_module(X, P_ring), window_lo=window)
+    )
     F = prune_complex(reduce_to_h0(res))
     H = dual_complex(F)
     degs: List[int] = []

@@ -17,25 +17,30 @@ length n; n = 0 is the ring).  Past the depth of a connected A the
 construction needs a genuine localization, which is inhomogeneous and stays
 outside the graded engine, so that recipe is emitted unverified.
 
-The Hochschild section resolves the diagonal over the enveloping ring
-B (x)_A B for the flat desk-scale maps (identity, or base field k -> B) and
-reads Tor/Ext tables off the minimal resolution.
+The Hochschild section resolves the diagonal over E = B (x)_A B for the
+flat desk-scale maps (identity, or base field k -> B) on the semifree
+tower, windowed by the main bound dim H0(E) - inf with inf = 0, and reads
+Tor/Ext tables off its pruned reduction.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import base_change, dual_complex, minimal_free_resolution_module
-from .core import GradedModule, GradedRing, Poly, PolyRing
+from .complexes import base_change, dual_complex, prune_complex
+from .core import GradedRing, Poly, PolyRing
 from .dg import (
     DGModule,
     DGRing,
     ProductDGModule,
     ProductDGRing,
     build_ring_dg,
+    certify_termination,
     factor_residue_module,
+    h0_cyclic_dg_module,
     koszul_dg_module,
+    reduce_to_h0,
+    semifree_resolution,
 )
 from .dimensions import (
     AnyRing,
@@ -496,38 +501,36 @@ def hochschild_map(A: GradedRing, B: GradedRing) -> str:
     )
 
 
+def _group_entry(data) -> dict:
+    return {"rank": len(data.generator_degrees),
+            "twists": sorted(data.generator_degrees)}
+
+
 def hochschild_table(A: GradedRing, B: GradedRing) -> HochschildReport:
     """HH_i = Tor_i over B (x)_A B and HH^i = Ext^i for i up to one past
     the vanishing threshold dim(B (x)_A B), for the maps hochschild_map
     supports.
 
-    Both are taken against the diagonal E/I, E = B (x)_A B, by base change
-    of its minimal resolution F: F tensor_E E/I is F over E/I, and
+    The threshold is the main bound dim H^0(E) - inf for the diagonal E/I,
+    E = B (x)_A B, where inf = 0.  Its tower is windowed two degrees below
+    it, certified, reduced and pruned to the minimal resolution F.  Both
+    tables come by base change: F tensor_E E/I is F over E/I, and
     Hom_E(F, E/I) is the dual of that over E/I.  A group's generators come
     in the order of the cover they live in, so each row lists its twists
     sorted."""
     label = hochschild_map(A, B)
     E, diag = (B, []) if label == _IDENTITY_MAP else _doubled_ring(B)
     threshold = E.dimension()
-    F = minimal_free_resolution_module(
-        GradedModule.cyclic(E, diag), cutoff=threshold + 2
-    )
+    res = certify_termination(semifree_resolution(
+        h0_cyclic_dg_module(build_ring_dg(E), diag), window_lo=-(threshold + 2)
+    ))
+    F = prune_complex(reduce_to_h0(res))
     length = -min(F.support()) if F.support() else 0
     T = base_change(F, diag)
     H = dual_complex(T)
-    hh_lower: Dict[int, dict] = {}
-    hh_upper: Dict[int, dict] = {}
-    for i in range(0, threshold + 2):
-        lo_data = T.cohomology(-i)
-        up_data = H.cohomology(i)
-        hh_lower[i] = {
-            "rank": len(lo_data.generator_degrees),
-            "twists": sorted(lo_data.generator_degrees),
-        }
-        hh_upper[i] = {
-            "rank": len(up_data.generator_degrees),
-            "twists": sorted(up_data.generator_degrees),
-        }
+    groups = [(T.cohomology(-i), H.cohomology(i)) for i in range(threshold + 2)]
+    hh_lower = {i: _group_entry(lo) for i, (lo, _) in enumerate(groups)}
+    hh_upper = {i: _group_entry(up) for i, (_, up) in enumerate(groups)}
     # T has nothing above degree 0 and H nothing below it, so HH_0 =
     # coker(d_T^{-1}) and HH^0 = ker(d_H^0); both must count like B
     matches = all(
@@ -539,7 +542,7 @@ def hochschild_table(A: GradedRing, B: GradedRing) -> HochschildReport:
         label=label,
         enveloping=E,
         threshold=threshold,
-        terminated=F.known_lo is None,
+        terminated=res.terminated,
         resolution_length=length,
         betti={i: tuple(sorted(F.cover(i).degrees)) for i in F.support()},
         hh_lower=hh_lower,
@@ -550,18 +553,16 @@ def hochschild_table(A: GradedRing, B: GradedRing) -> HochschildReport:
 
 def hochschild_vanishing_check(report: HochschildReport) -> bool:
     """Smoothness consequences: the diagonal resolves in length at most
-    dim(B (x)_A B), and both tables vanish past that threshold.  A
-    resolution that did not terminate within threshold + 2 steps is longer
-    than the threshold."""
+    dim(B (x)_A B), and both tables vanish past that threshold.  A tower
+    that did not terminate within its window is longer than the
+    threshold."""
     if not report.terminated or report.resolution_length > report.threshold:
         return False
-    for i, entry in report.hh_lower.items():
-        if i > report.threshold and entry["rank"] != 0:
-            return False
-    for i, entry in report.hh_upper.items():
-        if i > report.threshold and entry["rank"] != 0:
-            return False
-    return report.hh0_matches
+    return report.hh0_matches and not any(
+        i > report.threshold and entry["rank"] != 0
+        for table in (report.hh_lower, report.hh_upper)
+        for i, entry in table.items()
+    )
 
 
 # ---------- attaining instances ----------

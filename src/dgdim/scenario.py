@@ -489,16 +489,17 @@ def parse_scenario(doc: dict, label: str = "scenario",
 
 
 def load_scenario(path: str, overrides: Optional[dict] = None) -> Scenario:
+    """The scenario in the UTF-8 JSON file at path, every string text."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ScenarioError(str(exc))
-    try:
-        doc = json.loads(text)
+            doc = json.loads(fh.read())
+        json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
         raise ScenarioError(exc.msg, line=exc.lineno, column=exc.colno)
-    return parse_scenario(doc, label=os.path.basename(path),
+    except (OSError, UnicodeError, RecursionError) as exc:
+        raise ScenarioError(str(exc))
+    name = os.path.basename(path).encode("utf-8", "surrogateescape")
+    return parse_scenario(doc, label=name.decode("utf-8", "replace"),
                           overrides=overrides)
 
 

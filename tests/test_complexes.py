@@ -37,6 +37,7 @@ from dgdim.dg import (
     DGModule,
     build_koszul_dg,
     build_ring_dg,
+    certify_termination,
     cone_dg,
     direct_sum_dg,
     free_dg_module,
@@ -73,6 +74,14 @@ def _rank_in_degree(target, mats, t):
             degs += m.source.degrees
     _, _, M = GradedMatrix.from_columns(target, degs, cols).matrix_in_degree(t)
     return field_rank(target.ring.field, M)
+
+
+def exact_resolution(M, window_lo=-8):
+    """The resolution of a module of finite projective dimension: a deep
+    window, then certified terminated."""
+    res = certify_termination(semifree_resolution(M, window_lo=window_lo))
+    assert res.terminated
+    return res
 
 
 def h_dim(C, i, t):
@@ -280,7 +289,7 @@ def test_hom_from_ring_is_identity():
     A = build_ring_dg(R)
     C = cone_dg(multiplication_map(free_dg_module(A, [(0, 1)]), R.parse("x")))
     U = C.underlying()
-    H = hom_semifree_into_dg(semifree_resolution(free_dg_module(A, [(0, 0)])), C)
+    H = hom_semifree_into_dg(exact_resolution(free_dg_module(A, [(0, 0)])), C)
     assert H.support() == U.support()
     for i in U.support():
         assert H.cover(i).degrees == U.cover(i).degrees
@@ -292,7 +301,7 @@ def test_hom_of_koszul_into_ring():
     R = make_graded_ring("Q", ["x", "y"], [])
     A = build_ring_dg(R)
     H = hom_semifree_into_dg(
-        semifree_resolution(koszul_dg_module(A, [R.parse("x")])),
+        exact_resolution(koszul_dg_module(A, [R.parse("x")])),
         free_dg_module(A, [(0, 0)]),
     )
     assert H.support() == [0, 1]

@@ -860,6 +860,71 @@ def test_local_cohen_macaulay_designed_false():
     assert not is_local_cohen_macaulay(B)
 
 
+def _recorded_towers(monkeypatch, module, run):
+    """run()'s value, and (module, window_lo) of each tower that module
+    asks semifree_resolution for while it runs."""
+    calls = []
+
+    def recording(M, window_lo):
+        calls.append((M, window_lo))
+        return semifree_resolution(M, window_lo)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(module, "semifree_resolution", recording)
+        value = run()
+    return value, calls
+
+
+def _assert_window_is_exact(M, window_lo):
+    """The certified tower has terminated, and a tower windowed four
+    degrees deeper runs the same stages on the same generators."""
+    res = certify_termination(semifree_resolution(M, window_lo))
+    deep = semifree_resolution(M, window_lo - 4)
+    assert res.terminated, window_lo
+    assert res.stages == deep.stages
+    assert [repr(g) for g in res.sf.gens] == [repr(g) for g in deep.sf.gens]
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+def test_local_cohomology_window_is_exact(field, monkeypatch):
+    """Local cohomology resolves over the ambient polynomial ring P,
+    windowed two degrees below the syzygy bound v - (bottom slot degree).
+    On every ring the tests and the verify fixtures ask about, that tower
+    is a whole resolution."""
+    R = make_graded_ring(field, ["x", "y"])
+    rings = [
+        *checks._fixture_set(field).values(),
+        checks._designed_false(field),
+        koszul_xyz(field),
+        golod_xy(field),
+        build_ring_dg(make_graded_ring(field, {"x": 1, "y": 2}, ["x*y"])),
+        build_trivial_extension(R, 1, ["x"]),
+    ]
+    _, towers = _recorded_towers(
+        monkeypatch, dimensions_module,
+        lambda: [local_cohomology_amplitude(A) for A in rings],
+    )
+    assert len(towers) == len(rings)
+    for M, window_lo in towers:
+        _assert_window_is_exact(M, window_lo)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+def test_ext_search_window_is_exact(field, monkeypatch):
+    """The Ext-search oracle windows its tower two degrees below
+    dim H^0(A) - inf M; on the 25 perfect modules of its verify check at
+    seed 0 that tower is a whole resolution.  At this seed every one of
+    them has free generators only, so each is its own resolution."""
+    result, towers = _recorded_towers(
+        monkeypatch, corpus,
+        lambda: checks.run_check("reduction-matches-ext-search",
+                                 {"field": field, "seed": 0}),
+    )
+    assert result.outcome == "pass" and len(towers) == 25
+    for M, window_lo in towers:
+        _assert_window_is_exact(M, window_lo)
+
+
 # ---------- Gorenstein and dualizing ----------
 
 

@@ -10,7 +10,8 @@ import pytest
 
 import dgdim.dimensions as dimensions_module
 import dgdim.finitistic as finitistic
-from dgdim.core import make_graded_ring
+from dgdim.complexes import minimal_free_resolution_module
+from dgdim.core import GradedModule, make_graded_ring
 from dgdim.dg import (
     ProductDGRing,
     build_koszul_dg,
@@ -447,6 +448,43 @@ def test_hochschild_tables_of_weighted_and_singular_targets(field, target):
     assert (rep.hh0_matches, rep.terminated, rep.resolution_length) == (
         hh0, smooth, length
     )
+
+
+DIAGONAL_ORACLE_CASES = [
+    (target, "base field", variables, relations)
+    for target, ((variables, relations), *_) in sorted(HOCHSCHILD_PINS.items())
+] + [
+    ("k[x]", "base field", ["x"], []),
+    ("k[x,y]", "base field", ["x", "y"], []),
+    ("k[x,y]/(x^2, xy)", "identity", ["x", "y"], ["x^2", "x*y"]),
+    ("k[x,y]/(x^2)", "identity", ["x", "y"], ["x^2"]),
+]
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+@pytest.mark.parametrize(
+    "target,source,variables,relations", DIAGONAL_ORACLE_CASES,
+    ids=["%s, %s" % case[:2] for case in DIAGONAL_ORACLE_CASES],
+)
+def test_hochschild_diagonal_tower_matches_the_iterated_syzygy_resolution(
+    field, target, source, variables, relations
+):
+    """The diagonal E/I resolved on the semifree tower, windowed at
+    -(dim E + 2), certified and pruned, has the Betti table of the
+    iterated-syzygy minimal resolution with cutoff dim E + 2, down to the
+    bottom cover a singular target reports, and terminates exactly when
+    that resolution does."""
+    B = make_graded_ring(field, variables, relations)
+    A = B if source == "identity" else make_graded_ring(field, [])
+    rep = hochschild_table(A, B)
+    E, diag = (B, []) if source == "identity" else finitistic._doubled_ring(B)
+    oracle = minimal_free_resolution_module(
+        GradedModule.cyclic(E, diag), E.dimension() + 2
+    )
+    assert rep.betti == {
+        i: tuple(sorted(oracle.cover(i).degrees)) for i in oracle.support()
+    }
+    assert rep.terminated == (oracle.known_lo is None)
 
 
 def _local_cohomology_rings(field):
