@@ -47,12 +47,27 @@ be computed on the model, which has half the exterior basis.  Over a
 polynomial base every nonzero element is regular, so the model eliminates
 the first nonzero element there; over a quotient base no element is
 eliminated, since that needs a regularity test.
+
+The model's base is R/(f) up to a graded ring isomorphism, and the model
+carries the ring map sigma: R -> base as its base_map.  When f = c x_i + h
+with c a nonzero scalar and h free of x_i, the base is the polynomial ring
+k[x_j : j != i] and sigma substitutes -h/c for x_i: it is onto, and its
+kernel is (f), so it induces R/(f) = k[x_j : j != i], graded because f is
+homogeneous.  Every model base built from such an f is a polynomial ring,
+so no product on the model is reduced.  Any other f keeps the quotient
+R/(f) as the base, and sigma is its normal form.  Whatever moves an element
+of R onto the model applies sigma: the remaining Koszul elements, the
+coefficients of a module's differential and the relations of a cyclic
+H^0-module (dgmodule.py), and the factors of a multiplication map.  Each
+element keeps the internal degree it has on A, also when sigma sends it to
+zero (x y goes to 0 modulo x and keeps twist 2).  A model is never modeled
+again.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.poly import Poly
+from ..core.poly import Poly, PolyRing
 from ..core.ring import GradedRing
 
 
@@ -95,6 +110,8 @@ class DGRing:
         self._residue_resolutions: dict = {}
         self._h0_dg: Optional["DGRing"] = None
         self._model = None
+        # sigma of the regular-element model: set on a model only
+        self.base_map: Optional[Callable[[Poly], Poly]] = None
         # memo of dgmodule.py: the nonzero normal forms of the relations of
         # a free slot (by symbol) and of an h0 slot (by generator relations)
         self._normal_slot_relations: Dict[object, Tuple[Poly, ...]] = {}
@@ -122,12 +139,13 @@ class DGRing:
 
     def regular_model(self) -> Optional[Tuple["DGRing", Dict[str, str]]]:
         """(A', phi) for a Koszul DG-ring over a polynomial base with a
-        nonzero element: A' eliminates the first nonzero element (see the
-        module docstring), and phi maps each symbol of A that survives to
-        its symbol of A' (the others go to zero).  None for every other
-        DG-ring, at the cost of one comparison when A is not Koszul.
-        Built once and memoized on A."""
-        if self.kind != "koszul":
+        nonzero element: A' eliminates the first nonzero element and
+        carries sigma as its base_map (see the module docstring), and phi
+        maps each symbol of A that survives to its symbol of A' (the others
+        go to zero).  None for every other DG-ring, a model included, at the
+        cost of one comparison when A is not Koszul.  Built once and
+        memoized on A."""
+        if self.kind != "koszul" or self.base_map is not None:
             return None
         if self._model is None:
             self._model = _koszul_model(self) or False
@@ -336,8 +354,14 @@ def build_koszul_dg(base: GradedRing, elements: Sequence) -> DGRing:
     degree, and only a literal 0 gets twist 0.
     """
     given = [base.ambient.parse(p) if isinstance(p, str) else p for p in elements]
-    degs = [p.degree() or 0 for p in given]
-    elems = [base.normal_form(p) for p in given]
+    return _koszul(
+        base, [base.normal_form(p) for p in given], [p.degree() or 0 for p in given]
+    )
+
+
+def _koszul(base: GradedRing, elems: Sequence[Poly], degs: Sequence[int]) -> DGRing:
+    """K(base; elems), the elements normal forms of the base and degs their
+    internal degrees."""
     for p, d in zip(elems, degs):
         if p and d <= 0:
             raise ValueError("Koszul elements must be homogeneous of positive degree")
@@ -348,7 +372,6 @@ def build_koszul_dg(base: GradedRing, elements: Sequence) -> DGRing:
         subsets.append(S)
     subsets.sort(key=lambda S: (len(S), S))
     basis = [_subset_symbol(S) for S in subsets]
-    by_sym = {_subset_symbol(S): S for S in subsets}
     cohdeg = {_subset_symbol(S): -len(S) for S in subsets}
     twist = {_subset_symbol(S): sum(degs[i] for i in S) for S in subsets}
     mul_table: Dict[Tuple[str, str], Tuple[str, int]] = {}
@@ -392,24 +415,67 @@ def build_koszul_dg(base: GradedRing, elements: Sequence) -> DGRing:
 
 
 def _koszul_model(A: DGRing) -> Optional[Tuple[DGRing, Dict[str, str]]]:
-    """The model K(R/(f); g_1..g_m) of A = K(R; .., f, g_1..g_m) over a
-    polynomial ring R, f the first nonzero element, and the symbol map.
-    The g_i are A's elements as built, so each keeps its internal degree
-    when it reduces to zero modulo f.  None over a quotient base or when
-    every element is zero."""
+    """The model of A = K(R; .., f, g_1..g_m) over a polynomial ring R, f
+    the first nonzero element, and the symbol map: K(B; sigma(g_1)..) with
+    (B, sigma) = _eliminate(R, f), carrying sigma as its base_map.  Each
+    sigma(g_i) keeps the twist g_i has on A, also when it is zero.  None
+    over a quotient base or when every element is zero."""
     elems = A.h0_extra
     first = next((i for i, p in enumerate(elems) if p), None)
     if A.base.gb or first is None:
         return None
     rest = [i for i in range(len(elems)) if i != first]
-    model = build_koszul_dg(
-        A.base.quotient([elems[first]]), [elems[i] for i in rest]
+    base, sigma = _eliminate(A.base, elems[first])
+    model = _koszul(
+        base,
+        [sigma(elems[i]) for i in rest],
+        [A.twist[_subset_symbol((i,))] for i in rest],
     )
+    model.base_map = sigma
     phi: Dict[str, str] = {}
     for mask in range(1 << len(rest)):
         T = tuple(j for j in range(len(rest)) if mask >> j & 1)
         phi[_subset_symbol(tuple(rest[j] for j in T))] = _subset_symbol(T)
     return model, phi
+
+
+def _eliminate(R: GradedRing, f: Poly) -> Tuple[GradedRing, Callable[[Poly], Poly]]:
+    """(B, sigma) with sigma: R -> B onto and of kernel (f), for a nonzero
+    homogeneous f of the polynomial ring R.  When f = c x_i + h, with c a
+    nonzero scalar and h free of x_i (the first such i), B is the
+    polynomial ring on the other variables and sigma substitutes -h/c for
+    x_i; otherwise B = R/(f) and sigma is its normal form."""
+    P = R.ambient
+    for i in range(P.nvars):
+        unit = tuple(int(j == i) for j in range(P.nvars))
+        c = f.terms.get(unit)
+        if c is not None and all(m == unit or not m[i] for m in f.terms):
+            break
+    else:
+        B = R.quotient([f])
+        return B, B.normal_form
+    keep = [j for j in range(P.nvars) if j != i]
+    Q = PolyRing(P.field, [P.names[j] for j in keep], [P.degrees[j] for j in keep])
+    fld = P.field
+    scale = fld.neg(fld.inv(c))
+    powers = [Q.one(), Poly(Q, {
+        tuple(m[j] for j in keep): fld.mul(scale, v)
+        for m, v in f.terms.items() if m != unit
+    })]
+
+    def sigma(p: Poly) -> Poly:
+        acc: dict = {}
+        for m, v in p.terms.items():
+            while len(powers) <= m[i]:
+                powers.append(powers[-1] * powers[1])
+            rest = tuple(m[j] for j in keep)
+            for pm, pv in powers[m[i]].terms.items():
+                mm = Q.mono_mul(rest, pm)
+                cc = fld.mul(v, pv)
+                acc[mm] = fld.add(acc[mm], cc) if mm in acc else cc
+        return Poly(Q, {m: v for m, v in acc.items() if not fld.is_zero(v)})
+
+    return GradedRing(Q, []), sigma
 
 
 def build_trivial_extension(

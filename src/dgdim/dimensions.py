@@ -193,6 +193,7 @@ def _free_dimension(kind: str, M: AnyModule) -> DimensionReport:
     """
     if isinstance(M, ProductDGModule):
         return _combine_parts(kind, [_free_dimension(kind, p) for p in M.parts])
+    A = M.A  # the flat label names A's H^0 variables, not the model's
     M = M.over_model()
     infM = M.inf_h()
     if infM is None:
@@ -209,7 +210,7 @@ def _free_dimension(kind: str, M: AnyModule) -> DimensionReport:
         if trusted_degree(c, F.known_lo)
     }
     certified = table if label is None else {
-        label % ",".join(str(g) for g in F.ring.variables()): table
+        label % ",".join(A.base.ambient.names): table
     }
     trace = "semifree tower (%d stages), reduction to H^0, pruned" % len(
         res.stages
@@ -503,7 +504,8 @@ def sequential_depth(X: Union[AnyRing, DGModule]) -> DepthReport:
 
     if cap > 0 and target is not None:
         # the search runs on the model, through A's pool: each cone's
-        # multiplication map reduces the element into the model's base
+        # multiplication map carries the element into the model's base by
+        # sigma, and the element keeps its twist on A
         dfs([], M.over_model())
     value = len(best)
     if value > A.dimension():

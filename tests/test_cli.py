@@ -972,7 +972,11 @@ def test_verify_work_counts(monkeypatch, capsys):
     bases.  Before the Hochschild check resolved the diagonal on the
     semifree tower, in place of the iterated-syzygy resolution of a
     module, it built 219 module Groebner bases and 25 minimal
-    presentations."""
+    presentations.  Before the model eliminated a linear first element by
+    substitution, it built 27 ideal Groebner bases and 221 module Groebner
+    bases: a model's base is now a polynomial ring built per model, whose
+    empty ideal counts once, in place of a quotient R/(x) that R's quotient
+    memo shared between the Koszul rings over R."""
     import dgdim.core.syz as syz_module
     from dgdim.core.module import minimal_presentation
     from dgdim.core.ring import groebner_basis
@@ -994,11 +998,11 @@ def test_verify_work_counts(monkeypatch, capsys):
     assert main(["verify", "--seed", "0", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
     assert counts == {
-        "groebner_basis": 27,
+        "groebner_basis": 28,
         "semifree_resolution": 154,
         "flat_dim": 0,
         "minimal_presentation": 22,
-        "module GBs": 221,
+        "module GBs": 219,
     }
 
 

@@ -19,6 +19,7 @@ from dgdim.complexes import base_change, cohomology_data, trusted_degree
 from dgdim.core import make_graded_ring
 from dgdim.dg import (
     DGMap,
+    DGRing,
     ProductDGModule,
     ProductDGRing,
     build_koszul_dg,
@@ -30,6 +31,7 @@ from dgdim.dg import (
     direct_sum_dg,
     factor_residue_module,
     free_dg_module,
+    h0_cyclic_dg_module,
     hom_semifree_into_dg,
     koszul_dg_module,
     product_koszul_module,
@@ -656,9 +658,11 @@ def test_proj_and_flat_reports_on_the_seeded_corpus_are_pinned(monkeypatch, fiel
     reports over the 50 seeded corpus modules, the amplitude-zero test
     modules of the connected families, finite and infinite, and k over
     Koszul rings on regular sequences hash to the digest pinned before
-    flat_dim dropped its variable-subset quotients.  The last ones are
-    finished towers whose cocones keep slots below the floor, so the scan
-    settles towers both ways here."""
+    flat_dim dropped its variable-subset quotients.  The last ones run on
+    the Koszul rings themselves, with the regular-element model switched
+    off (on the model their towers end without a scan, and the model keeps
+    every report): they are finished towers whose cocones keep slots below
+    the floor, so the scan settles towers both ways here."""
     inner = dimensions_module.certify_termination
     outcomes = set()
 
@@ -682,6 +686,7 @@ def test_proj_and_flat_reports_on_the_seeded_corpus_are_pinned(monkeypatch, fiel
             continue
         for label, M in corpus.amplitude_zero_test_family(A):
             reports.append([label] + both(M))
+    monkeypatch.setattr(DGRing, "regular_model", lambda self: None)
     for names in (["x", "y"], ["x", "y", "z"]):
         R = make_graded_ring(field, names)
         reports.append(both(residue_dg_module(build_koszul_dg(R, R.variables()))))
@@ -923,6 +928,37 @@ def test_ext_search_window_is_exact(field, monkeypatch):
     assert result.outcome == "pass" and len(towers) == 25
     for M, window_lo in towers:
         _assert_window_is_exact(M, window_lo)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+def test_ext_search_resolves_modules_with_an_h0_generator(field, monkeypatch):
+    """k, H0/(x) and H0/(y) over k[x,y], over k[x,y,z] and over
+    K(k[x,y,z]; x), whose h0 modules move to the model k[y,z], have finite
+    projective dimension and are not semifree: the Ext-search oracle
+    resolves each on a tower of at least one stage, and its value is
+    proj_dim's."""
+    stages = []
+
+    def recording(M, window_lo):
+        res = semifree_resolution(M, window_lo)
+        stages.append(len(res.stages))
+        return res
+
+    monkeypatch.setattr(corpus, "semifree_resolution", recording)
+    xyz = make_graded_ring(field, ["x", "y", "z"])
+    rings = [build_ring_dg(make_graded_ring(field, ["x", "y"])),
+             build_ring_dg(xyz), build_koszul_dg(xyz, ["x"])]
+    values = []
+    for A in rings:
+        x, y = A.base.ambient.parse("x"), A.base.ambient.parse("y")
+        for M in (residue_dg_module(A), h0_cyclic_dg_module(A, [x]),
+                  h0_cyclic_dg_module(A, [y])):
+            want = proj_dim(M)
+            assert want.finite
+            assert corpus.direct_ext_projdim(M) == want.value
+            values.append(want.value)
+    assert values == [2, 1, 1, 3, 1, 1, 2, 0, 1]
+    assert len(stages) == 9 and min(stages) >= 1
 
 
 # ---------- Gorenstein and dualizing ----------

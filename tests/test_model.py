@@ -2,8 +2,11 @@
 
 For A = K(R; f, g_1..g_m) over a polynomial ring R with f nonzero, the map
 A -> A' = K(R/(f); g_1..g_m) is a quasi-isomorphism of DG-rings, and the
-queries on modules with free generators run on A' (DGRing.regular_model,
-DGModule.over_model).  These tests check the model against independent
+queries on modules with free generators, and on cyclic H^0-modules, run on
+A' (DGRing.regular_model, DGModule.over_model).  When f = c x_i + h with h
+free of x_i, A' is built over the polynomial ring on the other variables,
+through the ring map sigma that substitutes -h/c for x_i (A'.base_map).
+These tests check the model against independent
 oracles: the dense Hilbert-function count of test_complexes on the
 cohomology of A and of A', the unreduced path with the model switched off,
 and the Bass numbers of the unreduced ring.  The model keeps the internal
@@ -123,16 +126,24 @@ def seeded_koszul_rings(field):
 
 
 def model_cases(field):
+    """The seeded rings, ladder A, and x - y^2 with deg x = 2, which the
+    model eliminates by the graded substitution x -> y^2; that sends the
+    second element to zero, and it keeps its twist 3."""
     yield from seeded_koszul_rings(field)
     for d, n in LADDER_A:
         yield koszul_ladder_ring(d, n, field)
+    R = make_graded_ring(field, {"x": 2, "y": 1, "z": 1})
+    yield build_koszul_dg(R, ["x - y^2", "x*z - y^2*z", "y*z"])
 
 
 def assert_dg_ring_map(A, B, phi):
-    """phi, with every symbol it omits sent to zero, keeps degrees and
-    commutes with products and differentials."""
+    """phi on the symbols, with every symbol it omits sent to zero, and the
+    model's ring map sigma on the coefficients keep degrees and commute
+    with products and differentials."""
+    sigma = B.base_map
+
     def push(a):
-        return AElem(B, {phi[s]: p for s, p in a.coeffs.items() if s in phi})
+        return AElem(B, {phi[s]: sigma(p) for s, p in a.coeffs.items() if s in phi})
 
     for s, t in phi.items():
         assert (A.cohdeg[s], A.twist[s]) == (B.cohdeg[t], B.twist[t])
@@ -155,7 +166,7 @@ def test_the_model_has_the_hilbert_functions_of_the_ring(field):
     zero_on_model = 0
     for A in model_cases(field):
         B, phi = A.regular_model()
-        assert B.regular_model() is None  # a quotient base: no second step
+        assert B.regular_model() is None  # a model: no second step
         assert len(B.basis) * 2 == len(A.basis)
         assert_dg_ring_map(A, B, phi)
         zero_on_model += sum(1 for p in B.h0_extra if not p)
@@ -166,6 +177,28 @@ def test_the_model_has_the_hilbert_functions_of_the_ring(field):
             for t in range(top + 1):
                 assert h_dim(CA, i, t) == h_dim(CB, i, t), (A, i, t)
     assert zero_on_model >= 3
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_a_substitutable_first_element_leaves_a_polynomial_base(field):
+    """Every ring of model_cases leads with c*x_i + h, h free of x_i (a
+    linear form, or x - y^2): its model's base is the polynomial ring on
+    the other variables, without relations.  A first element without such
+    a variable (x^2) keeps the quotient base R/(f), and that model is not
+    modeled again either."""
+    for A in model_cases(field):
+        B, _ = A.regular_model()
+        assert not B.base.relations and not B.base.gb
+        assert B.base.ambient.nvars == A.base.ambient.nvars - 1
+    quotients = 0
+    for A in rings_with_a_zero_element(field):
+        B, _ = A.regular_model()
+        f = next(p for p in A.h0_extra if p)
+        if f.degree() > 1:
+            assert B.base.relations == (f,) and B.base.ambient == A.base.ambient
+            assert B.regular_model() is None
+            quotients += 1
+    assert quotients == 1
 
 
 # ---------- the model switched off ----------
