@@ -33,12 +33,10 @@ A module whose generators are all free is semifree (the differential only
 raises the generator degree, A being non-positive), so along the
 regular-element model A -> A' of dgring.py its derived base change is
 A' (x)_A M: the same generators, each differential entry pushed along the
-symbol map and its coefficients along the model's ring map sigma.  A cyclic
-H^0(A)-module H^0(A)/(rels) goes to H^0(A')/(sigma(rels)), which restricts
-back to it along A -> A'.  over_model builds the image once; inf_h and
-sup_h, and the dimension queries, scan it in place of M.  Whatever reads
-M's own slots (cohomology representatives, the tower, Hom into M) stays on
-M.
+symbol map and its coefficients along the model's ring map sigma.
+over_model builds it once; inf_h and sup_h, and the dimension queries, scan
+it in place of M.  Whatever reads M's own slots (cohomology
+representatives, the tower, Hom into M) stays on M.
 
 Hom out of a semifree module is the underlying complex of a DG-module.
 Let SF have free generators e_j (cohdeg a_j, twist s_j, parity sigma_j)
@@ -313,36 +311,26 @@ class DGModule:
     # -- the regular-element model -----------------------------------------
 
     def over_model(self) -> "DGModule":
-        """A' (x)_A M over the model (A', phi) = A.regular_model(), with
-        sigma = A'.base_map, when every generator of M is free: the same
-        generators, each entry pushed along phi and sigma.  An H^0(A)-module
-        on one h0 generator at (0, 0) with no differential becomes
-        h0_cyclic_dg_module(A', sigma(rels)), since sigma gives H^0(A) =
-        H^0(A').  M itself otherwise; memoized on M."""
+        """A' (x)_A M over the model (A', phi) = A.regular_model() when every
+        generator of M is free, else M itself: the same generators, each
+        entry pushed along phi and sigma = A'.base_map; memoized on M."""
         if self._over_model is None:
-            self._over_model = self
             model = self.A.regular_model()
-            if model is not None:
+            if model is None or any(g.kind != "free" for g in self.gens):
+                self._over_model = self
+            else:
                 B, phi = model
                 sigma = B.base_map
-                gens = self.gens
-                if all(g.kind == "free" for g in gens):
-                    diff = {
-                        j: {
-                            i: AElem._normal(B, {
-                                phi[s]: sigma(p)
-                                for s, p in a.coeffs.items() if s in phi
-                            })
-                            for i, a in row.items()
-                        }
-                        for j, row in self.diff.items()
+                diff = {
+                    j: {
+                        i: AElem._normal(B, {
+                            phi[s]: sigma(p) for s, p in a.coeffs.items() if s in phi
+                        })
+                        for i, a in row.items()
                     }
-                    self._over_model = DGModule(B, gens, diff, check=False)
-                elif len(gens) == 1 and not self.diff and (
-                    gens[0].kind, gens[0].cohdeg, gens[0].twist
-                ) == ("h0", 0, 0):
-                    rels = [q for q in map(sigma, gens[0].rels) if q]
-                    self._over_model = h0_cyclic_dg_module(B, rels)
+                    for j, row in self.diff.items()
+                }
+                self._over_model = DGModule(B, self.gens, diff, check=False)
         return self._over_model
 
     # -- cohomology ---------------------------------------------------------
@@ -524,22 +512,18 @@ def direct_sum_dg(M: DGModule, N: DGModule) -> DGModule:
     return DGModule(M.A, gens, diff, check=False)
 
 
-def multiplication_map(M: DGModule, a: Poly) -> DGMap:
-    """Multiplication by a base-ring element a, as a map M(-|a|) -> M.
+def multiplication_map(M: DGModule, a: Poly, twist: Optional[int] = None) -> DGMap:
+    """Multiplication by a base-ring element a, as a map M(-twist) -> M.
 
     a sits in cohomological degree zero and is central, so the diagonal
     coefficients commute with the differential on the nose; the source is
-    twisted to make every entry homogeneous.  The twist is the degree of a
-    as given, so an a that reduces to zero keeps it; a is normalized once,
-    into the one element every entry shares (nothing mutates an AElem's
-    coeffs).  Over a regular-element model a may also be an element of the
-    base the model eliminates from, which the model's base_map carries over
-    (an a that it sends to zero keeps its twist too)."""
-    src = twist_dg(M, -(a.degree() or 0))
-    A = M.A
-    if a.ring != A.base.ambient:
-        a = A.base_map(a)
-    elem = A.from_base(a)
+    twisted to make every entry homogeneous.  The twist defaults to the
+    degree of a as given, so an a that reduces to zero keeps it; a caller
+    that carries an element to zero first passes its degree.  a is
+    normalized once, into the one element every entry shares (nothing
+    mutates an AElem's coeffs)."""
+    src = twist_dg(M, -(a.degree() or 0) if twist is None else -twist)
+    elem = M.A.from_base(a)
     entries = {j: {j: elem} for j in range(len(M.gens))} if elem else {}
     return DGMap(src, M, entries)
 

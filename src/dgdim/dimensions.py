@@ -478,9 +478,18 @@ def sequential_depth(X: Union[AnyRing, DGModule]) -> DepthReport:
     target = M.inf_h()
     best: List[Poly] = []
 
+    # the search runs on the model, through A's pool: sigma carries each
+    # element into the model's base, and the element keeps its twist on A
+    start = M.over_model()
+    sigma = start.A.base_map or (lambda p: p)
+    carried = {str(p): sigma(p) for p in pool}
+
     def regular_after(prefix_module: DGModule, p: Poly) -> Optional[DGModule]:
         # every prefix module passed here has inf equal to target
-        K = cone_dg(multiplication_map(prefix_module, p), check=False)
+        K = cone_dg(
+            multiplication_map(prefix_module, carried[str(p)], p.degree()),
+            check=False,
+        )
         if _cone_inf(K, target, p) != target:
             return None
         return K
@@ -503,10 +512,7 @@ def sequential_depth(X: Union[AnyRing, DGModule]) -> DepthReport:
         return False
 
     if cap > 0 and target is not None:
-        # the search runs on the model, through A's pool: each cone's
-        # multiplication map carries the element into the model's base by
-        # sigma, and the element keeps its twist on A
-        dfs([], M.over_model())
+        dfs([], start)
     value = len(best)
     if value > A.dimension():
         raise AssertionError("depth exceeded dim H^0, which cannot happen")

@@ -19,7 +19,6 @@ from dgdim.complexes import base_change, cohomology_data, trusted_degree
 from dgdim.core import make_graded_ring
 from dgdim.dg import (
     DGMap,
-    DGRing,
     ProductDGModule,
     ProductDGRing,
     build_koszul_dg,
@@ -658,11 +657,9 @@ def test_proj_and_flat_reports_on_the_seeded_corpus_are_pinned(monkeypatch, fiel
     reports over the 50 seeded corpus modules, the amplitude-zero test
     modules of the connected families, finite and infinite, and k over
     Koszul rings on regular sequences hash to the digest pinned before
-    flat_dim dropped its variable-subset quotients.  The last ones run on
-    the Koszul rings themselves, with the regular-element model switched
-    off (on the model their towers end without a scan, and the model keeps
-    every report): they are finished towers whose cocones keep slots below
-    the floor, so the scan settles towers both ways here."""
+    flat_dim dropped its variable-subset quotients.  The last ones are
+    finished towers whose cocones keep slots below the floor, so the scan
+    settles towers both ways here."""
     inner = dimensions_module.certify_termination
     outcomes = set()
 
@@ -686,7 +683,6 @@ def test_proj_and_flat_reports_on_the_seeded_corpus_are_pinned(monkeypatch, fiel
             continue
         for label, M in corpus.amplitude_zero_test_family(A):
             reports.append([label] + both(M))
-    monkeypatch.setattr(DGRing, "regular_model", lambda self: None)
     for names in (["x", "y"], ["x", "y", "z"]):
         R = make_graded_ring(field, names)
         reports.append(both(residue_dg_module(build_koszul_dg(R, R.variables()))))
@@ -933,10 +929,9 @@ def test_ext_search_window_is_exact(field, monkeypatch):
 @pytest.mark.parametrize("field", ["Q", "Fp:32003"])
 def test_ext_search_resolves_modules_with_an_h0_generator(field, monkeypatch):
     """k, H0/(x) and H0/(y) over k[x,y], over k[x,y,z] and over
-    K(k[x,y,z]; x), whose h0 modules move to the model k[y,z], have finite
-    projective dimension and are not semifree: the Ext-search oracle
-    resolves each on a tower of at least one stage, and its value is
-    proj_dim's."""
+    K(k[x,y,z]; x) have finite projective dimension and are not semifree:
+    the Ext-search oracle resolves each on a tower of at least one stage,
+    and its value is proj_dim's."""
     stages = []
 
     def recording(M, window_lo):

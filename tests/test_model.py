@@ -2,12 +2,11 @@
 
 For A = K(R; f, g_1..g_m) over a polynomial ring R with f nonzero, the map
 A -> A' = K(R/(f); g_1..g_m) is a quasi-isomorphism of DG-rings, and the
-queries on modules with free generators, and on cyclic H^0-modules, run on
-A' (DGRing.regular_model, DGModule.over_model).  When f = c x_i + h with h
-free of x_i, A' is built over the polynomial ring on the other variables,
-through the ring map sigma that substitutes -h/c for x_i (A'.base_map).
-These tests check the model against independent
-oracles: the dense Hilbert-function count of test_complexes on the
+queries on modules with free generators run on A' (DGRing.regular_model,
+DGModule.over_model).  When f = c x_i + h with h free of x_i, A' is built
+over the polynomial ring on the other variables, through the ring map sigma
+that substitutes -h/c for x_i (A'.base_map).  These tests check the model
+against independent oracles: the dense Hilbert-function count of test_complexes on the
 cohomology of A and of A', the unreduced path with the model switched off,
 and the Bass numbers of the unreduced ring.  The model keeps the internal
 degree of an element that reduces to zero, so the Koszul builders must
@@ -36,7 +35,14 @@ from dgdim.dg import (
     residue_dg_module,
     semifree_resolution,
 )
-from dgdim.dimensions import bass_numbers, inj_dim, ring_amplitude
+import dgdim.dimensions as dimensions_module
+from dgdim.dimensions import (
+    bass_numbers,
+    default_sequence_pool,
+    inj_dim,
+    ring_amplitude,
+    sequential_depth,
+)
 from dgdim.finitistic import fpd_bounds
 from dgdim.scenario import parse_scenario
 
@@ -287,3 +293,33 @@ def test_injective_dimension_on_the_model_matches_the_unreduced_bass_numbers(fie
         assert rep.certificate["bass"] == {str(i): m for i, m in mus.items() if m}
         assert rep.finite
         assert bass_twists(F, lo, hi) == bass_twists(F.over_model(), lo, hi)
+
+
+# ---------- the depth search on the model ----------
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_the_depth_search_keeps_each_element_twist_on_the_model(monkeypatch, field):
+    """sequential_depth runs on the model through A's pool, carrying each
+    element p by sigma.  On ladder A (2, 1) sigma sends x, and every
+    multiple of it, to zero; each cone the search builds is still twisted
+    by a degree p has on A, never by the zero of the model."""
+    inner = dimensions_module.multiplication_map
+    calls = []
+
+    def recording(M, a, twist=None):
+        f = inner(M, a, twist)
+        shifts = {s.twist - t.twist for s, t in zip(f.source.gens, f.target.gens)}
+        calls.append((a, shifts))
+        return f
+
+    monkeypatch.setattr(dimensions_module, "multiplication_map", recording)
+    A = koszul_ladder_ring(2, 1, field)
+    sigma = A.regular_model()[0].base_map
+    zero_degrees = {p.degree() for p in default_sequence_pool(A) if not sigma(p)}
+    assert sequential_depth(A).value == 2
+    assert zero_degrees == {1, 2}
+    assert any(not a for a, _ in calls)
+    for a, shifts in calls:
+        assert len(shifts) == 1
+        assert shifts <= ({a.degree()} if a else zero_degrees), (a, shifts)
