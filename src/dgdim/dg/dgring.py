@@ -57,11 +57,10 @@ homogeneous.  Every model base built from such an f is a polynomial ring,
 so no product on the model is reduced.  Any other f keeps the quotient
 R/(f) as the base, and sigma is its normal form.  Whatever moves an element
 of R onto the model applies sigma: the remaining Koszul elements, the
-coefficients of a module's differential and the relations of a cyclic
-H^0-module (dgmodule.py), and the factors of a multiplication map.  Each
-element keeps the internal degree it has on A, also when sigma sends it to
-zero (x y goes to 0 modulo x and keeps twist 2).  A model is never modeled
-again.
+coefficients of a module's differential (dgmodule.py), and the depth
+search's pool elements (dimensions.py).  Each element keeps the internal
+degree it has on A, also when sigma sends it to zero (x y goes to 0 modulo
+x and keeps twist 2).  A model is never modeled again.
 """
 from __future__ import annotations
 
