@@ -29,14 +29,16 @@ first nonzero degree; cohomology_support tests every degree.  A DG-module
 carries no trust window: only a cut-off semifree resolution does (see
 tower.py), and the readers of a resolution take the window from it.
 
-A module whose generators are all free is semifree (the differential only
-raises the generator degree, A being non-positive), so along the
-regular-element model A -> A' of dgring.py its derived base change is
-A' (x)_A M: the same generators, each differential entry pushed along the
-symbol map and its coefficients along the model's ring map sigma.
-over_model builds it once; inf_h and sup_h, and the dimension queries, scan
-it in place of M.  Whatever reads M's own slots (cohomology
-representatives, the tower, Hom into M) stays on M.
+Every DG-module M has the cohomology of A' (x)_A M, its base change along
+the regular-element model A -> A' of dgring.py (h0 relations and entry
+coefficients pushed along the model's ring map sigma, symbols along the
+symbol map).  Filter M by its generators in descending cohomological
+degree (d raises it, A being non-positive): on each one-generator
+subquotient M -> A' (x)_A M is A -> A' or the isomorphism
+H^0(A)/(rels) -> H^0(A')/(sigma(rels)).  over_model builds A' (x)_A M
+once, and cohomology_vanishes, inf_h, sup_h and the dimension queries
+read it; M's own slots (cohomology representatives, the tower, Hom into
+M, the oracle cohomology_support) stay on M.
 
 Hom out of a semifree module is the underlying complex of a DG-module.
 Let SF have free generators e_j (cohdeg a_j, twist s_j, parity sigma_j)
@@ -311,16 +313,19 @@ class DGModule:
     # -- the regular-element model -----------------------------------------
 
     def over_model(self) -> "DGModule":
-        """A' (x)_A M over the model (A', phi) = A.regular_model() when every
-        generator of M is free, else M itself: the same generators, each
-        entry pushed along phi and sigma = A'.base_map; memoized on M."""
+        """A' (x)_A M over the model (A', phi) = A.regular_model(), else M:
+        h0 relations and entry coefficients pushed along sigma = A'.base_map,
+        entry symbols along phi; memoized on M."""
         if self._over_model is None:
             model = self.A.regular_model()
-            if model is None or any(g.kind != "free" for g in self.gens):
+            if model is None:
                 self._over_model = self
             else:
                 B, phi = model
                 sigma = B.base_map
+                gens = [DGGen(g.cohdeg, g.twist, g.kind,
+                              [sigma(r) for r in g.rels], g.sigma)
+                        for g in self.gens]
                 diff = {
                     j: {
                         i: AElem._normal(B, {
@@ -330,7 +335,7 @@ class DGModule:
                     }
                     for j, row in self.diff.items()
                 }
-                self._over_model = DGModule(B, self.gens, diff, check=False)
+                self._over_model = DGModule(B, gens, diff, check=False)
         return self._over_model
 
     # -- cohomology ---------------------------------------------------------
@@ -339,7 +344,7 @@ class DGModule:
         return self.underlying().cohomology(i)
 
     def cohomology_vanishes(self, i: int) -> bool:
-        return self.underlying().cohomology_vanishes(i)
+        return self.over_model().underlying().cohomology_vanishes(i)
 
     def _scan_range(self) -> range:
         """The degrees of the slot support, ascending: H vanishes outside
@@ -348,8 +353,9 @@ class DGModule:
         return range(s[0], s[-1] + 1) if s else range(0)
 
     def cohomology_support(self) -> List[int]:
-        """Cohomological degrees with nonzero H."""
-        return [i for i in self._scan_range() if not self.cohomology_vanishes(i)]
+        """Degrees with nonzero H, on M's own complex (an oracle)."""
+        u = self.underlying()
+        return [i for i in self._scan_range() if not u.cohomology_vanishes(i)]
 
     def sup_h(self) -> Optional[int]:
         """Top nonzero degree, scanning the model down to the first one."""
@@ -512,17 +518,16 @@ def direct_sum_dg(M: DGModule, N: DGModule) -> DGModule:
     return DGModule(M.A, gens, diff, check=False)
 
 
-def multiplication_map(M: DGModule, a: Poly, twist: Optional[int] = None) -> DGMap:
-    """Multiplication by a base-ring element a, as a map M(-twist) -> M.
+def multiplication_map(M: DGModule, a: Poly) -> DGMap:
+    """Multiplication by a base-ring element a, as a map M(-|a|) -> M.
 
     a sits in cohomological degree zero and is central, so the diagonal
     coefficients commute with the differential on the nose; the source is
-    twisted to make every entry homogeneous.  The twist defaults to the
-    degree of a as given, so an a that reduces to zero keeps it; a caller
-    that carries an element to zero first passes its degree.  a is
-    normalized once, into the one element every entry shares (nothing
-    mutates an AElem's coeffs)."""
-    src = twist_dg(M, -(a.degree() or 0) if twist is None else -twist)
+    twisted to make every entry homogeneous.  The twist is the degree of a
+    as given, so an a that reduces to zero keeps it.  a is normalized once,
+    into the one element every entry shares (nothing mutates an AElem's
+    coeffs)."""
+    src = twist_dg(M, -(a.degree() or 0))
     elem = M.A.from_base(a)
     entries = {j: {j: elem} for j in range(len(M.gens))} if elem else {}
     return DGMap(src, M, entries)

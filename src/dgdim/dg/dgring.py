@@ -55,12 +55,11 @@ k[x_j : j != i] and sigma substitutes -h/c for x_i: it is onto, and its
 kernel is (f), so it induces R/(f) = k[x_j : j != i], graded because f is
 homogeneous.  Every model base built from such an f is a polynomial ring,
 so no product on the model is reduced.  Any other f keeps the quotient
-R/(f) as the base, and sigma is its normal form.  Whatever moves an element
-of R onto the model applies sigma: the remaining Koszul elements, the
-coefficients of a module's differential (dgmodule.py), and the depth
-search's pool elements (dimensions.py).  Each element keeps the internal
-degree it has on A, also when sigma sends it to zero (x y goes to 0 modulo
-x and keeps twist 2).  A model is never modeled again.
+R/(f) as the base, and sigma is its normal form.  sigma is applied by
+_koszul_model to the remaining Koszul elements and by DGModule.over_model
+to what a module carries over.  Each element keeps the internal degree it
+has on A, also when sigma sends it to zero (x y goes to 0 modulo x and
+keeps twist 2).  A model is never modeled again.
 """
 from __future__ import annotations
 

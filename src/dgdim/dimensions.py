@@ -23,7 +23,7 @@ dimension queries work one factor at a time and take the maximum, as
 localization at the idempotents says; depth, regular sequences, local
 cohomology and the Gorenstein test need a connected DG-ring.
 
-The dimension queries and the depth search run on DGModule.over_model,
+Every module query, local cohomology included, reads DGModule.over_model,
 the regular-element model of dgring.py, which keeps every answer; the
 reports still name A, its pool and its witnesses.
 """
@@ -478,18 +478,9 @@ def sequential_depth(X: Union[AnyRing, DGModule]) -> DepthReport:
     target = M.inf_h()
     best: List[Poly] = []
 
-    # the search runs on the model, through A's pool: sigma carries each
-    # element into the model's base, and the element keeps its twist on A
-    start = M.over_model()
-    sigma = start.A.base_map or (lambda p: p)
-    carried = {str(p): sigma(p) for p in pool}
-
     def regular_after(prefix_module: DGModule, p: Poly) -> Optional[DGModule]:
         # every prefix module passed here has inf equal to target
-        K = cone_dg(
-            multiplication_map(prefix_module, carried[str(p)], p.degree()),
-            check=False,
-        )
+        K = cone_dg(multiplication_map(prefix_module, p), check=False)
         if _cone_inf(K, target, p) != target:
             return None
         return K
@@ -512,7 +503,7 @@ def sequential_depth(X: Union[AnyRing, DGModule]) -> DepthReport:
         return False
 
     if cap > 0 and target is not None:
-        dfs([], start)
+        dfs([], M)
     value = len(best)
     if value > A.dimension():
         raise AssertionError("depth exceeded dim H^0, which cannot happen")
@@ -576,12 +567,13 @@ def local_cohomology_amplitude(
     irrelevant ideal, through graded duality over the ambient polynomial
     ring: H^j_m(X) is nonzero exactly when Ext^{v-j}_P(X, P) is, where v
     is the number of ambient variables.  The tower is windowed two degrees
-    below the syzygy bound v - inf <= v - (bottom slot) over P."""
+    below the syzygy bound v - inf <= v - (bottom slot) over P.  X moves to
+    its model, whose base is a quotient of A's: that keeps H_m."""
     if isinstance(X, (DGRing, ProductDGRing)):
         X = ring_free_module(X)
-    A = X.A
-    _connected(A, "local cohomology")
-    P_ring = GradedRing(A.base.ambient, [])
+    _connected(X.A, "local cohomology")
+    X = X.over_model()
+    P_ring = GradedRing(X.A.base.ambient, [])
     v = P_ring.dimension()
     window = X.min_slot_cohdeg() - v - 2
     res = certify_termination(

@@ -187,3 +187,21 @@ def test_every_attribute_set_on_self_is_read():
         & {None, qualified.split(".")[0]}
     )
     assert unread == sorted(UNREAD_ATTRIBUTES)
+
+
+# the regular-element model's attributes, which only the DG layer reads
+MODEL_ATTRIBUTES = {"base_map", "regular_model"}
+
+
+def test_the_model_is_read_only_by_the_dg_layer():
+    """Outside src/dgdim/dg, the program reaches the regular-element model
+    only through DGModule.over_model: no other file reads a DG-ring's
+    base_map or calls its regular_model."""
+    home = ROOT / "src" / "dgdim" / "dg"
+    readers = sorted(
+        "%s: %s" % (path.relative_to(ROOT), node.attr)
+        for path in SOURCES if home not in path.parents
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in MODEL_ATTRIBUTES
+    )
+    assert readers == []
