@@ -255,9 +255,16 @@ class GradedMatrix:
 def monomial_multiple(ring: GradedRing, col: Column, mono: tuple) -> dict:
     """mono * col as a k-vector: {(standard monomial, row): coefficient},
     each product entry taken to its normal form.  The entries of col are
-    normal forms already, so mono = 1 reads them as they are."""
+    normal forms already, so mono = 1 reads them as they are, and over a
+    ring without relations every product of them is one too."""
     if any(mono):
         amb, nf = ring.ambient, ring.normal_form
+        if not ring.gb:
+            return {
+                (amb.mono_mul(m, mono), i): c
+                for i, e in col.items()
+                for m, c in e.terms.items()
+            }
         col = {
             i: nf(Poly(amb, {amb.mono_mul(m, mono): c for m, c in e.terms.items()}))
             for i, e in col.items()

@@ -59,12 +59,13 @@ def _reduce(p: Poly, lead: Sequence[tuple]) -> Poly:
 
 def groebner_basis(gens: Sequence[Poly]) -> List[Poly]:
     """Reduced Groebner basis of the ideal generated by gens: the rank-one
-    case of ModuleGB, whose order at twist 0 is PolyRing.mono_key."""
+    case of ModuleGB, whose order at twist 0 is PolyRing.mono_key.  It
+    reads only the basis vectors, so no column's history is tracked."""
     gens = [g for g in gens if g]
     if not gens:
         return []
     ambient = gens[0].ring
-    gbm = ModuleGB(ambient, [0], [{0: g} for g in gens])
+    gbm = ModuleGB(ambient, [0], [{0: g} for g in gens], 0)
     return interreduce(
         [Poly(ambient, {m: c for (m, _), c in vec.items()}) for vec, _ in gbm.gb]
     )

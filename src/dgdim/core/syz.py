@@ -25,6 +25,19 @@ The original columns are the first basis elements, so translating these
 relations through the reduction histories generates the syzygies of the
 original columns.
 
+Histories are kept only on the first `tracked` columns, the ones a reader
+projects to; every other column starts with an empty history.  Projecting
+a combination of columns onto the tracked ones is linear, so it commutes
+with translation through the histories: each recorded syzygy is the
+tracked block of the full one, and a relation whose tracked block is zero
+is not recorded.  SyzygyEngine tracks the columns of M, since
+syzygy_matrix reads no row of the J-multiples; groebner_basis tracks
+none, since it reads only the basis vectors.  The histories are read only
+while relations are translated, so the build drops them when it ends,
+with the order's monomial memo.  A cached engine then keeps what contains
+reduces against (the basis vectors and their leads), the recorded
+syzygies that syzygy_matrix reads, and M's source, not M.
+
 GradedRing computes the reduced Groebner basis of its ideal J here too, as
 the rank-one case: one position at twist 0, where the order is exactly
 PolyRing.mono_key.  No product criterion is applied, in rank one either.
@@ -88,15 +101,21 @@ def _column_to_vec(col: Column) -> Vec:
 
 
 class ModuleGB:
-    """Groebner basis of a submodule of P^r with history and syzygy data."""
+    """Groebner basis of a submodule of P^r with history and syzygy data.
 
-    def __init__(self, ambient: PolyRing, twists: Sequence[int], columns: Sequence[Column]):
+    Histories and syzygies are kept on the first `tracked` columns only."""
+
+    def __init__(
+        self, ambient: PolyRing, twists: Sequence[int], columns: Sequence[Column], tracked: int
+    ):
         self.ambient = ambient
         self.field = ambient.field
         self.twists = tuple(twists)
         self.order = _ModuleOrder(ambient, twists)
-        # gb entries: (vector, history dict colindex -> Poly)
-        self.gb: List[Tuple[Vec, Dict[int, Poly]]] = []
+        self.tracked = tracked
+        # gb entries: (vector, history dict colindex -> Poly), the history
+        # None once the build is done
+        self.gb: List[Tuple[Vec, Optional[Dict[int, Poly]]]] = []
         self.syzygies: List[Dict[int, Poly]] = []
         self._build([_column_to_vec(c) for c in columns])
 
@@ -142,16 +161,17 @@ class ModuleGB:
     def _build(self, vectors: List[Vec]) -> None:
         field = self.field
         ambient = self.ambient
+        tracked = self.tracked
         # leading terms are stable once an element joins the basis, so they
         # are computed once and shared with _reduce via self._leads
         leads: List[VecTerm] = []
         self._leads = leads
         for j, vec in enumerate(vectors):
             if vec:
-                hist = {j: ambient.one()}
+                hist = {j: ambient.one()} if j < tracked else {}
                 self.gb.append((vec, hist))
                 leads.append(self.order.leading(vec))
-            else:
+            elif j < tracked:
                 # zero column: elementary syzygy
                 self.syzygies.append({j: ambient.one()})
 
@@ -227,6 +247,9 @@ class ModuleGB:
                 rel_add(new_index, -self.ambient.one())
                 add_element(new_index)
             self._record_syzygy(rel)
+        # the histories and the order memo served the build alone
+        self.gb = [(vec, None) for vec, _ in self.gb]
+        self.order._mono_cache.clear()
 
     def _history_of(self, rel: Dict[int, Poly]) -> Dict[int, Poly]:
         """Translate a combination of gb elements into original-column terms.
@@ -262,15 +285,12 @@ class SyzygyEngine:
     """
 
     def __init__(self, M: GradedMatrix):
-        self.M = M
         self.ring = M.ring
-        ambient = self.ring.ambient
-        self.ambient = ambient
+        self.source = M.source
         aug_cols: List[Column] = list(M.cols)
-        self.n_original = len(aug_cols)
         for g in self.ring.gb:
             aug_cols.extend({i: g} for i in range(M.target.rank))
-        self.gbm = ModuleGB(ambient, M.target.degrees, aug_cols)
+        self.gbm = ModuleGB(self.ring.ambient, M.target.degrees, aug_cols, len(M.cols))
         self._syz: Optional[GradedMatrix] = None
 
     def syzygy_matrix(self) -> GradedMatrix:
@@ -288,15 +308,14 @@ class SyzygyEngine:
         if self._syz is not None:
             return self._syz
         nf = self.ring.normal_form
-        src = self.M.source.degrees
+        src = self.source.degrees
         found = {}
         for syz in self.gbm.syzygies:
             col = {}
             for j in sorted(syz):
-                if j < self.n_original:
-                    p = nf(syz[j])
-                    if p:
-                        col[j] = p
+                p = nf(syz[j])
+                if p:
+                    col[j] = p
             if not col:
                 continue
             key = tuple((-j, p.terms_key()) for j, p in col.items())
@@ -305,7 +324,7 @@ class SyzygyEngine:
                 found[key] = (col[lead].degree() + src[lead], col)
         order = sorted(found, key=lambda key: (found[key][0], key))
         self._syz = GradedMatrix.from_columns(
-            self.M.source,
+            self.source,
             [found[key][0] for key in order],
             [found[key][1] for key in order],
         )

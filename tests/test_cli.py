@@ -1008,6 +1008,36 @@ def test_verify_work_counts(monkeypatch, capsys):
     }
 
 
+def test_verify_leaves_only_read_state_in_the_syzygy_cache(monkeypatch, capsys):
+    """What a cold `verify --seed 0` leaves behind, counted by structure in
+    place of the process's memory: no cached engine holds a reduction
+    history or its input matrix, and the ideal Groebner bases record no
+    syzygies."""
+    import dgdim.core.ring as ring_module
+    import dgdim.core.syz as syz_module
+
+    ideal_gbs = []
+
+    class Recorded(syz_module.ModuleGB):
+        def __init__(self, *args):
+            super().__init__(*args)
+            ideal_gbs.append(self)
+
+    _cold_memos(monkeypatch)
+    monkeypatch.setattr(ring_module, "ModuleGB", Recorded)
+    assert main(["verify", "--seed", "0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
+    engines = list(syz_module._syz_cache.values())
+    assert engines
+    for eng in engines:
+        assert not hasattr(eng, "M")
+        assert all(hist is None for _, hist in eng.gbm.gb)
+    assert ideal_gbs
+    for gbm in ideal_gbs:
+        assert gbm.syzygies == []
+        assert all(hist is None for _, hist in gbm.gb)
+
+
 @pytest.mark.parametrize(
     "filter_, check_id",
     [("depth-sensitive", "depth-sensitive-projdim-bound"),

@@ -574,6 +574,94 @@ def test_syzygies_complete_on_the_seeded_corpora(field):
     assert max(ranks) >= 9 and {0, 1, 2} <= ranks
 
 
+def _fully_tracked_syzygies(M):
+    """syzygy_matrix of M read off a ModuleGB that keeps the histories of
+    every column, the J-multiples of the target basis included, with each
+    syzygy cut to its block on M's columns; and how many it recorded."""
+    aug_cols = list(M.cols) + [
+        {i: g} for g in M.ring.gb for i in range(M.target.rank)
+    ]
+    full = syz_mod.ModuleGB(M.ring.ambient, M.target.degrees, aug_cols, len(aug_cols))
+    eng = SyzygyEngine(M)
+    eng.gbm.syzygies = [
+        {j: p for j, p in syz.items() if j < len(M.cols)} for syz in full.syzygies
+    ]
+    return eng.syzygy_matrix(), len(full.syzygies)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_tracking_only_the_original_columns_keeps_every_syzygy(field):
+    """The engine tracks the histories of M's columns alone; projecting
+    onto them commutes with translating through the histories, so the
+    syzygy matrix equals, column for column, the one of a build that
+    tracks the J-multiples too, which records more syzygies."""
+    fewer = 0
+    for M in _engine_inputs(field):
+        eng = SyzygyEngine(M)
+        S = eng.syzygy_matrix()
+        T, recorded = _fully_tracked_syzygies(M)
+        assert S.source.degrees == T.source.degrees, M
+        assert S.cols == T.cols, M
+        assert len(eng.gbm.syzygies) <= recorded, M
+        fewer += len(eng.gbm.syzygies) < recorded
+    assert fewer > 0
+
+
+def _in_image_by_dense_rank(M, vec, t):
+    """Whether the degree-t k-vector vec, {(monomial, row): coefficient},
+    lies in the image of M: appending it leaves the dense rank as it is."""
+    F = M.ring.field
+    rows, _, dense = M.matrix_in_degree(t)
+    grown = [row + [vec.get(key, F.zero())] for row, key in zip(dense, rows)]
+    return _dense_rank(F, grown) == _dense_rank(F, dense)
+
+
+def _membership_probes(M, t, rng):
+    """Degree-t k-vectors: a combination of the image's columns, the same
+    plus one basis vector of the target, and a random vector."""
+    F = M.ring.field
+    rows, _, dense = M.matrix_in_degree(t)
+    if not rows:
+        return []
+    image = {}
+    for c in range(len(dense[0])):
+        a = F.from_int(rng.randint(-2, 2))
+        for key, row in zip(rows, dense):
+            image[key] = F.add(image.get(key, F.zero()), F.mul(a, row[c]))
+    shifted = dict(image)
+    key = rng.choice(rows)
+    shifted[key] = F.add(shifted.get(key, F.zero()), F.one())
+    noise = {key: F.from_int(rng.randint(-2, 2)) for key in rows}
+    return [{k: c for k, c in v.items() if not F.is_zero(c)} for v in (image, shifted, noise)]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_an_engine_answers_membership_after_its_matrix_is_read(field):
+    """An engine keeps no reduction history and not M, only M's source;
+    after its syzygy matrix is read, the basis that contains reduces
+    against answers as the dense rank does, and the counts read off the
+    engine keep their values."""
+    rng = random.Random(5)
+    answers = set()
+    for M in _engine_inputs(field):
+        eng = SyzygyEngine(M)
+        basis, recorded = len(eng.gbm.gb), len(eng.gbm.syzygies)
+        eng.syzygy_matrix()
+        assert not hasattr(eng, "M")
+        assert all(hist is None for _, hist in eng.gbm.gb)
+        assert (len(eng.gbm.gb), len(eng.gbm.syzygies)) == (basis, recorded)
+        amb = M.ring.ambient
+        for t in range(min(M.target.degrees, default=0), max(M.source.degrees, default=0) + 2):
+            for vec in _membership_probes(M, t, rng):
+                col = {}
+                for (m, i), c in vec.items():
+                    col.setdefault(i, {})[m] = c
+                answer = eng.contains({i: Poly(amb, terms) for i, terms in col.items()})
+                assert answer == _in_image_by_dense_rank(M, vec, t), (M, t, vec)
+                answers.add(answer)
+    assert answers == {True, False}
+
+
 def _s_vector(gbm, i, j):
     """The S-vector of basis elements i and j at one position, computed
     from the vectors alone: lcm/lt(g_i) g_i - lcm/lt(g_j) g_j with monic
