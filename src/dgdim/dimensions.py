@@ -29,9 +29,10 @@ reports still name A, its pool and its witnesses.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .complexes import dual_complex, prune_complex, trusted_degree
+from .complexes import PresentedComplex, dual_complex, prune_complex, trusted_degree
 from .core.poly import Poly
 from .core.ring import GradedRing
 from .dg import (
@@ -377,7 +378,7 @@ def _cone_inf(K: DGModule, t: Optional[int], a: Poly) -> Optional[int]:
     """inf of K = cone(a: M(-|a|) -> M), given t = inf(M), by one vanishing
     test.  For a zero or positive-degree a the long exact sequence of the
     cone gives H^j(K) = 0 below t - 1 and H^{t-1}(K) = ker(a on H^t M),
-    while H^t(K) maps onto coker(a on H^t M), nonzero by Nakayama.  So
+    while H^t(K) contains coker(a on H^t M), nonzero by Nakayama.  So
     inf(K) is t - 1 when H^{t-1}(K) is nonzero and t otherwise.  A unit a
     or an acyclic M takes the full scan instead."""
     if t is None or (a and a.degree() == 0):
@@ -437,6 +438,8 @@ def default_sequence_pool(A: DGRing) -> List[Poly]:
 
 
 class DepthReport:
+    """exhaustive: the witness sequence reaches the value."""
+
     def __init__(
         self, value: int, sequence: List[str], pool_size: int, exhaustive: bool
     ):
@@ -455,15 +458,21 @@ class DepthReport:
 
 
 def sequential_depth(X: Union[AnyRing, DGModule]) -> DepthReport:
-    """Longest regular sequence from the degree-<=2 pool, by depth-first
-    search with prefix pruning (every prefix of a regular sequence is
-    regular, so dead prefixes cut the tree).
+    """The length of every maximal sequence of homogeneous elements of the
+    irrelevant ideal whose Koszul cones on M keep inf t = inf M (0 for an
+    acyclic M): depth M - t, depth M the lowest degree of Ext_A(k, M).  The
+    cone of a keeps t exactly when a is regular on H^t(M), which some a is
+    exactly when depth M > t, and a kills Ext_A(k, M), so the cone's depth
+    is one less.  That cone's H^t also holds the a-torsion of H^{t+1}(M),
+    so this is not the depth of H^t(M).  Over the ambient ring P of M's
+    model, depth M = v - pd_P M (Auslander-Buchsbaum for complexes;
+    Iyengar, Math. Z. 230, 1999).
 
-    The search is exhaustive over the pool; maximality beyond the pool is
-    not claimed, which is what the exhaustive flag records.  The value is
-    capped by dim H^0(A), so the search stops early when it gets there.
-    The depth of a DG-ring is memoized on the ring; the report is shared,
-    so callers must not change it.
+    The witness takes, in one pass over the degree-<=2 pool and then the
+    sums of two pool elements of equal degree, each element whose cone
+    keeps t, up to the value; homogeneous regular sequences permute, so a
+    skipped element never becomes regular.  A DG-ring's report is memoized
+    on it and shared, so callers must not change it.
     """
     if isinstance(X, (DGRing, ProductDGRing)):
         _connected(X, "sequential depth")
@@ -471,47 +480,28 @@ def sequential_depth(X: Union[AnyRing, DGModule]) -> DepthReport:
             X._depth = sequential_depth(free_dg_module(X, [(0, 0)]))
         return X._depth
     M = X
-    A = M.A
-    _connected(A, "sequential depth")
-    pool = default_sequence_pool(A)
-    cap = max(A.dimension(), 0)
+    _connected(M.A, "sequential depth")
+    pool = default_sequence_pool(M.A)
     target = M.inf_h()
-    best: List[Poly] = []
-
-    def regular_after(prefix_module: DGModule, p: Poly) -> Optional[DGModule]:
-        # every prefix module passed here has inf equal to target
-        K = cone_dg(multiplication_map(prefix_module, p), check=False)
-        if _cone_inf(K, target, p) != target:
-            return None
-        return K
-
-    def dfs(prefix: List[Poly], module: DGModule) -> bool:
-        nonlocal best
-        if len(prefix) > len(best):
-            best = list(prefix)
-        if len(prefix) >= cap:
-            return True
-        used = {str(p) for p in prefix}
-        for p in pool:
-            if str(p) in used:
-                continue
-            nxt = regular_after(module, p)
-            if nxt is None:
-                continue
-            if dfs(prefix + [p], nxt):
-                return True
-        return False
-
-    if cap > 0 and target is not None:
-        dfs([], M)
-    value = len(best)
-    if value > A.dimension():
-        raise AssertionError("depth exceeded dim H^0, which cannot happen")
+    value = 0
+    if target is not None:
+        F, v = _ambient_minimal_complex(M)
+        value = v + min(F.support()) - target
+    sums = (a + b for i, a in enumerate(pool) for b in pool[i + 1:]
+            if a.degree() == b.degree())
+    seq: List[Poly] = []
+    for p in chain(pool, sums):
+        if len(seq) == value:
+            break
+        K = cone_dg(multiplication_map(M, p), check=False)
+        if _cone_inf(K, target, p) == target:
+            seq.append(p)
+            M = K
     return DepthReport(
         value=value,
-        sequence=[str(p) for p in best],
+        sequence=[str(p) for p in seq],
         pool_size=len(pool),
-        exhaustive=True,
+        exhaustive=len(seq) == value,
     )
 
 
@@ -560,18 +550,12 @@ def _ambient_dg_module(X: DGModule, P_ring: GradedRing) -> DGModule:
     return DGModule(RP, gens, diff, check=True)
 
 
-def local_cohomology_amplitude(
-    X: Union[AnyRing, DGModule]
-) -> LocalCohomologyReport:
-    """Amplitude of the derived torsion (local cohomology) of X at the
-    irrelevant ideal, through graded duality over the ambient polynomial
-    ring: H^j_m(X) is nonzero exactly when Ext^{v-j}_P(X, P) is, where v
-    is the number of ambient variables.  The tower is windowed two degrees
-    below the syzygy bound v - inf <= v - (bottom slot) over P.  X moves to
-    its model, whose base is a quotient of A's: that keeps H_m."""
-    if isinstance(X, (DGRing, ProductDGRing)):
-        X = ring_free_module(X)
-    _connected(X.A, "local cohomology")
+def _ambient_minimal_complex(X: DGModule) -> Tuple[PresentedComplex, int]:
+    """X's minimal free complex over the ambient polynomial ring P, whose
+    lowest degree is -pd_P X, and P's number of variables v.  X moves to
+    its model, whose base is a quotient of A's: that keeps H_m.  The tower
+    is windowed two degrees below the syzygy bound v - inf <= v - (bottom
+    slot) over P."""
     X = X.over_model()
     P_ring = GradedRing(X.A.base.ambient, [])
     v = P_ring.dimension()
@@ -579,7 +563,20 @@ def local_cohomology_amplitude(
     res = certify_termination(
         semifree_resolution(_ambient_dg_module(X, P_ring), window_lo=window)
     )
-    F = prune_complex(reduce_to_h0(res))
+    return prune_complex(reduce_to_h0(res)), v
+
+
+def local_cohomology_amplitude(
+    X: Union[AnyRing, DGModule]
+) -> LocalCohomologyReport:
+    """Amplitude of the derived torsion (local cohomology) of X at the
+    irrelevant ideal, through graded duality over the ambient polynomial
+    ring: H^j_m(X) is nonzero exactly when Ext^{v-j}_P(X, P) is, where v
+    is the number of ambient variables."""
+    if isinstance(X, (DGRing, ProductDGRing)):
+        X = ring_free_module(X)
+    _connected(X.A, "local cohomology")
+    F, v = _ambient_minimal_complex(X)
     H = dual_complex(F)
     degs: List[int] = []
     if F.support():

@@ -105,7 +105,7 @@ def small_finitistic_dims(A: AnyRing) -> FinitisticReport:
     depth = sequential_depth(A)
     value = depth.value - ring_amplitude(A)
     rec = bass_witness_recipe(A, depth.value)
-    winf = rec.module.inf_h()
+    winf = rec.module.inf_h() if rec.module is not None else None
     finite = rec.projdim is not None
     witness = {
         "module": rec.koszul_description,
@@ -320,7 +320,8 @@ def bass_witness_recipe(A: AnyRing, n: int) -> WitnessRecipe:
     inf(A)).  A connected A with seq.depth(A) < n has no finitely generated
     witness, since its projdim + inf >= n - amp(A) would exceed the small fpd
     seq.depth(A) - amp(A); the localization it needs inverts an element,
-    which is inhomogeneous, so that recipe is emitted unverified.
+    which is inhomogeneous, so that recipe is emitted unverified, as it is
+    when the depth's witness sequence falls short of n <= seq.depth(A).
     """
     dim = A.dimension()
     if not 0 <= n <= dim:
@@ -381,6 +382,10 @@ def bass_witness_recipe(A: AnyRing, n: int) -> WitnessRecipe:
         )
     subset, seq, s = found
     depth, amp = sequential_depth(A).value, ring_amplitude(A)
+    why = ("a finitely generated witness would have projdim + inf >= %d > %d "
+           "= seq.depth(A) - amp(A), the small fpd" % (n - amp, depth - amp)
+           if n > depth else "seq.depth(A) = %d is certified, but no candidate "
+           "regular sequence of length %d was found" % (depth, n))
     return WitnessRecipe(
         target=n,
         prime="(" + ", ".join(subset) + ")" if subset else "(0)",
@@ -390,9 +395,7 @@ def bass_witness_recipe(A: AnyRing, n: int) -> WitnessRecipe:
         verified=False,
         notes=(
             "inverting %s is inhomogeneous (A[T]/(1 - %s T)) and leaves the "
-            "graded engine; emitted unverified, since a finitely generated "
-            "witness would have projdim + inf >= %d > %d = seq.depth(A) - "
-            "amp(A), the small fpd" % (s, s, n - amp, depth - amp)
+            "graded engine; emitted unverified, since %s" % (s, s, why)
         ),
     )
 

@@ -978,7 +978,12 @@ def test_verify_work_counts(monkeypatch, capsys):
     empty ideal counts once, in place of a quotient R/(x) that R's quotient
     memo shared between the Koszul rings over R.  Before
     local_cohomology_amplitude ran on the model, whose ambient ring has one
-    variable fewer, it built 219 module Groebner bases."""
+    variable fewer, it built 219 module Groebner bases.  Before sequential
+    depth was read off the minimal free complex over the ambient ring, in
+    place of a depth-first search over Koszul cones, it built 28 ideal
+    Groebner bases (each depth now builds the ambient ring, whose empty
+    ideal counts once), 154 semifree resolutions (one ambient tower per
+    depth) and 213 module Groebner bases."""
     import dgdim.core.syz as syz_module
     from dgdim.core.module import minimal_presentation
     from dgdim.core.ring import groebner_basis
@@ -1000,11 +1005,11 @@ def test_verify_work_counts(monkeypatch, capsys):
     assert main(["verify", "--seed", "0", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
     assert counts == {
-        "groebner_basis": 28,
-        "semifree_resolution": 154,
+        "groebner_basis": 33,
+        "semifree_resolution": 161,
         "flat_dim": 0,
         "minimal_presentation": 22,
-        "module GBs": 213,
+        "module GBs": 178,
     }
 
 

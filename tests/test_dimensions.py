@@ -19,6 +19,7 @@ from dgdim.complexes import base_change, cohomology_data, trusted_degree
 from dgdim.core import make_graded_ring
 from dgdim.dg import (
     DGMap,
+    DGRing,
     ProductDGModule,
     ProductDGRing,
     build_koszul_dg,
@@ -33,6 +34,7 @@ from dgdim.dg import (
     h0_cyclic_dg_module,
     hom_semifree_into_dg,
     koszul_dg_module,
+    multiplication_map,
     product_koszul_module,
     reduce_to_h0,
     residue_dg_module,
@@ -42,6 +44,7 @@ from dgdim.dg import (
 import dgdim.dimensions as dimensions_module
 from dgdim.dimensions import (
     bass_numbers,
+    default_sequence_pool,
     dualizing_dg_module,
     flat_dim,
     inj_dim,
@@ -55,6 +58,7 @@ from dgdim.dimensions import (
     ring_free_module,
     sequential_depth,
 )
+from dgdim.finitistic import bass_witness_recipe, small_finitistic_dims
 
 
 FIELDS = ["Q", "Fp:32003"]
@@ -740,8 +744,8 @@ def test_unit_element_takes_the_full_inf_scan():
 def test_cone_inf_matches_the_full_scan_in_sequential_depth(monkeypatch, field):
     """sequential_depth reads the inf of each Koszul cone off one vanishing
     test.  On every cone it builds over the fixture rings of verify, and
-    over a Koszul module on each, that value is the inf of the full scan;
-    both answers (regular and not) occur."""
+    over the Koszul module on each pool element of each, that value is the
+    inf of the full scan; both answers (regular and not) occur."""
     inner = dimensions_module._cone_inf
     outcomes = {"regular": 0, "not regular": 0}
 
@@ -754,7 +758,8 @@ def test_cone_inf_matches_the_full_scan_in_sequential_depth(monkeypatch, field):
     monkeypatch.setattr(dimensions_module, "_cone_inf", checked)
     for A in checks._fixture_set(field).values():
         sequential_depth(free_dg_module(A, [(0, 0)]))
-        sequential_depth(koszul_dg_module(A, [A.base.variables()[-1]]))
+        for p in default_sequence_pool(A):
+            sequential_depth(koszul_dg_module(A, [p]))
     assert outcomes["regular"] >= 5 and outcomes["not regular"] >= 5, outcomes
 
 
@@ -815,6 +820,157 @@ def test_ring_amplitude_memo_matches_a_fresh_ring(monkeypatch, make, amp, field)
 def test_sequential_depth_rejects_products():
     with pytest.raises(ValueError):
         sequential_depth(split_product())
+
+
+def pool_search_depth(X):
+    """The depth search sequential_depth ran before its value had a closed
+    form, kept as an oracle: the longest sequence of degree-<=2 pool
+    elements whose Koszul cones keep inf M, by depth-first search with
+    prefix pruning, stopped at dim H^0(A).  It under-reports when no pool
+    element is regular, so it is an oracle only where the pool suffices."""
+    M = free_dg_module(X, [(0, 0)]) if isinstance(X, DGRing) else X
+    A = M.A
+    pool = default_sequence_pool(A)
+    cap = max(A.dimension(), 0)
+    target = M.inf_h()
+    best = []
+
+    def dfs(prefix, module):
+        nonlocal best
+        if len(prefix) > len(best):
+            best = list(prefix)
+        if len(prefix) >= cap:
+            return True
+        used = {str(p) for p in prefix}
+        for p in pool:
+            if str(p) in used:
+                continue
+            K = cone_dg(multiplication_map(module, p), check=False)
+            if K.inf_h() == target and dfs(prefix + [p], K):
+                return True
+        return False
+
+    if cap > 0 and target is not None:
+        dfs([], M)
+    return {"value": len(best), "sequence": [str(p) for p in best],
+            "pool-size": len(pool), "exhaustive": True}
+
+
+def seeded_connected_modules(field, seeds=range(4)):
+    """The first 24 connected modules of the seeded corpus per seed: the
+    draws over the two connected standard families among 36."""
+    fams = corpus.standard_families(field)
+    for seed in seeds:
+        rng = Random(seed)
+        for n in range(36):
+            M = corpus.random_perfect_module(fams[n % 3], rng)
+            if not isinstance(M, ProductDGModule):
+                yield M
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_the_depth_matches_the_pool_search_on_the_seeded_corpus(field):
+    """Where the degree-<=2 pool suffices, the closed form and its one-pass
+    witness give the report of the old depth-first search: on 96 seeded
+    corpus modules, and on every verify fixture ring and its residue
+    field."""
+    inputs = list(seeded_connected_modules(field))
+    assert len(inputs) == 96
+    for A in checks._fixture_set(field).values():
+        inputs += [free_dg_module(A, [(0, 0)]), residue_dg_module(A)]
+    values = set()
+    for M in inputs:
+        rep = sequential_depth(M).to_json()
+        assert rep == pool_search_depth(M), M
+        values.add(rep["value"])
+    assert values == {0, 1, 2}
+
+
+def weighted_rings(field):
+    """The three weighted rings of the depth probes: k[x,y]/(xy) with
+    deg y = 2, K(k[x,y,z]; x^2, xz) with deg y = 2, and K(k[x,y,z]; xy, z)
+    with degrees 1, 2 and 3."""
+    return [
+        build_ring_dg(make_graded_ring(field, {"x": 1, "y": 2}, ["x*y"])),
+        build_koszul_dg(make_graded_ring(field, {"x": 1, "y": 2, "z": 1}),
+                        ["x^2", "x*z"]),
+        build_koszul_dg(make_graded_ring(field, {"x": 1, "y": 2, "z": 3}),
+                        ["x*y", "z"]),
+    ]
+
+
+def nine_lines_hypersurface(field):
+    """k[x,y,z]/(xyz(x+y)(x-y)(x+z)(x-z)(y+z)(y-z)): Cohen-Macaulay of
+    depth 2, with every element of the degree-<=2 pool a zero-divisor."""
+    R = make_graded_ring(field, ["x", "y", "z"])
+    x, y, z = R.variables()
+    f = R.one()
+    for g in (x, y, z, x + y, x - y, x + z, x - z, y + z, y - z):
+        f = f * g
+    return build_ring_dg(R.quotient([f]))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_the_depth_reaches_past_the_pool(field):
+    """No pool element is regular on k[x,y]/(xy) with deg y = 2, yet x^2 + y
+    is: the depth is 1, and so are the small finitistic dimensions, with
+    K(A; x^2 + y) a verified witness.  The degree-9 hypersurface has
+    depth 2, witnessed by sums of two pool elements.  The pool search
+    reports 0 on both."""
+    A = weighted_rings(field)[0]
+    assert pool_search_depth(A)["value"] == 0
+    assert sequential_depth(A).to_json() == {
+        "value": 1, "sequence": ["x^2 + y"], "pool-size": 4, "exhaustive": True}
+    small = small_finitistic_dims(A).to_json()
+    assert (small["fpd"], small["ffd"], small["fid"]) == (1, 1, 1)
+    assert small["witness"]["attains"]
+    rec = bass_witness_recipe(A, 1)
+    assert (rec.verified, rec.projdim, rec.sequence) == (True, 1, ["x^2 + y"])
+    H = nine_lines_hypersurface(field)
+    assert pool_search_depth(H)["value"] == 0
+    assert sequential_depth(H).to_json() == {
+        "value": 2, "sequence": ["2*x + y", "2*y + z"], "pool-size": 15,
+        "exhaustive": True}
+    assert is_regular_sequence(H, ["2*x + y", "2*y + z"]).regular
+
+
+def local_cohomology_rings(field):
+    """The connected standard families, ladder A at (1, 1), (2, 1), (1, 2),
+    (2, 2) and (2, 3), K(k[x,y,z]; x^2, xy, yz), the Golod ring, the three
+    weighted rings, and a trivial extension R |x (R/(x))[1] with
+    R = k[x,y,z]/(x^2, xy, xz), whose H^-1 = k[y,z] has depth 2 while R
+    has depth 0."""
+    fams = corpus.standard_families(field)
+    rings = [fams[0], fams[1]]
+    rings += [koszul_ladder_ring(d, n, field)
+              for d, n in [(1, 1), (2, 1), (1, 2), (2, 2), (2, 3)]]
+    rings.append(build_koszul_dg(make_graded_ring(field, ["x", "y", "z"]),
+                                 ["x^2", "x*y", "y*z"]))
+    rings.append(golod_xy(field))
+    rings += weighted_rings(field)
+    R = make_graded_ring(field, ["x", "y", "z"], ["x^2", "x*y", "x*z"])
+    rings.append(build_trivial_extension(R, 1, ["x"]))
+    return rings
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_the_small_fpd_is_the_lowest_local_cohomology_degree(field):
+    """fpd(A) = seq.depth(A) - amp(A) is the lowest degree of the local
+    cohomology of A, read off the dual of A's minimal free complex over
+    the ambient ring.  Each depth's witness is a regular sequence by the
+    full inf scan.  On the trivial extension the depth is 1, not the
+    depth 2 of H^inf(A): after y, the cone's H^-1 also holds the y-torsion
+    x of H^0(A)."""
+    depths = []
+    for A in local_cohomology_rings(field):
+        rep = sequential_depth(A)
+        low = local_cohomology_amplitude(A).degrees[0]
+        assert low == rep.value - ring_amplitude(A), A
+        assert rep.exhaustive and is_regular_sequence(A, rep.sequence).regular
+        depths.append(rep.value)
+    assert depths == [2, 1, 1, 2, 1, 2, 2, 1, 0, 1, 2, 1, 1]
+    A = local_cohomology_rings(field)[-1]
+    assert sequential_depth(A).to_json() == pool_search_depth(A)
 
 
 @pytest.mark.parametrize("query", [

@@ -293,6 +293,28 @@ def test_bass_witness_past_the_depth_is_a_localization_recipe(field, name, n):
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+def test_a_witness_sequence_short_of_the_depth_is_named_in_the_note(
+    field, monkeypatch
+):
+    """With no candidates at all, the depth of k[x,y] is still certified as
+    2, but its witness sequence is empty.  The recipe for n = 1 is then
+    unverified, and its note gives the certified depth and says that no
+    sequence of length 1 was found, not that none exists; the small
+    finitistic report keeps the value and names no witness."""
+    monkeypatch.setattr(dimensions_module, "default_sequence_pool", lambda A: [])
+    A = build_ring_dg(make_graded_ring(field, ["x", "y"]))
+    assert sequential_depth(A).to_json() == {
+        "value": 2, "sequence": [], "pool-size": 0, "exhaustive": False}
+    rec = bass_witness_recipe(A, 1)
+    assert (rec.verified, rec.module, rec.projdim) == (False, None, None)
+    assert "seq.depth(A) = 2 is certified" in rec.notes
+    assert "no candidate regular sequence of length 1 was found" in rec.notes
+    assert "small fpd" not in rec.notes
+    rep = small_finitistic_dims(A).to_json()
+    assert rep["fpd"] == 2 and rep["witness"]["attains"] is False
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
 def test_bass_witness_on_a_non_regular_sequence_is_not_verified(field, monkeypatch):
     """x is not regular on k[x,y]/(x^2, xy): K(A; x) has H^-1 = (0 : x)
     nonzero, so its inf is -1 < 0 = inf(A) and the witness must not be

@@ -20,7 +20,7 @@ from random import Random
 import pytest
 from test_cli import _cold_memos
 from test_complexes import h_dim
-from test_dimensions import LADDER_A, koszul_ladder_ring
+from test_dimensions import LADDER_A, koszul_ladder_ring, pool_search_depth
 
 from dgdim.cli import main
 from dgdim.core import make_graded_ring
@@ -322,6 +322,14 @@ def test_the_depth_search_keeps_each_element_twist_on_the_model(field):
     assert sequential_depth(A).value == 2
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_the_depth_of_each_model_case_matches_the_pool_search(field):
+    """The closed-form depth and its one-pass witness give the report of
+    the old depth-first pool search on every ring of model_cases."""
+    for A in model_cases(field):
+        assert sequential_depth(A).to_json() == pool_search_depth(A), A
+
+
 # ---------- modules with an H^0 generator on the model ----------
 
 
@@ -339,13 +347,9 @@ def h0_and_mixed_modules(A):
 
 
 def h0_model_rings(field):
-    """model_cases on at most three variables, and K(k[x,y]; x^2, y^2),
-    whose model has a quotient base.  Ladder A (3, 1) is left out for time:
-    the exhaustive depth search over its 26-element pool takes seconds per
-    module."""
-    for A in model_cases(field):
-        if A.base.ambient.nvars <= 3:
-            yield A
+    """model_cases and K(k[x,y]; x^2, y^2), whose model has a quotient
+    base."""
+    yield from model_cases(field)
     yield build_koszul_dg(make_graded_ring(field, ["x", "y"]), ["x^2", "y^2"])
 
 
