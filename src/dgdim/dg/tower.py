@@ -25,21 +25,21 @@ cohomology above s, and the next stage scans down from s instead of from
 its top slot degree.  No cohomology is carried from one stage to the next:
 the ceiling alone keeps every degree above s from being read again.
 
-Every tower is windowed: faithful above window_lo, no claim below it.  Each
-caller cites a bound for its window: two degrees below dim H^0(A) - inf M
-for a projective dimension (the Ext-search oracle and the Hochschild
-diagonal too), two below the syzygy bound v - (bottom slot) over a
-polynomial ring in v variables for local cohomology, and as deep as their
-scan reads for the Bass numbers.  The ceiling makes the positions decrease
-while the floor rises by one per stage, so at most top slot - window_lo + 2
-stages run.  A tower stops once no cohomology is left at or above its
-floor, and it reads the end state for termination only where that costs
-nothing: no slots left, or the floor at or below the bottom slot.
-Otherwise the resolution keeps its final cocone and carries the window
-bound as its known_lo.  Whether the cocone has cohomology below the floor is
-a separate question, asked only by certify_termination, the one function
-that runs that scan; a caller that only reads the window (the Bass
-numbers) never pays for it.
+Every tower is windowed: faithful above window_lo, no claim below it.
+There are two window rules.  The main bound puts the window two degrees
+below -(dim H^0(A) - inf M): every minimal free complex is read through
+proj_dim (depth and local cohomology over the ambient polynomial ring, the
+Hochschild diagonal), and the Ext-search oracle uses the same bound.  The
+Bass numbers window as deep as their scan reads.  The ceiling makes the
+positions decrease while the floor rises by one per stage, so at most top
+slot - window_lo + 2 stages run.  A tower stops once no cohomology is left
+at or above its floor, and it reads the end state for termination only
+where that costs nothing: no slots left, or the floor at or below the
+bottom slot.  Otherwise the resolution keeps its final cocone and carries
+the window bound as its known_lo.  Whether the cocone has cohomology below
+the floor is a separate question, asked only by certify_termination, the
+one function that runs that scan; a caller that only reads the window (the
+Bass numbers) never pays for it.
 """
 from __future__ import annotations
 

@@ -92,6 +92,9 @@ class DimensionReport:
 
     value is the dimension when finite; infinite/acyclic make it None.
     cutoff is the resolution floor that was used (None: untruncated).
+    complex is the pruned minimal complex F a projective or flat dimension
+    of a connected module was read off, finite or infinite (else None); it
+    stays out of the JSON.
     """
 
     def __init__(
@@ -103,6 +106,7 @@ class DimensionReport:
         cutoff: Optional[int] = None,
         certificate: Optional[dict] = None,
         reduction: str = "",
+        complex: Optional[PresentedComplex] = None,
     ):
         self.kind = kind
         self.value = value
@@ -111,6 +115,7 @@ class DimensionReport:
         self.cutoff = cutoff
         self.certificate = {} if certificate is None else certificate
         self.reduction = reduction
+        self.complex = complex
 
     @property
     def finite(self) -> bool:
@@ -190,7 +195,9 @@ def _free_dimension(kind: str, M: AnyModule) -> DimensionReport:
     component.  A finite value obeys the bound dim H^0(A) - inf(M), so res
     is windowed at floor = -(cap + 2) and has its termination certified;
     once the minimal tower persists below the floor the dimension is
-    infinite, and the covers in the trusted degrees are recorded.
+    infinite, and the covers in the trusted degrees are recorded.  The
+    report keeps F: depth, local cohomology and the Hochschild diagonal
+    read it there, so this is the one window on a minimal free complex.
     """
     if isinstance(M, ProductDGModule):
         return _combine_parts(kind, [_free_dimension(kind, p) for p in M.parts])
@@ -225,6 +232,7 @@ def _free_dimension(kind: str, M: AnyModule) -> DimensionReport:
             certificate={key + "-trusted": certified,
                          "rule": rule % (cap, floor)},
             reduction=trace,
+            complex=F,
         )
     if not table:
         return DimensionReport(kind, None, acyclic=True,
@@ -235,6 +243,7 @@ def _free_dimension(kind: str, M: AnyModule) -> DimensionReport:
         cutoff=floor,
         certificate={key: certified},
         reduction=trace,
+        complex=F,
     )
 
 
@@ -465,8 +474,9 @@ def sequential_depth(X: Union[AnyRing, DGModule]) -> DepthReport:
     exactly when depth M > t, and a kills Ext_A(k, M), so the cone's depth
     is one less.  That cone's H^t also holds the a-torsion of H^{t+1}(M),
     so this is not the depth of H^t(M).  Over the ambient ring P of M's
-    model, depth M = v - pd_P M (Auslander-Buchsbaum for complexes;
-    Iyengar, Math. Z. 230, 1999).
+    model, in v variables, depth M = v - pd_P M (Auslander-Buchsbaum for
+    complexes; Iyengar, Math. Z. 230, 1999), and pd_P M is proj_dim over
+    P (_ambient_dg_module).
 
     The witness takes, in one pass over the degree-<=2 pool and then the
     sums of two pool elements of equal degree, each element whose cone
@@ -485,8 +495,8 @@ def sequential_depth(X: Union[AnyRing, DGModule]) -> DepthReport:
     target = M.inf_h()
     value = 0
     if target is not None:
-        F, v = _ambient_minimal_complex(M)
-        value = v + min(F.support()) - target
+        N = _ambient_dg_module(M)
+        value = N.A.dimension() - proj_dim(N).value - target
     sums = (a + b for i, a in enumerate(pool) for b in pool[i + 1:]
             if a.degree() == b.degree())
     seq: List[Poly] = []
@@ -514,11 +524,16 @@ class LocalCohomologyReport:
         self.degrees = degrees
 
 
-def _ambient_dg_module(X: DGModule, P_ring: GradedRing) -> DGModule:
-    """X viewed over the ambient polynomial ring: one h0-kind generator per
-    slot, relations enlarged by the defining ideal of the base."""
-    RP = build_ring_dg(P_ring)
+def _ambient_dg_module(X: DGModule) -> DGModule:
+    """X viewed over the ambient polynomial ring P of its model: one
+    h0-kind generator per slot, relations enlarged by the defining ideal of
+    the model's base.  The model's base is a quotient of A's, which keeps
+    H_m.  A base without relations is P itself and is reused, with the
+    memos it already holds."""
+    X = X.over_model()
     A = X.A
+    P = A.base if not A.base.relations else GradedRing(A.base.ambient, [])
+    RP = build_ring_dg(P)
     base_rels = tuple(A.base.relations)
     slot_index: Dict[Tuple[int, str], int] = {}
     gens: List[DGGen] = []
@@ -550,42 +565,26 @@ def _ambient_dg_module(X: DGModule, P_ring: GradedRing) -> DGModule:
     return DGModule(RP, gens, diff, check=True)
 
 
-def _ambient_minimal_complex(X: DGModule) -> Tuple[PresentedComplex, int]:
-    """X's minimal free complex over the ambient polynomial ring P, whose
-    lowest degree is -pd_P X, and P's number of variables v.  X moves to
-    its model, whose base is a quotient of A's: that keeps H_m.  The tower
-    is windowed two degrees below the syzygy bound v - inf <= v - (bottom
-    slot) over P."""
-    X = X.over_model()
-    P_ring = GradedRing(X.A.base.ambient, [])
-    v = P_ring.dimension()
-    window = X.min_slot_cohdeg() - v - 2
-    res = certify_termination(
-        semifree_resolution(_ambient_dg_module(X, P_ring), window_lo=window)
-    )
-    return prune_complex(reduce_to_h0(res)), v
-
-
 def local_cohomology_amplitude(
     X: Union[AnyRing, DGModule]
 ) -> LocalCohomologyReport:
     """Amplitude of the derived torsion (local cohomology) of X at the
     irrelevant ideal, through graded duality over the ambient polynomial
     ring: H^j_m(X) is nonzero exactly when Ext^{v-j}_P(X, P) is, where v
-    is the number of ambient variables."""
+    is the number of ambient variables.  Ext_P(X, P) is the cohomology of
+    the dual of the minimal complex F that proj_dim of X over P
+    (_ambient_dg_module) reads its value off."""
     if isinstance(X, (DGRing, ProductDGRing)):
         X = ring_free_module(X)
     _connected(X.A, "local cohomology")
-    F, v = _ambient_minimal_complex(X)
-    H = dual_complex(F)
-    degs: List[int] = []
-    if F.support():
-        lo, hi = -max(F.support()), -min(F.support())
-        for j in range(lo, hi + 1):
-            if not H.cohomology_vanishes(j):
-                degs.append(j)
-    if not degs:
+    N = _ambient_dg_module(X)
+    F = proj_dim(N).complex
+    if F is None:
         raise ValueError("acyclic input has no local cohomology")
+    v = N.A.dimension()
+    H = dual_complex(F)
+    lo, hi = -max(F.support()), -min(F.support())
+    degs = [j for j in range(lo, hi + 1) if not H.cohomology_vanishes(j)]
     rgamma = sorted(v - j for j in degs)
     return LocalCohomologyReport(amplitude=rgamma[-1] - rgamma[0], degrees=rgamma)
 

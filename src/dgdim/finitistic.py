@@ -17,17 +17,17 @@ length n; n = 0 is the ring).  Past the depth of a connected A the
 construction needs a genuine localization, which is inhomogeneous and stays
 outside the graded engine, so that recipe is emitted unverified.
 
-The Hochschild section resolves the diagonal over E = B (x)_A B for the
-flat desk-scale maps (identity, or base field k -> B) on the semifree
-tower, windowed by the main bound dim H0(E) - inf with inf = 0, and reads
-Tor/Ext tables off its pruned reduction.
+The Hochschild section reads the projective dimension of the diagonal
+over E = B (x)_A B for the flat desk-scale maps (identity, or base field
+k -> B): proj_dim windows it by the main bound dim H0(E) - inf with
+inf = 0, and the Tor/Ext tables come off the minimal complex it reports.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import base_change, dual_complex, prune_complex
+from .complexes import base_change, dual_complex
 from .core import GradedRing, Poly, PolyRing
 from .dg import (
     DGModule,
@@ -35,12 +35,9 @@ from .dg import (
     ProductDGModule,
     ProductDGRing,
     build_ring_dg,
-    certify_termination,
     factor_residue_module,
     h0_cyclic_dg_module,
     koszul_dg_module,
-    reduce_to_h0,
-    semifree_resolution,
 )
 from .dimensions import (
     AnyRing,
@@ -515,19 +512,17 @@ def hochschild_table(A: GradedRing, B: GradedRing) -> HochschildReport:
     supports.
 
     The threshold is the main bound dim H^0(E) - inf for the diagonal E/I,
-    E = B (x)_A B, where inf = 0.  Its tower is windowed two degrees below
-    it, certified, reduced and pruned to the minimal resolution F.  Both
-    tables come by base change: F tensor_E E/I is F over E/I, and
-    Hom_E(F, E/I) is the dual of that over E/I.  A group's generators come
-    in the order of the cover they live in, so each row lists its twists
-    sorted."""
+    E = B (x)_A B, where inf = 0.  proj_dim of E/I reads it: its minimal
+    resolution F and whether F ends inside the window, the smooth
+    certificate.  Both tables come by base change: F tensor_E E/I is F over
+    E/I, and Hom_E(F, E/I) is the dual of that over E/I.  A group's
+    generators come in the order of the cover they live in, so each row
+    lists its twists sorted."""
     label = hochschild_map(A, B)
     E, diag = (B, []) if label == _IDENTITY_MAP else _doubled_ring(B)
     threshold = E.dimension()
-    res = certify_termination(semifree_resolution(
-        h0_cyclic_dg_module(build_ring_dg(E), diag), window_lo=-(threshold + 2)
-    ))
-    F = prune_complex(reduce_to_h0(res))
+    rep = proj_dim(h0_cyclic_dg_module(build_ring_dg(E), diag))
+    F = rep.complex
     length = -min(F.support()) if F.support() else 0
     T = base_change(F, diag)
     H = dual_complex(T)
@@ -545,7 +540,7 @@ def hochschild_table(A: GradedRing, B: GradedRing) -> HochschildReport:
         label=label,
         enveloping=E,
         threshold=threshold,
-        terminated=res.terminated,
+        terminated=rep.finite,
         resolution_length=length,
         betti={i: tuple(sorted(F.cover(i).degrees)) for i in F.support()},
         hh_lower=hh_lower,

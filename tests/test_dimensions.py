@@ -973,6 +973,27 @@ def test_the_small_fpd_is_the_lowest_local_cohomology_degree(field):
     assert sequential_depth(A).to_json() == pool_search_depth(A)
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_auslander_buchsbaum_over_weighted_rings(field):
+    """projdim_A M = depth A - depth M, and depth M = seq.depth(M) + inf M,
+    with each depth read as the lowest degree of local cohomology: on 12
+    seeded perfect modules over each of the two connected standard
+    families and the three weighted rings.  proj_dim reads M's model over
+    A, local cohomology M over the ambient polynomial ring."""
+    fams = corpus.standard_families(field)
+    rng = Random(0)
+    checked = 0
+    for A in [fams[0], fams[1], *weighted_rings(field)]:
+        depth_A = local_cohomology_amplitude(A).degrees[0]
+        for _ in range(12):
+            M = corpus.random_perfect_module(A, rng)
+            depth_M = local_cohomology_amplitude(M).degrees[0]
+            assert proj_dim(M).value == depth_A - depth_M, M
+            assert depth_M == sequential_depth(M).value + M.inf_h(), M
+            checked += 1
+    assert checked == 60
+
+
 @pytest.mark.parametrize("query", [
     is_gorenstein,
     is_local_cohen_macaulay,
@@ -987,6 +1008,16 @@ def test_connected_only_queries_reject_products(query):
 
 
 # ---------- local cohomology ----------
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_local_cohomology_of_an_acyclic_module_is_an_error(field):
+    """cone(1) on the rank-one free module is acyclic, over k[x,y] and over
+    K(k[x,y]; x, xy): proj_dim reports no minimal complex for it, and local
+    cohomology refuses it with a ValueError."""
+    for A in (ring_xy(field), koszul_xy(field)):
+        with pytest.raises(ValueError, match="acyclic input has no local cohomology"):
+            local_cohomology_amplitude(contractible_summand(A))
 
 
 def test_local_cohomology_regular_ring():
@@ -1049,10 +1080,11 @@ def _assert_window_is_exact(M, window_lo):
 
 @pytest.mark.parametrize("field", ["Q", "Fp:32003"])
 def test_local_cohomology_window_is_exact(field, monkeypatch):
-    """Local cohomology resolves over the ambient polynomial ring P,
-    windowed two degrees below the syzygy bound v - (bottom slot degree).
-    On every ring the tests and the verify fixtures ask about, that tower
-    is a whole resolution."""
+    """Local cohomology and sequential depth read proj_dim over the ambient
+    polynomial ring P in v variables, windowed by the main bound two
+    degrees below -(v - inf M).  On every ring the tests and the verify
+    fixtures ask about, and on three seeded perfect modules per ring of
+    local_cohomology_rings, that tower is a whole resolution."""
     R = make_graded_ring(field, ["x", "y"])
     rings = [
         *checks._fixture_set(field).values(),
@@ -1067,7 +1099,15 @@ def test_local_cohomology_window_is_exact(field, monkeypatch):
         lambda: [local_cohomology_amplitude(A) for A in rings],
     )
     assert len(towers) == len(rings)
-    for M, window_lo in towers:
+    rng = Random(0)
+    modules = [corpus.random_perfect_module(A, rng)
+               for A in local_cohomology_rings(field) for _ in range(3)]
+    _, depth_towers = _recorded_towers(
+        monkeypatch, dimensions_module,
+        lambda: [sequential_depth(M) for M in modules],
+    )
+    assert len(depth_towers) == len(modules) == 39
+    for M, window_lo in towers + depth_towers:
         _assert_window_is_exact(M, window_lo)
 
 

@@ -189,6 +189,38 @@ def test_every_attribute_set_on_self_is_read():
     assert unread == sorted(UNREAD_ATTRIBUTES)
 
 
+# the tower entry points, which outside the DG layer only proj_dim's module
+# and the Ext-search oracle call
+TOWER_ENTRIES = {"semifree_resolution", "certify_termination"}
+TOWER_READERS = {"dimensions.py", "corpus.py"}
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_only_the_main_bound_windows_a_tower():
+    """Outside src/dgdim/dg, only dimensions.py (proj_dim and the Bass
+    numbers) and the Ext-search oracle corpus.py name semifree_resolution
+    or certify_termination, so every other minimal free complex is read
+    through proj_dim and no caller grows a window of its own."""
+    home = ROOT / "src" / "dgdim" / "dg"
+    towers = sorted(
+        "%s: %s" % (path.relative_to(ROOT), name)
+        for path in PROGRAM
+        if home not in path.parents and path.name not in TOWER_READERS
+        for name in _names(ast.parse(path.read_text(encoding="utf-8")))
+        if name in TOWER_ENTRIES
+    )
+    assert towers == []
+
+
 # the regular-element model's attributes, which only the DG layer reads
 MODEL_ATTRIBUTES = {"base_map", "regular_model"}
 
