@@ -78,6 +78,7 @@ class PresentedComplex:
         }
         self.known_lo = known_lo
         self.known_hi = known_hi
+        self._empty: Optional[GradedFreeModule] = None
         self._cohomology_cache: Dict[int, CohomologyData] = {}
         self._cycle_cache: Dict[int, Optional[GradedMatrix]] = {}
         self._nonzero: Set[int] = set()
@@ -88,8 +89,14 @@ class PresentedComplex:
         return trusted_degree(i, self.known_lo, self.known_hi)
 
     def cover(self, i: int) -> GradedFreeModule:
+        """The cover in degree i; the complex's one empty module where it
+        has none."""
         m = self.covers.get(i)
-        return m if m is not None else GradedFreeModule(self.ring, ())
+        if m is not None:
+            return m
+        if self._empty is None:
+            self._empty = GradedFreeModule(self.ring, ())
+        return self._empty
 
     def diff(self, i: int) -> GradedMatrix:
         d = self.diffs.get(i)
@@ -145,9 +152,14 @@ def prune_complex(C: PresentedComplex) -> PresentedComplex:
     the irrelevant maximal ideal.  Bounded free complexes are
     semiprojective, so the pruned complex is the minimal free resolution of
     the original.  The unit entries are cancelled by core.module's
-    cancel_units, differential by differential from the lowest."""
+    cancel_units, differential by differential from the lowest.  A complex
+    without a unit entry is already minimal and is returned as it is."""
     if C.rels:
         raise ValueError("pruning needs a free complex, without relations")
+    if not any(
+        e.degree() == 0 for d in C.diffs.values() for col in d.cols for e in col.values()
+    ):
+        return C
     ring = C.ring
     alive = {i: list(range(m.rank)) for i, m in C.covers.items()}
     diffs: Dict[int, List[Column]] = {
@@ -284,16 +296,6 @@ def minimal_free_resolution_module(M: GradedModule, cutoff: int) -> PresentedCom
 # ---------- complexes of presented modules ----------
 
 
-def _hstack(target: GradedFreeModule, mats: Sequence[Optional[GradedMatrix]]) -> GradedMatrix:
-    cols: List[Column] = []
-    degs: List[int] = []
-    for m in mats:
-        if m is not None:
-            cols.extend(m.cols)
-            degs.extend(m.source.degrees)
-    return GradedMatrix.from_columns(target, degs, cols)
-
-
 def _first_block(S: GradedMatrix, nrows: int) -> Tuple[List[Column], List[int]]:
     """The nonzero projections of S's columns to the rows below nrows, each
     kept at its first occurrence, with their degrees."""
@@ -315,18 +317,34 @@ def _first_block(S: GradedMatrix, nrows: int) -> Tuple[List[Column], List[int]]:
 
 def _cycles(P: PresentedComplex, i: int) -> Optional[GradedMatrix]:
     """Generators of the cycles at i as the columns of a matrix into
-    cover(i), cached on P; None when there are none."""
+    cover(i), cached on P; None when there are none.
+
+    A cycle is the first-block projection of a syzygy of [D_i | Q_{i+1}].
+    Without relations at i + 1 that block is D_i itself, used as it is.
+    Without D_i every element of the cover is a cycle, and the generators
+    are its unit vectors: the identity, or, with relations at i + 1, the
+    unit vectors in the order syzygy_matrix gives the syzygies of
+    [0 | Q_{i+1}], by degree and then by descending index.  Neither case
+    builds a stacked block or a Groebner basis."""
     if i in P._cycle_cache:
         return P._cycle_cache[i]
-    ring = P.ring
     cov = P.cover(i)
     K = None
-    if cov.rank and not ring.is_zero_ring:
-        block_out = _hstack(P.cover(i + 1), [P.diff(i), P.rel(i + 1)])
-        if block_out.is_zero():
+    if cov.rank and not P.ring.is_zero_ring:
+        D = P.diffs.get(i)
+        Q = P.rels.get(i + 1)
+        if D is None and Q is None:
             K = GradedMatrix.identity(cov)
+        elif D is None:
+            order = sorted(range(cov.rank), key=lambda j: (cov.degrees[j], -j))
+            one = P.ring.one()
+            K = GradedMatrix.from_columns(
+                cov, [cov.degrees[j] for j in order], [{j: one} for j in order]
+            )
         else:
-            # cycle = first-block projection of a syzygy of [D_i | Q_{i+1}]
+            block_out = D if Q is None else GradedMatrix.from_columns(
+                D.target, D.source.degrees + Q.source.degrees, D.cols + Q.cols
+            )
             cols, degs = _first_block(syzygy_matrix(block_out), cov.rank)
             if cols:
                 K = GradedMatrix.from_columns(cov, degs, cols)

@@ -1,8 +1,11 @@
 """Graded free modules and homogeneous matrices over a GradedRing.
 
 A free module is a tuple of generator degrees: F = R(-d_1) + ... + R(-d_r),
-the i-th generator sitting in internal degree d_i.  A GradedMatrix represents
-a degree-zero map source -> target, column j giving the image of the j-th
+the i-th generator sitting in internal degree d_i.  The degrees are stored
+as given, without coercion.  They are ints: the scenario boundary checks
+every degree, twist and position it reads (scenario._typed), and the
+engine derives all others from those.  A GradedMatrix represents a
+degree-zero map source -> target, column j giving the image of the j-th
 source generator; entry (i, j) is homogeneous of degree src_deg(j) -
 tgt_deg(i) (or zero).  The matrices of resolutions and of the underlying
 complexes of DG-modules are mostly zero, so a GradedMatrix keeps only its
@@ -37,15 +40,12 @@ Column = Dict[int, Poly]  # row index -> nonzero normal-form entry
 
 
 class GradedFreeModule:
-    __slots__ = ("ring", "degrees")
+    __slots__ = ("ring", "degrees", "rank")
 
     def __init__(self, ring: GradedRing, degrees: Sequence[int]):
         self.ring = ring
-        self.degrees = tuple(int(d) for d in degrees)
-
-    @property
-    def rank(self) -> int:
-        return len(self.degrees)
+        self.degrees = tuple(degrees)
+        self.rank = len(self.degrees)
 
     def basis_in_degree(self, t: int) -> List[Tuple[tuple, int]]:
         """[(monomial, generator index)] spanning the degree-t piece."""
@@ -67,7 +67,7 @@ class GradedMatrix:
 
     cols[j] is the image of the j-th source generator: a dict {row index:
     entry} holding the nonzero entries only, each a normal form.  The
-    dicts may be shared between matrices (_hstack) and are never
+    dicts may be shared between matrices (complexes._cycles) and are never
     changed once the matrix is built.
     """
 

@@ -56,7 +56,9 @@ def standard_families(field: str = "Q"):
 
 def homogeneous_pool(A: DGRing) -> List[Poly]:
     """Nonzero non-constant elements of internal degree one and two, the
-    multipliers available to the cone step."""
+    multipliers available to the cone step; memoized on A, and read only."""
+    if A._pool is not None:
+        return A._pool
     base = A.base
     vars_ = base.variables()
     seen = set()
@@ -69,6 +71,7 @@ def homogeneous_pool(A: DGRing) -> List[Poly]:
         if key not in seen:
             seen.add(key)
             pool.append(q)
+    A._pool = pool
     return pool
 
 

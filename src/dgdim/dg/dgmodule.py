@@ -171,17 +171,20 @@ class DGModule:
             return self.A.slot_extra.get(sym, ())
         return tuple(self.A.h0_extra) + g.rels
 
-    def _normal_slot_relations(self, j: int, sym: str) -> Tuple[Poly, ...]:
-        """The nonzero base-ring normal forms of slot_relations(j, sym),
-        memoized on the DG-ring: a free slot's by its symbol, an h0 slot's
-        by its generator's relations (shifts and twists keep them)."""
+    def _normal_slot_relations(self, j: int, sym: str) -> Tuple[Tuple[Poly, int], ...]:
+        """The nonzero base-ring normal forms of slot_relations(j, sym), each
+        with its degree, memoized on the DG-ring: a free slot's by its
+        symbol, an h0 slot's by its generator's relations (shifts and
+        twists keep them)."""
         g = self.gens[j]
         key = sym if g.kind == "free" else g.rels
         memo = self.A._normal_slot_relations
         out = memo.get(key)
         if out is None:
             nf = self.A.base.normal_form
-            out = tuple(q for q in map(nf, self.slot_relations(j, sym)) if q)
+            out = tuple(
+                (q, q.degree()) for q in map(nf, self.slot_relations(j, sym)) if q
+            )
             memo[key] = out
         return out
 
@@ -285,10 +288,11 @@ class DGModule:
             rel_cols: List[Dict[int, Poly]] = []
             rel_degs: List[int] = []
             for row, (j, sym) in enumerate(lst):
-                for r in self._normal_slot_relations(j, sym):
+                for r, deg in self._normal_slot_relations(j, sym):
                     rel_cols.append({row: r})
-                    rel_degs.append(degs[row] + r.degree())
-            rels[c] = GradedMatrix.from_columns(covers[c], rel_degs, rel_cols)
+                    rel_degs.append(degs[row] + deg)
+            if rel_cols:
+                rels[c] = GradedMatrix.from_columns(covers[c], rel_degs, rel_cols)
         diffs: Dict[int, GradedMatrix] = {}
         for c, lst in sorted(table.items()):
             tgt_list = table.get(c + 1)
@@ -473,7 +477,7 @@ def hom_semifree_into_dg(res, M: DGModule) -> PresentedComplex:
     gets no window."""
     SF = res.sf
     A = SF.A
-    if M.A != A:
+    if M.A is not A:
         raise ValueError("modules over different DG-rings")
     if any(g.kind != "free" for g in SF.gens):
         raise ValueError("source must be semifree (free generators)")
@@ -497,10 +501,12 @@ def hom_semifree_into_dg(res, M: DGModule) -> PresentedComplex:
                 diff.setdefault(j * m + i, {})[j2 * m + i] = (
                     beta.negate() if odd else beta
                 )
+    # H is built here and dropped, so its complex takes the window itself
     u = DGModule(A, gens, diff, check=False).underlying()
     m_lo = M.min_slot_cohdeg()
-    hi = None if res.known_lo is None or m_lo is None else m_lo - res.known_lo
-    return PresentedComplex(A.base, u.covers, u.diffs, u.rels, known_hi=hi)
+    if res.known_lo is not None and m_lo is not None:
+        u.known_hi = m_lo - res.known_lo
+    return u
 
 
 # ---------- stock constructions ----------
@@ -508,7 +514,7 @@ def hom_semifree_into_dg(res, M: DGModule) -> PresentedComplex:
 
 def direct_sum_dg(M: DGModule, N: DGModule) -> DGModule:
     """Degreewise direct sum with block-diagonal differential."""
-    if M.A is not N.A and M.A != N.A:
+    if M.A is not N.A:
         raise ValueError("summands live over different DG-rings")
     m = len(M.gens)
     gens = list(M.gens) + list(N.gens)

@@ -101,18 +101,21 @@ class DGRing:
         # memos of dimensions.py: ring_amplitude(A), sequential_depth(A),
         # is_gorenstein(A), and the residue-field resolution of bass_numbers
         # by window floor; of finitistic.py: the DG-ring of H^0(A); of
-        # regular_model: (model, symbol map), False when there is none
+        # corpus.py: homogeneous_pool(A); of regular_model: (model, symbol
+        # map), False when there is none
         self._amplitude = None
         self._depth = None
         self._gorenstein = None
         self._residue_resolutions: dict = {}
         self._h0_dg: Optional["DGRing"] = None
+        self._pool: Optional[List[Poly]] = None
         self._model = None
         # sigma of the regular-element model: set on a model only
         self.base_map: Optional[Callable[[Poly], Poly]] = None
         # memo of dgmodule.py: the nonzero normal forms of the relations of
-        # a free slot (by symbol) and of an h0 slot (by generator relations)
-        self._normal_slot_relations: Dict[object, Tuple[Poly, ...]] = {}
+        # a free slot (by symbol) and of an h0 slot (by generator relations),
+        # each with its degree
+        self._normal_slot_relations: Dict[object, Tuple[Tuple[Poly, int], ...]] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -154,25 +157,6 @@ class DGRing:
 
     def d_basis(self, sym: str) -> Dict[str, Poly]:
         return self.d_table.get(sym, {})
-
-    def key(self):
-        return (
-            self.kind,
-            self.base.key(),
-            self.basis,
-            tuple(sorted((s, d) for s, d in self.cohdeg.items())),
-            tuple(
-                (s, tuple(str(p) for p in ex))
-                for s, ex in sorted(self.slot_extra.items())
-            ),
-            tuple(str(p) for p in self.h0_extra),
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, DGRing) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return "DGRing(%s %s over %r)" % (self.kind, list(self.basis), self.base)

@@ -55,7 +55,7 @@ class ProductDGModule:
         if len(parts) != len(A.factors):
             raise ValueError("need exactly one part per product factor")
         for part, fac in zip(parts, A.factors):
-            if part.A != fac:
+            if part.A is not fac:
                 raise ValueError("part does not live over its factor")
         self.A = A
         self.parts = parts

@@ -986,7 +986,13 @@ def test_verify_work_counts(monkeypatch, capsys):
     depth) and 213 module Groebner bases.  Before the ambient ring of a
     model whose base has no relations was that base itself, in place of a
     fresh polynomial ring per depth or local-cohomology query, it built 33
-    ideal Groebner bases."""
+    ideal Groebner bases.  Before the underlying complex of a DG-module
+    built relation blocks only in the degrees that have relations, the
+    cycles at a degree without a differential were read without a
+    syzygy computation, and pruning returned a complex without a unit
+    entry as it is, it built 178 module Groebner bases, 3,349 graded
+    matrices and 3,989 graded free modules."""
+    import dgdim.core.freemod as freemod_module
     import dgdim.core.syz as syz_module
     from dgdim.core.module import minimal_presentation
     from dgdim.core.ring import groebner_basis
@@ -995,16 +1001,19 @@ def test_verify_work_counts(monkeypatch, capsys):
 
     _cold_memos(monkeypatch)
     counts = {"groebner_basis": 0, "semifree_resolution": 0, "flat_dim": 0,
-              "minimal_presentation": 0, "module GBs": 0}
+              "minimal_presentation": 0, "module GBs": 0, "matrices": 0,
+              "free modules": 0}
     for fn in (groebner_basis, semifree_resolution, flat_dim, minimal_presentation):
         _count_calls(monkeypatch, fn, counts)
-    inner_gb = syz_module.ModuleGB.__init__
+    for cls, name in ((syz_module.ModuleGB, "module GBs"),
+                      (freemod_module.GradedMatrix, "matrices"),
+                      (freemod_module.GradedFreeModule, "free modules")):
 
-    def counted_gb(self, *args, **kwargs):
-        counts["module GBs"] += 1
-        inner_gb(self, *args, **kwargs)
+        def counted(self, *args, inner=cls.__init__, name=name, **kwargs):
+            counts[name] += 1
+            inner(self, *args, **kwargs)
 
-    monkeypatch.setattr(syz_module.ModuleGB, "__init__", counted_gb)
+        monkeypatch.setattr(cls, "__init__", counted)
     assert main(["verify", "--seed", "0", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
     assert counts == {
@@ -1012,7 +1021,9 @@ def test_verify_work_counts(monkeypatch, capsys):
         "semifree_resolution": 161,
         "flat_dim": 0,
         "minimal_presentation": 22,
-        "module GBs": 178,
+        "module GBs": 177,
+        "matrices": 1727,
+        "free modules": 1989,
     }
 
 

@@ -54,6 +54,7 @@ from dgdim.core.freemod import _Span
 from dgdim.core.ring import GradedRing
 from dgdim.corpus import (
     amplitude_zero_test_family,
+    homogeneous_pool,
     random_perfect_module,
     redundant_presentation,
     standard_families,
@@ -825,6 +826,89 @@ def test_vanishing_test_matches_rank_oracle(field):
     # complexes with relations
     assert seen[True] >= 20 and seen[False] >= 20, seen
     assert seen["with relations"] >= 2, seen
+
+
+# ---------- the cycles ----------
+
+
+def stacked_cycles(C, i):
+    """Reference cycle generators at i: the first-block projections of the
+    syzygies of [D_i | Q_{i+1}], that block always stacked into a fresh
+    matrix (a zero matrix standing in for a missing D_i), and the identity
+    only when the stacked block is zero."""
+    cov = C.cover(i)
+    if not cov.rank or C.ring.is_zero_ring:
+        return None
+    nxt = C.cover(i + 1)
+    blocks = [C.diff(i)] + [B for B in (C.rel(i + 1),) if B is not None]
+    stacked = GradedMatrix.from_columns(
+        nxt,
+        [d for B in blocks for d in B.source.degrees],
+        [col for B in blocks for col in B.cols],
+    )
+    if stacked.is_zero():
+        return GradedMatrix.identity(cov)
+    cols, degs = complexes_module._first_block(
+        syz_module.syzygy_matrix(stacked), cov.rank
+    )
+    return GradedMatrix.from_columns(cov, degs, cols) if cols else None
+
+
+def seeded_presented_cases(field):
+    """Over each standard family (each factor of a product) with two
+    elements in its cone pool, and each seed, the underlying complex of
+    cone(a: H(-|a|) -> H) + free + H'[-1], H and H' cyclic H^0-modules on
+    relations from the cone pool.  At degree -1 both the cone's
+    differential and H's relations are present; at degree 0 the cover has
+    rank at least three, no differential leaves it, and H' puts relations
+    at degree 1."""
+    factors = [F for A in standard_families(field) for F in getattr(A, "factors", [A])]
+    for A in factors:
+        pool = homogeneous_pool(A)
+        if len(pool) < 2:
+            continue
+        for seed in range(3):
+            rng = Random(seed)
+            H = h0_cyclic_dg_module(A, rng.sample(pool, 2))
+            cone = cone_dg(multiplication_map(H, rng.choice(pool)), check=False)
+            free = free_dg_module(
+                A, [(0, rng.randrange(0, 2)), (0, rng.randrange(0, 3)), (-1, 1)]
+            )
+            top = shift_dg(h0_cyclic_dg_module(A, rng.sample(pool, 2)), -1)
+            yield direct_sum_dg(direct_sum_dg(cone, free), top).underlying()
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_cycles_match_the_stacked_block_reference(field):
+    """The cycle generators, their degrees and the representatives of H^i
+    are those that the stacked block [D_i | Q_{i+1}] gives, on seeded
+    complexes with relations and on those of the vanishing test."""
+    seen = {"both blocks": 0, "relations only": 0}
+    cases = list(seeded_presented_cases(field))
+    cases += [C for _, C in vanishing_cases(field)]
+    for C in cases:
+        if not C.support():
+            continue
+        for i in trusted_degrees(C):
+            ref = stacked_cycles(C, i)
+            got = complexes_module._cycles(C, i)
+            assert (got is None) == (ref is None), i
+            if ref is None:
+                continue
+            assert got.source.degrees == ref.source.degrees, i
+            assert list(got.cols) == list(ref.cols), i
+            kept = ref.minimal_columns(complexes_module._image_blocks(C, i))
+            data = C.cohomology(i)
+            assert data.representatives == [ref.cols[j] for j in kept], i
+            assert data.generator_degrees == tuple(
+                ref.source.degrees[j] for j in kept
+            ), i
+            if C.rel(i + 1) is not None:
+                if i in C.diffs:
+                    seen["both blocks"] += 1
+                elif C.cover(i).rank >= 2:
+                    seen["relations only"] += 1
+    assert seen["both blocks"] >= 9 and seen["relations only"] >= 9, seen
 
 
 # ---------- minimal generators of cohomology ----------

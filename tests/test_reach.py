@@ -49,8 +49,6 @@ ALLOWED = {
     "AElem.mul": "test oracle: the products check_axioms checks",
     "AElem.d": "test oracle: the differentials check_axioms checks",
     "AElem.add": "test oracle: the sums check_axioms checks",
-    "DGRing.__hash__": "DGRing.__eq__ has readers, and a class with __eq__ "
-                       "but no __hash__ is unhashable",
     "fpd_example_pair": "the paper's attaining family; a verify check is to "
                         "read it",
     # bench/tracer.py wraps these by name, so they go with the next change
