@@ -6,11 +6,14 @@ int when it is integral and a Fraction in lowest terms otherwise, never a
 float: every operation returns an integral result as an int, so equal
 values have one representation (and 3 == Fraction(3) prints, hashes and
 compares the same anyway).  An element of F_p is an int in [0, p).
+
+The fractions module (which pulls in decimal and numbers) is imported only
+when Rationals.inv first builds a non-integral value, so a process that
+never meets one, and every process over F_p, does without it.
 """
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
 _P_MAX = 2 ** 31
 
@@ -82,6 +85,7 @@ class Rationals(Field):
         num, den = a.numerator, a.denominator
         if num == 1 or num == -1:
             return num * den
+        from fractions import Fraction
         return Fraction(den, num)
 
     def is_zero(self, a):

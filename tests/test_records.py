@@ -1,12 +1,15 @@
 """The report and certificate records: plain classes with hand-written
-constructors, and an import path that loads neither dataclasses nor inspect.
+constructors, and an import path that loads none of dataclasses, inspect,
+fractions, decimal or numbers.
 
 Every record keeps the field order, the defaults and the annotations of its
 constructor, so positional and keyword construction read the same.  A
 container default is a fresh object for each instance.  A fresh interpreter
 that imports the CLI, or the modules a dimension query reads, must not load
 dataclasses or inspect, whose import and generated code made up most of
-the start-up time of every dgdim process.
+the start-up time of every dgdim process, nor fractions (with the decimal
+and numbers modules it imports), which is loaded only when a non-integral
+rational is first built.
 """
 import os
 import subprocess
@@ -125,7 +128,8 @@ COLD_IMPORT = (
     "sys.path.insert(0, sys.argv[1])\n"
     "for name in sys.argv[2:]:\n"
     "    __import__(name)\n"
-    "watched = ['dataclasses', 'inspect'] + sys.argv[2:]\n"
+    "watched = ['dataclasses', 'inspect', 'fractions', 'decimal', 'numbers']"
+    " + sys.argv[2:]\n"
     "print(' '.join(m for m in watched if m in sys.modules))\n"
 )
 
@@ -134,7 +138,8 @@ COLD_IMPORT = (
     ["dgdim.cli"],
     ["dgdim.dimensions", "dgdim.core", "dgdim.dg"],
 ], ids=["cli", "dimension-query"])
-def test_a_cold_import_loads_neither_dataclasses_nor_inspect(modules):
+def test_a_cold_import_loads_no_dataclasses_inspect_fractions_decimal_or_numbers(
+        modules):
     """-I -S: no site hooks and no environment, only the standard library
     and src."""
     done = subprocess.run(
@@ -142,3 +147,39 @@ def test_a_cold_import_loads_neither_dataclasses_nor_inspect(modules):
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.split() == modules
+
+
+ON_DEMAND_FRACTIONS = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "from dgdim.core import Rationals, make_graded_ring\n"
+    "from dgdim.dg import build_ring_dg, free_dg_module\n"
+    "from dgdim.dimensions import inj_dim\n"
+    "watched = ('fractions', 'decimal', 'numbers')\n"
+    "ring = make_graded_ring('Fp:32003', ['x', 'y'], ['x^2', 'x*y'])\n"
+    "rep = inj_dim(free_dg_module(build_ring_dg(ring), [(0, 0)]))\n"
+    "assert rep.infinite\n"
+    "assert not [m for m in watched if m in sys.modules], 'over Fp'\n"
+    "Q = Rationals()\n"
+    "assert Q.inv(-1) == -1 and type(Q.inv(-1)) is int\n"
+    "assert 'fractions' not in sys.modules, 'before the first fraction'\n"
+    "half = Q.parse('1/2')\n"
+    "from fractions import Fraction\n"
+    "assert type(half) is Fraction and half == Fraction(1, 2)\n"
+    "assert Q.inv(3) == Fraction(1, 3)\n"
+    "assert type(Q.parse('4/2')) is int and Q.parse('4/2') == 2\n"
+    "print('ok')\n"
+)
+
+
+def test_fractions_is_loaded_only_when_a_non_integral_rational_is_built():
+    """-I -S, because the test modules import fractions themselves: the
+    Golod query over F_p loads none of fractions, decimal or numbers, and
+    over Q it is first loaded by parsing '1/2'.  Integral values stay ints,
+    on either side of that load."""
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", ON_DEMAND_FRACTIONS, SRC],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ok"]
