@@ -36,10 +36,13 @@ class Field:
         text = text.strip()
         if "/" in text:
             num, den = text.split("/", 1)
-            d = self.from_int(int(den))
-            if self.is_zero(d):
+            n, d = int(num), int(den)
+            if self.is_zero(self.from_int(d)):
                 raise ValueError("zero denominator in scalar %r" % text)
-            return self.div(self.from_int(int(num)), d)
+            if n % d == 0:
+                # an integral quotient needs no inverse (over Q, no Fraction)
+                return self.from_int(n // d)
+            return self.div(self.from_int(n), self.from_int(d))
         return self.from_int(int(text))
 
     def __eq__(self, other):

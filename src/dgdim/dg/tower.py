@@ -1,45 +1,49 @@
-"""Semifree resolutions of DG-modules by iterated cocones.
+"""Semifree resolutions of DG-modules by iterated cones, in M's own frame.
 
-Each stage maps a free module P_k onto the top certified cohomology of the
-current cocone N_k and replaces N_k by cocone(P_k -> N_k), which kills that
-top degree and can only create cohomology strictly below it (in the frame
-of the eventual resolution the stage positions strictly decrease, which is
-also asserted).  The free generators accumulated along the way, with the
-glue entries among them, form a semifree module SF quasi-isomorphic to the
-input down to a controllable degree: if the process is stopped while
-cohomology survives at degree s after k stages, SF matches the input from
-s-k+2 up, and the resolution, not SF, carries known_lo = s-k+1.  The
-resolution is the one carrier of a trust window; DG-modules have none.
+The tower keeps N = cone(SF -> M) = M + SF[1], M's generators in their own
+degrees.  Each stage maps a free module P onto the top certified
+cohomology H^s(N) and replaces N by cone(P -> N), which is again
+cone(SF' -> M): SF' is SF plus P, with P's generators at s, the glue into
+SF[1] their differential and the glue into M their map.  So a stage only
+appends generators and rows, and the stage position s is the degree of
+P's generators in SF.  The cone kills H^s and can create cohomology only
+strictly below s, so the positions strictly decrease (also asserted).  In
+the long exact sequence H^{t-1}(N) -> H^t(SF) -> H^t(M) -> H^t(N), SF -> M
+is an isomorphism on H^t wherever N has no cohomology at t - 1 and t: if
+the tower stops with no cohomology of N at or above its floor f, SF
+matches the input above f, and the resolution, not SF, carries
+known_lo = f.  The resolution is the one carrier of a trust window;
+DG-modules have none.
 
-Each stage's scan starts at the degree the previous stage covered.  Say a
-stage covers the top nonzero H^s(N) by P.  The generators of P sit at s
-and A is non-positive, so H^t(P) = 0 for t > s.  In the long exact
+Each stage's scan starts just below the degree the previous stage covered.
+Say a stage covers the top nonzero H^s(N) by P.  The generators of P sit
+at s and A is non-positive, so H^t(P) = 0 for t > s.  In the long exact
 sequence of cone(P -> N),
 
     H^t(P) -> H^t(N) -> H^t(cone) -> H^{t+1}(P),
 
 the right-hand term vanishes for t >= s and H^t(N) does for t > s, so
 H^t(cone) = 0 for t > s; at t = s, H^s(P) -> H^s(N) is onto by the choice
-of cover, so H^s(cone) = 0 too.  The cocone is cone[-1], so it has no
-cohomology above s, and the next stage scans down from s instead of from
-its top slot degree.  No cohomology is carried from one stage to the next:
-the ceiling alone keeps every degree above s from being read again.
+of cover, so H^s(cone) = 0 too.  So H^t(cone) = 0 for t >= s, and the next
+stage scans down from s - 1 instead of from its top slot degree.  No
+cohomology is carried from one stage to the next: the ceiling alone keeps
+every degree at or above s from being read again.
 
 Every tower is windowed: faithful above window_lo, no claim below it.
 There are two window rules.  The main bound puts the window two degrees
 below -(dim H^0(A) - inf M): every minimal free complex is read through
 proj_dim (depth and local cohomology over the ambient polynomial ring, the
 Hochschild diagonal), and the Ext-search oracle uses the same bound.  The
-Bass numbers window as deep as their scan reads.  The ceiling makes the
-positions decrease while the floor rises by one per stage, so at most top
-slot - window_lo + 2 stages run.  A tower stops once no cohomology is left
-at or above its floor, and it reads the end state for termination only
-where that costs nothing: no slots left, or the floor at or below the
-bottom slot.  Otherwise the resolution keeps its final cocone and carries
-the window bound as its known_lo.  Whether the cocone has cohomology below
-the floor is a separate question, asked only by certify_termination, the
-one function that runs that scan; a caller that only reads the window (the
-Bass numbers) never pays for it.
+Bass numbers window as deep as their scan reads.  The floor is
+window_lo - 1 for the whole tower, and the positions strictly decrease
+above it, so at most top slot - window_lo + 2 stages run.  A tower stops
+once no cohomology is left at or above its floor, and it reads the end
+state for termination only where that costs nothing: no slots left, or
+the floor at or below the bottom slot.  Otherwise the resolution keeps its
+final cone and carries the floor as its known_lo.  Whether the cone has
+cohomology below the floor is a separate question, asked only by
+certify_termination, the one function that runs that scan; a caller that
+only reads the window (the Bass numbers) never pays for it.
 """
 from __future__ import annotations
 
@@ -53,7 +57,6 @@ from .dgmodule import (
     DGModule,
     cone_dg,
     free_dg_module,
-    shift_dg,
 )
 
 
@@ -65,8 +68,8 @@ class SemifreeResolution:
     known_lo -- None when sf is a quasi-isomorphism, the tower having
                 stopped because nothing was left; otherwise sf is faithful
                 strictly above known_lo only
-    pending  -- (final cocone, floor) of a tower whose termination only
-                the scan of certify_termination can decide, else None
+    pending  -- the final cone of a tower whose termination only the
+                scan of certify_termination can decide, else None
     """
 
     def __init__(self, sf, stages, known_lo=None, pending=None):
@@ -81,8 +84,8 @@ class SemifreeResolution:
 
 
 def certify_termination(res: SemifreeResolution) -> SemifreeResolution:
-    """The resolution with its termination decided: when the final cocone
-    of a tower has no cohomology at any slot degree below the floor,
+    """The resolution with its termination decided: when the final cone of
+    a tower has no cohomology at any slot degree below its floor known_lo,
     nothing was left and the tower is finished, so the result is the same
     sf and stages with no window.  Otherwise res itself.
 
@@ -93,8 +96,8 @@ def certify_termination(res: SemifreeResolution) -> SemifreeResolution:
     minimal presentation here."""
     if res.pending is None:
         return res
-    N, floor = res.pending
-    for s in range(floor - 1, N.min_slot_cohdeg() - 1, -1):
+    N = res.pending
+    for s in range(res.known_lo - 1, N.min_slot_cohdeg() - 1, -1):
         if not N.cohomology_vanishes(s):
             return res
     return SemifreeResolution(res.sf, res.stages)
@@ -143,47 +146,35 @@ def semifree_resolution(M: DGModule, window_lo: int) -> SemifreeResolution:
         # ring, ordering by descending cohomological degree is a filtration
         return SemifreeResolution(M, [])
     m = len(M.gens)
-    N = M
-    k = 0
+    N = M  # cone(SF -> M), SF growing by one free block per stage
+    # only cohomology at or above the floor forces a stage
+    floor = window_lo - 1
     stages: List[dict] = []
-    prev_pos: Optional[int] = None
     ceiling: Optional[int] = None
     while True:
-        # only cohomology at s with s - k > window_lo - 2 forces a stage
-        floor_now = window_lo + k - 1
-        stage = _stage(N, floor_now, ceiling)
+        stage = _stage(N, floor, ceiling)
         if stage is None:
             break
-        position, cone, twists = stage
-        N = shift_dg(cone, -1)  # the cocone of the covering map
-        # H(N) = 0 above the covered position (see the module docstring)
-        ceiling = position
-        k += 1
-        pos = position - (k - 1)
-        if prev_pos is not None and pos >= prev_pos:
+        position, N, twists = stage
+        if stages and position >= stages[-1]["position"]:
             raise AssertionError("stage positions failed to decrease")
-        prev_pos = pos
-        stages.append({"position": pos, "twists": twists})
-    # extract the free block and shift it back to the source's frame
-    total = len(N.gens)
-    sf_gens = [N.gens[t].shifted(k - 1) for t in range(m, total)]
-    odd = (k - 1) % 2
+        # H(N) = 0 from the covered position up (see the module docstring)
+        ceiling = position - 1
+        stages.append({"position": position, "twists": twists})
+    # N = M + SF[1]: shift the free block back by one
+    sf_gens = [g.shifted(-1) for g in N.gens[m:]]
     sf_diff: Dict[int, Dict[int, AElem]] = {}
-    for j in range(m, total):
-        inner = {
-            i - m: a.negate() if odd else a
-            for i, a in N.diff.get(j, {}).items()
-            if i >= m
-        }
+    for j in range(m, len(N.gens)):
+        inner = {i - m: a.negate() for i, a in N.diff.get(j, {}).items() if i >= m}
         if inner:
             sf_diff[j - m] = inner
     sf = DGModule(M.A, sf_gens, sf_diff, check=False)
     sf.underlying().validate()
     mn = N.min_slot_cohdeg()
-    if mn is None or floor_now <= mn:
+    if mn is None or floor <= mn:
         # no slot below the floor: the tower is finished
         return SemifreeResolution(sf, stages)
-    return SemifreeResolution(sf, stages, floor_now - k, (N, floor_now))
+    return SemifreeResolution(sf, stages, floor, N)
 
 
 def reduce_to_h0(res: SemifreeResolution) -> PresentedComplex:

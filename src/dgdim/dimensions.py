@@ -286,7 +286,7 @@ def bass_numbers(
     degreewise split 0 -> SF -> F -> F/SF -> 0 gives a long exact
     sequence, so H^n Hom(SF, M) = Ext^n(k, M) for n <= mslot - w = scan_hi.
     This is the rule known_hi = mslot - known_lo of hom_semifree_into_dg
-    (the tower reports known_lo = w - 1), which the guard below checks."""
+    (known_lo is the tower's floor w - 1), which the guard below checks."""
     A = M.A
     mslot = M.min_slot_cohdeg()
     if mslot is None:

@@ -844,6 +844,30 @@ def test_python_dash_m_runs_the_command_line():
     assert check_ids()[0] in done.stdout
 
 
+GOLDENS = os.path.join(os.path.dirname(__file__), "fixtures", "v1")
+
+
+@pytest.mark.parametrize("golden, args", [
+    ("verify-seed-0-q.json", ["verify", "--seed", "0", "--format", "json"]),
+    ("koszul-desk.json", ["run", SHIPPED, "--format", "json"]),
+])
+def test_reports_match_their_goldens_byte_for_byte(golden, args):
+    """The JSON of `verify --seed 0` over Q and of the shipped scenario, each
+    from fresh processes under two hash seeds, is its committed golden byte
+    for byte, so a change that moves either report fails here."""
+    with open(os.path.join(GOLDENS, golden), "rb") as fh:
+        want = fh.read()
+    path = os.environ.get("PYTHONPATH")
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+        done = subprocess.run(
+            [sys.executable, "-m", "dgdim", *args], capture_output=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == want, (golden, seed)
+
+
 def test_cli_explain_unknown_check(capsys):
     assert main(["explain", "nope"]) == 3
     assert "unknown check" in capsys.readouterr().err
@@ -991,9 +1015,16 @@ def test_verify_work_counts(monkeypatch, capsys):
     cycles at a degree without a differential were read without a
     syzygy computation, and pruning returned a complex without a unit
     entry as it is, it built 178 module Groebner bases, 3,349 graded
-    matrices and 3,989 graded free modules."""
+    matrices and 3,989 graded free modules.  Before the tower kept its
+    module as the cone of SF -> M in M's own degrees, in place of
+    re-shifting a cocone at every stage, it built 1,203 DG-modules, 177
+    module Groebner bases, 1,727 graded matrices and 1,989 graded free
+    modules: every generator of SF now has parity 0, so a reduction meets
+    an entry -x where a local-cohomology dual matrix has x, and the
+    syzygy cache holds both."""
     import dgdim.core.freemod as freemod_module
     import dgdim.core.syz as syz_module
+    import dgdim.dg.dgmodule as dgmodule_module
     from dgdim.core.module import minimal_presentation
     from dgdim.core.ring import groebner_basis
     from dgdim.dg.tower import semifree_resolution
@@ -1002,12 +1033,13 @@ def test_verify_work_counts(monkeypatch, capsys):
     _cold_memos(monkeypatch)
     counts = {"groebner_basis": 0, "semifree_resolution": 0, "flat_dim": 0,
               "minimal_presentation": 0, "module GBs": 0, "matrices": 0,
-              "free modules": 0}
+              "free modules": 0, "DG-modules": 0}
     for fn in (groebner_basis, semifree_resolution, flat_dim, minimal_presentation):
         _count_calls(monkeypatch, fn, counts)
     for cls, name in ((syz_module.ModuleGB, "module GBs"),
                       (freemod_module.GradedMatrix, "matrices"),
-                      (freemod_module.GradedFreeModule, "free modules")):
+                      (freemod_module.GradedFreeModule, "free modules"),
+                      (dgmodule_module.DGModule, "DG-modules")):
 
         def counted(self, *args, inner=cls.__init__, name=name, **kwargs):
             counts[name] += 1
@@ -1021,9 +1053,10 @@ def test_verify_work_counts(monkeypatch, capsys):
         "semifree_resolution": 161,
         "flat_dim": 0,
         "minimal_presentation": 22,
-        "module GBs": 177,
-        "matrices": 1727,
-        "free modules": 1989,
+        "module GBs": 178,
+        "matrices": 1728,
+        "free modules": 1990,
+        "DG-modules": 1147,
     }
 
 

@@ -16,7 +16,12 @@ from dgdim.complexes import (
     prune_complex,
 )
 from dgdim.core import GradedFreeModule, GradedMatrix, GradedModule, make_graded_ring
-from dgdim.corpus import random_perfect_module, standard_families
+from dgdim.corpus import (
+    _random_connected_module,
+    homogeneous_pool,
+    random_perfect_module,
+    standard_families,
+)
 from dgdim.dg import (
     AElem,
     DGMap,
@@ -440,6 +445,40 @@ def test_a_shallow_window_agrees_with_a_deep_one(field):
                 assert D._trust(i)
                 assert (S.cohomology(i).generator_degrees
                         == D.cohomology(i).generator_degrees), (R.relations, i)
+
+
+def tower_inputs(field):
+    """Over every factor of the standard families: the residue field, H^0
+    modulo each prefix of the homogeneous pool, and eight seeded random
+    modules with free generators."""
+    rng = Random(40)
+    for A in standard_families(field):
+        for F in A.factors if isinstance(A, ProductDGRing) else (A,):
+            yield residue_dg_module(F)
+            pool = homogeneous_pool(F)
+            for n in range(len(pool) + 1):
+                yield h0_cyclic_dg_module(F, pool[:n])
+            for _ in range(8):
+                yield _random_connected_module(F, rng, rng.randrange(2, 5))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_the_resolution_has_the_cohomology_of_its_module_above_the_window(field):
+    """SF has the cohomology of M, generator degree for generator degree, in
+    every slot degree of M above the known_lo of its resolution, whatever
+    frame the tower builds SF in.  Windows -2, -4 and -6 cut some towers
+    off, so the window itself is exercised, not only finished towers."""
+    checked = cut = 0
+    for M in tower_inputs(field):
+        for window_lo in (-2, -4, -6):
+            res = semifree_resolution(M, window_lo)
+            cut += not res.terminated
+            for i in M._scan_range():
+                if res.known_lo is None or i > res.known_lo:
+                    checked += 1
+                    assert (sorted(res.sf.cohomology(i).generator_degrees)
+                            == sorted(M.cohomology(i).generator_degrees)), (M, i)
+    assert checked > 300 and cut > 20, (checked, cut)
 
 
 def complex_entries(C):

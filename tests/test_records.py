@@ -152,7 +152,7 @@ def test_a_cold_import_loads_no_dataclasses_inspect_fractions_decimal_or_numbers
 ON_DEMAND_FRACTIONS = (
     "import sys\n"
     "sys.path.insert(0, sys.argv[1])\n"
-    "from dgdim.core import Rationals, make_graded_ring\n"
+    "from dgdim.core import PrimeField, Rationals, make_graded_ring\n"
     "from dgdim.dg import build_ring_dg, free_dg_module\n"
     "from dgdim.dimensions import inj_dim\n"
     "watched = ('fractions', 'decimal', 'numbers')\n"
@@ -162,7 +162,16 @@ ON_DEMAND_FRACTIONS = (
     "assert not [m for m in watched if m in sys.modules], 'over Fp'\n"
     "Q = Rationals()\n"
     "assert Q.inv(-1) == -1 and type(Q.inv(-1)) is int\n"
+    "assert type(Q.parse('4/2')) is int and Q.parse('4/2') == 2\n"
+    "assert Q.parse('-6/3') == -2 and Q.parse('6/-3') == -2\n"
     "assert 'fractions' not in sys.modules, 'before the first fraction'\n"
+    "try:\n"
+    "    PrimeField(2).parse('4/2')\n"
+    "except ValueError as exc:\n"
+    "    assert 'zero denominator' in str(exc)\n"
+    "else:\n"
+    "    raise AssertionError('4/2 over F_2 parsed')\n"
+    "assert PrimeField(7).parse('4/2') == 2 and PrimeField(7).parse('1/2') == 4\n"
     "half = Q.parse('1/2')\n"
     "from fractions import Fraction\n"
     "assert type(half) is Fraction and half == Fraction(1, 2)\n"
@@ -175,8 +184,9 @@ ON_DEMAND_FRACTIONS = (
 def test_fractions_is_loaded_only_when_a_non_integral_rational_is_built():
     """-I -S, because the test modules import fractions themselves: the
     Golod query over F_p loads none of fractions, decimal or numbers, and
-    over Q it is first loaded by parsing '1/2'.  Integral values stay ints,
-    on either side of that load."""
+    over Q it is first loaded by parsing '1/2': an integral quotient such as
+    '4/2' does not load it.  Integral values stay ints, on either side of
+    that load, and a denominator that vanishes in F_p is still refused."""
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-c", ON_DEMAND_FRACTIONS, SRC],
         capture_output=True, text=True,
